@@ -25,6 +25,11 @@ carry the PSD constraints; Z, Y, u have closed-form updates. The u update
 is a banded real least-squares problem whose normal matrix depends only on
 (N, band), so it is Cholesky-factored once per solve.
 
+The structure maps of the inner loop (the diagonal means that feed the u
+update, and the Toeplitz layouts of T(u) and Tb(u)) are gathers through
+flat index maps computed once per N and cached, so an inner iteration runs
+no per-diagonal Python loop.
+
 The returned solution must survive a feasibility audit (ball within
 eta(1+1e-6)+1e-9, block matrix and Tb eigenvalues above -1e-6 relative).
 First-order iterates approach that set tangentially near low-rank optima,
@@ -33,15 +38,18 @@ so the solver refits the atoms of the final iterate to the data
 returns the Gram-form certificate [[C^H P^-1 C, C^H A^H], [A C, A P A^H]],
 which is PSD by construction with Tb PSD because in-band atoms have
 nonnegative transform weights. Only the data misfit can then fail, which
-is exactly the eta-infeasible case and raises AdmmError.
+is exactly the eta-infeasible case. If the certificate fails, the raw
+iterate is audited as it stands; there is no projection fallback, and a
+solve that passes neither raises AdmmError.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, toeplitz
+from scipy.linalg import cho_factor, cho_solve
 from scipy.optimize import nnls
 
 from .config import ConfigError
@@ -64,7 +72,6 @@ class AdmmOptions:
     eps_decay: float = 0.5
     eps_floor_rel: float = 1e-8
     outer_tol: float = 1e-4
-    restore_sweeps: int = 400
 
 
 @dataclass
@@ -83,8 +90,6 @@ class SdpDiagnostics:
     converged: bool = False
     stop_reason: str = ""
     restore_path: str = ""
-    restore_sweeps: int = 0
-    restore_gap: float = 0.0
     rho_final: float = 0.0
 
 
@@ -102,15 +107,43 @@ def hermitize(a: np.ndarray) -> np.ndarray:
 
 def psd_project(a: np.ndarray) -> np.ndarray:
     vals, vecs = np.linalg.eigh(hermitize(a))
-    np.clip(vals, 0.0, None, out=vals)
+    np.maximum(vals, 0.0, out=vals)
     return (vecs * vals) @ vecs.conj().T
 
 
-def toeplitz_from_u(u: np.ndarray) -> np.ndarray:
-    u = np.asarray(u, dtype=np.complex128)
-    col = u.copy()
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+@lru_cache(maxsize=64)
+def _toeplitz_index(n: int) -> np.ndarray:
+    """(n, n) index into concatenate((col, conj(col))) laying out the
+    Hermitian Toeplitz matrix with first column col: lag i-j >= 0 reads
+    col[i-j], lag < 0 reads conj(col)[j-i]."""
+    lag = np.subtract.outer(np.arange(n), np.arange(n))
+    return _frozen(np.where(lag >= 0, lag, n - lag))
+
+
+@lru_cache(maxsize=64)
+def _diag_index(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Flat indices of the lower diagonals d = 0..n-1 of an (n, n) matrix,
+    diagonal after diagonal, with the start and length of each diagonal."""
+    lengths = np.arange(n, 0, -1)
+    starts = np.concatenate(([0], np.cumsum(lengths[:-1])))
+    d = np.repeat(np.arange(n), lengths)
+    col = np.arange(lengths.sum()) - np.repeat(starts, lengths)
+    return _frozen((col + d) * n + col), _frozen(starts), _frozen(lengths)
+
+
+def _hermitian_toeplitz(col: np.ndarray) -> np.ndarray:
+    """Hermitian Toeplitz matrix with first column col (col[0] made real in place)."""
     col[0] = col[0].real
-    return toeplitz(col, col.conj())
+    return np.concatenate((col, col.conj())).take(_toeplitz_index(col.shape[0]))
+
+
+def toeplitz_from_u(u: np.ndarray) -> np.ndarray:
+    return _hermitian_toeplitz(np.array(u, dtype=np.complex128))
 
 
 def band_coefficients(f_lo: float, f_hi: float) -> tuple[complex, float]:
@@ -134,16 +167,18 @@ def _band_diagonals(u: np.ndarray, h1: complex, h2: float) -> np.ndarray:
 
 
 def band_matrix_from_u(u: np.ndarray, h1: complex, h2: float) -> np.ndarray:
-    col = _band_diagonals(np.asarray(u, dtype=np.complex128), h1, h2)
-    col = col.copy()
-    col[0] = col[0].real
-    return toeplitz(col, col.conj())
+    return _hermitian_toeplitz(_band_diagonals(np.asarray(u, dtype=np.complex128), h1, h2))
+
+
+def _diag_sums(a: np.ndarray) -> np.ndarray:
+    """Sum of each lower diagonal d = 0..n-1 of a square matrix."""
+    flat, starts, _ = _diag_index(a.shape[0])
+    return np.add.reduceat(a.take(flat), starts)
 
 
 def _diag_means(a: np.ndarray) -> np.ndarray:
     """Mean of each lower diagonal d = 0..n-1 of a Hermitian matrix."""
-    n = a.shape[0]
-    return np.array([np.diagonal(a, offset=-d).mean() for d in range(n)])
+    return _diag_sums(a) / _diag_index(a.shape[0])[2]
 
 
 def _interleave(weights: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -178,6 +213,8 @@ class _UUpdate:
         g(W)^T x + (rho/2)(||T(u) - A||_F^2 + ||Tb(u) - B||_F^2)
     which in real parameters x is g^T x + (rho/2)||Phi x - tau(A, B)||^2.
     Phi depends only on (N, band), so its normal matrix is factored once.
+    tau is built from the diagonal means of A and B, which `_diag_means`
+    gathers through an index map cached per N.
     """
 
     def __init__(self, n: int, band: tuple[complex, float] | None):
@@ -210,7 +247,7 @@ class _UUpdate:
 
     def solve(self, g: np.ndarray, rho: float, tau: np.ndarray) -> np.ndarray:
         rhs = self.phi.T @ tau - g / rho
-        return _u_from_x(cho_solve(self.cho, rhs))
+        return _u_from_x(cho_solve(self.cho, rhs, check_finite=False))
 
 
 def _objective_gradient(w: np.ndarray) -> np.ndarray:
@@ -219,7 +256,7 @@ def _objective_gradient(w: np.ndarray) -> np.ndarray:
     root = np.sqrt(n)
     g = np.empty(2 * n - 1)
     g[0] = 0.5 * root * np.trace(w).real
-    supers = np.array([np.diagonal(w, offset=d).sum() for d in range(1, n)])
+    supers = _diag_sums(w.T)[1:]  # superdiagonals of w = lower diagonals of w.T
     g[1::2] = root * supers.real
     g[2::2] = -root * supers.imag
     return g
@@ -410,54 +447,6 @@ def _atomic_certificate(
     return z, y, u, misfit
 
 
-def _restore_feasibility(
-    z: np.ndarray,
-    y: np.ndarray,
-    u: np.ndarray,
-    ss: np.ndarray,
-    eta_s: float,
-    hcoefs: tuple[complex, float] | None,
-    upd: _UUpdate,
-    max_sweeps: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, float]:
-    """Alternating-projection fallback toward the audited feasible set.
-
-    Cycles between the PSD cones and the coupled structure set
-    {(assemble(z,y,u), Tb(u)) : ||S - y|| <= eta}; all sets are convex, so
-    the violation shrinks whenever the intersection is nonempty. Stops on
-    the audit tolerance (with headroom), a stall, or the sweep budget.
-    """
-    l = ss.shape[1]
-    g_zero = np.zeros(2 * u.shape[0] - 1)
-    gap = np.inf
-    history: list[float] = []
-    for sweep in range(max_sweeps + 1):
-        m = _assemble(z, y, u)
-        vals, vecs = np.linalg.eigh(hermitize(m))
-        ok = vals[0] >= -0.5e-6 * max(vals[-1], 1e-12)
-        gap = max(0.0, -float(vals[0]))
-        bvals = bvecs = None
-        if hcoefs is not None:
-            tb = band_matrix_from_u(u, *hcoefs)
-            bvals, bvecs = np.linalg.eigh(hermitize(tb))
-            ok = ok and bvals[0] >= -0.5e-6 * max(bvals[-1], 1e-12)
-            gap = max(gap, max(0.0, -float(bvals[0])))
-        history.append(gap)
-        stalled = len(history) > 25 and gap > 0.5 * history[-25]
-        if ok or stalled or sweep == max_sweeps:
-            return z, y, u, sweep, gap
-        np.clip(vals, 0.0, None, out=vals)
-        mp = (vecs * vals) @ vecs.conj().T
-        b_means = None
-        if hcoefs is not None:
-            np.clip(bvals, 0.0, None, out=bvals)
-            b_means = _diag_means((bvecs * bvals) @ bvecs.conj().T)
-        z = hermitize(mp[:l, :l])
-        y = _ball_project(mp[l:, :l], ss, eta_s)
-        u = upd.solve(g_zero, 1.0, upd.target(_diag_means(mp[l:, l:]), b_means))
-    return z, y, u, max_sweeps, gap
-
-
 def solve_weighted_toeplitz_sdp(
     s: np.ndarray,
     eta: float,
@@ -514,8 +503,8 @@ def solve_weighted_toeplitz_sdp(
         max_inner = opts.inner_iters_first if outer == 0 else opts.inner_iters
         inner_done = 0
         for it in range(max_inner):
-            a = hermitize(q - lam)
-            z = hermitize(a[:l, :l]) - (1.0 / (2.0 * root * rho)) * np.eye(l)
+            a = hermitize(q - lam)  # exactly Hermitian, and so is each diagonal block
+            z = a[:l, :l] - (1.0 / (2.0 * root * rho)) * np.eye(l)
             y = _ball_project(a[l:, :l], ss, eta_s)
             a_means = _diag_means(a[l:, l:])
             b_means = None
@@ -616,23 +605,14 @@ def solve_weighted_toeplitz_sdp(
     if final is None and audit(z_acc, y_acc, u_acc):
         final = (z_acc, y_acc, u_acc)
         diag.restore_path = "raw"
-    if final is None:
-        z_p, y_p, u_p, sweeps, gap = _restore_feasibility(
-            z_acc, y_acc, u_acc, ss, eta_s, hcoefs, upd, opts.restore_sweeps
-        )
-        diag.restore_sweeps = sweeps
-        diag.restore_gap = float(gap)
-        if audit(z_p, y_p, u_p):
-            final = (z_p, y_p, u_p)
-            diag.restore_path = "projection"
     diag.rho_final = rho
     diag.feasible = final is not None
     if final is None:
         raise AdmmError(
-            "no audited feasible iterate within budget (residual gap "
-            f"{diag.restore_gap:.3e}, data misfit {diag.data_misfit:.3e} vs "
-            f"eta {diag.eta:.3e}); eta may be below the distance from the "
-            "data to the band-constrained signal set",
+            "no audited feasible iterate within budget (data misfit "
+            f"{diag.data_misfit:.3e} vs eta {diag.eta:.3e}); eta may be "
+            "below the distance from the data to the band-constrained "
+            "signal set",
             diag,
         )
 

@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import nnls
-from scipy.signal import find_peaks
 
 from .cfar import DetectionGroup
 from .config import ConfigError, RadarConfig
@@ -397,6 +396,9 @@ def music_solve(
         )
     grid = np.linspace(0.0, 1.0, grid_size, endpoint=False)
     spec = music_spectrum(data, n_sources, grid)
+    # imported here: scipy.signal is about half of `import rangesr` otherwise
+    from scipy.signal import find_peaks
+
     wrapped = np.concatenate([spec, spec[:1]])
     peaks, props = find_peaks(wrapped, height=0.0)
     peaks = peaks % grid_size

@@ -1,6 +1,5 @@
-"""Shared fixtures and independent spectral oracles for the test suite."""
+"""Shared fixtures for the test suite."""
 
-import numpy as np
 import pytest
 
 from rangesr.config import make_radar_config
@@ -27,22 +26,3 @@ def tiny_cfg_1ch():
         sample_rate_hz=5e6,
         n_elements=1,
     )
-
-
-def dft_peak_freq(x, pad=64):
-    """Zero-padded DFT argmax of a 1-D sequence, cycles/sample in [-0.5, 0.5).
-
-    Deliberately independent of the package's transforms: plain numpy FFT of
-    the sequence as stored (start phase does not move the magnitude peak).
-    """
-    x = np.asarray(x)
-    n = x.shape[0]
-    spec = np.fft.fft(x, pad * n)
-    k = int(np.argmax(np.abs(spec)))
-    f = k / (pad * n)
-    return f - 1.0 if f >= 0.5 else f
-
-
-def dft_peak_resolution(n, pad=64):
-    """Half a padded bin: the argmax oracle's worst-case quantization."""
-    return 0.5 / (pad * n)

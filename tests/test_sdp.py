@@ -2,11 +2,15 @@
 
 import numpy as np
 import pytest
+from scipy.linalg import toeplitz
 
 from rangesr.config import ConfigError
 from rangesr.sdp import (
     AdmmError,
     AdmmOptions,
+    _band_diagonals,
+    _diag_means,
+    _objective_gradient,
     band_coefficients,
     band_matrix_from_u,
     hermitize,
@@ -63,6 +67,46 @@ def test_toeplitz_from_u_layout():
     a = atoms([f], 8)[:, 0]
     u_atom = np.exp(2j * np.pi * f * np.arange(8))
     assert np.allclose(toeplitz_from_u(u_atom), np.outer(a, a.conj()), atol=1e-12)
+
+
+ORACLE_SIZES = [2, 3, 8, 31, 32, 48]
+
+
+@pytest.mark.parametrize("n", ORACLE_SIZES)
+def test_diag_means_match_per_diagonal_loop(n):
+    rng = np.random.default_rng(n)
+    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    loop = np.array([np.diagonal(a, offset=-d).mean() for d in range(n)])
+    np.testing.assert_allclose(_diag_means(a), loop, rtol=1e-14, atol=0.0)
+    # a strided block of a larger matrix, as the ADMM loop passes it
+    big = np.zeros((n + 3, n + 3), dtype=complex)
+    big[3:, 3:] = a
+    np.testing.assert_allclose(_diag_means(big[3:, 3:]), loop, rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize("n", ORACLE_SIZES)
+def test_objective_gradient_matches_superdiagonal_loop(n):
+    rng = np.random.default_rng(200 + n)
+    w = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    supers = np.array([np.diagonal(w, offset=d).sum() for d in range(1, n)])
+    g = _objective_gradient(w)
+    assert g[0] == 0.5 * np.sqrt(n) * np.trace(w).real
+    np.testing.assert_allclose(g[1::2], np.sqrt(n) * supers.real, rtol=1e-13, atol=1e-14 * n)
+    np.testing.assert_allclose(g[2::2], -np.sqrt(n) * supers.imag, rtol=1e-13, atol=1e-14 * n)
+
+
+@pytest.mark.parametrize("n", ORACLE_SIZES)
+def test_toeplitz_builds_equal_scipy_toeplitz(n):
+    rng = np.random.default_rng(100 + n)
+    u = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    col = u.copy()
+    col[0] = col[0].real
+    assert np.array_equal(toeplitz_from_u(u), toeplitz(col, col.conj()))
+    assert u[0].imag != 0.0  # the input is left as it was
+    h1, h2 = band_coefficients(0.1, 0.3)
+    bcol = _band_diagonals(u, h1, h2)
+    bcol[0] = bcol[0].real
+    assert np.array_equal(band_matrix_from_u(u, h1, h2), toeplitz(bcol, bcol.conj()))
 
 
 def test_band_coefficients_closed_form():
@@ -179,8 +223,9 @@ def test_scaling_covariance():
 def test_infeasible_problem_raises_with_diagnostics():
     rng = np.random.default_rng(5)
     s = rng.standard_normal((8, 2)) + 1j * rng.standard_normal((8, 2))
-    opts = AdmmOptions(max_outer=2, inner_iters_first=60, inner_iters=40, restore_sweeps=60)
+    opts = AdmmOptions(max_outer=2, inner_iters_first=60, inner_iters=40)
     with pytest.raises(AdmmError) as info:
         solve_weighted_toeplitz_sdp(s, 0.0, band=(0.2, 0.25), options=opts)
     assert info.value.diagnostics is not None
     assert not info.value.diagnostics.feasible
+    assert "vs eta" in str(info.value)

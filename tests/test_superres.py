@@ -6,6 +6,11 @@ extracted from synthesized cubes (exercising the demodulation/decimation
 bookkeeping end to end).
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -477,3 +482,16 @@ def test_result_serialization_and_top_ranges(cfg):
     top = res.top_ranges(1)
     strongest = res.ranges_m[int(np.argmax(res.powers))]
     assert top.shape == (1,) and top[0] == pytest.approx(strongest)
+
+
+def test_package_import_leaves_scipy_signal_unloaded():
+    # scipy.signal is only for MUSIC's peak picking and costs most of the
+    # package import time, so it loads on first use
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, rangesr; print('scipy.signal' in sys.modules)"],
+        capture_output=True, text=True, env=env, timeout=120, check=True,
+    )
+    assert out.stdout.strip() == "False"

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import dft_peak_freq, dft_peak_resolution
+from spectral_oracles import dft_peak_freq, dft_peak_resolution
 from rangesr.config import UavTruth
 from rangesr.synth import OutOfBandError, add_noise, array_phase, noise_sigma, synth_beat_cube
 
