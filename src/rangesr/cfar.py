@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.ndimage import maximum_filter, uniform_filter
+from scipy.ndimage import uniform_filter
 
 from .config import ConfigError
 from .cube import RdaCube
@@ -145,20 +145,31 @@ def refine_peak(power: np.ndarray, i: int, j: int) -> tuple[float, float, bool]:
     return di, dj, False
 
 
+def _is_local_max(pmap: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Whether each cell (rows[k], cols[k]) is >= its 8 wrapped neighbours."""
+    n_i, n_j = pmap.shape
+    peak = pmap[rows, cols]
+    keep = np.ones(rows.shape, dtype=bool)
+    for di in (-1, 0, 1):
+        ni = (rows + di) % n_i
+        for dj in (-1, 0, 1):
+            if di or dj:
+                keep &= peak >= pmap[ni, (cols + dj) % n_j]
+    return keep
+
+
 def ca_cfar(rda: RdaCube, settings: CfarSettings | None = None) -> list[Detection]:
     """Run per-beam 2-D CA-CFAR; returns detections sorted by falling power."""
     settings = settings or CfarSettings()
-    power = np.abs(rda.data) ** 2
     alpha = settings.alpha
-    n_range, _, n_beams = power.shape
     detections: list[Detection] = []
-    for b in range(n_beams):
-        pmap = np.ascontiguousarray(power[:, :, b])
+    for b in range(rda.n_beams):
+        pmap = np.abs(rda.data[:, :, b]) ** 2
         noise = noise_level_map(pmap, settings)
-        is_max = pmap >= maximum_filter(pmap, size=3, mode="wrap")
-        hit = (pmap > alpha * noise) & is_max & (pmap > settings.min_power)
+        rows, cols = np.nonzero((pmap > alpha * noise) & (pmap > settings.min_power))
+        keep = _is_local_max(pmap, rows, cols)
         angle = rda.beam_angles[b] if rda.beam_angles is not None else 0.0
-        for i, j in zip(*np.nonzero(hit)):
+        for i, j in zip(rows[keep], cols[keep]):
             di, dj, at_edge = refine_peak(pmap, int(i), int(j))
             rbin = int(i) - rda.n_range // 2
             dbin = int(j) - rda.n_doppler // 2

@@ -20,12 +20,18 @@ import numpy as np
 from .beamform import beamform_cube, default_grid
 from .bench import METHODS, compare_methods, grid_spec_from_dict, run_success_grid
 from .cfar import CfarSettings, ca_cfar
-from .config import dump_json, load_json, make_radar_config, config_from_dict, UavTruth
+from .config import dump_json, load_json, config_from_dict, UavTruth
 from .cube import export_magnitude_csv, load_cube, save_cube
 from .integrate import integrate_cube
-from .pipeline import run_full, scene_from_dict, write_range_walk_csv
+from .pipeline import (
+    _n_chirps,
+    run_full,
+    scene_from_dict,
+    table_radar_config,
+    write_range_walk_csv,
+)
 from .superres import FreqBand, extract_mmv, solve_by_name
-from .synth import add_noise, synth_beat_cube
+from .synth import add_noise, noise_sigma, synth_beat_cube
 
 
 def _out_dir(args) -> Path:
@@ -49,9 +55,7 @@ def _cmd_synth(args) -> int:
         truths, dwell, seed = scene.uavs, scene.dwell1_s, scene.seed * 10 + 1
     else:
         truths, dwell, seed = scene.step2_truths(), scene.dwell2_s, scene.seed * 10 + 2
-    n_slow = max(1, int(round(dwell / cfg.chirp_s)))
-    n_slow -= n_slow % 2 if n_slow >= 2 else 0
-    cube = synth_beat_cube(cfg, truths, n_slow)
+    cube = synth_beat_cube(cfg, truths, _n_chirps(dwell, cfg.chirp_s))
     cube = add_noise(cube, scene.snr_db, rng_seed=seed)
     save_cube(cube, out / f"cube_step{args.step}")
     print(f"wrote {out / f'cube_step{args.step}'}.json/.bin shape={cube.data.shape}")
@@ -99,14 +103,7 @@ def _cmd_detect(args) -> int:
 def _cmd_superres(args) -> int:
     problem = load_json(args.problem)
     out = _out_dir(args)
-    cfg = (
-        config_from_dict(problem["radar"])
-        if "radar" in problem
-        else make_radar_config(
-            carrier_hz=10e9, bandwidth_hz=50e6, chirp_s=100e-6,
-            sample_rate_hz=5.12e6, n_elements=16,
-        )
-    )
+    cfg = config_from_dict(problem["radar"]) if "radar" in problem else table_radar_config()
     ranges = [float(r) for r in problem["ranges_m"]]
     seed = int(args.seed if args.seed is not None else problem.get("seed", 0))
     rng = np.random.default_rng(seed)
@@ -122,7 +119,7 @@ def _cmd_superres(args) -> int:
     cube = synth_beat_cube(cfg, truths, n_slow=int(problem.get("n_slow", 1)))
     snr_db = problem.get("snr_db")
     cube = add_noise(cube, snr_db, rng_seed=seed + 1)
-    sigma = 0.0 if snr_db is None else float(10.0 ** (-float(snr_db) / 20.0))
+    sigma = 0.0 if snr_db is None else noise_sigma(float(snr_db))
     if "band_m" in problem:
         lo_m, hi_m = problem["band_m"]
     else:

@@ -10,8 +10,14 @@ the slow-time DFT in one go is a scaled discrete Fourier transform
 evaluated here either by direct summation (the oracle) or by the chirp-z
 (Bluestein) factorization: k m = (k^2 + m^2 - (k-m)^2)/2 turns the scaled DFT
 into a pre-chirp multiply, a cyclic convolution of length >= 2M-1 done with
-FFTs, and a post-chirp multiply. An explicit interpolating keystone transform
-is kept alongside as an independent check.
+FFTs, and a post-chirp multiply. The chirp kernels are computed once per
+chunk of fast-time rows and shared by every beam of the chunk; the
+convolution runs in one reused workspace with in-place FFTs. An explicit
+interpolating keystone transform is kept alongside as an independent check.
+
+The symmetric DFT (time and frequency both indexed about zero) of an
+even-length axis is a sign-modulated FFT, (-1)^(k + N/2) FFT((-1)^n x)[k],
+which needs one output array where the shift-based form needs four.
 """
 
 from __future__ import annotations
@@ -21,20 +27,37 @@ import scipy.fft as sfft
 
 from .cube import CubeError, DataCube, RdaCube, axis_values
 
-# cap on complex workspace entries per Bluestein chunk (~64 MB complex128)
+# cap on the convolution workspace of one Bluestein chunk, in complex
+# entries (chunk rows x FFT length x beams; ~64 MB complex128); the chirp
+# kernel adds 1/beams of that
 _CHUNK_BUDGET = 4_000_000
+
+
+def _symmetric(transform, x: np.ndarray, axis: int) -> np.ndarray:
+    """Apply `transform` along `axis` with both indices centred on zero."""
+    x = np.asarray(x)
+    n = x.shape[axis]
+    if n % 2:
+        shifted = np.fft.ifftshift(x, axes=axis)
+        return np.fft.fftshift(transform(shifted, axis=axis), axes=axis)
+    shape = [1] * x.ndim
+    shape[axis] = n
+    sign = np.ones(n, dtype=np.result_type(x.real.dtype, np.float32))
+    sign[1::2] = -1.0
+    sign = sign.reshape(shape)
+    out = transform(x * sign, axis=axis, overwrite_x=True)
+    out *= sign if n % 4 == 0 else -sign
+    return out
 
 
 def symmetric_fft(x: np.ndarray, axis: int = 0) -> np.ndarray:
     """DFT with both time and frequency indexed symmetrically about zero."""
-    shifted = np.fft.ifftshift(x, axes=axis)
-    return np.fft.fftshift(sfft.fft(shifted, axis=axis), axes=axis)
+    return _symmetric(sfft.fft, x, axis)
 
 
 def symmetric_ifft(x: np.ndarray, axis: int = 0) -> np.ndarray:
     """Inverse of :func:`symmetric_fft` (1/length normalization)."""
-    shifted = np.fft.ifftshift(x, axes=axis)
-    return np.fft.fftshift(sfft.ifft(shifted, axis=axis), axes=axis)
+    return _symmetric(sfft.ifft, x, axis)
 
 
 def _alphas(cube: DataCube) -> np.ndarray:
@@ -72,24 +95,29 @@ def _scaled_dft(rows: np.ndarray, scales: np.ndarray) -> np.ndarray:
     n_rows, n_slow, n_beams = rows.shape
     m_vals = axis_values(n_slow).astype(np.float64)
     l_fft = sfft.next_fast_len(2 * n_slow - 1)
-    lags = np.arange(-(n_slow - 1), n_slow)
-    lag_pos = np.mod(lags, l_fft)
-    chunk = max(1, _CHUNK_BUDGET // (l_fft * n_beams))
+    chunk = max(1, min(n_rows, _CHUNK_BUDGET // (l_fft * n_beams)))
     out = np.empty((n_rows, n_slow, n_beams), dtype=np.complex128)
     m_sq = m_vals * m_vals
-    lag_sq = (lags * lags).astype(np.float64)
+    # the kernel is even in the lag: lags 0..M-1, mirrored to -(M-1)..-1
+    lag_sq = np.arange(n_slow, dtype=np.float64) ** 2
+    work = np.empty((chunk, l_fft, n_beams), dtype=np.complex128)
+    kernel = np.empty((chunk, l_fft), dtype=np.complex128)
     for i0 in range(0, n_rows, chunk):
         i1 = min(i0 + chunk, n_rows)
+        a, b = work[: i1 - i0], kernel[: i1 - i0]
         w = (np.pi / n_slow) * scales[i0:i1]          # (nc,)
         q = np.exp(-1j * np.outer(w, m_sq))           # pre/post chirp, (nc, M)
-        a = np.zeros((i1 - i0, l_fft, n_beams), dtype=np.complex128)
-        a[:, :n_slow, :] = rows[i0:i1] * q[:, :, None]
-        b = np.zeros((i1 - i0, l_fft), dtype=np.complex128)
-        b[:, lag_pos] = np.exp(1j * np.outer(w, lag_sq))
-        conv = sfft.ifft(
-            sfft.fft(a, axis=1) * sfft.fft(b, axis=1)[:, :, None], axis=1
-        )[:, :n_slow, :]
-        out[i0:i1] = q[:, :, None] * conv
+        np.multiply(rows[i0:i1], q[:, :, None], out=a[:, :n_slow, :])
+        a[:, n_slow:, :] = 0.0
+        half = np.exp(1j * np.outer(w, lag_sq))
+        b[:, :n_slow] = half
+        b[:, n_slow : l_fft - n_slow + 1] = 0.0
+        b[:, l_fft - n_slow + 1 :] = half[:, :0:-1]
+        b = sfft.fft(b, axis=1, overwrite_x=True)
+        a = sfft.fft(a, axis=1, overwrite_x=True)
+        a *= b[:, :, None]
+        a = sfft.ifft(a, axis=1, overwrite_x=True)
+        np.multiply(q[:, :, None], a[:, :n_slow, :], out=out[i0:i1])
     return out
 
 

@@ -2,8 +2,8 @@
 
 Step 1 (search): short dwell, full beam fan, keystone integration, CFAR;
 produces a swarm angle prior as a power-weighted beam centroid. Step 2
-(stare): long dwell on the prior angle, a narrow beam window, per-beam
-integration and CFAR; detection groups carry refined range/Doppler cells.
+(stare): long dwell on the prior angle, a narrow beam window integrated in
+one batch, per-beam CFAR; detection groups carry refined range/Doppler cells.
 Step 3 (super-resolve): per group, extract the multi-snapshot matrix at the
 detected Doppler, build the range prior band, run the gridless solver, and
 map recovered frequencies back to meters.
@@ -17,11 +17,11 @@ gap.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .beamform import beamform_cube, default_grid, steering_vector
+from .beamform import BeamGrid, beamform_cube, default_grid
 from .cfar import (
     CfarSettings,
     Detection,
@@ -320,7 +320,11 @@ def run_step2(
     half_window: int = 2,
     cfar: CfarSettings | None = None,
 ) -> Step2Report:
-    """Long stare at the prior angle; integrates and detects one beam at a time."""
+    """Long stare at the prior angle over a narrow beam window.
+
+    The window's beams are formed, integrated and CFAR-tested together; a
+    detection's `beam` is its slot in `beam_angles`.
+    """
     t0 = time.perf_counter()
     cfg = scene.config
     m2 = _n_chirps(dwell_s if dwell_s is not None else scene.dwell2_s, cfg.chirp_s)
@@ -334,20 +338,10 @@ def run_step2(
     beam_idx = tuple(range(lo, hi))
     beam_angles = tuple(grid.angles_rad[g] for g in beam_idx)
 
-    detections: list[Detection] = []
-    for slot, g in enumerate(beam_idx):
-        w = steering_vector(cfg, grid.angles_rad[g])
-        beam = DataCube(
-            data=(cube.data @ w)[:, :, None],
-            axis2_kind="beam",
-            config=cfg,
-            beam_angles=(grid.angles_rad[g],),
-        )
-        rda = integrate_cube(beam)
-        for det in ca_cfar(rda, cfar):
-            detections.append(replace(det, beam=slot))
-        del beam, rda
-    detections = merge_beam_duplicates(detections)
+    beams = beamform_cube(cube, BeamGrid(beam_angles))
+    rda = integrate_cube(beams)
+    del beams
+    detections = merge_beam_duplicates(ca_cfar(rda, cfar))
     groups = cluster_detections(detections)
     return Step2Report(
         detections=detections,

@@ -20,8 +20,10 @@ import numpy as np
 from .config import C_LIGHT, ConfigError, RadarConfig, UavTruth
 from .cube import DataCube, axis_values
 
-# slow-time block size for memory-bounded synthesis/noise loops
+# slow-time block size for memory-bounded noise loops
 _CHUNK_M = 256
+# complex entries per fast-time row block of the synthesis accumulator
+_BLOCK_ENTRIES = 1 << 16
 
 
 class OutOfBandError(ConfigError):
@@ -51,6 +53,7 @@ def synth_beat_cube(
     m = axis_values(n_slow).astype(np.float64)
     dt = cfg.dt
     gamma = cfg.chirp_rate_hz_per_s
+    terms = []
     for t in targets:
         f_beat = cfg.beat_freq(t.range0_m)
         if f_beat >= 0.5:
@@ -59,20 +62,23 @@ def synth_beat_cube(
                 f"{f_beat:.4f} >= 0.5 (fast-time Nyquist)"
             )
         c_amp = t.amplitude * np.exp(2j * np.pi * cfg.carrier_hz * 2.0 * t.range0_m / C_LIGHT)
-        phase_n = 2.0 * np.pi * f_beat * n
         f_dop = cfg.doppler_freq(t.velocity_mps)
         walk = 2.0 * np.pi * (2.0 * gamma * t.velocity_mps / C_LIGHT) * cfg.chirp_s * dt
         elem = np.exp(1j * array_phase(cfg, t.angle_rad)).astype(dtype)
-        for m0 in range(0, n_slow, _CHUNK_M):
-            mc = m[m0:m0 + _CHUNK_M]
+        terms.append((c_amp, 2.0 * np.pi * f_beat * n, walk, (2.0 * np.pi * f_dop) * m, elem))
+
+    # accumulate every target into one block of fast-time rows at a time, so
+    # the block and its per-target term stay small
+    rows = max(1, _BLOCK_ENTRIES // (n_slow * cfg.n_elements))
+    term = np.empty((min(rows, n_fast), n_slow, cfg.n_elements), dtype=np.complex128)
+    for n0 in range(0, n_fast, rows):
+        n1 = min(n0 + rows, n_fast)
+        block, tmp = data[n0:n1], term[: n1 - n0]
+        for c_amp, phase_n, walk, phase_m, elem in terms:
             # phase over (n, m): beat tone + walk coupling + Doppler
-            ph = (
-                phase_n[:, None]
-                + walk * np.outer(n, mc)
-                + (2.0 * np.pi * f_dop) * mc[None, :]
-            )
-            tone = np.exp(1j * ph)
-            data[:, m0:m0 + _CHUNK_M, :] += (c_amp * tone[:, :, None] * elem).astype(dtype)
+            ph = phase_n[n0:n1, None] + walk * np.outer(n[n0:n1], m) + phase_m[None, :]
+            np.multiply((c_amp * np.exp(1j * ph))[:, :, None], elem, out=tmp)
+            block += tmp.astype(dtype, copy=False)
     return DataCube(data=data, axis2_kind="element", config=cfg)
 
 

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.ndimage import maximum_filter
 
 from rangesr.cfar import (
     CfarSettings,
@@ -15,7 +16,7 @@ from rangesr.cfar import (
     with_angle,
 )
 from rangesr.config import ConfigError, UavTruth, make_radar_config
-from rangesr.cube import DataCube
+from rangesr.cube import DataCube, RdaCube
 from rangesr.integrate import integrate_cube
 from rangesr.synth import synth_beat_cube
 
@@ -204,3 +205,40 @@ def test_with_angle_and_dict_round_trip():
     assert d.angle_rad == 0.15
     back = detection_from_dict(d.to_dict())
     assert back == d
+
+
+def maximum_filter_hits(rda, settings):
+    """The dense rule: threshold, power floor and a wrapped 3x3 maximum filter."""
+    hits = []
+    for b in range(rda.n_beams):
+        pmap = np.abs(rda.data[:, :, b]) ** 2
+        noise = noise_level_map(pmap, settings)
+        hit = (
+            (pmap > settings.alpha * noise)
+            & (pmap >= maximum_filter(pmap, size=3, mode="wrap"))
+            & (pmap > settings.min_power)
+        )
+        hits += [
+            (int(i) - rda.n_range // 2, int(j) - rda.n_doppler // 2, b)
+            for i, j in zip(*np.nonzero(hit))
+        ]
+    return sorted(hits)
+
+
+@pytest.mark.parametrize("shape", [(12, 10, 3), (3, 7, 2), (16, 16, 1)])
+@pytest.mark.parametrize("levels", [3, 0])
+def test_local_max_gate_matches_maximum_filter(cfg, shape, levels):
+    # few power levels make equal-valued plateaus; the edge rows and
+    # columns carry peaks whose neighbours wrap around
+    rng = np.random.default_rng(sum(shape) + levels)
+    if levels:
+        power = rng.integers(0, levels + 1, shape).astype(float)
+        power[0, :, :] = power[-1, :, :] = levels
+    else:
+        power = rng.exponential(size=shape)
+        power[0, 0, :] = power[-1, -1, :] = 50.0
+    rda = RdaCube(data=np.sqrt(power) + 0j, config=cfg, n_slow=shape[1])
+    settings = CfarSettings(train_cells=1, guard_cells=0, pfa=0.3, min_power=0.5)
+    got = sorted((d.range_bin, d.doppler_bin, d.beam) for d in ca_cfar(rda, settings))
+    assert got == maximum_filter_hits(rda, settings)
+    assert got   # the maps do produce hits

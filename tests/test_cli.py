@@ -1,0 +1,57 @@
+"""Smoke tests of the command-line front end on small inputs."""
+
+import pytest
+
+from rangesr.cli import main
+from rangesr.config import UavTruth, dump_json, load_json, make_radar_config
+from rangesr.cube import load_cube
+from rangesr.pipeline import Scene, scene_to_dict
+
+
+@pytest.fixture()
+def scene_path(tmp_path):
+    cfg = make_radar_config(10e9, 50e6, 12.8e-6, 5e6, 4)   # 64 fast-time samples
+    scene = Scene(
+        name="tiny",
+        config=cfg,
+        uavs=(UavTruth(range0_m=30.0, velocity_mps=2.0, angle_rad=0.1),),
+        dwell1_s=33 * cfg.chirp_s,
+        dwell2_s=64 * cfg.chirp_s,
+        snr_db=20.0,
+        seed=1,
+    )
+    path = tmp_path / "scene.json"
+    dump_json(scene_to_dict(scene), path)
+    return path
+
+
+@pytest.mark.parametrize("step, n_slow", [(1, 32), (2, 64)])
+def test_synth_writes_the_dwell_cube(tmp_path, scene_path, step, n_slow):
+    out = tmp_path / "out"
+    code = main(["synth", "--scene", str(scene_path), "--step", str(step), "--out-dir", str(out)])
+    assert code == 0
+    cube = load_cube(out / f"cube_step{step}")
+    # the chirp count follows the pipeline's rule: rounded, then made even
+    assert cube.data.shape == (64, n_slow, 4)
+    assert cube.axis2_kind == "element"
+
+
+def test_synth_rejects_a_dwell_shorter_than_half_a_chirp(tmp_path, scene_path):
+    scene = load_json(scene_path)
+    scene["dwell1_s"] = 0.4 * scene["radar"]["chirp_s"]
+    dump_json(scene, scene_path)
+    with pytest.raises(ValueError, match="shorter than one chirp"):
+        main(["synth", "--scene", str(scene_path), "--out-dir", str(tmp_path)])
+
+
+def test_superres_resolves_two_targets_on_the_table_radar(tmp_path):
+    problem = tmp_path / "problem.json"
+    truth = [165.0, 166.8]
+    dump_json({"ranges_m": truth, "snr_db": 30.0, "seed": 2}, problem)
+    code = main(["superres", "--problem", str(problem), "--out-dir", str(tmp_path)])
+    assert code == 0
+    result = load_json(tmp_path / "superres.json")
+    assert result["feasible"]
+    got = sorted(result["ranges_m"])
+    assert len(got) == 2
+    assert got == pytest.approx(truth, abs=0.3)

@@ -1,10 +1,14 @@
 """Scaled slow-time transform, keystone interpolation, range DFT."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+import scipy.fft as sfft
 
+from rangesr import integrate
 from rangesr.config import UavTruth, make_radar_config
-from rangesr.cube import CubeError, DataCube
+from rangesr.cube import CubeError, DataCube, axis_values
 from rangesr.integrate import (
     integrate_cube,
     keystone_explicit,
@@ -173,3 +177,104 @@ def test_integrate_cube_direct_flag(tiny_cfg):
     assert np.allclose(
         fast.data, range_ft(scaled_slow_time_ft_fast(cube)).data, rtol=1e-12, atol=1e-9
     )
+
+
+# ------------------------------------------------ transform oracles
+
+
+def scaled_dft_reference(rows, scales):
+    """Out-of-place Bluestein loop: fresh arrays per chunk, kernel over all lags."""
+    n_rows, n_slow, n_beams = rows.shape
+    m_vals = axis_values(n_slow).astype(np.float64)
+    l_fft = sfft.next_fast_len(2 * n_slow - 1)
+    lags = np.arange(-(n_slow - 1), n_slow)
+    lag_pos = np.mod(lags, l_fft)
+    chunk = max(1, integrate._CHUNK_BUDGET // (l_fft * n_beams))
+    out = np.empty((n_rows, n_slow, n_beams), dtype=np.complex128)
+    m_sq = m_vals * m_vals
+    lag_sq = (lags * lags).astype(np.float64)
+    for i0 in range(0, n_rows, chunk):
+        i1 = min(i0 + chunk, n_rows)
+        w = (np.pi / n_slow) * scales[i0:i1]
+        q = np.exp(-1j * np.outer(w, m_sq))
+        a = np.zeros((i1 - i0, l_fft, n_beams), dtype=np.complex128)
+        a[:, :n_slow, :] = rows[i0:i1] * q[:, :, None]
+        b = np.zeros((i1 - i0, l_fft), dtype=np.complex128)
+        b[:, lag_pos] = np.exp(1j * np.outer(w, lag_sq))
+        conv = sfft.ifft(
+            sfft.fft(a, axis=1) * sfft.fft(b, axis=1)[:, :, None], axis=1
+        )[:, :n_slow, :]
+        out[i0:i1] = q[:, :, None] * conv
+    return out
+
+
+@pytest.mark.parametrize("n_beams", [1, 5, 32])
+@pytest.mark.parametrize("n_slow", [1, 2, 7, 64])
+def test_scaled_dft_matches_out_of_place_loop_bit_for_bit(monkeypatch, n_beams, n_slow):
+    # a budget of a few chunks per call leaves a partial last chunk
+    l_fft = sfft.next_fast_len(2 * n_slow - 1)
+    monkeypatch.setattr(integrate, "_CHUNK_BUDGET", 3 * l_fft * n_beams)
+    rng = np.random.default_rng(n_beams * 100 + n_slow)
+    shape = (11, n_slow, n_beams)
+    rows = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    scales = 1.0 + 1e-3 * rng.random(shape[0])
+    assert np.array_equal(integrate._scaled_dft(rows, scales), scaled_dft_reference(rows, scales))
+
+
+def shift_fft_reference(x, axis, inverse=False):
+    transform = sfft.ifft if inverse else sfft.fft
+    shifted = np.fft.ifftshift(x, axes=axis)
+    return np.fft.fftshift(transform(shifted, axis=axis), axes=axis)
+
+
+@pytest.mark.parametrize("shape", [(16, 6, 3), (15, 7, 5), (8, 9, 10), (9, 4, 1)])
+@pytest.mark.parametrize("axis", [0, 1, 2])
+def test_symmetric_transforms_match_the_shift_form(shape, axis):
+    rng = np.random.default_rng(sum(shape) + axis)
+    x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    for fn, inverse in ((symmetric_fft, False), (symmetric_ifft, True)):
+        ref = shift_fft_reference(x, axis, inverse)
+        assert np.allclose(fn(x, axis=axis), ref, rtol=1e-13, atol=1e-13 * np.abs(ref).max())
+
+
+def test_symmetric_fft_keeps_dtype_and_input():
+    x = (np.arange(12.0) + 1j).astype(np.complex64)
+    before = x.copy()
+    assert symmetric_fft(x).dtype == np.complex64
+    assert np.array_equal(x, before)
+    assert symmetric_fft(np.arange(8.0)).dtype == np.complex128
+
+
+# ------------------------------------------------ memory guards
+
+
+def traced_peak_bytes(fn, *args):
+    """Peak bytes numpy allocates inside fn beyond what existed at the call."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        result = fn(*args)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    return peak, result
+
+
+def test_range_ft_allocates_about_one_output(tiny_cfg):
+    cube = random_beam_cube(tiny_cfg, 256, 200, 4, seed=1)
+    peak, rda = traced_peak_bytes(range_ft, cube)
+    assert peak <= 1.05 * rda.data.nbytes
+
+
+@pytest.mark.parametrize("n_rows", [250, 2500])
+def test_scaled_dft_workspace_is_bounded_by_the_chunk_budget(monkeypatch, n_rows):
+    n_slow, n_beams = 100, 5
+    budget = 100_000
+    monkeypatch.setattr(integrate, "_CHUNK_BUDGET", budget)
+    rng = np.random.default_rng(n_rows)
+    rows = rng.standard_normal((n_rows, n_slow, n_beams)) + 0j
+    peak, out = traced_peak_bytes(integrate._scaled_dft, rows, np.ones(n_rows))
+    # the convolution workspace holds at most `budget` entries and the chirp
+    # kernels a fraction of that; nothing grows with the row count
+    assert peak - out.nbytes <= 2 * budget * out.itemsize

@@ -12,13 +12,19 @@ truth by velocity gate and range window instead of counting raw detections.
 """
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from rangesr.beamform import default_grid, steering_vector
+from rangesr.cfar import ca_cfar, merge_beam_duplicates
 from rangesr.config import C_LIGHT, UavTruth, make_radar_config
+from rangesr.cube import DataCube
+from rangesr.integrate import integrate_cube
 from rangesr.pipeline import (
     Scene,
+    _n_chirps,
     make_exp1_scene,
     make_exp2_scene,
     make_exp3_scene,
@@ -30,6 +36,7 @@ from rangesr.pipeline import (
     scene_to_dict,
     table_radar_config,
 )
+from rangesr.synth import add_noise, synth_beat_cube
 
 VEL_GATE = 0.045   # 1.5 long-dwell Doppler cells around a truth velocity
 
@@ -210,6 +217,50 @@ def test_step2_separates_distinct_velocities(cfg8):
         (est,) = ests_near(loc.estimates, v)
         assert est.step == "step2"
         assert est.range_m == pytest.approx(20 * cell, abs=0.1 * cell)
+
+
+def per_beam_step2_reference(scene, angle_prior_rad, half_window=2):
+    """Step 2 as a loop: beamform, integrate and detect one beam at a time."""
+    cfg = scene.config
+    m2 = _n_chirps(scene.dwell2_s, cfg.chirp_s)
+    cube = synth_beat_cube(cfg, scene.step2_truths(), m2)
+    cube = add_noise(cube, scene.snr_db, rng_seed=scene.seed * 10 + 2)
+    angles = default_grid(cfg).angles_rad
+    g0 = int(np.argmin(np.abs(np.sin(angles) - np.sin(angle_prior_rad))))
+    window = range(max(0, g0 - half_window), min(len(angles), g0 + half_window + 1))
+    detections = []
+    for slot, g in enumerate(window):
+        w = steering_vector(cfg, angles[g])
+        beam = DataCube((cube.data @ w)[:, :, None], "beam", cfg, (angles[g],))
+        detections += [replace(d, beam=slot) for d in ca_cfar(integrate_cube(beam))]
+    return merge_beam_duplicates(detections)
+
+
+@pytest.mark.parametrize("snr_db", [None, 10.0])
+def test_batched_step2_matches_the_per_beam_loop(cfg8, snr_db):
+    cell = cell_m(cfg8)
+    v = 2.0 * vbin_mps(cfg8, 64)
+    scene = tiny_scene(
+        cfg8,
+        [
+            UavTruth(range0_m=20 * cell, velocity_mps=v, angle_rad=0.15),
+            UavTruth(range0_m=24.4 * cell, velocity_mps=-v, angle_rad=-0.2),
+        ],
+        snr_db=snr_db,
+        seed=5,
+    )
+    got = run_step2(scene, 0.15).detections
+    ref = per_beam_step2_reference(scene, 0.15)
+
+    def key(d):
+        return (d.range_bin, d.doppler_bin)
+
+    got, ref = sorted(got, key=key), sorted(ref, key=key)
+    assert [(*key(d), d.beam, d.angle_rad) for d in got] == [
+        (*key(d), d.beam, d.angle_rad) for d in ref
+    ]
+    assert np.allclose([d.power for d in got], [d.power for d in ref], rtol=1e-12, atol=0)
+    assert len(got) > 2
 
 
 def test_step3_splits_a_shared_range_cell(cfg8):
