@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .beamform import steering_vector
+from .beamform import BeamGrid, beamform_cube
 from .cfar import CfarSettings, ca_cfar, cluster_detections
 from .config import UavTruth
 from .cube import DataCube
@@ -253,14 +253,7 @@ def run_trial_method(
     noisy = data.clean + sigma * data.unit_noise
     cube = DataCube(data=noisy, axis2_kind="element", config=cfg)
 
-    w = steering_vector(cfg, 0.0)
-    beam = DataCube(
-        data=(cube.data @ w)[:, :, None],
-        axis2_kind="beam",
-        config=cfg,
-        beam_angles=(0.0,),
-    )
-    rda = integrate_cube(beam)
+    rda = integrate_cube(beamform_cube(cube, BeamGrid((0.0,))))
     detections = ca_cfar(rda, CfarSettings())
     groups = cluster_detections(detections)
     if not groups:

@@ -121,7 +121,8 @@ def noise_level_map(power: np.ndarray, settings: CfarSettings) -> np.ndarray:
     return (outer_sum - inner_sum) / settings.n_train
 
 
-def _parabolic_delta(lo: float, mid: float, hi: float) -> float:
+def parabolic_offset(lo: float, mid: float, hi: float) -> float:
+    """Vertex offset, within +-0.5, of the parabola through three samples."""
     denom = lo - 2.0 * mid + hi
     if denom >= -1e-300:   # flat or non-concave: no refinement
         return 0.0
@@ -140,8 +141,8 @@ def refine_peak(power: np.ndarray, i: int, j: int) -> tuple[float, float, bool]:
         return 0.0, 0.0, True
     floor = 1e-300
     logp = np.log(np.maximum(power[i - 1 : i + 2, j - 1 : j + 2], floor))
-    di = _parabolic_delta(logp[0, 1], logp[1, 1], logp[2, 1])
-    dj = _parabolic_delta(logp[1, 0], logp[1, 1], logp[1, 2])
+    di = parabolic_offset(logp[0, 1], logp[1, 1], logp[2, 1])
+    dj = parabolic_offset(logp[1, 0], logp[1, 1], logp[1, 2])
     return di, dj, False
 
 
@@ -214,10 +215,9 @@ class DetectionGroup:
         return len(self.members)
 
 
-def cluster_detections(
-    detections: list[Detection], range_tol: int = 1, doppler_tol: int = 1
-) -> list[DetectionGroup]:
-    """Union-find grouping of detections within the bin tolerances (any beam)."""
+def cluster_detections(detections: list[Detection]) -> list[DetectionGroup]:
+    """Union-find grouping of detections at most one range and one Doppler
+    bin apart (any beam)."""
     n = len(detections)
     parent = list(range(n))
 
@@ -231,8 +231,8 @@ def cluster_detections(
         for j in range(i + 1, n):
             di, dj = detections[i], detections[j]
             if (
-                abs(di.range_bin - dj.range_bin) <= range_tol
-                and abs(di.doppler_bin - dj.doppler_bin) <= doppler_tol
+                abs(di.range_bin - dj.range_bin) <= 1
+                and abs(di.doppler_bin - dj.doppler_bin) <= 1
             ):
                 parent[find(i)] = find(j)
     buckets: dict[int, list[Detection]] = {}

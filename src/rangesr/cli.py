@@ -57,7 +57,7 @@ def _cmd_synth(args) -> int:
         truths, dwell, seed = scene.step2_truths(), scene.dwell2_s, scene.seed * 10 + 2
     cube = synth_beat_cube(cfg, truths, _n_chirps(dwell, cfg.chirp_s))
     cube = add_noise(cube, scene.snr_db, rng_seed=seed)
-    save_cube(cube, out / f"cube_step{args.step}")
+    save_cube(cube, out / f"cube_step{args.step}.json")
     print(f"wrote {out / f'cube_step{args.step}'}.json/.bin shape={cube.data.shape}")
     return 0
 
@@ -67,7 +67,7 @@ def _cmd_beamform(args) -> int:
     out = _out_dir(args)
     grid = default_grid(cube.config, args.beams)
     beams = beamform_cube(cube, grid)
-    save_cube(beams, out / "cube_beams")
+    save_cube(beams, out / "cube_beams.json")
     print(f"wrote {out / 'cube_beams'}.json/.bin beams={len(grid.angles_rad)}")
     return 0
 
@@ -76,7 +76,7 @@ def _cmd_integrate(args) -> int:
     cube = load_cube(args.cube)
     out = _out_dir(args)
     rda = integrate_cube(cube, fast=not args.direct)
-    save_cube(rda, out / "cube_rda")
+    save_cube(rda, out / "cube_rda.json")
     if args.csv:
         export_magnitude_csv(rda, out / "rda_beam0.csv", beam=0)
     if args.walk_csv:

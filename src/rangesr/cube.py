@@ -9,7 +9,7 @@ float32 payload with the fast-time axis fastest-varying.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -57,9 +57,6 @@ class DataCube:
     def fast_index(self) -> np.ndarray:
         return axis_values(self.n_fast)
 
-    def slow_index(self) -> np.ndarray:
-        return axis_values(self.n_slow)
-
 
 @dataclass
 class RdaCube:
@@ -73,7 +70,6 @@ class RdaCube:
     config: RadarConfig
     n_slow: int                                    # M of the dwell that produced this
     beam_angles: tuple[float, ...] | None = None
-    power: np.ndarray | None = field(default=None, repr=False)  # optional |.|^2 cache
 
     def __post_init__(self) -> None:
         if self.data.ndim != 3:

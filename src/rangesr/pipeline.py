@@ -23,7 +23,6 @@ import numpy as np
 
 from .beamform import BeamGrid, beamform_cube, default_grid
 from .cfar import (
-    CfarSettings,
     Detection,
     DetectionGroup,
     ca_cfar,
@@ -42,11 +41,13 @@ from .config import (
 )
 from .cube import DataCube, RdaCube
 from .integrate import integrate_cube, range_profile_ft
-from .sdp import AdmmOptions
 from .superres import SuperResError, extract_mmv, prior_band, solve_by_name
 from .synth import add_noise, noise_sigma, synth_beat_cube
 
 DEFAULT_GAP_S = 6.0 / 44.01   # the table offsets: 6 m advance at swarm speed
+_STARE_HALF_WINDOW = 2        # step 2 stares on the prior beam and 2 either side
+_REL_POWER_MIN = 1e-2         # step-3 atoms below this fraction of the group's top are dropped
+_REL_GROUP_POWER_MIN = 1e-5   # groups 50 dB under the strongest keep their CFAR estimate
 
 
 def table_radar_config(sample_rate_hz: float = 5.12e6) -> RadarConfig:
@@ -195,7 +196,6 @@ class Step1Report:
     n_chirps: int
     beam_angles: tuple[float, ...]
     elapsed_s: float = 0.0
-    rda: RdaCube | None = None
 
     def to_dict(self) -> dict:
         return {
@@ -279,15 +279,10 @@ def _angle_centroid(rda: RdaCube, det: Detection, half_window: int = 2) -> float
     return float(np.arcsin(np.clip(centroid, -1.0, 1.0)))
 
 
-def run_step1(
-    scene: Scene,
-    dwell_s: float | None = None,
-    cfar: CfarSettings | None = None,
-    keep_rda: bool = False,
-) -> Step1Report:
+def run_step1(scene: Scene) -> Step1Report:
     t0 = time.perf_counter()
     cfg = scene.config
-    m1 = _n_chirps(dwell_s if dwell_s is not None else scene.dwell1_s, cfg.chirp_s)
+    m1 = _n_chirps(scene.dwell1_s, cfg.chirp_s)
     cube = synth_beat_cube(cfg, scene.uavs, m1)
     cube = add_noise(cube, scene.snr_db, rng_seed=scene.seed * 10 + 1)
     grid = default_grid(cfg)
@@ -295,7 +290,7 @@ def run_step1(
     del cube
     rda = integrate_cube(beams)
     del beams
-    detections = merge_beam_duplicates(ca_cfar(rda, cfar))
+    detections = merge_beam_duplicates(ca_cfar(rda))
     groups = cluster_detections(detections)
     angle = sin_est = None
     if detections:
@@ -309,17 +304,10 @@ def run_step1(
         n_chirps=m1,
         beam_angles=grid.angles_rad,
         elapsed_s=time.perf_counter() - t0,
-        rda=rda if keep_rda else None,
     )
 
 
-def run_step2(
-    scene: Scene,
-    angle_prior_rad: float,
-    dwell_s: float | None = None,
-    half_window: int = 2,
-    cfar: CfarSettings | None = None,
-) -> Step2Report:
+def run_step2(scene: Scene, angle_prior_rad: float) -> Step2Report:
     """Long stare at the prior angle over a narrow beam window.
 
     The window's beams are formed, integrated and CFAR-tested together; a
@@ -327,21 +315,22 @@ def run_step2(
     """
     t0 = time.perf_counter()
     cfg = scene.config
-    m2 = _n_chirps(dwell_s if dwell_s is not None else scene.dwell2_s, cfg.chirp_s)
+    m2 = _n_chirps(scene.dwell2_s, cfg.chirp_s)
     cube = synth_beat_cube(cfg, scene.step2_truths(), m2)
     cube = add_noise(cube, scene.snr_db, rng_seed=scene.seed * 10 + 2)
 
     grid = default_grid(cfg)
     sines = np.sin(np.asarray(grid.angles_rad))
     g0 = int(np.argmin(np.abs(sines - np.sin(angle_prior_rad))))
-    lo, hi = max(0, g0 - half_window), min(len(sines), g0 + half_window + 1)
+    lo = max(0, g0 - _STARE_HALF_WINDOW)
+    hi = min(len(sines), g0 + _STARE_HALF_WINDOW + 1)
     beam_idx = tuple(range(lo, hi))
     beam_angles = tuple(grid.angles_rad[g] for g in beam_idx)
 
     beams = beamform_cube(cube, BeamGrid(beam_angles))
     rda = integrate_cube(beams)
     del beams
-    detections = merge_beam_duplicates(ca_cfar(rda, cfar))
+    detections = merge_beam_duplicates(ca_cfar(rda))
     groups = cluster_detections(detections)
     return Step2Report(
         detections=detections,
@@ -416,9 +405,6 @@ def run_step3(
     method: str = "fsram",
     n_ex: int = 32,
     solve_singletons: bool = True,
-    rel_power_min: float = 1e-2,
-    rel_group_power_min: float = 1e-5,
-    options: AdmmOptions | None = None,
     angle_rad: float | None = None,
 ) -> LocalizationResult:
     """Solve each detection group; falls back to the CFAR estimate if a solve
@@ -430,10 +416,11 @@ def run_step3(
     is cross-channel leakage atoms, which `_strip_leakage` removes after the
     fact.
 
-    Groups more than 50 dB below the strongest group (`rel_group_power_min`)
-    keep their CFAR estimate without a solve; on noise-free synthetic scenes
-    the integration sidelobes clear the CFAR floor and would otherwise burn
-    one SDP solve per speck.
+    Groups more than 50 dB below the strongest group keep their CFAR
+    estimate without a solve; on noise-free synthetic scenes the integration
+    sidelobes clear the CFAR floor and would otherwise burn one SDP solve per
+    speck. Of a solved group, the in-band atoms within 20 dB of its strongest
+    atom become estimates.
     """
     t0 = time.perf_counter()
     cube = step2.element_cube
@@ -462,7 +449,7 @@ def run_step3(
             step="step2",
             group_index=gi,
         )
-        if rep.power < rel_group_power_min * power_top:
+        if rep.power < _REL_GROUP_POWER_MIN * power_top:
             estimates.append(fallback)
             report.update({"solved": False, "skipped": "below dynamic-range gate"})
             group_reports.append(report)
@@ -481,13 +468,13 @@ def run_step3(
                 n_ex=n_ex,
                 noise_sigma=step2.noise_sigma,
             )
-            result = solve_by_name(method, mmv, options=options)
+            result = solve_by_name(method, mmv)
         except (SuperResError, ValueError) as err:
             estimates.append(replace(fallback, step="step3-fallback"))
             report.update({"solved": False, "error": str(err)})
             group_reports.append(report)
             continue
-        keep = result.powers >= rel_power_min * max(
+        keep = result.powers >= _REL_POWER_MIN * max(
             result.powers.max() if result.n_atoms else 0.0, 1e-300
         )
         keep &= result.in_band
@@ -555,27 +542,14 @@ class FullRunResult:
         return out
 
 
-def run_full(
-    scene: Scene,
-    method: str = "fsram",
-    n_ex: int = 32,
-    solve_singletons: bool = True,
-    options: AdmmOptions | None = None,
-) -> FullRunResult:
+def run_full(scene: Scene, method: str = "fsram", n_ex: int = 32) -> FullRunResult:
     step1 = run_step1(scene)
     if not step1.detections:
         return FullRunResult(scene, step1, None, None, method)
     step2 = run_step2(scene, step1.angle_est_rad)
     if not step2.groups:
         return FullRunResult(scene, step1, step2, None, method)
-    loc = run_step3(
-        step2,
-        method=method,
-        n_ex=n_ex,
-        solve_singletons=solve_singletons,
-        options=options,
-        angle_rad=step1.angle_est_rad,
-    )
+    loc = run_step3(step2, method=method, n_ex=n_ex, angle_rad=step1.angle_est_rad)
     step2.element_cube = None
     return FullRunResult(scene, step1, step2, loc, method)
 

@@ -38,9 +38,9 @@ so the solver refits the atoms of the final iterate to the data
 returns the Gram-form certificate [[C^H P^-1 C, C^H A^H], [A C, A P A^H]],
 which is PSD by construction with Tb PSD because in-band atoms have
 nonnegative transform weights. Only the data misfit can then fail, which
-is exactly the eta-infeasible case. If the certificate fails, the raw
-iterate is audited as it stands; there is no projection fallback, and a
-solve that passes neither raises AdmmError.
+is exactly the eta-infeasible case. The certificate is the only way out:
+a solve whose certificate fails the audit, or that yields none, raises
+AdmmError.
 """
 
 from __future__ import annotations
@@ -54,6 +54,18 @@ from scipy.optimize import nnls
 
 from .config import ConfigError
 
+_OVER_RELAX = 1.8
+_RHO_INIT = 0.05
+_ADAPT_EVERY = 25      # inner iterations between residual-balancing rho updates
+_ADAPT_RATIO = 5.0     # residual imbalance that triggers an update
+_ADAPT_FACTOR = 1.5
+_RHO_MIN = 1e-4
+_RHO_MAX = 1e4
+_EPS_DECAY = 0.5       # reweighting eps shrinks by this per outer pass ...
+_EPS_FLOOR_REL = 1e-8  # ... down to this fraction of the first lambda_max
+_OUTER_TOL = 1e-4      # relative change of u that ends the outer loop
+_RANK_TOL = 1e-6       # eigenvalues of T(u) above this fraction of the top are signal
+
 
 @dataclass(frozen=True)
 class AdmmOptions:
@@ -62,16 +74,6 @@ class AdmmOptions:
     inner_iters: int = 150
     tol_abs: float = 1e-8
     tol_rel: float = 1e-6
-    over_relax: float = 1.8
-    rho_init: float = 0.05
-    adapt_every: int = 25
-    adapt_ratio: float = 5.0
-    adapt_factor: float = 1.5
-    rho_min: float = 1e-4
-    rho_max: float = 1e4
-    eps_decay: float = 0.5
-    eps_floor_rel: float = 1e-8
-    outer_tol: float = 1e-4
 
 
 @dataclass
@@ -89,7 +91,6 @@ class SdpDiagnostics:
     feasible: bool = True
     converged: bool = False
     stop_reason: str = ""
-    restore_path: str = ""
     rho_final: float = 0.0
 
 
@@ -291,24 +292,33 @@ def _assemble(z: np.ndarray, y: np.ndarray, u: np.ndarray) -> np.ndarray:
     return m
 
 
-def _esprit_freqs(u: np.ndarray, rank_tol: float = 1e-6) -> np.ndarray:
-    """Frequencies of the dominant atoms of T(u) by rotational invariance."""
+def atom_matrix(freqs: np.ndarray, n: int) -> np.ndarray:
+    """Columns exp(j 2 pi f k), k = 0..n-1."""
+    k = np.arange(n)[:, None]
+    return np.exp(2j * np.pi * k * np.asarray(freqs)[None, :])
+
+
+def esprit(u: np.ndarray, n_atoms: int | None = None) -> tuple[np.ndarray, int]:
+    """Atom frequencies of T(u) by rotational invariance, and the rank of T(u).
+
+    The signal subspace holds the `n_atoms` dominant eigenvectors, or those
+    whose eigenvalues exceed _RANK_TOL of the largest; at most n-1 either way.
+    """
     n = u.shape[0]
     vals, vecs = np.linalg.eigh(toeplitz_from_u(u))
-    rank = int(np.count_nonzero(vals > rank_tol * max(vals[-1], 1e-300)))
-    rank = min(rank, n - 1)
-    if rank == 0:
-        return np.empty(0)
-    sub = vecs[:, n - rank:]
+    rank = int(np.count_nonzero(vals > _RANK_TOL * max(vals[-1], 1e-300)))
+    size = min(rank if n_atoms is None else int(n_atoms), n - 1)
+    if rank == 0 or size <= 0:
+        return np.empty(0), rank
+    sub = vecs[:, n - size:]
     rot = np.linalg.pinv(sub[:-1]) @ sub[1:]
     f = np.angle(np.linalg.eigvals(rot)) / (2.0 * np.pi)
-    return np.sort(np.mod(f, 1.0))
+    return np.sort(np.mod(f, 1.0)), rank
 
 
-def _nnls_powers(u: np.ndarray, freqs: np.ndarray) -> np.ndarray:
+def nnls_powers(u: np.ndarray, freqs: np.ndarray) -> np.ndarray:
     """Nonnegative atom powers fitting u: u_d ~= sum_q p_q e^{j2pi f_q d}."""
-    n = u.shape[0]
-    basis = np.exp(2j * np.pi * np.arange(n)[:, None] * freqs[None, :])
+    basis = atom_matrix(freqs, u.shape[0])
     stacked = np.vstack([basis.real, basis.imag])
     target = np.concatenate([u.real, u.imag])
     powers, _ = nnls(stacked, target)
@@ -334,7 +344,7 @@ def _gn_refine(
     f = np.clip(np.sort(freqs), lo, hi)
 
     def fit(fv: np.ndarray):
-        a = np.exp(2j * np.pi * idx * fv[None, :])
+        a = atom_matrix(fv, n)
         c, *_ = np.linalg.lstsq(a, ss, rcond=None)
         r = ss - a @ c
         return a, c, r, float(np.linalg.norm(r) ** 2)
@@ -373,7 +383,7 @@ def _residual_peak(residual: np.ndarray, band: tuple[float, float] | None) -> fl
     n = residual.shape[0]
     lo, hi = band if band is not None else (0.0, 1.0)
     grid = lo + (hi - lo) * np.arange(2048) / (2048 if band is None else 2047)
-    corr = np.exp(-2j * np.pi * np.outer(grid, np.arange(n))) @ residual
+    corr = atom_matrix(grid, n).conj().T @ residual
     return float(grid[int(np.argmax(np.sum(np.abs(corr) ** 2, axis=1)))])
 
 
@@ -390,7 +400,7 @@ def _atomic_certificate(
     ss: np.ndarray,
     band: tuple[float, float] | None,
     eta_s: float,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, float] | None:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
     """Exactly feasible (z, y, u) built from refined atoms of the iterate.
 
     With atoms A, powers Sigma and amplitudes C the block matrix
@@ -403,13 +413,14 @@ def _atomic_certificate(
     Candidate atom sets come from ESPRIT on the iterate and from forward
     selection on residual peaks; the fewest atoms that stay inside the eta
     ball win. A half-converged iterate can split one true atom in two, and
-    reading its rank verbatim would lock in the overfit.
+    reading its rank verbatim would lock in the overfit. There is no
+    certificate (None) when no atom gets a positive power in u.
     """
     n = u_admm.shape[0]
     fit_ok = eta_s * (1.0 + 1e-6) + 1e-9
     candidates: list[tuple[np.ndarray, np.ndarray, float]] = []
 
-    freqs = _esprit_freqs(u_admm)
+    freqs, _ = esprit(u_admm)
     if band is not None:
         freqs = np.clip(freqs, band[0], band[1])
     freqs = np.unique(freqs)
@@ -418,7 +429,7 @@ def _atomic_certificate(
 
     forward: list[float] = []
     for _ in range(min(n - 1, 16)):
-        a = np.exp(2j * np.pi * np.outer(np.arange(n), np.array(forward)))
+        a = atom_matrix(forward, n)
         coef, *_ = np.linalg.lstsq(a, ss, rcond=None) if forward else (np.zeros((0, ss.shape[1])),)
         forward.append(_residual_peak(ss - a @ coef, band))
         cand = _refined_fit(ss, np.array(forward), band)
@@ -427,24 +438,18 @@ def _atomic_certificate(
         if cand[2] <= fit_ok:
             break
 
-    if not candidates:
-        return None
     feasible = [c for c in candidates if c[2] <= fit_ok]
-    pool = feasible or candidates
-    freqs, c, misfit = min(pool, key=lambda c: (c[0].size, c[2]))
-    if freqs.size == 0:
-        return None
-    powers = _nnls_powers(u_admm, freqs)
+    freqs = min(feasible or candidates, key=lambda c: (c[0].size, c[2]))[0]
+    powers = nnls_powers(u_admm, freqs)
     if powers.max() <= 0.0:
         return None
     powers = np.maximum(powers, 1e-9 * powers.max())
-    atoms = np.exp(2j * np.pi * np.arange(n)[:, None] * freqs[None, :])
+    atoms = atom_matrix(freqs, n)
     c, *_ = np.linalg.lstsq(atoms, ss, rcond=None)
     y = atoms @ c
     z = hermitize(c.conj().T @ ((1.0 / powers)[:, None] * c))
     u = atoms @ powers.astype(np.complex128)
-    misfit = float(np.linalg.norm(ss - y))
-    return z, y, u, misfit
+    return z, y, u
 
 
 def solve_weighted_toeplitz_sdp(
@@ -489,13 +494,12 @@ def solve_weighted_toeplitz_sdp(
     if hcoefs is not None:
         p = psd_project(band_matrix_from_u(u, *hcoefs))
         gam = np.zeros_like(p)
-    rho = opts.rho_init
+    rho = _RHO_INIT
 
     w = np.eye(n, dtype=np.complex128)
     eps = None
     lam_max_first = None
-    u_acc, y_acc, z_acc = u.copy(), y.copy(), z.copy()
-    f_acc = None
+    u_acc, z_acc = u.copy(), z.copy()
     accepted_outer = 0
 
     for outer in range(opts.max_outer):
@@ -516,7 +520,7 @@ def solve_weighted_toeplitz_sdp(
 
             m_new = _assemble(z, y, u)
             q_prev = q
-            m_relax = opts.over_relax * m_new + (1.0 - opts.over_relax) * q_prev
+            m_relax = _OVER_RELAX * m_new + (1.0 - _OVER_RELAX) * q_prev
             q = psd_project(m_relax + lam)
             lam = lam + m_relax - q
             r_norm = np.linalg.norm(m_new - q)
@@ -525,7 +529,7 @@ def solve_weighted_toeplitz_sdp(
             if hcoefs is not None:
                 tb_new = band_matrix_from_u(u, *hcoefs)
                 p_prev = p
-                tb_relax = opts.over_relax * tb_new + (1.0 - opts.over_relax) * p_prev
+                tb_relax = _OVER_RELAX * tb_new + (1.0 - _OVER_RELAX) * p_prev
                 p = psd_project(tb_relax + gam)
                 gam = gam + tb_relax - p
                 r_norm = np.hypot(r_norm, np.linalg.norm(tb_new - p))
@@ -537,17 +541,17 @@ def solve_weighted_toeplitz_sdp(
             eps_dual = opts.tol_abs * (l + n) + opts.tol_rel * rho * m_scale
             if r_norm < eps_pri and s_norm < eps_dual:
                 break
-            if opts.adapt_every and (it + 1) % opts.adapt_every == 0:
-                if r_norm > opts.adapt_ratio * s_norm and rho < opts.rho_max:
-                    rho *= opts.adapt_factor
-                    lam /= opts.adapt_factor
+            if (it + 1) % _ADAPT_EVERY == 0:
+                if r_norm > _ADAPT_RATIO * s_norm and rho < _RHO_MAX:
+                    rho *= _ADAPT_FACTOR
+                    lam /= _ADAPT_FACTOR
                     if gam is not None:
-                        gam /= opts.adapt_factor
-                elif s_norm > opts.adapt_ratio * r_norm and rho > opts.rho_min:
-                    rho /= opts.adapt_factor
-                    lam *= opts.adapt_factor
+                        gam /= _ADAPT_FACTOR
+                elif s_norm > _ADAPT_RATIO * r_norm and rho > _RHO_MIN:
+                    rho /= _ADAPT_FACTOR
+                    lam *= _ADAPT_FACTOR
                     if gam is not None:
-                        gam *= opts.adapt_factor
+                        gam *= _ADAPT_FACTOR
         diag.inner_iters.append(inner_done)
 
         f_new = _objective_value(w, u, z)
@@ -557,10 +561,9 @@ def solve_weighted_toeplitz_sdp(
             diag.stop_reason = "objective_stall"
             break
         u_change = np.linalg.norm(u - u_acc) / max(np.linalg.norm(u_acc), 1e-12)
-        u_acc, y_acc, z_acc = u.copy(), y.copy(), z.copy()
-        f_acc = f_new
+        u_acc, z_acc = u.copy(), z.copy()
         accepted_outer = outer + 1
-        if outer > 0 and u_change < opts.outer_tol:
+        if outer > 0 and u_change < _OUTER_TOL:
             diag.stop_reason = "u_change"
             break
 
@@ -571,50 +574,45 @@ def solve_weighted_toeplitz_sdp(
             lam_max_first = max(lam_max, 1e-12)
             eps = lam_max_first / 10.0
         else:
-            eps = max(eps * opts.eps_decay, opts.eps_floor_rel * lam_max_first)
+            eps = max(eps * _EPS_DECAY, _EPS_FLOOR_REL * lam_max_first)
         w = (vecs * (1.0 / (np.clip(vals, 0.0, None) + eps))) @ vecs.conj().T
 
     diag.outer_iters = accepted_outer
     if not diag.stop_reason:
         diag.stop_reason = "max_outer"
     diag.converged = diag.stop_reason != "max_outer"
-    del f_acc
-
-    def audit(z_c: np.ndarray, y_c: np.ndarray, u_c: np.ndarray) -> bool:
-        vals_m = np.linalg.eigvalsh(hermitize(_assemble(z_c, y_c, u_c)))
-        diag.min_eig_main = float(vals_m[0])
-        diag.max_eig_main = float(vals_m[-1])
-        ok = diag.min_eig_main >= -1e-6 * max(diag.max_eig_main, 1e-12)
-        if hcoefs is not None:
-            vals_b = np.linalg.eigvalsh(band_matrix_from_u(u_c, *hcoefs))
-            diag.min_eig_band = float(vals_b[0])
-            diag.max_eig_band = float(vals_b[-1])
-            ok = ok and diag.min_eig_band >= -1e-6 * max(diag.max_eig_band, 1e-12)
-        misfit = float(np.linalg.norm(ss - y_c))
-        diag.data_misfit = misfit * scale
-        return ok and misfit <= eta_s * (1.0 + 1e-6) + 1e-9
-
-    # the raw iterate rarely survives the audit at loose inner tolerances;
-    # refit its atoms to the data, which is exactly feasible by construction
-    # unless eta genuinely cannot cover the residual
-    final = None
-    cert = _atomic_certificate(u_acc, ss, band, eta_s)
-    if cert is not None and audit(*cert[:3]):
-        final = cert[:3]
-        diag.restore_path = "atoms"
-    if final is None and audit(z_acc, y_acc, u_acc):
-        final = (z_acc, y_acc, u_acc)
-        diag.restore_path = "raw"
     diag.rho_final = rho
-    diag.feasible = final is not None
-    if final is None:
+
+    # an ADMM iterate rarely passes the audit at loose inner tolerances, so
+    # its atoms are refitted to the data; that certificate is exactly
+    # feasible by construction unless eta genuinely cannot cover the residual
+    cert = _atomic_certificate(u_acc, ss, band, eta_s)
+    if cert is None:
+        diag.feasible = False
         raise AdmmError(
-            "no audited feasible iterate within budget (data misfit "
+            "no atomic certificate: no atom of the iterate has positive "
+            f"power, so nothing can be audited against eta {diag.eta:.3e}",
+            diag,
+        )
+    z_c, y_c, u_c = cert
+    vals_m = np.linalg.eigvalsh(hermitize(_assemble(z_c, y_c, u_c)))
+    diag.min_eig_main = float(vals_m[0])
+    diag.max_eig_main = float(vals_m[-1])
+    ok = diag.min_eig_main >= -1e-6 * max(diag.max_eig_main, 1e-12)
+    if hcoefs is not None:
+        vals_b = np.linalg.eigvalsh(band_matrix_from_u(u_c, *hcoefs))
+        diag.min_eig_band = float(vals_b[0])
+        diag.max_eig_band = float(vals_b[-1])
+        ok = ok and diag.min_eig_band >= -1e-6 * max(diag.max_eig_band, 1e-12)
+    misfit = float(np.linalg.norm(ss - y_c))
+    diag.data_misfit = misfit * scale
+    diag.feasible = ok and misfit <= eta_s * (1.0 + 1e-6) + 1e-9
+    if not diag.feasible:
+        raise AdmmError(
+            "the atomic certificate fails its feasibility audit (data misfit "
             f"{diag.data_misfit:.3e} vs eta {diag.eta:.3e}); eta may be "
             "below the distance from the data to the band-constrained "
             "signal set",
             diag,
         )
-
-    _, y_fin, u_fin = final
-    return u_fin * scale * scale, y_fin * scale, diag
+    return u_c * scale * scale, y_c * scale, diag

@@ -14,23 +14,27 @@ back to absolute range.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import nnls
 
-from .cfar import DetectionGroup
+from .cfar import DetectionGroup, parabolic_offset
 from .config import ConfigError, RadarConfig
 from .cube import DataCube, axis_values
 from .sdp import (
     AdmmError,
     AdmmOptions,
     SdpDiagnostics,
+    atom_matrix,
+    esprit,
+    nnls_powers,
     solve_weighted_toeplitz_sdp,
-    toeplitz_from_u,
 )
 
 _CHUNK_N = 64
+_ETA_MODEL_REL = 5e-4   # eta floor, as a fraction of the data norm
+_BAND_PAD_CELLS = 1.0   # prior band reaches this many range cells past the group
+_MUSIC_GRID = 8192      # MUSIC pseudo-spectrum points per cycle
 
 
 class SuperResError(RuntimeError):
@@ -102,7 +106,7 @@ class MmvMatrix:
         hi = (self.band.f_hi - self.f_shift) * self.step
         return float(lo), float(hi)
 
-    def default_eta(self, model_rel: float = 5e-4) -> float:
+    def default_eta(self) -> float:
         """Noise budget: Frobenius tail bound for the filtered noise, floored
         at a small fraction of the data norm.
 
@@ -117,7 +121,7 @@ class MmvMatrix:
         """
         m = self.data.size
         noise = self.sigma * np.sqrt(m + 2.0 * np.sqrt(m))
-        floor = model_rel * float(np.linalg.norm(self.data))
+        floor = _ETA_MODEL_REL * float(np.linalg.norm(self.data))
         return float(max(noise, floor))
 
 
@@ -168,13 +172,11 @@ def extract_mmv(
     )
 
 
-def prior_band(
-    group: DetectionGroup, n_fast: int, pad_cells: float = 1.0
-) -> FreqBand:
+def prior_band(group: DetectionGroup, n_fast: int) -> FreqBand:
     """Frequency band covering the group's range bins plus a one-cell pad."""
     bins = [d.refined_range_bin for d in group.members]
-    lo = (min(bins) - pad_cells) / n_fast
-    hi = (max(bins) + pad_cells) / n_fast
+    lo = (min(bins) - _BAND_PAD_CELLS) / n_fast
+    hi = (max(bins) + _BAND_PAD_CELLS) / n_fast
     eps = 1.0 / (64.0 * n_fast)
     lo = max(lo, eps)
     hi = min(hi, 0.5 - eps)
@@ -183,16 +185,8 @@ def prior_band(
     return FreqBand(lo, hi)
 
 
-def atom_matrix(freqs: np.ndarray, n: int) -> np.ndarray:
-    """Columns exp(j 2 pi f k), k = 0..n-1."""
-    k = np.arange(n)[:, None]
-    return np.exp(2j * np.pi * k * np.asarray(freqs)[None, :])
-
-
 def vandermonde_decompose(
-    u: np.ndarray,
-    n_atoms: int | None = None,
-    rank_tol: float = 1e-6,
+    u: np.ndarray, n_atoms: int | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Frequencies and non-negative powers of T(u) = sum_k p_k a(f_k)a(f_k)^H.
 
@@ -202,34 +196,14 @@ def vandermonde_decompose(
     the solver was run with too small a noise budget.
     """
     u = np.asarray(u, dtype=np.complex128)
-    n = u.shape[0]
-    t = toeplitz_from_u(u)
-    vals, vecs = np.linalg.eigh(t)
-    lam_max = float(vals[-1])
-    if lam_max <= 0.0:
-        return np.empty(0), np.empty(0)
-    if n_atoms is None:
-        rank = int(np.sum(vals > rank_tol * lam_max))
-    else:
-        rank = min(int(n_atoms), n - 1)
-    if rank == 0:
-        return np.empty(0), np.empty(0)
-    if rank >= n and n_atoms is None:
+    freqs, rank = esprit(u, n_atoms)
+    if n_atoms is None and rank >= u.shape[0]:
         raise SuperResError(
             "Toeplitz factor is full rank; increase the noise budget eta"
         )
-    rank = min(rank, n - 1)
-    u_s = vecs[:, n - rank :]
-    shifted = np.linalg.pinv(u_s[:-1]) @ u_s[1:]
-    roots = np.linalg.eigvals(shifted)
-    freqs = np.sort(np.mod(np.angle(roots) / (2.0 * np.pi), 1.0))
-
-    d = np.arange(n)
-    basis = np.exp(2j * np.pi * np.outer(d, freqs))
-    a_stack = np.vstack([basis.real, basis.imag])
-    b_stack = np.concatenate([u.real, u.imag])
-    powers, _ = nnls(a_stack, b_stack)
-    return freqs, powers
+    if freqs.size == 0:
+        return np.empty(0), np.empty(0)
+    return freqs, nnls_powers(u, freqs)
 
 
 def mdl_order(eigvals: np.ndarray, n_snapshots: int) -> int:
@@ -261,7 +235,6 @@ class SuperResResult:
     eta: float
     in_band: np.ndarray
     diagnostics: SdpDiagnostics | None = None
-    extras: dict = field(default_factory=dict)
 
     @property
     def n_atoms(self) -> int:
@@ -377,11 +350,7 @@ def music_spectrum(
     return 1.0 / np.maximum(denom, 1e-300)
 
 
-def music_solve(
-    mmv: MmvMatrix,
-    n_sources: int | None = None,
-    grid_size: int = 8192,
-) -> SuperResResult:
+def music_solve(mmv: MmvMatrix, n_sources: int | None = None) -> SuperResResult:
     """Classic subspace baseline; degrades on coherent snapshots by design."""
     data = mmv.data
     n, l = data.shape
@@ -394,14 +363,14 @@ def music_solve(
         return _finalize(
             "music", mmv, np.empty(0), np.empty(0), data, 0.0, None
         )
-    grid = np.linspace(0.0, 1.0, grid_size, endpoint=False)
+    grid = np.linspace(0.0, 1.0, _MUSIC_GRID, endpoint=False)
     spec = music_spectrum(data, n_sources, grid)
     # imported here: scipy.signal is about half of `import rangesr` otherwise
     from scipy.signal import find_peaks
 
     wrapped = np.concatenate([spec, spec[:1]])
     peaks, props = find_peaks(wrapped, height=0.0)
-    peaks = peaks % grid_size
+    peaks = peaks % _MUSIC_GRID
     if peaks.size == 0:
         peaks = np.array([int(np.argmax(spec))])
         heights = spec[peaks]
@@ -409,18 +378,12 @@ def music_solve(
         heights = props["peak_heights"]
     order = np.argsort(heights)[::-1][:n_sources]
     sel = np.sort(np.unique(peaks[order]))
-    freqs = []
     logspec = np.log(spec)
-    for pk in sel:
-        lo, mid, hi = (
-            logspec[(pk - 1) % grid_size],
-            logspec[pk],
-            logspec[(pk + 1) % grid_size],
-        )
-        denom = lo - 2.0 * mid + hi
-        delta = 0.5 * (lo - hi) / denom if denom < -1e-300 else 0.0
-        freqs.append((pk + np.clip(delta, -0.5, 0.5)) / grid_size)
-    freqs = np.mod(np.asarray(freqs), 1.0)
+    offsets = [
+        parabolic_offset(logspec[pk - 1], logspec[pk], logspec[(pk + 1) % _MUSIC_GRID])
+        for pk in sel
+    ]
+    freqs = np.mod((sel + np.asarray(offsets)) / _MUSIC_GRID, 1.0)
     amps = np.linalg.pinv(atom_matrix(freqs, n)) @ data
     powers = np.mean(np.abs(amps) ** 2, axis=1)
     return _finalize("music", mmv, freqs, powers, data, 0.0, None)

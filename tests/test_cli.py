@@ -1,5 +1,8 @@
 """Smoke tests of the command-line front end on small inputs."""
 
+import json
+
+import numpy as np
 import pytest
 
 from rangesr.cli import main
@@ -30,7 +33,7 @@ def test_synth_writes_the_dwell_cube(tmp_path, scene_path, step, n_slow):
     out = tmp_path / "out"
     code = main(["synth", "--scene", str(scene_path), "--step", str(step), "--out-dir", str(out)])
     assert code == 0
-    cube = load_cube(out / f"cube_step{step}")
+    cube = load_cube(out / f"cube_step{step}.json")
     # the chirp count follows the pipeline's rule: rounded, then made even
     assert cube.data.shape == (64, n_slow, 4)
     assert cube.axis2_kind == "element"
@@ -55,3 +58,38 @@ def test_superres_resolves_two_targets_on_the_table_radar(tmp_path):
     got = sorted(result["ranges_m"])
     assert len(got) == 2
     assert got == pytest.approx(truth, abs=0.3)
+
+
+def test_chain_synth_beamform_integrate_detect(tmp_path, scene_path, capsys):
+    out = tmp_path / "out"
+
+    def run(*argv, out_dir=out):
+        return main([*map(str, argv), "--out-dir", str(out_dir)])
+
+    assert run("synth", "--scene", scene_path, "--step", "2") == 0
+    # the message names the files that were written
+    stem = capsys.readouterr().out.split()[1].removesuffix(".json/.bin")
+    assert (out / "cube_step2.json").samefile(stem + ".json")
+    assert (out / "cube_step2.bin").samefile(stem + ".bin")
+
+    assert run("beamform", "--cube", out / "cube_step2.json") == 0
+    beams = load_cube(out / "cube_beams.json")
+    assert beams.axis2_kind == "beam" and beams.data.shape == (64, 64, 8)
+
+    assert run("integrate", "--cube", out / "cube_beams.json", out_dir=out / "fast") == 0
+    assert run("integrate", "--cube", out / "cube_beams.json", "--direct",
+               out_dir=out / "direct") == 0
+    fast = load_cube(out / "fast" / "cube_rda.json").data
+    direct = load_cube(out / "direct" / "cube_rda.json").data
+    assert fast.shape == (64, 64, 8)
+    # the oracle tolerance of the keystone tests, after a float32 round trip
+    assert np.max(np.abs(fast - direct)) / np.max(np.abs(direct)) < 1e-9
+
+    capsys.readouterr()
+    assert run("detect", "--cube", out / "fast" / "cube_rda.json") == 0
+    assert "detections" in capsys.readouterr().out
+    lines = (out / "detections.jsonl").read_text().splitlines()
+    top = json.loads(lines[0])   # sorted by falling power
+    # 2 m/s is a tenth of a Doppler cell at 64 chirps
+    assert top["doppler_bin"] == 0
+    assert top["refined_range_m"] == pytest.approx(30.0, abs=1.5)

@@ -138,11 +138,11 @@ def test_table_config_is_rate_invariant_where_it_matters():
 
 def test_dwell_chirp_count(cfg8):
     empty = tiny_scene(cfg8, [])
-    assert run_step1(empty, dwell_s=64 * cfg8.chirp_s).n_chirps == 64
+    assert run_step1(replace(empty, dwell1_s=64 * cfg8.chirp_s)).n_chirps == 64
     # odd counts round down to even so the slow-time axis stays symmetric
-    assert run_step1(empty, dwell_s=33 * cfg8.chirp_s).n_chirps == 32
+    assert run_step1(replace(empty, dwell1_s=33 * cfg8.chirp_s)).n_chirps == 32
     with pytest.raises(ValueError, match="dwell"):
-        run_step1(empty, dwell_s=0.4 * cfg8.chirp_s)
+        run_step1(replace(empty, dwell1_s=0.4 * cfg8.chirp_s))
 
 
 # ------------------------------------------------------------ small scenes

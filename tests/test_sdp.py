@@ -229,3 +229,18 @@ def test_infeasible_problem_raises_with_diagnostics():
     assert info.value.diagnostics is not None
     assert not info.value.diagnostics.feasible
     assert "vs eta" in str(info.value)
+
+
+def test_missing_certificate_raises_without_quoting_a_misfit(monkeypatch):
+    # the certificate is the only exit: without one the solve fails, and the
+    # message says there was nothing to audit instead of a misfit of zero
+    import rangesr.sdp as sdp
+
+    monkeypatch.setattr(sdp, "nnls_powers", lambda u, freqs: np.zeros(freqs.size))
+    s = atom_mmv([0.21], 8, 2, seed=3)
+    opts = AdmmOptions(max_outer=1, inner_iters_first=20)
+    with pytest.raises(AdmmError, match="no atomic certificate") as info:
+        solve_weighted_toeplitz_sdp(s, 1e-3 * np.linalg.norm(s), band=(0.15, 0.3), options=opts)
+    assert "misfit" not in str(info.value)
+    assert not info.value.diagnostics.feasible
+    assert info.value.diagnostics.outer_iters == 1

@@ -286,7 +286,7 @@ def test_vandermonde_close_tones_with_skewed_powers():
     fr = np.array([0.2, 0.2 + 0.1 / n])
     pw = np.array([100.0, 1.0])
     u = (np.exp(2j * np.pi * np.outer(np.arange(n), fr)) * pw).sum(axis=1)
-    freqs, powers = vandermonde_decompose(u, rank_tol=1e-6)
+    freqs, powers = vandermonde_decompose(u)
     assert freqs.shape == (2,)
     assert np.abs(np.sort(freqs) - fr).max() < 1e-6
     assert np.abs(np.sort(powers) - np.sort(pw)).max() < 1e-3
