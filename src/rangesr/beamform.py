@@ -1,4 +1,10 @@
-"""Conventional steering-vector beamforming over the uniform linear array."""
+"""Conventional steering-vector beamforming over the uniform linear array.
+
+`beamform_cube` writes spans of fast-time rows from threads (`spans`: workers
+come from the CPU affinity, span bounds depend only on the shape and the
+worker count, small cubes run inline). Each row is the same matrix product
+whatever its span, so the beam cube is bit-identical for any worker count.
+"""
 
 from __future__ import annotations
 
@@ -6,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import spans
 from .config import RadarConfig
 from .cube import CubeError, DataCube
 from .synth import array_phase
@@ -59,8 +66,14 @@ def beamform_cube(cube: DataCube, grid: BeamGrid) -> DataCube:
         )
     weights = np.stack(
         [steering_vector(cube.config, a) for a in grid.angles_rad], axis=1
-    )  # (L, G)
-    out = cube.data @ weights.astype(cube.data.dtype)
+    ).astype(cube.data.dtype)  # (L, G)
+    data = cube.data
+    out = np.empty(data.shape[:2] + (len(grid),), dtype=np.result_type(data, weights))
+
+    def form(a: int, b: int) -> None:
+        np.matmul(data[a:b], weights, out=out[a:b])
+
+    spans.run(form, spans.split(data.shape[0], data.size))
     return DataCube(
         data=out, axis2_kind="beam", config=cube.config, beam_angles=tuple(grid.angles_rad)
     )

@@ -8,6 +8,13 @@ alpha = N_t (pfa^(-1/N_t) - 1) makes the false-alarm probability exact.
 Detections are additionally required to be 3x3 local maxima so one target
 yields one hit, and are refined to sub-bin accuracy by a three-point
 parabolic fit on log power.
+
+Beams are independent, so `ca_cfar` hands spans of beams to threads
+(`spans`: workers come from the CPU affinity, span bounds depend only on the
+shape and the worker count, small cubes run inline). Each worker reduces a
+beam to its detections before taking the next, so no more than one power map
+per worker is alive; the lists are joined in beam order before the sort, and
+the result is identical for any worker count.
 """
 
 from __future__ import annotations
@@ -17,6 +24,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.ndimage import uniform_filter
 
+from . import spans
 from .config import ConfigError
 from .cube import RdaCube
 
@@ -159,39 +167,49 @@ def _is_local_max(pmap: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.nd
     return keep
 
 
+def _beam_detections(rda: RdaCube, b: int, settings: CfarSettings) -> list[Detection]:
+    """CA-CFAR hits of one beam, in row-major cell order."""
+    alpha = settings.alpha
+    pmap = np.abs(rda.data[:, :, b]) ** 2
+    noise = noise_level_map(pmap, settings)
+    rows, cols = np.nonzero((pmap > alpha * noise) & (pmap > settings.min_power))
+    keep = _is_local_max(pmap, rows, cols)
+    angle = rda.beam_angles[b] if rda.beam_angles is not None else 0.0
+    detections = []
+    for i, j in zip(rows[keep], cols[keep]):
+        di, dj, at_edge = refine_peak(pmap, int(i), int(j))
+        rbin = int(i) - rda.n_range // 2
+        dbin = int(j) - rda.n_doppler // 2
+        detections.append(
+            Detection(
+                range_bin=rbin,
+                doppler_bin=dbin,
+                beam=b,
+                power=float(pmap[i, j]),
+                noise_power=float(noise[i, j]),
+                threshold=float(alpha * noise[i, j]),
+                range_m=float(rda.range_of_bin(rbin)),
+                velocity_mps=float(rda.velocity_of_bin(dbin)),
+                angle_rad=float(angle),
+                refined_range_bin=rbin + di,
+                refined_doppler_bin=dbin + dj,
+                refined_range_m=float(rda.range_of_bin(rbin + di)),
+                refined_velocity_mps=float(rda.velocity_of_bin(dbin + dj)),
+                at_edge=at_edge,
+            )
+        )
+    return detections
+
+
 def ca_cfar(rda: RdaCube, settings: CfarSettings | None = None) -> list[Detection]:
     """Run per-beam 2-D CA-CFAR; returns detections sorted by falling power."""
     settings = settings or CfarSettings()
-    alpha = settings.alpha
-    detections: list[Detection] = []
-    for b in range(rda.n_beams):
-        pmap = np.abs(rda.data[:, :, b]) ** 2
-        noise = noise_level_map(pmap, settings)
-        rows, cols = np.nonzero((pmap > alpha * noise) & (pmap > settings.min_power))
-        keep = _is_local_max(pmap, rows, cols)
-        angle = rda.beam_angles[b] if rda.beam_angles is not None else 0.0
-        for i, j in zip(rows[keep], cols[keep]):
-            di, dj, at_edge = refine_peak(pmap, int(i), int(j))
-            rbin = int(i) - rda.n_range // 2
-            dbin = int(j) - rda.n_doppler // 2
-            detections.append(
-                Detection(
-                    range_bin=rbin,
-                    doppler_bin=dbin,
-                    beam=b,
-                    power=float(pmap[i, j]),
-                    noise_power=float(noise[i, j]),
-                    threshold=float(alpha * noise[i, j]),
-                    range_m=float(rda.range_of_bin(rbin)),
-                    velocity_mps=float(rda.velocity_of_bin(dbin)),
-                    angle_rad=float(angle),
-                    refined_range_bin=rbin + di,
-                    refined_doppler_bin=dbin + dj,
-                    refined_range_m=float(rda.range_of_bin(rbin + di)),
-                    refined_velocity_mps=float(rda.velocity_of_bin(dbin + dj)),
-                    at_edge=at_edge,
-                )
-            )
+
+    def detect(b0: int, b1: int) -> list[Detection]:
+        return [d for b in range(b0, b1) for d in _beam_detections(rda, b, settings)]
+
+    per_span = spans.run(detect, spans.split(rda.n_beams, rda.data.size))
+    detections = [d for hits in per_span for d in hits]
     detections.sort(key=lambda d: -d.power)
     return detections
 

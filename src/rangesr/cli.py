@@ -30,7 +30,7 @@ from .pipeline import (
     table_radar_config,
     write_range_walk_csv,
 )
-from .superres import FreqBand, extract_mmv, solve_by_name
+from .superres import FreqBand, SuperResError, extract_mmv, solve_by_name
 from .synth import add_noise, noise_sigma, synth_beat_cube
 
 
@@ -133,12 +133,14 @@ def _cmd_superres(args) -> int:
         n_ex=int(problem.get("n_ex", 32)),
         noise_sigma=sigma,
     )
-    result = solve_by_name(args.method, mmv, n_atoms=problem.get("n_atoms"))
-    payload = result.to_dict()
-    dump_json(payload, out / "superres.json")
+    try:
+        result = solve_by_name(args.method, mmv, n_atoms=problem.get("n_atoms"))
+    except SuperResError as err:
+        print(f"rangesr superres: {err}", file=sys.stderr)
+        return 2
+    dump_json(result.to_dict(), out / "superres.json")
     print(f"wrote {out / 'superres.json'} atoms={result.n_atoms}")
-    feasible = payload.get("feasible", True)
-    return 0 if feasible else 2
+    return 0
 
 
 def _cmd_pipeline(args) -> int:

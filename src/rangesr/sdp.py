@@ -38,9 +38,11 @@ so the solver refits the atoms of the final iterate to the data
 returns the Gram-form certificate [[C^H P^-1 C, C^H A^H], [A C, A P A^H]],
 which is PSD by construction with Tb PSD because in-band atoms have
 nonnegative transform weights. Only the data misfit can then fail, which
-is exactly the eta-infeasible case. The certificate is the only way out:
-a solve whose certificate fails the audit, or that yields none, raises
-AdmmError.
+is exactly the eta-infeasible case. The certificate is the only way out
+of the ADMM loop: a solve whose certificate fails the audit, or that yields
+none, raises AdmmError. Data already inside the noise ball (||S||_F <= eta)
+never enters the loop; u = 0 and Y = 0 are optimal there, and the solve
+returns that empty spectrum with stop reason "inside_noise_ball".
 """
 
 from __future__ import annotations
@@ -472,8 +474,13 @@ def solve_weighted_toeplitz_sdp(
 
     scale = float(np.sqrt(np.mean(np.abs(s) ** 2)))
     diag.scale = scale
-    if scale == 0.0:
+    norm_s = float(np.linalg.norm(s))
+    if norm_s <= eta:
+        # Y = 0 already fits the data, and u = 0 minimises the objective:
+        # the spectrum is empty
+        diag.data_misfit = norm_s
         diag.converged = True
+        diag.stop_reason = "inside_noise_ball"
         return np.zeros(n, dtype=np.complex128), np.zeros_like(s), diag
     ss = s / scale
     eta_s = eta / scale

@@ -11,12 +11,19 @@ angle theta, element l (one-based), fast-time index n, chirp index m:
 with C_k the scattering amplitude times the carrier phase exp(j2pi f_c 2R/c).
 The quadratic residual exp(-j pi gamma tau^2) of dechirping is negligible at
 these delays and is omitted.
+
+Synthesis fills blocks of fast-time rows, and spans of whole blocks run on
+threads (`spans`: workers come from the CPU affinity, span bounds depend
+only on the shape and the worker count, small cubes run inline). Each block
+is computed by the same code whatever its span, so the cube is
+bit-identical for any worker count.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from . import spans
 from .config import C_LIGHT, ConfigError, RadarConfig, UavTruth
 from .cube import DataCube, axis_values
 
@@ -68,17 +75,23 @@ def synth_beat_cube(
         terms.append((c_amp, 2.0 * np.pi * f_beat * n, walk, (2.0 * np.pi * f_dop) * m, elem))
 
     # accumulate every target into one block of fast-time rows at a time, so
-    # the block and its per-target term stay small
+    # the block and its per-target term stay small; spans of whole blocks run
+    # on threads, each with its own term buffer
     rows = max(1, _BLOCK_ENTRIES // (n_slow * cfg.n_elements))
-    term = np.empty((min(rows, n_fast), n_slow, cfg.n_elements), dtype=np.complex128)
-    for n0 in range(0, n_fast, rows):
-        n1 = min(n0 + rows, n_fast)
-        block, tmp = data[n0:n1], term[: n1 - n0]
-        for c_amp, phase_n, walk, phase_m, elem in terms:
-            # phase over (n, m): beat tone + walk coupling + Doppler
-            ph = phase_n[n0:n1, None] + walk * np.outer(n[n0:n1], m) + phase_m[None, :]
-            np.multiply((c_amp * np.exp(1j * ph))[:, :, None], elem, out=tmp)
-            block += tmp.astype(dtype, copy=False)
+    n_blocks = -(-n_fast // rows)
+
+    def fill(b0: int, b1: int) -> None:
+        term = np.empty((min(rows, n_fast), n_slow, cfg.n_elements), dtype=np.complex128)
+        for n0 in range(b0 * rows, min(b1 * rows, n_fast), rows):
+            n1 = min(n0 + rows, n_fast)
+            block, tmp = data[n0:n1], term[: n1 - n0]
+            for c_amp, phase_n, walk, phase_m, elem in terms:
+                # phase over (n, m): beat tone + walk coupling + Doppler
+                ph = phase_n[n0:n1, None] + walk * np.outer(n[n0:n1], m) + phase_m[None, :]
+                np.multiply((c_amp * np.exp(1j * ph))[:, :, None], elem, out=tmp)
+                block += tmp.astype(dtype, copy=False)
+
+    spans.run(fill, spans.split(n_blocks, data.size))
     return DataCube(data=data, axis2_kind="element", config=cfg)
 
 
@@ -91,21 +104,18 @@ def add_noise(cube: DataCube, snr_db: float | None, rng_seed: int) -> DataCube:
     """Add circular complex white Gaussian noise at the given per-sample SNR.
 
     SNR reference: a unit-amplitude target, per element, per fast-time sample,
-    before any integration. `snr_db=None` (or +inf) disables noise and
-    returns the input unchanged.
+    before any integration. The noise is added to `cube.data` in place, and
+    `cube` itself is returned. `snr_db=None` (or +inf) disables noise.
     """
     if snr_db is None or np.isinf(snr_db):
         return cube
     sigma = noise_sigma(float(snr_db))
     rng = np.random.default_rng(rng_seed)
-    out = cube.data.copy()
-    n_fast, n_slow, n_ch = out.shape
+    data = cube.data
     scale = sigma / np.sqrt(2.0)
-    for m0 in range(0, n_slow, _CHUNK_M):
-        block = out[:, m0:m0 + _CHUNK_M, :]
+    for m0 in range(0, data.shape[1], _CHUNK_M):
+        block = data[:, m0:m0 + _CHUNK_M, :]
         shape = block.shape
         noise = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         block += (scale * noise).astype(block.dtype)
-    return DataCube(
-        data=out, axis2_kind=cube.axis2_kind, config=cube.config, beam_angles=cube.beam_angles
-    )
+    return cube

@@ -5,10 +5,12 @@ import json
 import numpy as np
 import pytest
 
+from rangesr import cli
 from rangesr.cli import main
 from rangesr.config import UavTruth, dump_json, load_json, make_radar_config
 from rangesr.cube import load_cube
 from rangesr.pipeline import Scene, scene_to_dict
+from rangesr.superres import SuperResError
 
 
 @pytest.fixture()
@@ -58,6 +60,31 @@ def test_superres_resolves_two_targets_on_the_table_radar(tmp_path):
     got = sorted(result["ranges_m"])
     assert len(got) == 2
     assert got == pytest.approx(truth, abs=0.3)
+
+
+def test_superres_inside_the_noise_ball_reports_no_atoms(tmp_path):
+    # at -15 dB this draw's data norm (129.3) is inside eta (132.75)
+    problem = tmp_path / "problem.json"
+    dump_json({"ranges_m": [165.0, 166.8], "snr_db": -15, "seed": 0}, problem)
+    code = main(["superres", "--problem", str(problem), "--out-dir", str(tmp_path)])
+    assert code == 0
+    result = load_json(tmp_path / "superres.json")
+    assert result["ranges_m"] == [] and result["powers"] == []
+    assert result["eta"] == pytest.approx(132.75, abs=0.01)
+
+
+def test_superres_failed_solve_exits_2_with_one_line(tmp_path, monkeypatch, capsys):
+    def fail(*args, **kwargs):
+        raise SuperResError("band-constrained solve failed: test")
+
+    monkeypatch.setattr(cli, "solve_by_name", fail)
+    problem = tmp_path / "problem.json"
+    dump_json({"ranges_m": [165.0, 166.8], "snr_db": 30.0}, problem)
+    code = main(["superres", "--problem", str(problem), "--out-dir", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == "rangesr superres: band-constrained solve failed: test\n"
+    assert not (tmp_path / "superres.json").exists()
 
 
 def test_chain_synth_beamform_integrate_detect(tmp_path, scene_path, capsys):

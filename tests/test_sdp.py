@@ -165,6 +165,27 @@ def test_zero_data_short_circuit():
     assert diag.converged
 
 
+@pytest.mark.parametrize("slack", [1.0, 1.03])
+def test_data_inside_the_noise_ball_gives_an_empty_spectrum(slack):
+    s = atom_mmv([0.21, 0.26], 8, 2, seed=3)
+    eta = slack * np.linalg.norm(s)
+    u, y, diag = solve_weighted_toeplitz_sdp(s, eta, band=(0.15, 0.3))
+    assert u.shape == (8,) and y.shape == s.shape
+    assert not u.any() and not y.any()
+    assert diag.stop_reason == "inside_noise_ball"
+    assert diag.outer_iters == 0 and diag.inner_iters == []
+    assert diag.data_misfit == pytest.approx(np.linalg.norm(s)) and diag.feasible
+    freqs, powers = vandermonde_decompose(u, 2)
+    assert freqs.size == 0 and powers.size == 0
+
+
+def test_data_just_outside_the_noise_ball_is_solved():
+    s = atom_mmv([0.21], 8, 2, seed=3)
+    u, _, diag = solve_weighted_toeplitz_sdp(s, 0.5 * np.linalg.norm(s), band=(0.15, 0.3))
+    assert diag.stop_reason != "inside_noise_ball"
+    assert diag.inner_iters and u.any()
+
+
 def audit(s, eta, u, y, band=None):
     assert np.linalg.norm(s - y) <= eta * (1.0 + 1e-6) + 1e-12
     t = toeplitz_from_u(u)

@@ -72,14 +72,34 @@ def test_noise_sigma_values():
 
 
 def test_add_noise_passthrough_and_determinism(tiny_cfg):
-    cube = synth_beat_cube(tiny_cfg, [UavTruth(30.0, 10.0)], 8)
+    def clean():
+        return synth_beat_cube(tiny_cfg, [UavTruth(30.0, 10.0)], 8)
+
+    cube = clean()
     assert add_noise(cube, None, rng_seed=1) is cube
     assert add_noise(cube, np.inf, rng_seed=1) is cube
-    n1 = add_noise(cube, 0.0, rng_seed=7)
-    n2 = add_noise(cube, 0.0, rng_seed=7)
-    n3 = add_noise(cube, 0.0, rng_seed=8)
+    # the noise goes into the caller's cube, so each draw gets a fresh one
+    n1 = add_noise(clean(), 0.0, rng_seed=7)
+    n2 = add_noise(clean(), 0.0, rng_seed=7)
+    n3 = add_noise(clean(), 0.0, rng_seed=8)
     assert np.array_equal(n1.data, n2.data)
     assert not np.array_equal(n1.data, n3.data)
+
+
+def test_add_noise_in_place_keeps_the_draw_order(tiny_cfg):
+    # more chirps than one noise block, so the block order matters
+    cube = synth_beat_cube(tiny_cfg, [UavTruth(30.0, 10.0)], 300)
+    clean = cube.data.copy()
+    noisy = add_noise(cube, 3.0, rng_seed=5)
+    assert noisy.data is cube.data
+    rng = np.random.default_rng(5)
+    want = clean.copy()
+    scale = noise_sigma(3.0) / np.sqrt(2.0)
+    for m0 in (0, 256):
+        block = want[:, m0 : m0 + 256, :]
+        draw = rng.standard_normal(block.shape) + 1j * rng.standard_normal(block.shape)
+        block += scale * draw
+    assert np.array_equal(noisy.data, want)
 
 
 def test_add_noise_variance_calibration(tiny_cfg):
