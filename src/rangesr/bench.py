@@ -26,7 +26,7 @@ import numpy as np
 
 from .beamform import BeamGrid, beamform_cube
 from .cfar import CfarSettings, ca_cfar, cluster_detections
-from .config import UavTruth
+from .config import UavTruth, to_json
 from .cube import DataCube
 from .integrate import integrate_cube
 from .pipeline import table_radar_config
@@ -61,42 +61,6 @@ class GridSpec:
             raise ValueError("delta ratios must be positive")
         if any(k < 1 for k in self.k_values):
             raise ValueError("K values must be >= 1")
-
-    def to_dict(self) -> dict:
-        return {
-            "k_values": list(self.k_values),
-            "delta_ratios": list(self.delta_ratios),
-            "snr_values_db": list(self.snr_values_db),
-            "trials": self.trials,
-            "seed_base": self.seed_base,
-            "n_ex": self.n_ex,
-            "n_slow": self.n_slow,
-            "window_start_m": self.window_start_m,
-            "window_cells": self.window_cells,
-            "velocity_mps": self.velocity_mps,
-            "sample_rate_hz": self.sample_rate_hz,
-            "max_draws": self.max_draws,
-        }
-
-
-def grid_spec_from_dict(d: dict) -> GridSpec:
-    kwargs = {}
-    for key in (
-        "k_values", "delta_ratios", "snr_values_db",
-    ):
-        if key in d:
-            kwargs[key] = tuple(d[key])
-    for key in (
-        "trials", "seed_base", "n_ex", "n_slow", "max_draws",
-    ):
-        if key in d:
-            kwargs[key] = int(d[key])
-    for key in (
-        "window_start_m", "window_cells", "velocity_mps", "sample_rate_hz",
-    ):
-        if key in d:
-            kwargs[key] = float(d[key])
-    return GridSpec(**kwargs)
 
 
 @dataclass
@@ -133,7 +97,7 @@ class SuccessGrid:
 
     def to_dict(self) -> dict:
         return {
-            "spec": self.spec.to_dict(),
+            "spec": to_json(self.spec),
             "method": self.method,
             "successes": self.successes.tolist(),
             "trials_run": self.trials_run.tolist(),

@@ -77,43 +77,6 @@ class Detection:
     refined_velocity_mps: float
     at_edge: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "range_bin": self.range_bin,
-            "doppler_bin": self.doppler_bin,
-            "beam": self.beam,
-            "power": self.power,
-            "noise_power": self.noise_power,
-            "threshold": self.threshold,
-            "range_m": self.range_m,
-            "velocity_mps": self.velocity_mps,
-            "angle_rad": self.angle_rad,
-            "refined_range_bin": self.refined_range_bin,
-            "refined_doppler_bin": self.refined_doppler_bin,
-            "refined_range_m": self.refined_range_m,
-            "refined_velocity_mps": self.refined_velocity_mps,
-            "at_edge": self.at_edge,
-        }
-
-
-def detection_from_dict(d: dict) -> Detection:
-    return Detection(
-        range_bin=int(d["range_bin"]),
-        doppler_bin=int(d["doppler_bin"]),
-        beam=int(d["beam"]),
-        power=float(d["power"]),
-        noise_power=float(d["noise_power"]),
-        threshold=float(d["threshold"]),
-        range_m=float(d["range_m"]),
-        velocity_mps=float(d["velocity_mps"]),
-        angle_rad=float(d["angle_rad"]),
-        refined_range_bin=float(d["refined_range_bin"]),
-        refined_doppler_bin=float(d["refined_doppler_bin"]),
-        refined_range_m=float(d["refined_range_m"]),
-        refined_velocity_mps=float(d["refined_velocity_mps"]),
-        at_edge=bool(d["at_edge"]),
-    )
-
 
 def noise_level_map(power: np.ndarray, settings: CfarSettings) -> np.ndarray:
     """Mean training-ring power per cell, with wraparound at the edges."""

@@ -18,13 +18,13 @@ from pathlib import Path
 import numpy as np
 
 from .beamform import beamform_cube, default_grid
-from .bench import METHODS, compare_methods, grid_spec_from_dict, run_success_grid
+from .bench import METHODS, GridSpec, compare_methods, run_success_grid
 from .cfar import CfarSettings, ca_cfar
-from .config import dump_json, load_json, config_from_dict, UavTruth
+from .config import RadarConfig, UavTruth, dump_json, from_json, load_json, to_json
 from .cube import export_magnitude_csv, load_cube, save_cube
 from .integrate import integrate_cube
 from .pipeline import (
-    _n_chirps,
+    dwell_cube,
     run_full,
     scene_from_dict,
     table_radar_config,
@@ -43,20 +43,21 @@ def _out_dir(args) -> Path:
 def _load_scene(args):
     scene = scene_from_dict(load_json(args.scene))
     if args.seed is not None:
-        scene = dataclasses.replace(scene, seed=int(args.seed))
+        scene = dataclasses.replace(scene, seed=args.seed)
     return scene
+
+
+def _load_spec(args) -> GridSpec:
+    spec = from_json(GridSpec, load_json(args.spec))
+    if args.seed is not None:
+        spec = dataclasses.replace(spec, seed_base=args.seed)
+    return spec
 
 
 def _cmd_synth(args) -> int:
     scene = _load_scene(args)
     out = _out_dir(args)
-    cfg = scene.config
-    if args.step == 1:
-        truths, dwell, seed = scene.uavs, scene.dwell1_s, scene.seed * 10 + 1
-    else:
-        truths, dwell, seed = scene.step2_truths(), scene.dwell2_s, scene.seed * 10 + 2
-    cube = synth_beat_cube(cfg, truths, _n_chirps(dwell, cfg.chirp_s))
-    cube = add_noise(cube, scene.snr_db, rng_seed=seed)
+    cube = dwell_cube(scene, args.step)
     save_cube(cube, out / f"cube_step{args.step}.json")
     print(f"wrote {out / f'cube_step{args.step}'}.json/.bin shape={cube.data.shape}")
     return 0
@@ -95,7 +96,7 @@ def _cmd_detect(args) -> int:
     path = out / "detections.jsonl"
     with open(path, "w", encoding="utf-8") as fh:
         for det in detections:
-            fh.write(json.dumps(det.to_dict(), sort_keys=True) + "\n")
+            fh.write(json.dumps(to_json(det), sort_keys=True) + "\n")
     print(f"wrote {path} ({len(detections)} detections)")
     return 0 if detections else 2
 
@@ -103,17 +104,12 @@ def _cmd_detect(args) -> int:
 def _cmd_superres(args) -> int:
     problem = load_json(args.problem)
     out = _out_dir(args)
-    cfg = config_from_dict(problem["radar"]) if "radar" in problem else table_radar_config()
+    cfg = from_json(RadarConfig, problem["radar"]) if "radar" in problem else table_radar_config()
     ranges = [float(r) for r in problem["ranges_m"]]
     seed = int(args.seed if args.seed is not None else problem.get("seed", 0))
     rng = np.random.default_rng(seed)
     truths = tuple(
-        UavTruth(
-            range0_m=r,
-            velocity_mps=0.0,
-            angle_rad=0.0,
-            amplitude=complex(np.exp(2j * np.pi * rng.random())),
-        )
+        UavTruth(range0_m=r, amplitude=complex(np.exp(2j * np.pi * rng.random())))
         for r in ranges
     )
     cube = synth_beat_cube(cfg, truths, n_slow=int(problem.get("n_slow", 1)))
@@ -151,7 +147,7 @@ def _cmd_pipeline(args) -> int:
     if result.step2 is not None:
         with open(out / "detections.jsonl", "w", encoding="utf-8") as fh:
             for det in result.step2.detections:
-                fh.write(json.dumps(det.to_dict(), sort_keys=True) + "\n")
+                fh.write(json.dumps(to_json(det), sort_keys=True) + "\n")
     print(f"wrote {out / 'pipeline.json'}")
     if result.localization is None or not result.localization.estimates:
         return 2
@@ -159,9 +155,7 @@ def _cmd_pipeline(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    spec = grid_spec_from_dict(load_json(args.spec))
-    if args.seed is not None:
-        spec = grid_spec_from_dict({**spec.to_dict(), "seed_base": int(args.seed)})
+    spec = _load_spec(args)
     out = _out_dir(args)
     grid = run_success_grid(spec, method=args.method)
     grid.write_csv(out / f"bench_{args.method}.csv")
@@ -171,13 +165,11 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    spec = grid_spec_from_dict(load_json(args.spec))
-    if args.seed is not None:
-        spec = grid_spec_from_dict({**spec.to_dict(), "seed_base": int(args.seed)})
+    spec = _load_spec(args)
     out = _out_dir(args)
     methods = tuple(args.methods.split(","))
     grids = compare_methods(spec, methods=methods)
-    summary = {"spec": spec.to_dict(), "methods": {}}
+    summary = {"spec": to_json(spec), "methods": {}}
     for name, grid in grids.items():
         grid.write_csv(out / f"bench_{name}.csv")
         summary["methods"][name] = {

@@ -1,9 +1,18 @@
-"""Radar waveform configuration and scene truth descriptions."""
+"""Radar parameters, scene truths, and the JSON codec of every artifact.
+
+`RadarConfig` holds the six raw LFMCW/array parameters and derives the rest
+(range cell, chirp rate, wavelength, fast-time sample count) on access.
+`to_json`/`from_json` turn any record of the package into its JSON form and
+back, and `dump_json` writes that form with canonical bytes.
+"""
 
 from __future__ import annotations
 
+import dataclasses
 import json
-from dataclasses import dataclass, field
+import types
+import typing
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,20 +28,50 @@ class ConfigError(ValueError):
 class RadarConfig:
     """LFMCW waveform and uniform-linear-array geometry.
 
-    Derived quantities are computed by :func:`make_radar_config`; construct
-    through it so the invariants hold.
+    Construction validates the parameters (all positive, at least 8
+    fast-time samples per chirp) and sets a missing element spacing to half
+    the carrier wavelength. Derived quantities are properties.
     """
 
-    carrier_hz: float          # f_c
-    bandwidth_hz: float        # B, swept per chirp
-    chirp_s: float             # T, one modulation period
-    sample_rate_hz: float      # 1 / fast-time sample interval
-    n_elements: int            # L
-    element_spacing_m: float   # d
-    n_fast: int                # N = round(T * fs)
-    chirp_rate_hz_per_s: float = field(default=0.0)   # gamma = B / T
-    range_res_m: float = field(default=0.0)           # c / (2 B)
-    wavelength_m: float = field(default=0.0)          # c / f_c
+    carrier_hz: float                        # f_c
+    bandwidth_hz: float                      # B, swept per chirp
+    chirp_s: float                           # T, one modulation period
+    sample_rate_hz: float                    # 1 / fast-time sample interval
+    n_elements: int                          # L
+    element_spacing_m: float | None = None   # d; None means half the wavelength
+
+    def __post_init__(self) -> None:
+        for name in ("carrier_hz", "bandwidth_hz", "chirp_s", "sample_rate_hz", "n_elements"):
+            value = getattr(self, name)
+            if not value > 0:
+                raise ConfigError(f"{name} must be positive, got {value!r}")
+        object.__setattr__(self, "n_elements", int(self.n_elements))
+        if self.element_spacing_m is None:
+            object.__setattr__(self, "element_spacing_m", self.wavelength_m / 2.0)
+        if not self.element_spacing_m > 0:
+            raise ConfigError(f"element_spacing_m must be positive, got {self.element_spacing_m!r}")
+        if self.n_fast < 8:
+            raise ConfigError(f"chirp_s * sample_rate_hz gives n_fast={self.n_fast}, need >= 8")
+
+    @property
+    def n_fast(self) -> int:
+        """N = round(T * fs) fast-time samples per chirp."""
+        return int(round(self.chirp_s * self.sample_rate_hz))
+
+    @property
+    def chirp_rate_hz_per_s(self) -> float:
+        """gamma = B / T."""
+        return self.bandwidth_hz / self.chirp_s
+
+    @property
+    def range_res_m(self) -> float:
+        """Range cell c / (2 B)."""
+        return C_LIGHT / (2.0 * self.bandwidth_hz)
+
+    @property
+    def wavelength_m(self) -> float:
+        """Carrier wavelength c / f_c."""
+        return C_LIGHT / self.carrier_hz
 
     @property
     def dt(self) -> float:
@@ -52,48 +91,8 @@ class RadarConfig:
         return 2.0 * self.carrier_hz * velocity_mps / C_LIGHT * self.chirp_s
 
 
-def make_radar_config(
-    carrier_hz: float,
-    bandwidth_hz: float,
-    chirp_s: float,
-    sample_rate_hz: float,
-    n_elements: int,
-    element_spacing_m: float | None = None,
-) -> RadarConfig:
-    """Validate raw parameters and fill in derived fields.
-
-    Element spacing defaults to half the carrier wavelength.
-    """
-    raw = {
-        "carrier_hz": carrier_hz,
-        "bandwidth_hz": bandwidth_hz,
-        "chirp_s": chirp_s,
-        "sample_rate_hz": sample_rate_hz,
-        "n_elements": n_elements,
-    }
-    for name, value in raw.items():
-        if not value > 0:
-            raise ConfigError(f"{name} must be positive, got {value!r}")
-    wavelength = C_LIGHT / carrier_hz
-    spacing = wavelength / 2.0 if element_spacing_m is None else element_spacing_m
-    if not spacing > 0:
-        raise ConfigError(f"element_spacing_m must be positive, got {spacing!r}")
-    n_fast = int(round(chirp_s * sample_rate_hz))
-    if n_fast < 8:
-        raise ConfigError(f"chirp_s * sample_rate_hz gives n_fast={n_fast}, need >= 8")
-    gamma = bandwidth_hz / chirp_s
-    return RadarConfig(
-        carrier_hz=carrier_hz,
-        bandwidth_hz=bandwidth_hz,
-        chirp_s=chirp_s,
-        sample_rate_hz=sample_rate_hz,
-        n_elements=int(n_elements),
-        element_spacing_m=spacing,
-        n_fast=n_fast,
-        chirp_rate_hz_per_s=gamma,
-        range_res_m=C_LIGHT / (2.0 * bandwidth_hz),
-        wavelength_m=wavelength,
-    )
+# the factory name callers use; RadarConfig validates and derives on its own
+make_radar_config = RadarConfig
 
 
 @dataclass(frozen=True)
@@ -102,7 +101,7 @@ class UavTruth:
     receding), arrival angle, and complex scattering amplitude."""
 
     range0_m: float
-    velocity_mps: float
+    velocity_mps: float = 0.0
     angle_rad: float = 0.0
     amplitude: complex = 1.0 + 0.0j
 
@@ -114,57 +113,56 @@ class UavTruth:
 
     def advanced(self, gap_s: float) -> "UavTruth":
         """Truth after `gap_s` seconds of constant radial motion."""
-        return UavTruth(
-            range0_m=self.range0_m + self.velocity_mps * gap_s,
-            velocity_mps=self.velocity_mps,
-            angle_rad=self.angle_rad,
-            amplitude=self.amplitude,
-        )
+        return dataclasses.replace(self, range0_m=self.range0_m + self.velocity_mps * gap_s)
 
 
-def config_to_dict(cfg: RadarConfig) -> dict:
-    return {
-        "carrier_hz": cfg.carrier_hz,
-        "bandwidth_hz": cfg.bandwidth_hz,
-        "chirp_s": cfg.chirp_s,
-        "sample_rate_hz": cfg.sample_rate_hz,
-        "n_elements": cfg.n_elements,
-        "element_spacing_m": cfg.element_spacing_m,
-    }
+def to_json(record):
+    """JSON form of a record.
+
+    A dataclass becomes a dict of its fields by name, a tuple or list a
+    list, and a complex number `[re, im]`, recursively; any other value is
+    kept as it is. :func:`from_json` reads the form back.
+    """
+    if dataclasses.is_dataclass(record):
+        return {f.name: to_json(getattr(record, f.name)) for f in dataclasses.fields(record)}
+    if isinstance(record, (tuple, list)):
+        return [to_json(v) for v in record]
+    if isinstance(record, complex):
+        return [record.real, record.imag]
+    return record
 
 
-def config_from_dict(raw: dict) -> RadarConfig:
-    return make_radar_config(
-        carrier_hz=raw["carrier_hz"],
-        bandwidth_hz=raw["bandwidth_hz"],
-        chirp_s=raw["chirp_s"],
-        sample_rate_hz=raw["sample_rate_hz"],
-        n_elements=raw["n_elements"],
-        element_spacing_m=raw.get("element_spacing_m"),
-    )
+def from_json(cls, raw: dict):
+    """The dataclass `cls` built from its JSON form.
+
+    Each value is decoded by its field's declared type: records, tuples and
+    optionals recursively, a complex number from `[re, im]` or a scalar, and
+    any other value by calling the type on it (so 10 becomes 10.0 in a float
+    field). Missing keys take the field defaults; unknown keys are ignored.
+    """
+    hints = typing.get_type_hints(cls)
+    return cls(**{
+        f.name: _decode(hints[f.name], raw[f.name])
+        for f in dataclasses.fields(cls)
+        if f.name in raw
+    })
 
 
-def truth_to_dict(t: UavTruth) -> dict:
-    return {
-        "range0_m": t.range0_m,
-        "velocity_mps": t.velocity_mps,
-        "angle_rad": t.angle_rad,
-        "amplitude": [t.amplitude.real, t.amplitude.imag],
-    }
-
-
-def truth_from_dict(raw: dict) -> UavTruth:
-    amp = raw.get("amplitude", 1.0)
-    if isinstance(amp, (list, tuple)):
-        amp = complex(amp[0], amp[1])
-    else:
-        amp = complex(amp)
-    return UavTruth(
-        range0_m=raw["range0_m"],
-        velocity_mps=raw.get("velocity_mps", 0.0),
-        angle_rad=raw.get("angle_rad", 0.0),
-        amplitude=amp,
-    )
+def _decode(tp, value):
+    if value is None:
+        return None
+    args = typing.get_args(tp)
+    origin = typing.get_origin(tp)
+    if origin in (typing.Union, types.UnionType):   # X | None
+        (tp,) = [a for a in args if a is not type(None)]
+        return _decode(tp, value)
+    if origin is tuple:                             # tuple[X, ...]
+        return tuple(_decode(args[0], v) for v in value)
+    if dataclasses.is_dataclass(tp):
+        return from_json(tp, value)
+    if tp is complex and isinstance(value, (list, tuple)):
+        return complex(*value)
+    return tp(value)
 
 
 def load_json(path) -> dict:

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import C_LIGHT, RadarConfig, config_from_dict, config_to_dict, dump_json, load_json
+from .config import C_LIGHT, RadarConfig, dump_json, from_json, load_json, to_json
 
 
 class CubeError(ValueError):
@@ -124,7 +124,7 @@ def save_cube(cube: DataCube | RdaCube, sidecar_path) -> Path:
         "shape": list(cube.data.shape),
         "dtype": "complex64-interleaved-le",
         "order": "axis0-fastest",
-        "radar": config_to_dict(cube.config),
+        "radar": to_json(cube.config),
         "payload": _payload_path(sidecar_path).name,
     }
     if isinstance(cube, DataCube):
@@ -157,7 +157,7 @@ def load_cube(sidecar_path) -> DataCube | RdaCube:
             f"payload has {raw.size} samples, sidecar shape {shape} wants {int(np.prod(shape))}"
         )
     data = raw.reshape(shape[::-1]).transpose(2, 1, 0).astype(np.complex128)
-    cfg = config_from_dict(meta["radar"])
+    cfg = from_json(RadarConfig, meta["radar"])
     angles = tuple(meta["beam_angles"]) if "beam_angles" in meta else None
     if meta["kind"] == "time":
         return DataCube(data=data, axis2_kind=meta["axis2_kind"], config=cfg, beam_angles=angles)

@@ -29,16 +29,7 @@ from .cfar import (
     cluster_detections,
     merge_beam_duplicates,
 )
-from .config import (
-    C_LIGHT,
-    RadarConfig,
-    UavTruth,
-    config_from_dict,
-    config_to_dict,
-    make_radar_config,
-    truth_from_dict,
-    truth_to_dict,
-)
+from .config import C_LIGHT, RadarConfig, UavTruth, from_json, to_json
 from .cube import DataCube, RdaCube
 from .integrate import integrate_cube, range_profile_ft
 from .superres import SuperResError, extract_mmv, prior_band, solve_by_name
@@ -59,7 +50,7 @@ def table_radar_config(sample_rate_hz: float = 5.12e6) -> RadarConfig:
     shrinking the fast-time grid to fit small machines; pass 50e6 to
     reproduce the full-rate grid.
     """
-    return make_radar_config(
+    return RadarConfig(
         carrier_hz=10e9,
         bandwidth_hz=50e6,
         chirp_s=100e-6,
@@ -90,37 +81,17 @@ class Scene:
 
 
 def scene_to_dict(scene: Scene) -> dict:
-    d = {
-        "name": scene.name,
-        "radar": config_to_dict(scene.config),
-        "uavs": [truth_to_dict(u) for u in scene.uavs],
-        "dwell1_s": scene.dwell1_s,
-        "dwell2_s": scene.dwell2_s,
-        "gap_s": scene.gap_s,
-        "snr_db": scene.snr_db,
-        "seed": scene.seed,
-    }
-    if scene.step2_uavs is not None:
-        d["step2_uavs"] = [truth_to_dict(u) for u in scene.step2_uavs]
+    """The scene's JSON form; the radar sits under "radar", and step-2
+    truths only when they are given."""
+    d = to_json(scene)
+    d["radar"] = d.pop("config")
+    if scene.step2_uavs is None:
+        del d["step2_uavs"]
     return d
 
 
 def scene_from_dict(d: dict) -> Scene:
-    return Scene(
-        name=str(d.get("name", "scene")),
-        config=config_from_dict(d["radar"]),
-        uavs=tuple(truth_from_dict(u) for u in d.get("uavs", [])),
-        step2_uavs=(
-            tuple(truth_from_dict(u) for u in d["step2_uavs"])
-            if d.get("step2_uavs") is not None
-            else None
-        ),
-        dwell1_s=float(d.get("dwell1_s", 0.1)),
-        dwell2_s=float(d.get("dwell2_s", 0.5)),
-        gap_s=float(d.get("gap_s", DEFAULT_GAP_S)),
-        snr_db=(None if d.get("snr_db") is None else float(d["snr_db"])),
-        seed=int(d.get("seed", 0)),
-    )
+    return from_json(Scene, {"name": "scene", "uavs": [], **d, "config": d["radar"]})
 
 
 def _swarm(name, cfg, rows, step2_rows, angle, snr_db, seed):
@@ -187,6 +158,21 @@ def _n_chirps(dwell_s: float, chirp_s: float) -> int:
     return m - (m % 2) if m >= 2 else m
 
 
+def dwell_cube(scene: Scene, step: int) -> DataCube:
+    """The noisy element cube of step 1's search or step 2's stare dwell.
+
+    Step 1 observes `uavs` for `dwell1_s`, step 2 the step-2 truths for
+    `dwell2_s`; the noise seed is `seed * 10 + step`.
+    """
+    cfg = scene.config
+    if step == 1:
+        truths, dwell = scene.uavs, scene.dwell1_s
+    else:
+        truths, dwell = scene.step2_truths(), scene.dwell2_s
+    cube = synth_beat_cube(cfg, truths, _n_chirps(dwell, cfg.chirp_s))
+    return add_noise(cube, scene.snr_db, rng_seed=scene.seed * 10 + step)
+
+
 @dataclass
 class Step1Report:
     detections: list[Detection]
@@ -203,7 +189,7 @@ class Step1Report:
             "n_chirps": self.n_chirps,
             "angle_est_rad": self.angle_est_rad,
             "sin_est": self.sin_est,
-            "detections": [d.to_dict() for d in self.detections],
+            "detections": to_json(self.detections),
         }
 
 
@@ -225,7 +211,7 @@ class Step2Report:
             "n_chirps": self.n_chirps,
             "angle_prior_rad": self.angle_prior_rad,
             "beam_angles": list(self.beam_angles),
-            "detections": [d.to_dict() for d in self.detections],
+            "detections": to_json(self.detections),
             "n_groups": len(self.groups),
         }
 
@@ -239,16 +225,6 @@ class UavEstimate:
     step: str            # "step2" | "step3" | "step3-fallback"
     group_index: int
 
-    def to_dict(self) -> dict:
-        return {
-            "range_m": self.range_m,
-            "velocity_mps": self.velocity_mps,
-            "angle_rad": self.angle_rad,
-            "power": self.power,
-            "step": self.step,
-            "group_index": self.group_index,
-        }
-
 
 @dataclass
 class LocalizationResult:
@@ -260,7 +236,7 @@ class LocalizationResult:
     def to_dict(self) -> dict:
         return {
             "method": self.method,
-            "estimates": [e.to_dict() for e in self.estimates],
+            "estimates": to_json(self.estimates),
             "groups": self.group_reports,
         }
 
@@ -281,11 +257,8 @@ def _angle_centroid(rda: RdaCube, det: Detection, half_window: int = 2) -> float
 
 def run_step1(scene: Scene) -> Step1Report:
     t0 = time.perf_counter()
-    cfg = scene.config
-    m1 = _n_chirps(scene.dwell1_s, cfg.chirp_s)
-    cube = synth_beat_cube(cfg, scene.uavs, m1)
-    cube = add_noise(cube, scene.snr_db, rng_seed=scene.seed * 10 + 1)
-    grid = default_grid(cfg)
+    cube = dwell_cube(scene, 1)
+    grid = default_grid(scene.config)
     beams = beamform_cube(cube, grid)
     del cube
     rda = integrate_cube(beams)
@@ -301,7 +274,7 @@ def run_step1(scene: Scene) -> Step1Report:
         groups=groups,
         angle_est_rad=angle,
         sin_est=sin_est,
-        n_chirps=m1,
+        n_chirps=rda.n_slow,
         beam_angles=grid.angles_rad,
         elapsed_s=time.perf_counter() - t0,
     )
@@ -314,12 +287,8 @@ def run_step2(scene: Scene, angle_prior_rad: float) -> Step2Report:
     detection's `beam` is its slot in `beam_angles`.
     """
     t0 = time.perf_counter()
-    cfg = scene.config
-    m2 = _n_chirps(scene.dwell2_s, cfg.chirp_s)
-    cube = synth_beat_cube(cfg, scene.step2_truths(), m2)
-    cube = add_noise(cube, scene.snr_db, rng_seed=scene.seed * 10 + 2)
-
-    grid = default_grid(cfg)
+    cube = dwell_cube(scene, 2)
+    grid = default_grid(scene.config)
     sines = np.sin(np.asarray(grid.angles_rad))
     g0 = int(np.argmin(np.abs(sines - np.sin(angle_prior_rad))))
     lo = max(0, g0 - _STARE_HALF_WINDOW)
@@ -338,7 +307,7 @@ def run_step2(scene: Scene, angle_prior_rad: float) -> Step2Report:
         angle_prior_rad=float(angle_prior_rad),
         beam_indices=beam_idx,
         beam_angles=beam_angles,
-        n_chirps=m2,
+        n_chirps=rda.n_slow,
         noise_sigma=scene.noise_sigma(),
         elapsed_s=time.perf_counter() - t0,
         element_cube=cube,
@@ -536,7 +505,7 @@ class FullRunResult:
             out["step2"] = self.step2.to_dict()
         if self.localization is not None:
             out["localization"] = self.localization.to_dict()
-            out["estimates"] = [e.to_dict() for e in self.localization.estimates]
+            out["estimates"] = to_json(self.localization.estimates)
         else:
             out["estimates"] = []
         return out

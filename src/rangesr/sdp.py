@@ -86,14 +86,9 @@ class SdpDiagnostics:
     eta: float = 0.0
     scale: float = 1.0
     data_misfit: float = 0.0
-    min_eig_main: float = 0.0
-    max_eig_main: float = 0.0
-    min_eig_band: float = 0.0
-    max_eig_band: float = 0.0
     feasible: bool = True
     converged: bool = False
     stop_reason: str = ""
-    rho_final: float = 0.0
 
 
 class AdmmError(RuntimeError):
@@ -201,14 +196,6 @@ def _u_from_x(x: np.ndarray) -> np.ndarray:
     return u
 
 
-def _x_from_u(u: np.ndarray) -> np.ndarray:
-    x = np.empty(2 * u.shape[0] - 1)
-    x[0] = u[0].real
-    x[1::2] = u[1:].real
-    x[2::2] = u[1:].imag
-    return x
-
-
 class _UUpdate:
     """Prefactored least-squares map for the Toeplitz vector update.
 
@@ -279,8 +266,6 @@ def _ball_project(a: np.ndarray, s: np.ndarray, eta: float) -> np.ndarray:
     nrm = np.linalg.norm(diff)
     if nrm <= eta:
         return a.copy()
-    if nrm == 0.0:
-        return s.copy()
     return s + diff * (eta / nrm)
 
 
@@ -588,7 +573,6 @@ def solve_weighted_toeplitz_sdp(
     if not diag.stop_reason:
         diag.stop_reason = "max_outer"
     diag.converged = diag.stop_reason != "max_outer"
-    diag.rho_final = rho
 
     # an ADMM iterate rarely passes the audit at loose inner tolerances, so
     # its atoms are refitted to the data; that certificate is exactly
@@ -603,14 +587,10 @@ def solve_weighted_toeplitz_sdp(
         )
     z_c, y_c, u_c = cert
     vals_m = np.linalg.eigvalsh(hermitize(_assemble(z_c, y_c, u_c)))
-    diag.min_eig_main = float(vals_m[0])
-    diag.max_eig_main = float(vals_m[-1])
-    ok = diag.min_eig_main >= -1e-6 * max(diag.max_eig_main, 1e-12)
+    ok = vals_m[0] >= -1e-6 * max(vals_m[-1], 1e-12)
     if hcoefs is not None:
         vals_b = np.linalg.eigvalsh(band_matrix_from_u(u_c, *hcoefs))
-        diag.min_eig_band = float(vals_b[0])
-        diag.max_eig_band = float(vals_b[-1])
-        ok = ok and diag.min_eig_band >= -1e-6 * max(diag.max_eig_band, 1e-12)
+        ok = ok and vals_b[0] >= -1e-6 * max(vals_b[-1], 1e-12)
     misfit = float(np.linalg.norm(ss - y_c))
     diag.data_misfit = misfit * scale
     diag.feasible = ok and misfit <= eta_s * (1.0 + 1e-6) + 1e-9

@@ -22,6 +22,7 @@ from .cfar import DetectionGroup, parabolic_offset
 from .config import ConfigError, RadarConfig
 from .cube import DataCube, axis_values
 from .sdp import (
+    _RANK_TOL,
     AdmmError,
     AdmmOptions,
     SdpDiagnostics,
@@ -192,7 +193,9 @@ def vandermonde_decompose(
 
     Frequencies come from a shift-invariance (ESPRIT style) fit on the signal
     eigenspace; powers from non-negative least squares on the Toeplitz
-    entries. Raises when T(u) is numerically full rank, which signals that
+    entries. Atoms whose power is at most _RANK_TOL of the largest (the
+    floor that counts signal eigenvalues) are dropped: their frequencies are
+    arbitrary. Raises when T(u) is numerically full rank, which signals that
     the solver was run with too small a noise budget.
     """
     u = np.asarray(u, dtype=np.complex128)
@@ -203,7 +206,9 @@ def vandermonde_decompose(
         )
     if freqs.size == 0:
         return np.empty(0), np.empty(0)
-    return freqs, nnls_powers(u, freqs)
+    powers = nnls_powers(u, freqs)
+    keep = powers > _RANK_TOL * powers.max()
+    return freqs[keep], powers[keep]
 
 
 def mdl_order(eigvals: np.ndarray, n_snapshots: int) -> int:

@@ -46,13 +46,12 @@ def synth_beat_cube(
     cfg: RadarConfig,
     targets: list[UavTruth],
     n_slow: int,
-    dtype=np.complex128,
 ) -> DataCube:
     """Noise-free beat-signal cube over (n, m, l) for the given scene."""
     if n_slow < 1:
         raise ConfigError(f"n_slow must be >= 1, got {n_slow}")
     n_fast = cfg.n_fast
-    data = np.zeros((n_fast, n_slow, cfg.n_elements), dtype=dtype)
+    data = np.zeros((n_fast, n_slow, cfg.n_elements), dtype=np.complex128)
     if not targets:
         return DataCube(data=data, axis2_kind="element", config=cfg)
 
@@ -71,7 +70,7 @@ def synth_beat_cube(
         c_amp = t.amplitude * np.exp(2j * np.pi * cfg.carrier_hz * 2.0 * t.range0_m / C_LIGHT)
         f_dop = cfg.doppler_freq(t.velocity_mps)
         walk = 2.0 * np.pi * (2.0 * gamma * t.velocity_mps / C_LIGHT) * cfg.chirp_s * dt
-        elem = np.exp(1j * array_phase(cfg, t.angle_rad)).astype(dtype)
+        elem = np.exp(1j * array_phase(cfg, t.angle_rad))
         terms.append((c_amp, 2.0 * np.pi * f_beat * n, walk, (2.0 * np.pi * f_dop) * m, elem))
 
     # accumulate every target into one block of fast-time rows at a time, so
@@ -89,7 +88,7 @@ def synth_beat_cube(
                 # phase over (n, m): beat tone + walk coupling + Doppler
                 ph = phase_n[n0:n1, None] + walk * np.outer(n[n0:n1], m) + phase_m[None, :]
                 np.multiply((c_amp * np.exp(1j * ph))[:, :, None], elem, out=tmp)
-                block += tmp.astype(dtype, copy=False)
+                block += tmp
 
     spans.run(fill, spans.split(n_blocks, data.size))
     return DataCube(data=data, axis2_kind="element", config=cfg)

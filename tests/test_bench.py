@@ -19,10 +19,9 @@ from rangesr.bench import (
     GridSpec,
     assignment_rms,
     compare_methods,
-    grid_spec_from_dict,
     run_success_grid,
 )
-from rangesr.config import UavTruth
+from rangesr.config import UavTruth, from_json, to_json
 from rangesr.cube import DataCube
 from rangesr.pipeline import table_radar_config
 from rangesr.sdp import AdmmOptions
@@ -55,8 +54,8 @@ def test_grid_spec_dict_round_trip():
         n_slow=64,
         window_start_m=150.0,
     )
-    assert grid_spec_from_dict(spec.to_dict()) == spec
-    assert grid_spec_from_dict({}) == GridSpec()
+    assert from_json(GridSpec, to_json(spec)) == spec
+    assert from_json(GridSpec, {}) == GridSpec()
 
 
 # ---------------------------------------------------- optimal assignment

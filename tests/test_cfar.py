@@ -9,13 +9,12 @@ from rangesr.cfar import (
     Detection,
     ca_cfar,
     cluster_detections,
-    detection_from_dict,
     merge_beam_duplicates,
     noise_level_map,
     refine_peak,
     with_angle,
 )
-from rangesr.config import ConfigError, UavTruth, make_radar_config
+from rangesr.config import ConfigError, UavTruth, from_json, make_radar_config, to_json
 from rangesr.cube import DataCube, RdaCube
 from rangesr.integrate import integrate_cube
 from rangesr.synth import synth_beat_cube
@@ -203,7 +202,7 @@ def test_merge_beam_duplicates_keeps_strongest():
 def test_with_angle_and_dict_round_trip():
     d = with_angle(make_det(rbin=3, dbin=-2, power=4.2), 0.15)
     assert d.angle_rad == 0.15
-    back = detection_from_dict(d.to_dict())
+    back = from_json(Detection, to_json(d))
     assert back == d
 
 

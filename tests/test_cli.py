@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from rangesr import cli
+from rangesr import cli, pipeline
 from rangesr.cli import main
 from rangesr.config import UavTruth, dump_json, load_json, make_radar_config
 from rangesr.cube import load_cube
@@ -39,6 +39,27 @@ def test_synth_writes_the_dwell_cube(tmp_path, scene_path, step, n_slow):
     # the chirp count follows the pipeline's rule: rounded, then made even
     assert cube.data.shape == (64, n_slow, 4)
     assert cube.axis2_kind == "element"
+
+
+def test_synth_writes_the_cube_the_steps_synthesise(tmp_path, scene_path, monkeypatch):
+    captured = []
+
+    def capture(cube, grid):
+        captured.append(cube.data.copy())
+        return real_beamform(cube, grid)
+
+    real_beamform = pipeline.beamform_cube
+    monkeypatch.setattr(pipeline, "beamform_cube", capture)
+    scene = pipeline.scene_from_dict(load_json(scene_path))
+    pipeline.run_step1(scene)
+    pipeline.run_step2(scene, 0.1)
+    assert len(captured) == 2
+    for step, data in zip((1, 2), captured):
+        out = tmp_path / f"step{step}"
+        main(["synth", "--scene", str(scene_path), "--step", str(step), "--out-dir", str(out)])
+        written = load_cube(out / f"cube_step{step}.json").data
+        # cube files hold complex64
+        np.testing.assert_array_equal(written, data.astype(np.complex64))
 
 
 def test_synth_rejects_a_dwell_shorter_than_half_a_chirp(tmp_path, scene_path):

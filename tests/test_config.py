@@ -5,18 +5,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rangesr.bench import GridSpec
 from rangesr.config import (
     C_LIGHT,
     ConfigError,
+    RadarConfig,
     UavTruth,
-    config_from_dict,
-    config_to_dict,
     dump_json,
+    from_json,
     load_json,
     make_radar_config,
-    truth_from_dict,
-    truth_to_dict,
+    to_json,
 )
+from rangesr.pipeline import table_radar_config
 
 
 def test_derived_fields_match_definitions(tiny_cfg):
@@ -94,15 +95,15 @@ def test_truth_advanced():
 
 
 def test_config_dict_round_trip(tiny_cfg):
-    again = config_from_dict(config_to_dict(tiny_cfg))
+    again = from_json(RadarConfig, to_json(tiny_cfg))
     assert again == tiny_cfg
 
 
 def test_truth_dict_round_trip():
     t = UavTruth(range0_m=165.0, velocity_mps=44.01, angle_rad=0.2, amplitude=1 - 2j)
-    assert truth_from_dict(truth_to_dict(t)) == t
+    assert from_json(UavTruth, to_json(t)) == t
     # scalar amplitude form accepted too
-    assert truth_from_dict({"range0_m": 5.0, "amplitude": 3.0}).amplitude == 3.0 + 0j
+    assert from_json(UavTruth, {"range0_m": 5.0, "amplitude": 3.0}).amplitude == 3.0 + 0j
 
 
 def test_dump_json_is_byte_stable(tmp_path):
@@ -117,3 +118,43 @@ def test_dump_json_is_byte_stable(tmp_path):
     # keys serialize sorted regardless of insertion order
     dump_json({"a": {"y": None, "z": 0.5}, "b": [1, 2]}, p2)
     assert p2.read_bytes() == b1
+
+
+def test_direct_construction_derives_and_validates():
+    cfg = RadarConfig(10e9, 50e6, 1e-4, 5.12e6, 16)
+    assert cfg == make_radar_config(10e9, 50e6, 1e-4, 5.12e6, 16)
+    assert cfg.range_res_m == C_LIGHT / (2.0 * 50e6) > 0.0
+    assert cfg.chirp_rate_hz_per_s == 50e6 / 1e-4
+    assert cfg.n_fast == 512
+    assert cfg.element_spacing_m == cfg.wavelength_m / 2.0
+    with pytest.raises(ConfigError, match="bandwidth_hz must be positive"):
+        RadarConfig(10e9, 0.0, 1e-4, 5.12e6, 16)
+
+
+def test_table_radar_json_form_is_pinned():
+    assert to_json(table_radar_config()) == {
+        "carrier_hz": 10000000000.0,
+        "bandwidth_hz": 50000000.0,
+        "chirp_s": 0.0001,
+        "sample_rate_hz": 5120000.0,
+        "n_elements": 16,
+        "element_spacing_m": 0.0149896229,
+    }
+
+
+def test_from_json_coerces_defaults_and_ignores_unknown_keys():
+    t = from_json(UavTruth, {"range0_m": 165, "angle_rad": 0, "extra": "ignored"})
+    assert t == UavTruth(range0_m=165.0)
+    assert type(t.range0_m) is float and type(t.angle_rad) is float
+    assert t.velocity_mps == 0.0 and t.amplitude == 1.0 + 0.0j
+    assert from_json(UavTruth, {"range0_m": 5.0, "amplitude": [0.5, -2]}).amplitude == 0.5 - 2j
+    assert from_json(UavTruth, {"range0_m": 5.0, "amplitude": 2}).amplitude == 2 + 0j
+    cfg = from_json(RadarConfig, {"carrier_hz": 10_000_000_000, "bandwidth_hz": 50e6,
+                                  "chirp_s": 1e-4, "sample_rate_hz": 5.12e6,
+                                  "n_elements": 16.0})
+    assert type(cfg.carrier_hz) is float and type(cfg.n_elements) is int
+    assert cfg == RadarConfig(10e9, 50e6, 1e-4, 5.12e6, 16)
+    # tuple items are coerced too, so an integer-written float reads back as float
+    spec = from_json(GridSpec, {"snr_values_db": [10], "trials": 2})
+    assert spec.snr_values_db == (10.0,) and type(spec.snr_values_db[0]) is float
+    assert to_json(spec)["snr_values_db"] == [10.0]

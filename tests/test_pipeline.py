@@ -104,6 +104,37 @@ def test_scene_serialization_round_trip():
     assert again == plain
 
 
+def test_scene_json_form_is_pinned():
+    def uav(r, v):
+        return {"range0_m": r, "velocity_mps": v, "angle_rad": 0.2, "amplitude": [1.0, 0.0]}
+
+    radar = {
+        "carrier_hz": 10000000000.0,
+        "bandwidth_hz": 50000000.0,
+        "chirp_s": 0.0001,
+        "sample_rate_hz": 5120000.0,
+        "n_elements": 16,
+        "element_spacing_m": 0.0149896229,
+    }
+    assert scene_to_dict(make_exp1_scene(snr_db=-13.0, seed=4)) == {
+        "name": "exp1",
+        "radar": radar,
+        "uavs": [uav(165.0, 44.01), uav(166.2, 44.07), uav(167.4, 44.07)],
+        "step2_uavs": [uav(171.0, 44.01), uav(172.2, 44.07), uav(173.4, 44.07)],
+        "dwell1_s": 0.1,
+        "dwell2_s": 0.5,
+        "gap_s": 0.136332651670075,
+        "snr_db": -13.0,
+        "seed": 4,
+    }
+    # a scene without step-2 truths leaves the key out; name and uavs default
+    plain = scene_to_dict(Scene(name="scene", config=table_radar_config(), uavs=()))
+    assert "step2_uavs" not in plain
+    assert scene_from_dict({"radar": radar}) == Scene(
+        name="scene", config=table_radar_config(), uavs=()
+    )
+
+
 def test_scene_advances_truth_through_the_gap():
     scene = Scene(
         name="adv",

@@ -280,6 +280,18 @@ def test_vandermonde_zero_vector_gives_no_atoms():
     assert freqs.size == 0 and powers.size == 0
 
 
+def test_vandermonde_drops_atoms_without_power():
+    # asked for more atoms than T(u) holds, the surplus atom gets no power
+    n = 16
+    u = 2.0 * np.exp(2j * np.pi * 0.1 * np.arange(n)) + np.exp(
+        2j * np.pi * 0.31 * np.arange(n)
+    )
+    freqs, powers = vandermonde_decompose(u, n_atoms=3)
+    assert freqs.shape == (2,) and powers.shape == (2,)
+    assert np.abs(np.sort(freqs) - np.array([0.1, 0.31])).max() < 1e-8
+    assert np.abs(np.sort(powers) - np.array([1.0, 2.0])).max() < 1e-6
+
+
 def test_vandermonde_close_tones_with_skewed_powers():
     # spacing far below the 1/N resolution and a 100:1 power ratio
     n = 16
