@@ -9,12 +9,16 @@ Detections are additionally required to be 3x3 local maxima so one target
 yields one hit, and are refined to sub-bin accuracy by a three-point
 parabolic fit on log power.
 
-Beams are independent, so `ca_cfar` hands spans of beams to threads
-(`spans`: workers come from the CPU affinity, span bounds depend only on the
-shape and the worker count, small cubes run inline). Each worker reduces a
-beam to its detections before taking the next, so no more than one power map
-per worker is alive; the lists are joined in beam order before the sort, and
-the result is identical for any worker count.
+The work is split into spans of lines, not of beams, so every worker gets
+an equal share whatever the beam count (`spans`: workers come from the CPU
+affinity, span bounds depend only on the shape and the worker count, small
+cubes run inline). Beam by beam, the power map is formed on row spans, the
+training-ring box sums run as two 1-D passes (range axis on column spans,
+Doppler axis on row spans) and the hits are found on row spans. Each line is
+filtered by the same code whatever span holds it, so the box sums equal the
+one-call 2-D filter bit for bit; hits come out in row-major order per beam
+and beams in order before the sort, so the result is identical for any
+worker count. One beam's maps are alive at a time.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.ndimage import uniform_filter
+from scipy.ndimage import uniform_filter1d
 
 from . import spans
 from .config import ConfigError
@@ -78,8 +82,23 @@ class Detection:
     at_edge: bool
 
 
-def noise_level_map(power: np.ndarray, settings: CfarSettings) -> np.ndarray:
-    """Mean training-ring power per cell, with wraparound at the edges."""
+def _box_filter(lines: np.ndarray, size: int, axis: int, out: np.ndarray) -> None:
+    """Wrapped running mean of `size` cells along one axis, into `out` (which
+    may be `lines`, as inside `uniform_filter`); an axis of size 1 is copied,
+    not filtered, as `uniform_filter` does."""
+    if size > 1:
+        uniform_filter1d(lines, size, axis=axis, output=out, mode="wrap")
+    elif out is not lines:
+        out[...] = lines
+
+
+def noise_level_map(
+    power: np.ndarray, settings: CfarSettings, entries: int | None = None
+) -> np.ndarray:
+    """Mean training-ring power per cell, with wraparound at the edges.
+
+    `entries` sizes the pass for `spans` (default: the map's size).
+    """
     t, g = settings.train_cells, settings.guard_cells
     outer = 2 * (t + g) + 1
     inner = 2 * g + 1
@@ -87,9 +106,26 @@ def noise_level_map(power: np.ndarray, settings: CfarSettings) -> np.ndarray:
         raise ConfigError(
             f"CFAR window {outer} exceeds map extent {min(power.shape)}"
         )
-    outer_sum = uniform_filter(power, size=outer, mode="wrap") * (outer * outer)
-    inner_sum = uniform_filter(power, size=inner, mode="wrap") * (inner * inner)
-    return (outer_sum - inner_sum) / settings.n_train
+    entries = power.size if entries is None else entries
+    noise = np.empty_like(power)
+    inner_sum = np.empty_like(power)
+
+    def down(a: int, b: int) -> None:
+        _box_filter(power[:, a:b], outer, 0, noise[:, a:b])
+        _box_filter(power[:, a:b], inner, 0, inner_sum[:, a:b])
+
+    def across(a: int, b: int) -> None:
+        rows, inner_rows = noise[a:b], inner_sum[a:b]
+        _box_filter(rows, outer, 1, rows)
+        _box_filter(inner_rows, inner, 1, inner_rows)
+        rows *= outer * outer
+        inner_rows *= inner * inner
+        rows -= inner_rows
+        rows /= settings.n_train
+
+    spans.run(down, spans.split(power.shape[1], entries))
+    spans.run(across, spans.split(power.shape[0], entries))
+    return noise
 
 
 def parabolic_offset(lo: float, mid: float, hi: float) -> float:
@@ -133,46 +169,55 @@ def _is_local_max(pmap: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.nd
 def _beam_detections(rda: RdaCube, b: int, settings: CfarSettings) -> list[Detection]:
     """CA-CFAR hits of one beam, in row-major cell order."""
     alpha = settings.alpha
-    pmap = np.abs(rda.data[:, :, b]) ** 2
-    noise = noise_level_map(pmap, settings)
-    rows, cols = np.nonzero((pmap > alpha * noise) & (pmap > settings.min_power))
-    keep = _is_local_max(pmap, rows, cols)
+    rows = spans.split(rda.n_range, rda.data.size)
+    pmap = np.empty(rda.data.shape[:2])
+
+    def power(r0: int, r1: int) -> None:
+        np.abs(rda.data[r0:r1, :, b], out=pmap[r0:r1])
+        np.square(pmap[r0:r1], out=pmap[r0:r1])
+
+    spans.run(power, rows)
+    noise = noise_level_map(pmap, settings, rda.data.size)
     angle = rda.beam_angles[b] if rda.beam_angles is not None else 0.0
-    detections = []
-    for i, j in zip(rows[keep], cols[keep]):
-        di, dj, at_edge = refine_peak(pmap, int(i), int(j))
-        rbin = int(i) - rda.n_range // 2
-        dbin = int(j) - rda.n_doppler // 2
-        detections.append(
-            Detection(
-                range_bin=rbin,
-                doppler_bin=dbin,
-                beam=b,
-                power=float(pmap[i, j]),
-                noise_power=float(noise[i, j]),
-                threshold=float(alpha * noise[i, j]),
-                range_m=float(rda.range_of_bin(rbin)),
-                velocity_mps=float(rda.velocity_of_bin(dbin)),
-                angle_rad=float(angle),
-                refined_range_bin=rbin + di,
-                refined_doppler_bin=dbin + dj,
-                refined_range_m=float(rda.range_of_bin(rbin + di)),
-                refined_velocity_mps=float(rda.velocity_of_bin(dbin + dj)),
-                at_edge=at_edge,
+
+    def detect(r0: int, r1: int) -> list[Detection]:
+        block = pmap[r0:r1]
+        hit = (block > alpha * noise[r0:r1]) & (block > settings.min_power)
+        hit_rows, hit_cols = np.nonzero(hit)
+        hit_rows += r0
+        keep = _is_local_max(pmap, hit_rows, hit_cols)
+        detections = []
+        for i, j in zip(hit_rows[keep], hit_cols[keep]):
+            di, dj, at_edge = refine_peak(pmap, int(i), int(j))
+            rbin = int(i) - rda.n_range // 2
+            dbin = int(j) - rda.n_doppler // 2
+            detections.append(
+                Detection(
+                    range_bin=rbin,
+                    doppler_bin=dbin,
+                    beam=b,
+                    power=float(pmap[i, j]),
+                    noise_power=float(noise[i, j]),
+                    threshold=float(alpha * noise[i, j]),
+                    range_m=float(rda.range_of_bin(rbin)),
+                    velocity_mps=float(rda.velocity_of_bin(dbin)),
+                    angle_rad=float(angle),
+                    refined_range_bin=rbin + di,
+                    refined_doppler_bin=dbin + dj,
+                    refined_range_m=float(rda.range_of_bin(rbin + di)),
+                    refined_velocity_mps=float(rda.velocity_of_bin(dbin + dj)),
+                    at_edge=at_edge,
+                )
             )
-        )
-    return detections
+        return detections
+
+    return [d for hits in spans.run(detect, rows) for d in hits]
 
 
 def ca_cfar(rda: RdaCube, settings: CfarSettings | None = None) -> list[Detection]:
     """Run per-beam 2-D CA-CFAR; returns detections sorted by falling power."""
     settings = settings or CfarSettings()
-
-    def detect(b0: int, b1: int) -> list[Detection]:
-        return [d for b in range(b0, b1) for d in _beam_detections(rda, b, settings)]
-
-    per_span = spans.run(detect, spans.split(rda.n_beams, rda.data.size))
-    detections = [d for hits in per_span for d in hits]
+    detections = [d for b in range(rda.n_beams) for d in _beam_detections(rda, b, settings)]
     detections.sort(key=lambda d: -d.power)
     return detections
 

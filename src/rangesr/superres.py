@@ -231,6 +231,17 @@ def mdl_order(eigvals: np.ndarray, n_snapshots: int) -> int:
 
 @dataclass
 class SuperResResult:
+    """One solve's line spectrum.
+
+    For fsram and ram, `powers` are the weights of the atoms of T(u) after
+    the reweighting passes, so they depend on the pass budget
+    (`AdmmOptions.max_outer`): at four passes they read about 0.5-1.0x of
+    their eight-pass values while the frequencies stay put. Use them only
+    relative to each other, as the step-3 gates do (the 1% keep gate, the
+    10% leakage test, the dedup order and `top_ranges`). For music they are
+    mean squared amplitudes.
+    """
+
     method: str
     freqs_local: np.ndarray
     freqs_global: np.ndarray

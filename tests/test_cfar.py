@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from scipy.ndimage import maximum_filter
+from scipy.ndimage import maximum_filter, uniform_filter
 
 from rangesr.cfar import (
     CfarSettings,
@@ -63,6 +63,26 @@ def test_noise_level_map_constant_field():
     s = CfarSettings(train_cells=3, guard_cells=1, pfa=1e-3)
     level = noise_level_map(np.full((32, 32), 7.5), s)
     assert np.allclose(level, 7.5, rtol=1e-12)
+
+
+@pytest.mark.parametrize("guard", [0, 2])
+@pytest.mark.parametrize("workers", [1, 3])
+def test_noise_level_map_equals_the_two_dimensional_filter(monkeypatch, guard, workers):
+    # the map runs as 1-D passes on line spans; it must equal the one-call
+    # wrapped box filter bit for bit, including a 1-cell guard box
+    from rangesr import spans
+
+    monkeypatch.setattr(spans, "_CHUNK_BUDGET", 1)
+    monkeypatch.setattr(spans, "WORKERS", workers)
+    rng = np.random.default_rng(guard)
+    power = rng.exponential(size=(37, 41))
+    s = CfarSettings(train_cells=4, guard_cells=guard, pfa=1e-3)
+    outer, inner = 2 * (4 + guard) + 1, 2 * guard + 1
+    expected = (
+        uniform_filter(power, size=outer, mode="wrap") * (outer * outer)
+        - uniform_filter(power, size=inner, mode="wrap") * (inner * inner)
+    ) / s.n_train
+    assert np.array_equal(noise_level_map(power, s), expected)
 
 
 def test_noise_level_map_rejects_oversized_window():

@@ -265,3 +265,55 @@ def test_missing_certificate_raises_without_quoting_a_misfit(monkeypatch):
     assert "misfit" not in str(info.value)
     assert not info.value.diagnostics.feasible
     assert info.value.diagnostics.outer_iters == 1
+
+
+def test_out_of_band_tones_stop_after_the_first_pass():
+    # no in-band atom explains tones at 0.6 and 0.7, so the first pass's
+    # certificate misses by far more than ten etas and the solve ends there
+    s = atom_mmv([0.6, 0.7], 8, 2, seed=4)
+    eta = 1e-3 * np.linalg.norm(s)
+    with pytest.raises(AdmmError, match="vs eta") as info:
+        solve_weighted_toeplitz_sdp(s, eta, band=(0.15, 0.35))
+    diag = info.value.diagnostics
+    assert diag.stop_reason == "doomed_after_first_pass"
+    assert diag.outer_iters == 1 and diag.inner_iters == [300]
+    assert diag.data_misfit > 10.0 * eta and not diag.feasible
+
+
+def test_default_budget_matches_eight_passes_on_the_banded_fixture():
+    s = atom_mmv([0.21, 0.29], 8, 2, seed=4)
+    eta = 1e-6 * np.linalg.norm(s)
+    found = []
+    for opts in (None, AdmmOptions(max_outer=8)):
+        u, _, _ = solve_weighted_toeplitz_sdp(s, eta, band=(0.15, 0.35), options=opts)
+        found.append(vandermonde_decompose(u)[0])
+    assert found[0].size == found[1].size == 2
+    np.testing.assert_allclose(found[0], found[1], rtol=0.0, atol=1e-9)
+
+
+def test_a_first_pass_miss_within_ten_etas_is_not_stopped(monkeypatch):
+    # six in-band tones and a 10-iteration first pass: the first certificate
+    # misses by a few etas, and the later passes reach the noise ball
+    import rangesr.sdp as sdp
+
+    misfits = []
+    certificate = sdp._atomic_certificate
+
+    def spy(u, ss, band, eta_s):
+        cert = certificate(u, ss, band, eta_s)
+        misfits.append(np.linalg.norm(ss - cert[1]) / eta_s)
+        return cert
+
+    monkeypatch.setattr(sdp, "_atomic_certificate", spy)
+    rng = np.random.default_rng(98)
+    freqs = np.sort(rng.uniform(0.18, 0.53, 6))
+    noise = 0.01 * (rng.standard_normal((8, 1)) + 1j * rng.standard_normal((8, 1))) / np.sqrt(2)
+    s = atom_mmv(freqs, 8, 1, seed=98) + noise
+    eta = float(np.linalg.norm(noise))
+    u, y, diag = solve_weighted_toeplitz_sdp(
+        s, eta, band=(0.18, 0.53), options=AdmmOptions(inner_iters_first=10)
+    )
+    assert 1.0 < misfits[0] < 10.0
+    assert diag.outer_iters > 1 and diag.stop_reason != "doomed_after_first_pass"
+    assert diag.feasible and misfits[-1] <= 1.0
+    audit(s, eta, u, y, band=(0.18, 0.53))

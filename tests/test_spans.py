@@ -176,6 +176,24 @@ def test_cfar_is_bit_identical_for_any_worker_count(threaded, tiny_cfg):
     assert len({d.beam for d in one}) == 5
 
 
+def test_cfar_spans_carry_equal_work(threaded, tiny_cfg, monkeypatch):
+    # five beams on two workers: every pass splits lines of one beam, not
+    # beams, so no worker gets a beam more than the other
+    rda = integrate_cube(
+        beamform_cube(DataCube(random_cube((64, 33, 4), 2), "element", tiny_cfg),
+                      default_grid(tiny_cfg, 5))
+    )
+    seen = []
+    run = spans.run
+    monkeypatch.setattr(spans, "run", lambda fn, bounds: (seen.append(bounds), run(fn, bounds))[1])
+    threaded(2)
+    ca_cfar(rda)
+    assert len(seen) == 4 * rda.n_beams
+    for bounds in seen:
+        sizes = [b - a for a, b in bounds]
+        assert len(sizes) == 2 and max(sizes) - min(sizes) <= 1
+
+
 def test_step2_is_bit_identical_for_any_worker_count(threaded, cfg8):
     scene = Scene(
         name="tiny",
