@@ -2,9 +2,10 @@
 
 Each trial drops K targets into a two-cell range window with a minimum
 mutual spacing (rejection sampling), all at the same velocity and angle with
-unit amplitudes and random phases, then runs the stare-and-solve path: one
-matched beam, keystone integration, CFAR, Doppler-channel grouping, band
-construction, extraction, and the chosen solver. Success is a per-target RMS
+unit amplitudes and random phases, then runs the pipeline's stare-and-solve
+path: `pipeline.stare` on one matched beam (keystone integration, CFAR,
+Doppler-channel grouping), `pipeline.group_mmv` on the strongest group (band
+construction, extraction), and the chosen solver. Success is a per-target RMS
 range error below 0.1 range cells after optimal assignment.
 
 Common random numbers: truth and noise draws are keyed by
@@ -18,21 +19,25 @@ dwell.
 from __future__ import annotations
 
 import hashlib
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import linear_sum_assignment
 
-from .beamform import BeamGrid, beamform_cube
-from .cfar import CfarSettings, ca_cfar, cluster_detections
+from .beamform import BeamGrid
 from .config import UavTruth, to_json
 from .cube import DataCube
-from .integrate import integrate_cube
-from .pipeline import table_radar_config
+from .pipeline import group_mmv, stare, table_radar_config
 from .sdp import AdmmOptions
-from .superres import SuperResError, extract_mmv, prior_band, solve_by_name
+from .superres import SuperResError, solve_by_name
 from .synth import noise_sigma, synth_beat_cube
+
+# Not called here: perfbench/layers.py patches these names in this module; the
+# trial reaches them through `pipeline.stare` and `pipeline.group_mmv`.
+from .cfar import ca_cfar, cluster_detections  # noqa: F401
+from .integrate import integrate_cube  # noqa: F401
+from .superres import extract_mmv  # noqa: F401
 
 METHODS = ("fsram", "ram", "music")
 
@@ -136,16 +141,11 @@ def assignment_rms(truth: np.ndarray, recovered: np.ndarray) -> float:
     """Per-target RMS range error under the best truth-recovery pairing."""
     truth = np.asarray(truth, dtype=np.float64)
     recovered = np.asarray(recovered, dtype=np.float64)
-    k = truth.shape[0]
-    if recovered.shape[0] < k:
+    if recovered.shape[0] < truth.shape[0]:
         return float("inf")
-    if k > 6:
-        raise ValueError("exhaustive assignment supports K <= 6")
-    best = float("inf")
-    for perm in itertools.permutations(range(recovered.shape[0]), k):
-        err = truth - recovered[list(perm)]
-        best = min(best, float(np.mean(err * err)))
-    return math.sqrt(best)
+    rows, cols = linear_sum_assignment((truth[:, None] - recovered[None, :]) ** 2)
+    err = truth[rows] - recovered[cols]
+    return math.sqrt(float(np.mean(err * err)))
 
 
 def _draw_ranges(rng, spec: GridSpec, k: int, delta_ratio: float):
@@ -217,45 +217,31 @@ def run_trial_method(
     noisy = data.clean + sigma * data.unit_noise
     cube = DataCube(data=noisy, axis2_kind="element", config=cfg)
 
-    rda = integrate_cube(beamform_cube(cube, BeamGrid((0.0,))))
-    detections = ca_cfar(rda, CfarSettings())
-    groups = cluster_detections(detections)
+    _, _, groups = stare(cube, BeamGrid((0.0,)))
     if not groups:
         return float("inf")
-    group = groups[0]  # clusters come sorted by falling power
-
+    if method != "fsram":
+        # the baselines see one chirp, whose matched filter is exp(0) at
+        # any Doppler bin
+        mid = spec.n_slow // 2
+        cube = DataCube(
+            data=np.ascontiguousarray(cube.data[:, mid : mid + 1, :]),
+            axis2_kind="element",
+            config=cfg,
+        )
     try:
-        band = prior_band(group, cfg.n_fast)
-        if method == "fsram":
-            mmv = extract_mmv(
-                cube,
-                doppler_bin=group.strongest.refined_doppler_bin,
-                band=band,
-                n_ex=spec.n_ex,
-                noise_sigma=sigma,
-            )
-        else:
-            mid = spec.n_slow // 2
-            single = DataCube(
-                data=np.ascontiguousarray(cube.data[:, mid : mid + 1, :]),
-                axis2_kind="element",
-                config=cfg,
-            )
-            mmv = extract_mmv(
-                single, doppler_bin=0.0, band=band, n_ex=spec.n_ex, noise_sigma=sigma
-            )
+        # groups come sorted by falling power
+        mmv = group_mmv(cube, groups[0], spec.n_ex, sigma)
         result = solve_by_name(method, mmv, n_atoms=k, options=options)
     except (SuperResError, ValueError, np.linalg.LinAlgError):
         return float("inf")
-    recovered = result.top_ranges(k)
-    return assignment_rms(data.truth_ranges, recovered)
+    return assignment_rms(data.truth_ranges, result.top_ranges(k))
 
 
 def run_success_grid(
     spec: GridSpec,
     method: str = "fsram",
     options: AdmmOptions | None = None,
-    progress=None,
 ) -> SuccessGrid:
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}")
@@ -285,8 +271,6 @@ def run_success_grid(
                     if math.isfinite(rms):
                         rms_sums[ik, idx, js] += rms
                         rms_counts[ik, idx, js] += 1
-                if progress is not None:
-                    progress(ik, idx, trial)
     with np.errstate(invalid="ignore"):
         mean_rms = np.where(rms_counts > 0, rms_sums / np.maximum(rms_counts, 1), np.nan)
     return SuccessGrid(
@@ -304,12 +288,8 @@ def compare_methods(
     spec: GridSpec,
     methods: tuple[str, ...] = METHODS,
     options: AdmmOptions | None = None,
-    progress=None,
 ) -> dict[str, SuccessGrid]:
-    grids = {
-        m: run_success_grid(spec, m, options=options, progress=progress)
-        for m in methods
-    }
+    grids = {m: run_success_grid(spec, m, options=options) for m in methods}
     hashes = {g.truth_hash for g in grids.values()}
     if len(hashes) != 1:
         raise RuntimeError("common-random-number violation: truth draws differ")

@@ -165,17 +165,24 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_compare(args) -> int:
+    methods = tuple(args.methods.split(","))
+    unknown = [m for m in methods if m not in METHODS]
+    if unknown:
+        print(
+            f"rangesr compare: unknown method(s) {','.join(unknown)};"
+            f" choose from {','.join(METHODS)}",
+            file=sys.stderr,
+        )
+        return 2
     spec = _load_spec(args)
     out = _out_dir(args)
-    methods = tuple(args.methods.split(","))
     grids = compare_methods(spec, methods=methods)
     summary = {"spec": to_json(spec), "methods": {}}
     for name, grid in grids.items():
         grid.write_csv(out / f"bench_{name}.csv")
         summary["methods"][name] = {
             "mean_rates_by_snr": {
-                f"{snr:g}": float(np.nanmean(grid.rates[:, :, js]))
-                for js, snr in enumerate(spec.snr_values_db)
+                f"{snr:g}": grid.mean_rate(snr) for snr in spec.snr_values_db
             },
             "truth_hash": grid.truth_hash,
         }

@@ -8,6 +8,10 @@ Step 3 (super-resolve): per group, extract the multi-snapshot matrix at the
 detected Doppler, build the range prior band, run the gridless solver, and
 map recovered frequencies back to meters.
 
+`stare` (beamform, integrate, CFAR, group) is the detection chain of steps 1
+and 2, and `group_mmv` (prior band, extraction) is step 3's input; the Monte
+Carlo grid (`bench`) runs the same two helpers on its trial cubes.
+
 Scenes are JSON-serializable truth sets. The two dwells observe the scene at
 different times; the long-dwell truth can be given explicitly (as the
 experiment tables do) or derived by advancing ranges through a configurable
@@ -32,11 +36,12 @@ from .cfar import (
 from .config import C_LIGHT, RadarConfig, UavTruth, from_json, to_json
 from .cube import DataCube, RdaCube
 from .integrate import integrate_cube, range_profile_ft
-from .superres import SuperResError, extract_mmv, prior_band, solve_by_name
+from .superres import MmvMatrix, SuperResError, extract_mmv, prior_band, solve_by_name
 from .synth import add_noise, noise_sigma, synth_beat_cube
 
 DEFAULT_GAP_S = 6.0 / 44.01   # the table offsets: 6 m advance at swarm speed
 _STARE_HALF_WINDOW = 2        # step 2 stares on the prior beam and 2 either side
+_CENTROID_HALF_WINDOW = 2     # step 1's angle centroid spans the peak beam and 2 either side
 _REL_POWER_MIN = 1e-2         # step-3 atoms below this fraction of the group's top are dropped
 _REL_GROUP_POWER_MIN = 1e-5   # groups 50 dB under the strongest keep their CFAR estimate
 
@@ -246,12 +251,13 @@ class LocalizationResult:
         }
 
 
-def _angle_centroid(rda: RdaCube, det: Detection, half_window: int = 2) -> float:
+def _angle_centroid(rda: RdaCube, det: Detection) -> float:
     i = det.range_bin + rda.n_range // 2
     j = det.doppler_bin + rda.n_doppler // 2
     pw = np.abs(rda.data[i, j, :]) ** 2
     g0 = int(np.argmax(pw))
-    sel = slice(max(0, g0 - half_window), min(pw.shape[0], g0 + half_window + 1))
+    half = _CENTROID_HALF_WINDOW
+    sel = slice(max(0, g0 - half), min(pw.shape[0], g0 + half + 1))
     sines = np.sin(np.asarray(rda.beam_angles[sel]))
     weights = pw[sel]
     if weights.sum() <= 0.0:
@@ -260,16 +266,39 @@ def _angle_centroid(rda: RdaCube, det: Detection, half_window: int = 2) -> float
     return float(np.arcsin(np.clip(centroid, -1.0, 1.0)))
 
 
-def run_step1(scene: Scene) -> Step1Report:
-    t0 = time.perf_counter()
-    cube = dwell_cube(scene, 1)
-    grid = default_grid(scene.config)
+def stare(
+    cube: DataCube, grid: BeamGrid
+) -> tuple[RdaCube, list[Detection], list[DetectionGroup]]:
+    """Form `grid`'s beams from an element cube, integrate them and CFAR-test
+    them together; a detection's `beam` is its slot in `grid`, and a cell hit
+    in several beams keeps its strongest hit. Detections and groups come
+    sorted by falling power."""
     beams = beamform_cube(cube, grid)
-    del cube
+    del cube   # lets a cube passed as a temporary (step 1) go before integration
     rda = integrate_cube(beams)
     del beams
     detections = merge_beam_duplicates(ca_cfar(rda))
-    groups = cluster_detections(detections)
+    return rda, detections, cluster_detections(detections)
+
+
+def group_mmv(
+    cube: DataCube, group: DetectionGroup, n_ex: int, noise_sigma: float
+) -> MmvMatrix:
+    """Step 3's input for one group: the element cube extracted over the
+    group's prior band at its strongest member's refined Doppler bin."""
+    return extract_mmv(
+        cube,
+        doppler_bin=group.strongest.refined_doppler_bin,
+        band=prior_band(group, cube.config.n_fast),
+        n_ex=n_ex,
+        noise_sigma=noise_sigma,
+    )
+
+
+def run_step1(scene: Scene) -> Step1Report:
+    t0 = time.perf_counter()
+    grid = default_grid(scene.config)
+    rda, detections, groups = stare(dwell_cube(scene, 1), grid)
     angle = sin_est = None
     if detections:
         angle = _angle_centroid(rda, detections[0])
@@ -288,8 +317,8 @@ def run_step1(scene: Scene) -> Step1Report:
 def run_step2(scene: Scene, angle_prior_rad: float) -> Step2Report:
     """Long stare at the prior angle over a narrow beam window.
 
-    The window's beams are formed, integrated and CFAR-tested together; a
-    detection's `beam` is its slot in `beam_angles`.
+    The window's beams go through `stare` together; a detection's `beam` is
+    its slot in `beam_angles`.
     """
     t0 = time.perf_counter()
     cube = dwell_cube(scene, 2)
@@ -301,11 +330,7 @@ def run_step2(scene: Scene, angle_prior_rad: float) -> Step2Report:
     beam_idx = tuple(range(lo, hi))
     beam_angles = tuple(grid.angles_rad[g] for g in beam_idx)
 
-    beams = beamform_cube(cube, BeamGrid(beam_angles))
-    rda = integrate_cube(beams)
-    del beams
-    detections = merge_beam_duplicates(ca_cfar(rda))
-    groups = cluster_detections(detections)
+    rda, detections, groups = stare(cube, BeamGrid(beam_angles))
     return Step2Report(
         detections=detections,
         groups=groups,
@@ -378,17 +403,15 @@ def run_step3(
     step2: Step2Report,
     method: str = "fsram",
     n_ex: int = 32,
-    solve_singletons: bool = True,
-    angle_rad: float | None = None,
 ) -> LocalizationResult:
     """Solve each detection group; falls back to the CFAR estimate if a solve
     returns nothing usable (keeps the final count >= the group count).
+    Estimates carry the stare's prior angle.
 
-    Single-cell groups are solved too (`solve_singletons`): several targets
-    in one range-Doppler cell look exactly like one, so cell count cannot
-    identify the multi-target suspects. The cost of solving true singletons
-    is cross-channel leakage atoms, which `_strip_leakage` removes after the
-    fact.
+    Single-cell groups are solved too: several targets in one range-Doppler
+    cell look exactly like one, so cell count cannot identify the
+    multi-target suspects. The cost of solving true singletons is
+    cross-channel leakage atoms, which `_strip_leakage` removes after the fact.
 
     Groups more than 50 dB below the strongest group keep their CFAR
     estimate without a solve; on noise-free synthetic scenes the integration
@@ -401,7 +424,6 @@ def run_step3(
     if cube is None:
         raise ValueError("step-2 report lacks the element cube")
     cfg = cube.config
-    angle_default = angle_rad if angle_rad is not None else step2.angle_prior_rad
     power_top = max((g.strongest.power for g in step2.groups), default=0.0)
     estimates: list[UavEstimate] = []
     group_reports: list[dict] = []
@@ -418,7 +440,7 @@ def run_step3(
         fallback = UavEstimate(
             range_m=rep.refined_range_m,
             velocity_mps=rep.refined_velocity_mps,
-            angle_rad=angle_default,
+            angle_rad=step2.angle_prior_rad,
             power=rep.power,
             step="step2",
             group_index=gi,
@@ -428,20 +450,8 @@ def run_step3(
             report.update({"solved": False, "skipped": "below dynamic-range gate"})
             group_reports.append(report)
             continue
-        if group.size == 1 and not solve_singletons:
-            estimates.append(fallback)
-            report["solved"] = False
-            group_reports.append(report)
-            continue
         try:
-            band = prior_band(group, cfg.n_fast)
-            mmv = extract_mmv(
-                cube,
-                doppler_bin=rep.refined_doppler_bin,
-                band=band,
-                n_ex=n_ex,
-                noise_sigma=step2.noise_sigma,
-            )
+            mmv = group_mmv(cube, group, n_ex, step2.noise_sigma)
             result = solve_by_name(method, mmv)
         except (SuperResError, ValueError) as err:
             estimates.append(replace(fallback, step="step3-fallback"))
@@ -458,12 +468,9 @@ def run_step3(
             {
                 "solved": True,
                 "method": result.method,
-                "band": [band.f_lo, band.f_hi],
+                "band": [mmv.band.f_lo, mmv.band.f_hi],
                 "eta": result.eta,
                 "n_atoms": int(keep.sum()),
-                "feasible": (
-                    bool(result.diagnostics.feasible) if result.diagnostics else True
-                ),
             }
         )
         if ranges.size == 0:
@@ -475,7 +482,7 @@ def run_step3(
                     UavEstimate(
                         range_m=float(r),
                         velocity_mps=rep.refined_velocity_mps,
-                        angle_rad=angle_default,
+                        angle_rad=step2.angle_prior_rad,
                         power=float(p),
                         step="step3",
                         group_index=gi,
@@ -523,7 +530,7 @@ def run_full(scene: Scene, method: str = "fsram", n_ex: int = 32) -> FullRunResu
     step2 = run_step2(scene, step1.angle_est_rad)
     if not step2.groups:
         return FullRunResult(scene, step1, step2, None, method)
-    loc = run_step3(step2, method=method, n_ex=n_ex, angle_rad=step1.angle_est_rad)
+    loc = run_step3(step2, method=method, n_ex=n_ex)
     step2.element_cube = None
     return FullRunResult(scene, step1, step2, loc, method)
 

@@ -269,7 +269,6 @@ class SuperResResult:
             "powers": [float(p) for p in self.powers],
             "eta": self.eta,
             "in_band": [bool(b) for b in self.in_band],
-            "feasible": bool(self.diagnostics.feasible) if self.diagnostics else True,
         }
 
 

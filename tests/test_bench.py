@@ -14,19 +14,23 @@ import math
 import numpy as np
 import pytest
 
+from rangesr.beamform import BeamGrid, beamform_cube
 from rangesr.bench import (
     METHODS,
     GridSpec,
+    _prepare_trial,
     assignment_rms,
     compare_methods,
     run_success_grid,
 )
+from rangesr.cfar import ca_cfar, cluster_detections
 from rangesr.config import UavTruth, from_json, to_json
 from rangesr.cube import DataCube
-from rangesr.pipeline import table_radar_config
+from rangesr.integrate import integrate_cube
+from rangesr.pipeline import stare, table_radar_config
 from rangesr.sdp import AdmmOptions
 from rangesr.superres import FreqBand, extract_mmv, ram_solve
-from rangesr.synth import synth_beat_cube
+from rangesr.synth import noise_sigma, synth_beat_cube
 
 LIGHT = AdmmOptions(max_outer=2, inner_iters_first=150, inner_iters=100)
 
@@ -71,11 +75,12 @@ def _brute_force_rms(truth, recovered, k):
 
 def test_assignment_matches_brute_force_for_small_k():
     rng = np.random.default_rng(0)
-    for k in (1, 2, 3, 4):
-        for _ in range(25):
+    # K = 7 takes one spare estimate: 8!/1! orderings per brute-force draw
+    for k, spare, draws in ((1, 2, 25), (2, 2, 25), (3, 2, 25), (4, 2, 25), (7, 1, 3)):
+        for _ in range(draws):
             truth = np.sort(rng.uniform(160.0, 175.0, k))
             recovered = rng.permutation(
-                np.concatenate([truth + rng.normal(0, 0.2, k), rng.uniform(160, 175, 2)])
+                np.concatenate([truth + rng.normal(0, 0.2, k), rng.uniform(160, 175, spare)])
             )
             got = assignment_rms(truth, recovered)
             assert got == pytest.approx(_brute_force_rms(truth, recovered, k), rel=1e-12)
@@ -86,10 +91,8 @@ def test_assignment_exact_match_is_zero():
     assert assignment_rms(truth, truth[::-1].copy()) == 0.0
 
 
-def test_assignment_shortfall_is_inf_and_large_k_rejected():
+def test_assignment_shortfall_is_inf():
     assert assignment_rms(np.array([1.0, 2.0]), np.array([1.5])) == math.inf
-    with pytest.raises(ValueError, match="K <= 6"):
-        assignment_rms(np.arange(7.0), np.arange(7.0))
 
 
 # ---------------------------------------------------------- success grids
@@ -253,3 +256,40 @@ def test_single_period_baseline_merges_equal_range_targets():
     ranges = np.sort(res.ranges_m)
     assert res.n_atoms == 3  # four targets, three recovered: the 168 m pair fused
     assert ranges == pytest.approx([168.0, 169.2, 170.4], abs=0.05)
+
+
+# --------------------------------------------------- the trial's stare path
+
+
+@pytest.fixture(scope="module")
+def trial_cube():
+    """A grid trial's element cube: K=2, half-cell spacing, 10 dB."""
+    spec = GridSpec(k_values=(2,), delta_ratios=(0.5,), snr_values_db=(10.0,),
+                    trials=1, n_slow=64)
+    data = _prepare_trial(spec, 2, 0.5, 0)
+    noisy = data.clean + noise_sigma(10.0) * data.unit_noise
+    return DataCube(data=noisy, axis2_kind="element", config=table_radar_config())
+
+
+def test_stare_on_one_beam_is_cfar_and_grouping_of_the_integrated_beam(trial_cube):
+    # merging duplicates across beams does nothing on a single beam
+    grid = BeamGrid((0.0,))
+    _, detections, groups = stare(trial_cube, grid)
+    reference = ca_cfar(integrate_cube(beamform_cube(trial_cube, grid)))
+    assert detections and detections == reference
+    assert groups == cluster_detections(reference)
+
+
+def test_one_chirp_extraction_ignores_the_doppler_bin(trial_cube):
+    cfg = trial_cube.config
+    single = DataCube(
+        data=np.ascontiguousarray(trial_cube.data[:, 32:33, :]),
+        axis2_kind="element",
+        config=cfg,
+    )
+    band = FreqBand(cfg.beat_freq(164.0), cfg.beat_freq(172.0))
+    at_zero = extract_mmv(single, doppler_bin=0.0, band=band, n_ex=32, noise_sigma=0.3)
+    for doppler_bin in (0.37, -12.8, 31.6):
+        mmv = extract_mmv(single, doppler_bin=doppler_bin, band=band, n_ex=32,
+                          noise_sigma=0.3)
+        assert np.array_equal(mmv.data, at_zero.data)

