@@ -4,6 +4,8 @@
 come from the CPU affinity, span bounds depend only on the shape and the
 worker count, small cubes run inline). Each row is the same matrix product
 whatever its span, so the beam cube is bit-identical for any worker count.
+With `out=`, a chunk of chirps is formed into its slice of a larger beam
+cube, so a dwell can be beamformed as it is synthesised.
 """
 
 from __future__ import annotations
@@ -56,8 +58,14 @@ def steering_vector(cfg: RadarConfig, angle_rad: float) -> np.ndarray:
     return np.exp(-1j * array_phase(cfg, angle_rad))
 
 
-def beamform_cube(cube: DataCube, grid: BeamGrid) -> DataCube:
-    """Sum the element axis under each steering vector: out[n,m,g]."""
+def beamform_cube(
+    cube: DataCube, grid: BeamGrid, out: np.ndarray | None = None
+) -> DataCube:
+    """Sum the element axis under each steering vector: out[n,m,g].
+
+    `out`, when given, receives the beams (shape (N, M, G), the element
+    cube's dtype) and becomes the returned cube's data.
+    """
     if cube.axis2_kind != "element":
         raise CubeError(f"beamforming expects an element cube, got {cube.axis2_kind!r}")
     if cube.data.shape[2] != cube.config.n_elements:
@@ -68,7 +76,11 @@ def beamform_cube(cube: DataCube, grid: BeamGrid) -> DataCube:
         [steering_vector(cube.config, a) for a in grid.angles_rad], axis=1
     ).astype(cube.data.dtype)  # (L, G)
     data = cube.data
-    out = np.empty(data.shape[:2] + (len(grid),), dtype=np.result_type(data, weights))
+    shape = data.shape[:2] + (len(grid),)
+    if out is None:
+        out = np.empty(shape, dtype=np.result_type(data, weights))
+    elif out.shape != shape:
+        raise CubeError(f"beam output has shape {out.shape}, the beams need {shape}")
 
     def form(a: int, b: int) -> None:
         np.matmul(data[a:b], weights, out=out[a:b])

@@ -4,9 +4,10 @@ Each trial drops K targets into a two-cell range window with a minimum
 mutual spacing (rejection sampling), all at the same velocity and angle with
 unit amplitudes and random phases, then runs the pipeline's stare-and-solve
 path: `pipeline.stare` on one matched beam (keystone integration, CFAR,
-Doppler-channel grouping), `pipeline.group_mmv` on the strongest group (band
-construction, extraction), and the chosen solver. Success is a per-target RMS
-range error below 0.1 range cells after optimal assignment.
+Doppler-channel grouping, the rows extraction reads), `pipeline.group_mmv`
+on the strongest group (band construction, extraction), and the chosen
+solver. Success is a per-target RMS range error below 0.1 range cells after
+optimal assignment.
 
 Common random numbers: truth and noise draws are keyed by
 (seed_base, K, spacing, trial) only, so every method and every SNR sees the
@@ -20,7 +21,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -217,21 +218,19 @@ def run_trial_method(
     noisy = data.clean + sigma * data.unit_noise
     cube = DataCube(data=noisy, axis2_kind="element", config=cfg)
 
-    _, _, groups = stare(cube, BeamGrid((0.0,)))
+    _, _, groups, rows = stare(
+        [(0, spec.n_slow, cube)], spec.n_slow, BeamGrid((0.0,)), spec.n_ex
+    )
     if not groups:
         return float("inf")
     if method != "fsram":
         # the baselines see one chirp, whose matched filter is exp(0) at
         # any Doppler bin
         mid = spec.n_slow // 2
-        cube = DataCube(
-            data=np.ascontiguousarray(cube.data[:, mid : mid + 1, :]),
-            axis2_kind="element",
-            config=cfg,
-        )
+        rows = replace(rows, data=np.ascontiguousarray(rows.data[:, mid : mid + 1, :]))
     try:
         # groups come sorted by falling power
-        mmv = group_mmv(cube, groups[0], spec.n_ex, sigma)
+        mmv = group_mmv(rows, groups[0], sigma)
         result = solve_by_name(method, mmv, n_atoms=k, options=options)
     except (SuperResError, ValueError, np.linalg.LinAlgError):
         return float("inf")

@@ -19,7 +19,10 @@ The symmetric DFT (time and frequency both indexed about zero) of an
 even-length axis is a sign-modulated FFT, (-1)^(k + N/2) FFT((-1)^n x)[k],
 which needs one output array where the shift-based form needs four. The
 range DFT goes one step further and overwrites the intermediate that
-`integrate_cube` owns.
+`integrate_cube` owns. With `overwrite_x=True` (scipy's sense: the input's
+contents are then lost), the chirp-z transform is written over the beam
+cube too, so the whole integration runs in the input's buffer; the stare,
+which owns its beams, integrates that way.
 
 Threading (`spans`): the chirp-z transform runs spans of fast-time rows on
 threads, each span with its own 1/workers share of the workspace budget,
@@ -106,19 +109,26 @@ def scaled_slow_time_ft_direct(cube: DataCube) -> DataCube:
     )
 
 
-def _scaled_dft(rows: np.ndarray, scales: np.ndarray) -> np.ndarray:
+def _scaled_dft(
+    rows: np.ndarray, scales: np.ndarray, overwrite: bool = False
+) -> np.ndarray:
     """Per-row scaled DFT out[i,k,:] = sum_m rows[i,m,:] e^{-j2pi scales[i] k m / M}.
 
     Both k and m run over the symmetric index set of length M. Evaluated by the
     Bluestein factorization on spans of rows, each chunked over rows within
-    its share of the workspace budget.
+    its share of the workspace budget. With `overwrite`, a complex128 `rows`
+    receives the result: each chunk reads its rows into the workspace before
+    it writes them, and spans are disjoint.
     """
     n_rows, n_slow, n_beams = rows.shape
     m_vals = axis_values(n_slow).astype(np.float64)
     l_fft = sfft.next_fast_len(2 * n_slow - 1)
     bounds = spans.split(n_rows, rows.size)
     chunk = max(1, min(n_rows, _CHUNK_BUDGET // len(bounds) // (l_fft * n_beams)))
-    out = np.empty((n_rows, n_slow, n_beams), dtype=np.complex128)
+    if overwrite and rows.dtype == np.complex128:
+        out = rows
+    else:
+        out = np.empty((n_rows, n_slow, n_beams), dtype=np.complex128)
     m_sq = m_vals * m_vals
     # the kernel is even in the lag: lags 0..M-1, mirrored to -(M-1)..-1
     lag_sq = np.arange(n_slow, dtype=np.float64) ** 2
@@ -147,10 +157,13 @@ def _scaled_dft(rows: np.ndarray, scales: np.ndarray) -> np.ndarray:
     return out
 
 
-def scaled_slow_time_ft_fast(cube: DataCube) -> DataCube:
-    """Chirp-z evaluation of the scaled slow-time DFT, chunked over fast time."""
+def scaled_slow_time_ft_fast(cube: DataCube, overwrite_x: bool = False) -> DataCube:
+    """Chirp-z evaluation of the scaled slow-time DFT, chunked over fast time.
+
+    With `overwrite_x`, a complex128 `cube.data` is overwritten by the result.
+    """
     _require_beam(cube)
-    out = _scaled_dft(cube.data, _alphas(cube))
+    out = _scaled_dft(cube.data, _alphas(cube), overwrite=overwrite_x)
     return DataCube(
         data=out, axis2_kind="beam", config=cube.config, beam_angles=cube.beam_angles
     )
@@ -200,7 +213,14 @@ def keystone_explicit(cube: DataCube) -> DataCube:
     )
 
 
-def integrate_cube(cube: DataCube, fast: bool = True) -> RdaCube:
-    """Scaled slow-time FT, then the range DFT in place on its output."""
-    ft = scaled_slow_time_ft_fast if fast else scaled_slow_time_ft_direct
-    return range_ft(ft(cube))
+def integrate_cube(
+    cube: DataCube, fast: bool = True, overwrite_x: bool = False
+) -> RdaCube:
+    """Scaled slow-time FT, then the range DFT in place on its output.
+
+    With `overwrite_x` (fast path only), `cube.data` may be overwritten; for a
+    complex128 cube of even length the result then shares its buffer.
+    """
+    if fast:
+        return range_ft(scaled_slow_time_ft_fast(cube, overwrite_x=overwrite_x))
+    return range_ft(scaled_slow_time_ft_direct(cube))

@@ -12,6 +12,15 @@ map recovered frequencies back to meters.
 and 2, and `group_mmv` (prior band, extraction) is step 3's input; the Monte
 Carlo grid (`bench`) runs the same two helpers on its trial cubes.
 
+A dwell is never held as one element cube. `dwell_chunks` synthesises it a
+window of chirps at a time, with noise from one generator carried across
+the windows, and `stare` beamforms each window into its slice of the beam
+cube and keeps only the fast-time rows that step 3 extracts from. A window
+is the smallest multiple of `synth._CHUNK_M` chirps that holds at least
+`spans._CHUNK_BUDGET` entries: the multiple keeps the noise draws those of
+the whole dwell, and the size keeps synthesis and beamforming threaded.
+`dwell_cube` assembles the same windows into the whole cube.
+
 Scenes are JSON-serializable truth sets. The two dwells observe the scene at
 different times; the long-dwell truth can be given explicitly (as the
 experiment tables do) or derived by advancing ranges through a configurable
@@ -21,10 +30,12 @@ gap.
 from __future__ import annotations
 
 import time
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import spans, synth
 from .beamform import BeamGrid, beamform_cube, default_grid
 from .cfar import (
     Detection,
@@ -35,8 +46,16 @@ from .cfar import (
 )
 from .config import C_LIGHT, RadarConfig, UavTruth, from_json, to_json
 from .cube import DataCube, RdaCube
-from .integrate import integrate_cube, range_profile_ft
-from .superres import MmvMatrix, SuperResError, extract_mmv, prior_band, solve_by_name
+from .integrate import integrate_cube, symmetric_fft
+from .superres import (
+    ExtractionRows,
+    MmvMatrix,
+    SuperResError,
+    decimation_rows,
+    extract_mmv,
+    prior_band,
+    solve_by_name,
+)
 from .synth import add_noise, noise_sigma, synth_beat_cube
 
 DEFAULT_GAP_S = 6.0 / 44.01   # the table offsets: 6 m advance at swarm speed
@@ -52,8 +71,10 @@ def table_radar_config(sample_rate_hz: float = 5.12e6) -> RadarConfig:
     The published runs sample at 50 MHz (5000 fast-time samples). The default
     here keeps every derived quantity that matters to the method (range cell
     size, cell index per meter, keystone warp, Doppler axis) identical while
-    shrinking the fast-time grid to fit small machines; pass 50e6 to
-    reproduce the full-rate grid.
+    shrinking the fast-time grid tenfold; pass 50e6 to reproduce the
+    full-rate grid. Noise-free exp1 runs end to end in 49 s at a 2.8 GB peak
+    RSS at 50e6, and in 7 s at 0.42 GB by default (2 cores, BLAS on one
+    thread); at 50e6 step 1's 32-beam cube sets the peak.
     """
     return RadarConfig(
         carrier_hz=10e9,
@@ -163,19 +184,44 @@ def _n_chirps(dwell_s: float, chirp_s: float) -> int:
     return m - (m % 2) if m >= 2 else m
 
 
-def dwell_cube(scene: Scene, step: int) -> DataCube:
-    """The noisy element cube of step 1's search or step 2's stare dwell.
+def dwell_chirps(scene: Scene, step: int) -> int:
+    """Chirp count of step 1's search or step 2's stare dwell."""
+    dwell = scene.dwell1_s if step == 1 else scene.dwell2_s
+    return _n_chirps(dwell, scene.config.chirp_s)
+
+
+def _chunk_chirps(cfg: RadarConfig) -> int:
+    """Chirps per dwell window: the smallest multiple of the noise block whose
+    window holds at least `spans._CHUNK_BUDGET` entries."""
+    block = synth._CHUNK_M * cfg.n_fast * cfg.n_elements
+    return synth._CHUNK_M * max(1, -(-spans._CHUNK_BUDGET // block))
+
+
+def dwell_chunks(scene: Scene, step: int) -> Iterator[tuple[int, int, DataCube]]:
+    """The noisy element cube of a dwell as `(m0, m1, chirps [m0, m1))`.
 
     Step 1 observes `uavs` for `dwell1_s`, step 2 the step-2 truths for
-    `dwell2_s`; the noise seed is `seed * 10 + step`.
+    `dwell2_s`; the noise generator is seeded with `seed * 10 + step`.
     """
     cfg = scene.config
-    if step == 1:
-        truths, dwell = scene.uavs, scene.dwell1_s
-    else:
-        truths, dwell = scene.step2_truths(), scene.dwell2_s
-    cube = synth_beat_cube(cfg, truths, _n_chirps(dwell, cfg.chirp_s))
-    return add_noise(cube, scene.snr_db, rng_seed=scene.seed * 10 + step)
+    truths = scene.uavs if step == 1 else scene.step2_truths()
+    n_slow = dwell_chirps(scene, step)
+    width = _chunk_chirps(cfg)
+    rng = np.random.default_rng(scene.seed * 10 + step)
+    for m0 in range(0, n_slow, width):
+        m1 = min(m0 + width, n_slow)
+        chunk = synth_beat_cube(cfg, truths, n_slow, m0, m1)
+        yield m0, m1, add_noise(chunk, scene.snr_db, rng_seed=rng)
+        del chunk   # only the consumer may hold this window while the next is built
+
+
+def dwell_cube(scene: Scene, step: int) -> DataCube:
+    """The whole noisy element cube of a dwell, assembled from `dwell_chunks`."""
+    cfg = scene.config
+    data = np.empty((cfg.n_fast, dwell_chirps(scene, step), cfg.n_elements), np.complex128)
+    for m0, m1, chunk in dwell_chunks(scene, step):
+        data[:, m0:m1] = chunk.data
+    return DataCube(data=data, axis2_kind="element", config=cfg)
 
 
 @dataclass
@@ -207,8 +253,9 @@ class Step2Report:
     beam_angles: tuple[float, ...]
     n_chirps: int
     noise_sigma: float
+    n_ex: int
     elapsed_s: float = 0.0
-    element_cube: DataCube | None = None
+    extraction_rows: ExtractionRows | None = None
 
     def to_dict(self) -> dict:
         return {
@@ -267,30 +314,52 @@ def _angle_centroid(rda: RdaCube, det: Detection) -> float:
 
 
 def stare(
-    cube: DataCube, grid: BeamGrid
-) -> tuple[RdaCube, list[Detection], list[DetectionGroup]]:
-    """Form `grid`'s beams from an element cube, integrate them and CFAR-test
-    them together; a detection's `beam` is its slot in `grid`, and a cell hit
-    in several beams keeps its strongest hit. Detections and groups come
-    sorted by falling power."""
-    beams = beamform_cube(cube, grid)
-    del cube   # lets a cube passed as a temporary (step 1) go before integration
-    rda = integrate_cube(beams)
-    del beams
+    chunks: Iterable[tuple[int, int, DataCube]],
+    n_slow: int,
+    grid: BeamGrid,
+    n_ex: int | None = None,
+) -> tuple[RdaCube, list[Detection], list[DetectionGroup], ExtractionRows | None]:
+    """Form `grid`'s beams from an `n_slow`-chirp element cube given as
+    windows `(m0, m1, chirps [m0, m1))`, integrate them and CFAR-test them
+    together; a detection's `beam` is its slot in `grid`, and a cell hit in
+    several beams keeps its strongest hit. Detections and groups come sorted
+    by falling power.
+
+    Each window is beamformed into its slice of one beam cube, which the
+    integration then overwrites. With `n_ex`, the rows that extraction reads
+    (`decimation_rows`) are kept as the last result; otherwise it is None.
+    """
+    beams = kept = pick = None
+    for m0, m1, chunk in chunks:
+        if beams is None:
+            cfg, dtype = chunk.config, chunk.data.dtype
+            beams = np.empty((chunk.n_fast, n_slow, len(grid)), dtype=dtype)
+            if n_ex is not None:
+                pick = decimation_rows(chunk.n_fast, n_ex)
+                kept = np.empty((n_ex, n_slow, chunk.data.shape[2]), dtype=dtype)
+        beamform_cube(chunk, grid, out=beams[:, m0:m1])
+        if kept is not None:
+            kept[:, m0:m1] = chunk.data[pick]
+        del chunk   # the element window goes before the next one is built
+    cube = DataCube(beams, "beam", cfg, beam_angles=tuple(grid.angles_rad))
+    rda = integrate_cube(cube, overwrite_x=True)
+    del cube, beams
     detections = merge_beam_duplicates(ca_cfar(rda))
-    return rda, detections, cluster_detections(detections)
+    if kept is not None:
+        kept = ExtractionRows(kept, rda.n_range, cfg)
+    return rda, detections, cluster_detections(detections), kept
 
 
 def group_mmv(
-    cube: DataCube, group: DetectionGroup, n_ex: int, noise_sigma: float
+    rows: ExtractionRows, group: DetectionGroup, noise_sigma: float
 ) -> MmvMatrix:
-    """Step 3's input for one group: the element cube extracted over the
-    group's prior band at its strongest member's refined Doppler bin."""
+    """Step 3's input for one group: the kept rows extracted over the group's
+    prior band at its strongest member's refined Doppler bin."""
     return extract_mmv(
-        cube,
+        rows,
         doppler_bin=group.strongest.refined_doppler_bin,
-        band=prior_band(group, cube.config.n_fast),
-        n_ex=n_ex,
+        band=prior_band(group, rows.n_fast),
+        n_ex=rows.n_ex,
         noise_sigma=noise_sigma,
     )
 
@@ -298,7 +367,7 @@ def group_mmv(
 def run_step1(scene: Scene) -> Step1Report:
     t0 = time.perf_counter()
     grid = default_grid(scene.config)
-    rda, detections, groups = stare(dwell_cube(scene, 1), grid)
+    rda, detections, groups, _ = stare(dwell_chunks(scene, 1), dwell_chirps(scene, 1), grid)
     angle = sin_est = None
     if detections:
         angle = _angle_centroid(rda, detections[0])
@@ -314,14 +383,14 @@ def run_step1(scene: Scene) -> Step1Report:
     )
 
 
-def run_step2(scene: Scene, angle_prior_rad: float) -> Step2Report:
+def run_step2(scene: Scene, angle_prior_rad: float, n_ex: int = 32) -> Step2Report:
     """Long stare at the prior angle over a narrow beam window.
 
     The window's beams go through `stare` together; a detection's `beam` is
-    its slot in `beam_angles`.
+    its slot in `beam_angles`. The report keeps the `n_ex` element-cube rows
+    that step 3 extracts from, not the cube.
     """
     t0 = time.perf_counter()
-    cube = dwell_cube(scene, 2)
     grid = default_grid(scene.config)
     sines = np.sin(np.asarray(grid.angles_rad))
     g0 = int(np.argmin(np.abs(sines - np.sin(angle_prior_rad))))
@@ -330,7 +399,9 @@ def run_step2(scene: Scene, angle_prior_rad: float) -> Step2Report:
     beam_idx = tuple(range(lo, hi))
     beam_angles = tuple(grid.angles_rad[g] for g in beam_idx)
 
-    rda, detections, groups = stare(cube, BeamGrid(beam_angles))
+    rda, detections, groups, kept = stare(
+        dwell_chunks(scene, 2), dwell_chirps(scene, 2), BeamGrid(beam_angles), n_ex
+    )
     return Step2Report(
         detections=detections,
         groups=groups,
@@ -339,8 +410,9 @@ def run_step2(scene: Scene, angle_prior_rad: float) -> Step2Report:
         beam_angles=beam_angles,
         n_chirps=rda.n_slow,
         noise_sigma=scene.noise_sigma(),
+        n_ex=n_ex,
         elapsed_s=time.perf_counter() - t0,
-        element_cube=cube,
+        extraction_rows=kept,
     )
 
 
@@ -399,11 +471,7 @@ def _strip_leakage(
     return kept
 
 
-def run_step3(
-    step2: Step2Report,
-    method: str = "fsram",
-    n_ex: int = 32,
-) -> LocalizationResult:
+def run_step3(step2: Step2Report, method: str = "fsram") -> LocalizationResult:
     """Solve each detection group; falls back to the CFAR estimate if a solve
     returns nothing usable (keeps the final count >= the group count).
     Estimates carry the stare's prior angle.
@@ -420,10 +488,10 @@ def run_step3(
     atom become estimates.
     """
     t0 = time.perf_counter()
-    cube = step2.element_cube
-    if cube is None:
-        raise ValueError("step-2 report lacks the element cube")
-    cfg = cube.config
+    rows = step2.extraction_rows
+    if rows is None:
+        raise ValueError("step-2 report lacks the extraction rows")
+    cfg = rows.config
     power_top = max((g.strongest.power for g in step2.groups), default=0.0)
     estimates: list[UavEstimate] = []
     group_reports: list[dict] = []
@@ -451,7 +519,7 @@ def run_step3(
             group_reports.append(report)
             continue
         try:
-            mmv = group_mmv(cube, group, n_ex, step2.noise_sigma)
+            mmv = group_mmv(rows, group, step2.noise_sigma)
             result = solve_by_name(method, mmv)
         except (SuperResError, ValueError) as err:
             estimates.append(replace(fallback, step="step3-fallback"))
@@ -527,18 +595,17 @@ def run_full(scene: Scene, method: str = "fsram", n_ex: int = 32) -> FullRunResu
     step1 = run_step1(scene)
     if not step1.detections:
         return FullRunResult(scene, step1, None, None, method)
-    step2 = run_step2(scene, step1.angle_est_rad)
+    step2 = run_step2(scene, step1.angle_est_rad, n_ex=n_ex)
     if not step2.groups:
         return FullRunResult(scene, step1, step2, None, method)
-    loc = run_step3(step2, method=method, n_ex=n_ex)
-    step2.element_cube = None
+    loc = run_step3(step2, method=method)
+    step2.extraction_rows = None
     return FullRunResult(scene, step1, step2, loc, method)
 
 
 def write_range_walk_csv(beam_cube: DataCube, path, beam: int = 0) -> None:
     """Per-chirp strongest range cell (the migration trajectory) as CSV."""
-    profiles = range_profile_ft(beam_cube)
-    mags = np.abs(profiles[:, :, beam])
+    mags = np.abs(symmetric_fft(beam_cube.data[:, :, beam], axis=0))
     arg = np.argmax(mags, axis=0) - beam_cube.n_fast // 2
     cfg = beam_cube.config
     with open(path, "w", encoding="utf-8") as fh:

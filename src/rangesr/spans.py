@@ -12,13 +12,17 @@ run on. The rule:
   output element is computed by the same code whatever span it falls in, so
   outputs are bit-identical for any worker count;
 - inputs below `_CHUNK_BUDGET` complex entries run inline on the calling
-  thread, so small cubes (the Monte Carlo grid's) never start a thread.
+  thread, so small cubes (the Monte Carlo grid's) never start a thread;
+- the pipeline cuts a dwell into chirp windows of at least `_CHUNK_BUDGET`
+  entries, so each window's synthesis and beamforming still use every
+  worker.
 
 The first span runs on the calling thread and the others on the pool; every
 span finishes before `run` returns or raises. Span functions call numpy,
 scipy and private helpers only, never a public stage function such as
 `range_ft` or `ca_cfar`: the benchmark's tracer wraps those names and keeps
-one span stack, for the calling thread.
+one span stack, for the calling thread. The loop over a dwell's windows
+runs on the calling thread for the same reason.
 """
 
 from __future__ import annotations

@@ -126,46 +126,77 @@ class MmvMatrix:
         return float(max(noise, floor))
 
 
+def decimation_rows(n_fast: int, n_ex: int) -> np.ndarray:
+    """Storage indices of the fast-time rows that extraction reads: every
+    (n_fast // n_ex)-th row from the first, n_ex of them."""
+    if n_ex < 2 or n_ex > n_fast:
+        raise ConfigError(f"n_ex={n_ex} must be in [2, {n_fast}]")
+    return np.arange(n_ex) * (n_fast // n_ex)
+
+
+@dataclass(frozen=True)
+class ExtractionRows:
+    """The rows `decimation_rows(n_fast, n_ex)` of an element cube, which is
+    all that extraction reads of it: the stare keeps them for step 3."""
+
+    data: np.ndarray       # complex, shape (n_ex, M, L)
+    n_fast: int            # fast-time length of the cube they come from
+    config: RadarConfig
+
+    @classmethod
+    def of(cls, cube: DataCube, n_ex: int) -> "ExtractionRows":
+        if cube.axis2_kind != "element":
+            raise ConfigError("extraction wants the raw element cube")
+        return cls(cube.data[decimation_rows(cube.n_fast, n_ex)], cube.n_fast, cube.config)
+
+    @property
+    def n_ex(self) -> int:
+        return self.data.shape[0]
+
+
 def extract_mmv(
-    cube: DataCube,
+    cube: DataCube | ExtractionRows,
     doppler_bin: float,
     band: FreqBand,
     n_ex: int = 32,
     noise_sigma: float = 0.0,
 ) -> MmvMatrix:
-    """Matched-filter, demodulate, and decimate one detected Doppler cell."""
-    if cube.axis2_kind != "element":
-        raise ConfigError("extraction wants the raw element cube")
+    """Matched-filter, demodulate, and decimate one detected Doppler cell.
+
+    `cube` is an element cube, or the n_ex rows of one that extraction reads
+    (`ExtractionRows`); both run the same code.
+    """
     if band.is_full:
         raise ConfigError("extraction needs a finite prior band for demodulation")
-    n_fast, n_slow, _ = cube.data.shape
-    if n_ex < 2 or n_ex > n_fast:
-        raise ConfigError(f"n_ex={n_ex} must be in [2, {n_fast}]")
+    if isinstance(cube, DataCube):
+        cube = ExtractionRows.of(cube, n_ex)
+    elif cube.n_ex != n_ex:
+        raise ConfigError(f"n_ex={n_ex}, but {cube.n_ex} rows were kept")
+    n_fast = cube.n_fast
+    _, n_slow, n_channels = cube.data.shape
     step = n_fast // n_ex
     if step * band.width > 0.5:
         raise ConfigError("band too wide for the decimation stride")
     cfg = cube.config
     f_shift = band.center - 0.25 / step
 
-    n_vals = cube.fast_index().astype(np.float64)
+    n_vals = (decimation_rows(n_fast, n_ex) - n_fast // 2).astype(np.float64)
     m_vals = axis_values(n_slow).astype(np.float64)
     alphas = 1.0 + cfg.chirp_rate_hz_per_s * n_vals * cfg.dt / cfg.carrier_hz
-    pick = np.arange(n_ex) * step
-    out = np.empty((n_ex, cube.data.shape[2]), dtype=np.complex128)
+    out = np.empty((n_ex, n_channels), dtype=np.complex128)
     for j0 in range(0, n_ex, _CHUNK_N):
         j1 = min(j0 + _CHUNK_N, n_ex)
-        rows = pick[j0:j1]
         phase = np.exp(
-            (-2j * np.pi * doppler_bin / n_slow) * np.outer(alphas[rows], m_vals)
+            (-2j * np.pi * doppler_bin / n_slow) * np.outer(alphas[j0:j1], m_vals)
         )
-        filtered = np.einsum("nm,nml->nl", phase, cube.data[rows])
-        demod = np.exp(-2j * np.pi * f_shift * n_vals[rows])
+        filtered = np.einsum("nm,nml->nl", phase, cube.data[j0:j1])
+        demod = np.exp(-2j * np.pi * f_shift * n_vals[j0:j1])
         out[j0:j1] = filtered * demod[:, None]
     return MmvMatrix(
         data=out,
         f_shift=float(f_shift),
         step=int(step),
-        start_sample=int(n_vals[0]),
+        start_sample=-(n_fast // 2),
         sigma=float(noise_sigma) * np.sqrt(n_slow),
         doppler_bin=float(doppler_bin),
         band=band,

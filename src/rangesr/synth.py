@@ -17,6 +17,13 @@ threads (`spans`: workers come from the CPU affinity, span bounds depend
 only on the shape and the worker count, small cubes run inline). Each block
 is computed by the same code whatever its span, so the cube is
 bit-identical for any worker count.
+
+A dwell can be synthesised a window of chirps at a time: every sample is an
+elementwise function of its (n, m, l) axis values, so a window equals the
+same chirps of the whole dwell bit for bit. `add_noise` draws in blocks of
+`_CHUNK_M` chirps from a generator that may be carried across windows;
+windows that start on a multiple of `_CHUNK_M` then draw exactly the noise
+of the whole dwell.
 """
 
 from __future__ import annotations
@@ -27,7 +34,7 @@ from . import spans
 from .config import C_LIGHT, ConfigError, RadarConfig, UavTruth
 from .cube import DataCube, axis_values
 
-# slow-time block size for memory-bounded noise loops
+# slow-time block size of the noise draws
 _CHUNK_M = 256
 # complex entries per fast-time row block of the synthesis accumulator
 _BLOCK_ENTRIES = 1 << 16
@@ -46,17 +53,27 @@ def synth_beat_cube(
     cfg: RadarConfig,
     targets: list[UavTruth],
     n_slow: int,
+    m0: int = 0,
+    m1: int | None = None,
 ) -> DataCube:
-    """Noise-free beat-signal cube over (n, m, l) for the given scene."""
+    """Noise-free beat-signal cube over (n, m, l) for the given scene.
+
+    Only chirps `[m0, m1)` of the `n_slow`-chirp dwell are synthesised (all of
+    them by default); the slow-time axis values stay those of the whole dwell.
+    """
     if n_slow < 1:
         raise ConfigError(f"n_slow must be >= 1, got {n_slow}")
+    m1 = n_slow if m1 is None else m1
+    if not 0 <= m0 < m1 <= n_slow:
+        raise ConfigError(f"chirps [{m0}, {m1}) are not a window of {n_slow}")
     n_fast = cfg.n_fast
-    data = np.zeros((n_fast, n_slow, cfg.n_elements), dtype=np.complex128)
+    m = axis_values(n_slow)[m0:m1].astype(np.float64)
+    n_chirps = m1 - m0
+    data = np.zeros((n_fast, n_chirps, cfg.n_elements), dtype=np.complex128)
     if not targets:
         return DataCube(data=data, axis2_kind="element", config=cfg)
 
     n = axis_values(n_fast).astype(np.float64)
-    m = axis_values(n_slow).astype(np.float64)
     dt = cfg.dt
     gamma = cfg.chirp_rate_hz_per_s
     terms = []
@@ -76,11 +93,11 @@ def synth_beat_cube(
     # accumulate every target into one block of fast-time rows at a time, so
     # the block and its per-target term stay small; spans of whole blocks run
     # on threads, each with its own term buffer
-    rows = max(1, _BLOCK_ENTRIES // (n_slow * cfg.n_elements))
+    rows = max(1, _BLOCK_ENTRIES // (n_chirps * cfg.n_elements))
     n_blocks = -(-n_fast // rows)
 
     def fill(b0: int, b1: int) -> None:
-        term = np.empty((min(rows, n_fast), n_slow, cfg.n_elements), dtype=np.complex128)
+        term = np.empty((min(rows, n_fast), n_chirps, cfg.n_elements), dtype=np.complex128)
         for n0 in range(b0 * rows, min(b1 * rows, n_fast), rows):
             n1 = min(n0 + rows, n_fast)
             block, tmp = data[n0:n1], term[: n1 - n0]
@@ -99,12 +116,16 @@ def noise_sigma(snr_db: float) -> float:
     return 10.0 ** (-snr_db / 20.0)
 
 
-def add_noise(cube: DataCube, snr_db: float | None, rng_seed: int) -> DataCube:
+def add_noise(
+    cube: DataCube, snr_db: float | None, rng_seed: int | np.random.Generator
+) -> DataCube:
     """Add circular complex white Gaussian noise at the given per-sample SNR.
 
     SNR reference: a unit-amplitude target, per element, per fast-time sample,
     before any integration. The noise is added to `cube.data` in place, and
     `cube` itself is returned. `snr_db=None` (or +inf) disables noise.
+    `rng_seed` may be a generator, which is then drawn from (and advanced)
+    as it is: a dwell synthesised in windows passes one generator to each.
     """
     if snr_db is None or np.isinf(snr_db):
         return cube
@@ -114,7 +135,11 @@ def add_noise(cube: DataCube, snr_db: float | None, rng_seed: int) -> DataCube:
     scale = sigma / np.sqrt(2.0)
     for m0 in range(0, data.shape[1], _CHUNK_M):
         block = data[:, m0:m0 + _CHUNK_M, :]
-        shape = block.shape
-        noise = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        block += (scale * noise).astype(block.dtype)
+        # the real parts' draw, then the imaginary parts', each scaled and
+        # added in place: the sums of adding scale * (re + 1j * im)
+        for part in (block.real, block.imag):
+            draw = rng.standard_normal(block.shape)
+            draw *= scale
+            part += draw.astype(part.dtype, copy=False)
+            del draw
     return cube

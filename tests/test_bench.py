@@ -274,7 +274,9 @@ def trial_cube():
 def test_stare_on_one_beam_is_cfar_and_grouping_of_the_integrated_beam(trial_cube):
     # merging duplicates across beams does nothing on a single beam
     grid = BeamGrid((0.0,))
-    _, detections, groups = stare(trial_cube, grid)
+    _, detections, groups, rows = stare([(0, trial_cube.n_slow, trial_cube)],
+                                        trial_cube.n_slow, grid)
+    assert rows is None
     reference = ca_cfar(integrate_cube(beamform_cube(trial_cube, grid)))
     assert detections and detections == reference
     assert groups == cluster_detections(reference)

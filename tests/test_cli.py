@@ -43,18 +43,21 @@ def test_synth_writes_the_dwell_cube(tmp_path, scene_path, step, n_slow):
 
 
 def test_synth_writes_the_cube_the_steps_synthesise(tmp_path, scene_path, monkeypatch):
-    captured = []
+    chunks = []
 
-    def capture(cube, grid):
-        captured.append(cube.data.copy())
-        return real_beamform(cube, grid)
+    def capture(cube, grid, out=None):
+        chunks.append(cube.data.copy())
+        return real_beamform(cube, grid, out=out)
 
     real_beamform = pipeline.beamform_cube
     monkeypatch.setattr(pipeline, "beamform_cube", capture)
     scene = pipeline.scene_from_dict(load_json(scene_path))
-    pipeline.run_step1(scene)
-    pipeline.run_step2(scene, 0.1)
-    assert len(captured) == 2
+    captured = []
+    for run in (lambda: pipeline.run_step1(scene), lambda: pipeline.run_step2(scene, 0.1)):
+        chunks.clear()
+        run()
+        # the steps beamform the dwell chunk by chunk, in chirp order
+        captured.append(np.concatenate(chunks, axis=1))
     for step, data in zip((1, 2), captured):
         out = tmp_path / f"step{step}"
         main(["synth", "--scene", str(scene_path), "--step", str(step), "--out-dir", str(out)])

@@ -359,13 +359,13 @@ def test_step3_singleton_beats_parabolic_refinement_off_grid(cfg8):
     assert abs(est.range_m - truth) < 0.02
 
 
-def test_step3_needs_the_element_cube(cfg8):
+def test_step3_needs_the_extraction_rows(cfg8):
     scene = tiny_scene(
         cfg8, [UavTruth(range0_m=60.0, velocity_mps=0.0, angle_rad=0.15)]
     )
     s2 = run_step2(scene, 0.15)
-    s2.element_cube = None
-    with pytest.raises(ValueError, match="element cube"):
+    s2.extraction_rows = None
+    with pytest.raises(ValueError, match="extraction rows"):
         run_step3(s2)
 
 

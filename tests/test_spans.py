@@ -211,7 +211,7 @@ def test_step2_is_bit_identical_for_any_worker_count(threaded, cfg8):
     one, three = with_workers(threaded, lambda: run_step2(scene, 0.15))
     assert one.detections == three.detections and one.detections
     assert one.groups == three.groups
-    assert np.array_equal(one.element_cube.data, three.element_cube.data)
+    assert np.array_equal(one.extraction_rows.data, three.extraction_rows.data)
 
 
 def test_a_grid_sized_trial_never_starts_a_thread(monkeypatch):

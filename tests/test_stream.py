@@ -1,0 +1,200 @@
+"""The dwell as a stream of chirp windows: same cubes, beams and detections as
+the whole-cube chain, and no element cube held by the stare.
+
+The window budget is lowered so that the small test dwells split into
+several 256-chirp windows and a ragged last one.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+import scipy.fft as sfft
+
+from rangesr import integrate, pipeline, spans, synth
+from rangesr.beamform import BeamGrid, beamform_cube, default_grid
+from rangesr.cfar import ca_cfar, cluster_detections, merge_beam_duplicates
+from rangesr.config import ConfigError, UavTruth, make_radar_config
+from rangesr.cube import DataCube
+from rangesr.integrate import integrate_cube
+from rangesr.pipeline import Scene, dwell_chirps, dwell_chunks, dwell_cube, run_step2, stare
+from rangesr.superres import ExtractionRows, FreqBand, SuperResError, extract_mmv, prior_band
+
+N_EX = 8
+
+
+@pytest.fixture
+def cfg():
+    # 64 fast-time samples, 8 elements
+    return make_radar_config(10e9, 50e6, 12.8e-6, 5e6, 8)
+
+
+@pytest.fixture
+def windows(monkeypatch, cfg):
+    """One noise block of chirps per window."""
+    monkeypatch.setattr(spans, "_CHUNK_BUDGET", synth._CHUNK_M * cfg.n_fast * cfg.n_elements)
+
+
+def scene_of(cfg, n_slow, snr_db):
+    return Scene(
+        name="stream",
+        config=cfg,
+        uavs=(
+            UavTruth(range0_m=60.0, velocity_mps=2.0, angle_rad=0.15),
+            UavTruth(range0_m=61.2, velocity_mps=2.0, angle_rad=0.15, amplitude=0.7),
+            UavTruth(range0_m=73.0, velocity_mps=-3.0, angle_rad=-0.2),
+        ),
+        dwell1_s=64 * cfg.chirp_s,
+        dwell2_s=n_slow * cfg.chirp_s,
+        gap_s=0.0,
+        snr_db=snr_db,
+        seed=4,
+    )
+
+
+def stare_window(cfg):
+    return BeamGrid(default_grid(cfg).angles_rad[8:13])
+
+
+def test_windows_are_noise_blocks_with_a_ragged_last_one(windows, cfg):
+    scene = scene_of(cfg, 600, 0.0)
+    got = [(m0, m1, chunk.data.shape) for m0, m1, chunk in dwell_chunks(scene, 2)]
+    assert got == [(0, 256, (64, 256, 8)), (256, 512, (64, 256, 8)), (512, 600, (64, 88, 8))]
+
+
+def test_the_window_rule_at_the_table_rates():
+    # smallest multiple of 256 chirps holding 4e6 entries
+    assert pipeline._chunk_chirps(pipeline.table_radar_config()) == 512
+    assert pipeline._chunk_chirps(pipeline.table_radar_config(50e6)) == 256
+
+
+@pytest.mark.parametrize("snr_db", [None, 0.0])
+def test_dwell_cube_is_the_windows_and_the_one_shot_dwell(windows, cfg, snr_db):
+    scene = scene_of(cfg, 600, snr_db)
+    cube = dwell_cube(scene, 2)
+    chunks = [chunk.data for _, _, chunk in dwell_chunks(scene, 2)]
+    assert np.array_equal(cube.data, np.concatenate(chunks, axis=1))
+    # synthesised and noised in one go, as one cube
+    whole = synth.synth_beat_cube(cfg, scene.step2_truths(), 600)
+    whole = synth.add_noise(whole, snr_db, rng_seed=scene.seed * 10 + 2)
+    assert np.array_equal(cube.data, whole.data)
+
+
+def test_a_window_must_lie_in_the_dwell(cfg):
+    for m0, m1 in ((0, 0), (-1, 4), (3, 9)):
+        with pytest.raises(ConfigError, match="window"):
+            synth.synth_beat_cube(cfg, [], 8, m0, m1)
+
+
+@pytest.mark.parametrize("snr_db", [None, 0.0])
+def test_streamed_stare_matches_the_whole_cube_chain(windows, cfg, monkeypatch, snr_db):
+    scene = scene_of(cfg, 600, snr_db)
+    grid = stare_window(cfg)
+    cube = dwell_cube(scene, 2)
+    beams = beamform_cube(cube, grid)
+    rda = integrate_cube(beams)
+    detections = merge_beam_duplicates(ca_cfar(rda))
+
+    integrated = []
+    real_integrate = pipeline.integrate_cube
+
+    def spy(cube, **kwargs):
+        integrated.append((cube.data.copy(), kwargs))
+        return real_integrate(cube, **kwargs)
+
+    monkeypatch.setattr(pipeline, "integrate_cube", spy)
+    got_rda, got_dets, got_groups, rows = stare(dwell_chunks(scene, 2), 600, grid, N_EX)
+    ((got_beams, kwargs),) = integrated
+    assert kwargs == {"overwrite_x": True}
+    assert np.array_equal(got_beams, beams.data)
+    assert np.array_equal(got_rda.data, rda.data)
+    assert got_dets == detections and len(detections) > 2
+    assert got_groups == cluster_detections(detections)
+    assert np.array_equal(rows.data, cube.data[np.arange(N_EX) * (64 // N_EX)])
+
+
+def test_step1_keeps_no_rows(windows, cfg):
+    scene = scene_of(cfg, 600, None)
+    *_, rows = stare(dwell_chunks(scene, 1), dwell_chirps(scene, 1), default_grid(cfg))
+    assert rows is None
+
+
+def test_group_mmv_on_kept_rows_is_extract_mmv_on_the_cube(windows, cfg):
+    scene = scene_of(cfg, 600, 0.0)
+    sigma = scene.noise_sigma()
+    cube = dwell_cube(scene, 2)
+    _, _, groups, rows = stare(dwell_chunks(scene, 2), 600, stare_window(cfg), N_EX)
+    compared = 0
+    for group in groups:
+        try:
+            band = prior_band(group, cfg.n_fast)
+        except SuperResError:
+            with pytest.raises(SuperResError):
+                pipeline.group_mmv(rows, group, sigma)
+            continue
+        got = pipeline.group_mmv(rows, group, sigma)
+        want = extract_mmv(cube, group.strongest.refined_doppler_bin, band, N_EX, sigma)
+        assert np.array_equal(got.data, want.data)
+        assert (got.f_shift, got.step, got.start_sample, got.sigma, got.band) == (
+            want.f_shift, want.step, want.start_sample, want.sigma, want.band)
+        compared += 1
+    assert compared >= 2
+
+
+def test_extraction_rows_must_match_n_ex(cfg):
+    cube = synth.synth_beat_cube(cfg, [UavTruth(range0_m=60.0)], 8)
+    rows = ExtractionRows.of(cube, 16)
+    band = FreqBand(0.28, 0.34)
+    assert np.array_equal(extract_mmv(rows, 0.0, band, n_ex=16).data,
+                          extract_mmv(cube, 0.0, band, n_ex=16).data)
+    with pytest.raises(ConfigError, match="n_ex"):
+        extract_mmv(rows, 0.0, band, n_ex=8)
+
+
+@pytest.mark.parametrize("budget", [None, 1])
+def test_integrate_in_place_equals_the_default_and_shares_the_buffer(
+    cfg, monkeypatch, budget
+):
+    if budget is not None:
+        # threaded spans of one-row chunks
+        monkeypatch.setattr(spans, "_CHUNK_BUDGET", budget)
+        monkeypatch.setattr(spans, "WORKERS", 3)
+    rng = np.random.default_rng(7)
+    shape = (64, 45, 5)
+    x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    beams = DataCube(x, "beam", cfg, beam_angles=stare_window(cfg).angles_rad)
+    want = integrate_cube(DataCube(x.copy(), "beam", cfg, beams.beam_angles))
+    got = integrate_cube(beams, overwrite_x=True)
+    assert np.array_equal(got.data, want.data)
+    assert np.shares_memory(got.data, x)
+
+
+def test_step2_never_holds_the_element_cube(monkeypatch):
+    # 16 elements: the element cube is 3.2 times the five-beam cube
+    cfg = make_radar_config(10e9, 50e6, 12.8e-6, 5e6, 16)
+    n_fast, n_el, n_slow = cfg.n_fast, cfg.n_elements, 2048
+    monkeypatch.setattr(spans, "_CHUNK_BUDGET", synth._CHUNK_M * n_fast * n_el)
+    monkeypatch.setattr(spans, "WORKERS", 2)
+    # the chirp-z workspace: 16 rows of five beams, split over the two spans,
+    # and the chirp kernels (1/beams of that)
+    workspace = 16 * 16 * sfft.next_fast_len(2 * n_slow - 1) * 5
+    monkeypatch.setattr(integrate, "_CHUNK_BUDGET", workspace // 16)
+    workspace += workspace // 5
+    scene = scene_of(cfg, n_slow, 10.0)
+    element_cube = 16 * n_fast * n_slow * n_el
+    beams = 16 * n_fast * n_slow * 5
+    kept = 16 * N_EX * n_slow * n_el
+    chunk = 16 * n_fast * synth._CHUNK_M * n_el
+    bound = beams + kept + chunk + workspace
+    # an element cube alone would break the bound
+    assert bound < element_cube
+
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        report = run_step2(scene, 0.15, n_ex=N_EX)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.detections and report.extraction_rows.data.nbytes == kept
+    assert peak < bound, f"peak {peak / 1e6:.1f} MB, bound {bound / 1e6:.1f} MB"
