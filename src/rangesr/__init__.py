@@ -6,7 +6,7 @@ gridless frequency recovery (band-constrained reweighted Toeplitz SDP) ->
 range estimates, plus a Monte Carlo benchmark harness and a CLI.
 """
 
-from .beamform import BeamGrid, beamform_cube, beams_to_elements, default_grid, steering_vector
+from .beamform import BeamGrid, beamform_cube, default_grid, steering_vector
 from .bench import GridSpec, SuccessGrid, assignment_rms, compare_methods, run_success_grid
 from .cfar import (
     CfarSettings,
@@ -26,9 +26,7 @@ from .config import (
 from .cube import CubeError, DataCube, RdaCube, load_cube, save_cube
 from .integrate import (
     integrate_cube,
-    keystone_explicit,
     range_ft,
-    scaled_slow_time_ft_direct,
     scaled_slow_time_ft_fast,
 )
 from .pipeline import (
@@ -86,7 +84,6 @@ __all__ = [
     "add_noise",
     "assignment_rms",
     "beamform_cube",
-    "beams_to_elements",
     "ca_cfar",
     "cluster_detections",
     "compare_methods",
@@ -94,7 +91,6 @@ __all__ = [
     "extract_mmv",
     "fsram_solve",
     "integrate_cube",
-    "keystone_explicit",
     "load_cube",
     "make_exp1_scene",
     "make_exp2_scene",
@@ -112,7 +108,6 @@ __all__ = [
     "run_step3",
     "run_success_grid",
     "save_cube",
-    "scaled_slow_time_ft_direct",
     "scaled_slow_time_ft_fast",
     "solve_weighted_toeplitz_sdp",
     "steering_vector",

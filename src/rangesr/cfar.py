@@ -23,7 +23,7 @@ worker count. One beam's maps are alive at a time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.ndimage import uniform_filter1d
@@ -279,7 +279,3 @@ def merge_beam_duplicates(detections: list[Detection]) -> list[Detection]:
     out = list(best.values())
     out.sort(key=lambda d: -d.power)
     return out
-
-
-def with_angle(det: Detection, angle_rad: float) -> Detection:
-    return replace(det, angle_rad=float(angle_rad))

@@ -4,7 +4,10 @@ Subcommands mirror the processing chain: `synth`, `beamform`, `integrate`,
 `detect`, `superres`, `pipeline`, `bench`, `compare`. Every command reads
 JSON configuration, writes JSON/CSV artifacts into --out-dir, and exits 0 on
 success or 2 on infeasible/diagnostic outcomes (no detections, infeasible
-solve, empty pipeline result, infeasible benchmark cells).
+solve, empty pipeline result, infeasible benchmark cells). The staged
+commands take the cube the stage before writes: `beamform` an element cube,
+`integrate` a beam cube and `detect` a range-Doppler cube; any other kind
+raises `CubeError`.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from .beamform import beamform_cube, default_grid
 from .bench import METHODS, GridSpec, compare_methods, run_success_grid
 from .cfar import CfarSettings, ca_cfar
 from .config import RadarConfig, UavTruth, dump_json, from_json, load_json, to_json
-from .cube import export_magnitude_csv, load_cube, save_cube
+from .cube import CubeError, RdaCube, export_magnitude_csv, load_cube, save_cube
 from .integrate import integrate_cube
 from .pipeline import (
     dwell_cube,
@@ -47,6 +50,15 @@ def _load_scene(args):
     return scene
 
 
+def _load_cube(args, kind: str):
+    """The --cube file, which must hold a cube of `kind` ("element", "beam" or "rda")."""
+    cube = load_cube(args.cube)
+    found = "rda" if isinstance(cube, RdaCube) else cube.axis2_kind
+    if found != kind:
+        raise CubeError(f"rangesr {args.command} expects a {kind} cube, got {found!r}")
+    return cube
+
+
 def _load_spec(args) -> GridSpec:
     spec = from_json(GridSpec, load_json(args.spec))
     if args.seed is not None:
@@ -64,7 +76,7 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_beamform(args) -> int:
-    cube = load_cube(args.cube)
+    cube = _load_cube(args, "element")
     out = _out_dir(args)
     grid = default_grid(cube.config, args.beams)
     beams = beamform_cube(cube, grid)
@@ -74,9 +86,9 @@ def _cmd_beamform(args) -> int:
 
 
 def _cmd_integrate(args) -> int:
-    cube = load_cube(args.cube)
+    cube = _load_cube(args, "beam")
     out = _out_dir(args)
-    rda = integrate_cube(cube, fast=not args.direct)
+    rda = integrate_cube(cube)
     save_cube(rda, out / "cube_rda.json")
     if args.csv:
         export_magnitude_csv(rda, out / "rda_beam0.csv", beam=0)
@@ -87,7 +99,7 @@ def _cmd_integrate(args) -> int:
 
 
 def _cmd_detect(args) -> int:
-    rda = load_cube(args.cube)
+    rda = _load_cube(args, "rda")
     out = _out_dir(args)
     settings = CfarSettings(
         train_cells=args.train, guard_cells=args.guard, pfa=args.pfa
@@ -221,7 +233,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("integrate", help="keystone long-time integration")
     p.add_argument("--cube", required=True)
-    p.add_argument("--direct", action="store_true", help="O(M^2) oracle path")
     p.add_argument("--csv", action="store_true", help="emit RD magnitude CSV")
     p.add_argument(
         "--walk-csv", action="store_true", help="emit per-chirp range walk CSV"

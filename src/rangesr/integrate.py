@@ -7,13 +7,14 @@ the slow-time DFT in one go is a scaled discrete Fourier transform
     out[n, k, g] = sum_m in[n, m, g] exp(-j 2pi k alpha_n m / M),
     alpha_n = 1 + gamma n dt / f_c,
 
-evaluated here either by direct summation (the oracle) or by the chirp-z
-(Bluestein) factorization: k m = (k^2 + m^2 - (k-m)^2)/2 turns the scaled DFT
-into a pre-chirp multiply, a cyclic convolution of length >= 2M-1 done with
-FFTs, and a post-chirp multiply. The chirp kernels are computed once per
-chunk of fast-time rows and shared by every beam of the chunk; the
-convolution runs in one reused workspace with in-place FFTs. An explicit
-interpolating keystone transform is kept alongside as an independent check.
+evaluated here by the chirp-z (Bluestein) factorization:
+k m = (k^2 + m^2 - (k-m)^2)/2 turns the scaled DFT into a pre-chirp multiply,
+a cyclic convolution of length >= 2M-1 done with FFTs, and a post-chirp
+multiply. The chirp kernels are computed once per chunk of fast-time rows and
+shared by every beam of the chunk; the convolution runs in one reused
+workspace with in-place FFTs. The test suite checks it against a direct
+O(M^2) summation and an explicit interpolating keystone transform
+(`tests/spectral_oracles.py`).
 
 The symmetric DFT (time and frequency both indexed about zero) of an
 even-length axis is a sign-modulated FFT, (-1)^(k + N/2) FFT((-1)^n x)[k],
@@ -47,9 +48,9 @@ _CHUNK_BUDGET = spans._CHUNK_BUDGET
 
 
 def _symmetric(
-    transform, x: np.ndarray, axis: int, overwrite: bool = False, workers: int = 1
+    x: np.ndarray, axis: int, overwrite: bool = False, workers: int = 1
 ) -> np.ndarray:
-    """Apply `transform` along `axis` with both indices centred on zero.
+    """DFT along `axis` with both indices centred on zero.
 
     With `overwrite`, an even-length complex `x` is transformed in place and
     the result shares its buffer.
@@ -58,7 +59,7 @@ def _symmetric(
     n = x.shape[axis]
     if n % 2:
         shifted = np.fft.ifftshift(x, axes=axis)
-        return np.fft.fftshift(transform(shifted, axis=axis, workers=workers), axes=axis)
+        return np.fft.fftshift(sfft.fft(shifted, axis=axis, workers=workers), axes=axis)
     shape = [1] * x.ndim
     shape[axis] = n
     sign = np.ones(n, dtype=np.result_type(x.real.dtype, np.float32))
@@ -68,19 +69,14 @@ def _symmetric(
         x *= sign
     else:
         x = x * sign
-    out = transform(x, axis=axis, overwrite_x=True, workers=workers)
+    out = sfft.fft(x, axis=axis, overwrite_x=True, workers=workers)
     out *= sign if n % 4 == 0 else -sign
     return out
 
 
 def symmetric_fft(x: np.ndarray, axis: int = 0) -> np.ndarray:
     """DFT with both time and frequency indexed symmetrically about zero."""
-    return _symmetric(sfft.fft, x, axis)
-
-
-def symmetric_ifft(x: np.ndarray, axis: int = 0) -> np.ndarray:
-    """Inverse of :func:`symmetric_fft` (1/length normalization)."""
-    return _symmetric(sfft.ifft, x, axis)
+    return _symmetric(x, axis)
 
 
 def _alphas(cube: DataCube) -> np.ndarray:
@@ -92,21 +88,6 @@ def _alphas(cube: DataCube) -> np.ndarray:
 def _require_beam(cube: DataCube) -> None:
     if cube.axis2_kind != "beam":
         raise CubeError(f"slow-time integration expects a beam cube, got {cube.axis2_kind!r}")
-
-
-def scaled_slow_time_ft_direct(cube: DataCube) -> DataCube:
-    """O(M^2) direct evaluation of the scaled slow-time DFT; the oracle path."""
-    _require_beam(cube)
-    m = axis_values(cube.n_slow).astype(np.float64)
-    alphas = _alphas(cube)
-    out = np.empty_like(cube.data, dtype=np.complex128)
-    km = np.outer(m, m)  # k and m share the same symmetric index set
-    for i, alpha in enumerate(alphas):
-        kernel = np.exp(-2j * np.pi * alpha / cube.n_slow * km)
-        out[i] = kernel @ cube.data[i]
-    return DataCube(
-        data=out, axis2_kind="beam", config=cube.config, beam_angles=cube.beam_angles
-    )
 
 
 def _scaled_dft(
@@ -175,9 +156,7 @@ def range_ft(inter: DataCube) -> RdaCube:
     The transform is written over `inter.data` when it is complex of even
     length; the returned cube then shares that buffer.
     """
-    data = _symmetric(
-        sfft.fft, inter.data, 0, overwrite=True, workers=spans.workers(inter.data.size)
-    )
+    data = _symmetric(inter.data, 0, overwrite=True, workers=spans.workers(inter.data.size))
     return RdaCube(
         data=data,
         config=inter.config,
@@ -186,41 +165,10 @@ def range_ft(inter: DataCube) -> RdaCube:
     )
 
 
-def range_profile_ft(cube: DataCube) -> np.ndarray:
-    """Per-chirp range profiles: DFT along fast time only (no slow-time work)."""
-    return symmetric_fft(cube.data, axis=0)
-
-
-def keystone_explicit(cube: DataCube) -> DataCube:
-    """Interpolating keystone transform (didactic/oracle path).
-
-    Resamples each fast-time row at slow-time positions m / alpha_n by
-    evaluating the row's trigonometric interpolant there,
-
-        y[n, m, g] = (1/M) sum_k spec[n, k, g] e^{+j2pi k (m/alpha_n) / M},
-
-    i.e. a scaled inverse DFT of the row spectrum, run through the same
-    chirp-z core as the fast path. Truncated finite-support kernels hop a
-    range cell on the first/last few chirps (one-sided windows); the full
-    interpolant has no such edge.
-    """
-    _require_beam(cube)
-    spec = symmetric_fft(cube.data, axis=1)
-    inv_scales = 1.0 / _alphas(cube)
-    out = np.conj(_scaled_dft(np.conj(spec), inv_scales)) / cube.n_slow
-    return DataCube(
-        data=out, axis2_kind="beam", config=cube.config, beam_angles=cube.beam_angles
-    )
-
-
-def integrate_cube(
-    cube: DataCube, fast: bool = True, overwrite_x: bool = False
-) -> RdaCube:
+def integrate_cube(cube: DataCube, overwrite_x: bool = False) -> RdaCube:
     """Scaled slow-time FT, then the range DFT in place on its output.
 
-    With `overwrite_x` (fast path only), `cube.data` may be overwritten; for a
-    complex128 cube of even length the result then shares its buffer.
+    With `overwrite_x`, `cube.data` may be overwritten; for a complex128 cube
+    of even length the result then shares its buffer.
     """
-    if fast:
-        return range_ft(scaled_slow_time_ft_fast(cube, overwrite_x=overwrite_x))
-    return range_ft(scaled_slow_time_ft_direct(cube))
+    return range_ft(scaled_slow_time_ft_fast(cube, overwrite_x=overwrite_x))

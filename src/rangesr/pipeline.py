@@ -29,7 +29,6 @@ gap.
 
 from __future__ import annotations
 
-import time
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, replace
 
@@ -231,8 +230,6 @@ class Step1Report:
     angle_est_rad: float | None
     sin_est: float | None
     n_chirps: int
-    beam_angles: tuple[float, ...]
-    elapsed_s: float = 0.0
 
     def to_dict(self) -> dict:
         return {
@@ -249,12 +246,10 @@ class Step2Report:
     detections: list[Detection]
     groups: list[DetectionGroup]
     angle_prior_rad: float
-    beam_indices: tuple[int, ...]
     beam_angles: tuple[float, ...]
     n_chirps: int
     noise_sigma: float
     n_ex: int
-    elapsed_s: float = 0.0
     extraction_rows: ExtractionRows | None = None
 
     def to_dict(self) -> dict:
@@ -288,7 +283,6 @@ class LocalizationResult:
     estimates: list[UavEstimate]
     group_reports: list[dict]
     method: str
-    elapsed_s: float = 0.0
 
     def to_dict(self) -> dict:
         return {
@@ -365,7 +359,6 @@ def group_mmv(
 
 
 def run_step1(scene: Scene) -> Step1Report:
-    t0 = time.perf_counter()
     grid = default_grid(scene.config)
     rda, detections, groups, _ = stare(dwell_chunks(scene, 1), dwell_chirps(scene, 1), grid)
     angle = sin_est = None
@@ -378,8 +371,6 @@ def run_step1(scene: Scene) -> Step1Report:
         angle_est_rad=angle,
         sin_est=sin_est,
         n_chirps=rda.n_slow,
-        beam_angles=grid.angles_rad,
-        elapsed_s=time.perf_counter() - t0,
     )
 
 
@@ -390,14 +381,12 @@ def run_step2(scene: Scene, angle_prior_rad: float, n_ex: int = 32) -> Step2Repo
     its slot in `beam_angles`. The report keeps the `n_ex` element-cube rows
     that step 3 extracts from, not the cube.
     """
-    t0 = time.perf_counter()
     grid = default_grid(scene.config)
     sines = np.sin(np.asarray(grid.angles_rad))
     g0 = int(np.argmin(np.abs(sines - np.sin(angle_prior_rad))))
     lo = max(0, g0 - _STARE_HALF_WINDOW)
     hi = min(len(sines), g0 + _STARE_HALF_WINDOW + 1)
-    beam_idx = tuple(range(lo, hi))
-    beam_angles = tuple(grid.angles_rad[g] for g in beam_idx)
+    beam_angles = grid.angles_rad[lo:hi]
 
     rda, detections, groups, kept = stare(
         dwell_chunks(scene, 2), dwell_chirps(scene, 2), BeamGrid(beam_angles), n_ex
@@ -406,12 +395,10 @@ def run_step2(scene: Scene, angle_prior_rad: float, n_ex: int = 32) -> Step2Repo
         detections=detections,
         groups=groups,
         angle_prior_rad=float(angle_prior_rad),
-        beam_indices=beam_idx,
         beam_angles=beam_angles,
         n_chirps=rda.n_slow,
         noise_sigma=scene.noise_sigma(),
         n_ex=n_ex,
-        elapsed_s=time.perf_counter() - t0,
         extraction_rows=kept,
     )
 
@@ -487,7 +474,6 @@ def run_step3(step2: Step2Report, method: str = "fsram") -> LocalizationResult:
     speck. Of a solved group, the in-band atoms within 20 dB of its strongest
     atom become estimates.
     """
-    t0 = time.perf_counter()
     rows = step2.extraction_rows
     if rows is None:
         raise ValueError("step-2 report lacks the extraction rows")
@@ -563,7 +549,6 @@ def run_step3(step2: Step2Report, method: str = "fsram") -> LocalizationResult:
         estimates=estimates,
         group_reports=group_reports,
         method=method,
-        elapsed_s=time.perf_counter() - t0,
     )
 
 

@@ -1,10 +1,16 @@
-"""Independent spectral oracles for the test suite.
+"""Reference transforms for the test suite.
 
 Kept out of conftest.py so that the package and benchmark test trees can be
-collected in one pytest run, each with its own conftest.
+collected in one pytest run, each with its own conftest. The package has one
+path per stage; these are the second paths its tests compare it with. Each
+docstring says whether the oracle shares code with the package.
 """
 
 import numpy as np
+
+from rangesr.beamform import steering_vector
+from rangesr.cube import CubeError, DataCube, axis_values
+from rangesr.integrate import _alphas, _require_beam, _scaled_dft, symmetric_fft
 
 
 def dft_peak_freq(x, pad=64):
@@ -24,3 +30,76 @@ def dft_peak_freq(x, pad=64):
 def dft_peak_resolution(n, pad=64):
     """Half a padded bin: the argmax oracle's worst-case quantization."""
     return 0.5 / (pad * n)
+
+
+def scaled_slow_time_ft_direct(cube: DataCube) -> DataCube:
+    """O(M^2) direct evaluation of the scaled slow-time DFT.
+
+    Independent of the chirp-z core: it shares only the package's scale
+    factors (`integrate._alphas`) and beam-cube check.
+    """
+    _require_beam(cube)
+    m = axis_values(cube.n_slow).astype(np.float64)
+    alphas = _alphas(cube)
+    out = np.empty_like(cube.data, dtype=np.complex128)
+    km = np.outer(m, m)  # k and m share the same symmetric index set
+    for i, alpha in enumerate(alphas):
+        kernel = np.exp(-2j * np.pi * alpha / cube.n_slow * km)
+        out[i] = kernel @ cube.data[i]
+    return DataCube(
+        data=out, axis2_kind="beam", config=cube.config, beam_angles=cube.beam_angles
+    )
+
+
+def range_profile_ft(cube: DataCube) -> np.ndarray:
+    """Per-chirp range profiles: DFT along fast time only (no slow-time work).
+
+    Shares code with the package: it is `integrate.symmetric_fft` on axis 0.
+    """
+    return symmetric_fft(cube.data, axis=0)
+
+
+def keystone_explicit(cube: DataCube) -> DataCube:
+    """Interpolating keystone transform.
+
+    Resamples each fast-time row at slow-time positions m / alpha_n by
+    evaluating the row's trigonometric interpolant there,
+
+        y[n, m, g] = (1/M) sum_k spec[n, k, g] e^{+j2pi k (m/alpha_n) / M},
+
+    i.e. a scaled inverse DFT of the row spectrum. Shares code with the
+    package: it runs through the same chirp-z core (`integrate._scaled_dft`)
+    and `integrate.symmetric_fft`, so it checks the keystone's geometry, not
+    the transform's arithmetic. Truncated finite-support kernels hop a range
+    cell on the first/last few chirps (one-sided windows); the full
+    interpolant has no such edge.
+    """
+    _require_beam(cube)
+    spec = symmetric_fft(cube.data, axis=1)
+    inv_scales = 1.0 / _alphas(cube)
+    out = np.conj(_scaled_dft(np.conj(spec), inv_scales)) / cube.n_slow
+    return DataCube(
+        data=out, axis2_kind="beam", config=cube.config, beam_angles=cube.beam_angles
+    )
+
+
+def beams_to_elements(cube: DataCube) -> DataCube:
+    """Invert beamforming for a full uniform-in-sin grid over [-1, 1).
+
+    With G >= L beams placed by `default_grid`, beamforming is an
+    oversampled discrete Fourier transform along the element axis; the
+    adjoint sum divided by G restores the element-domain samples exactly.
+    Shares the package's `steering_vector`, not its beamformer.
+    """
+    if cube.axis2_kind != "beam":
+        raise CubeError("beams_to_elements expects a beam cube")
+    if cube.beam_angles is None:
+        raise CubeError("beam cube lacks its beam angles")
+    g = len(cube.beam_angles)
+    if g < cube.config.n_elements:
+        raise CubeError(f"need at least L={cube.config.n_elements} beams, got {g}")
+    weights = np.stack(
+        [steering_vector(cube.config, a) for a in cube.beam_angles], axis=1
+    )  # (L, G)
+    data = cube.data @ weights.conj().T.astype(cube.data.dtype) / g
+    return DataCube(data=data, axis2_kind="element", config=cube.config)

@@ -8,13 +8,13 @@ from hypothesis import strategies as st
 from rangesr.beamform import (
     BeamGrid,
     beamform_cube,
-    beams_to_elements,
     default_grid,
     steering_vector,
 )
 from rangesr.config import UavTruth, make_radar_config
 from rangesr.cube import CubeError, DataCube
 from rangesr.synth import synth_beat_cube
+from spectral_oracles import beams_to_elements
 
 
 def random_cube(cfg, n, m, seed):
@@ -121,8 +121,3 @@ def test_beamform_input_contracts(tiny_cfg):
     wrong_channels = DataCube(np.zeros((4, 4, 3), complex), "element", tiny_cfg)
     with pytest.raises(CubeError):
         beamform_cube(wrong_channels, grid)
-    few_beams = DataCube(
-        np.zeros((4, 4, 2), complex), "beam", tiny_cfg, beam_angles=(0.0, 0.1)
-    )
-    with pytest.raises(CubeError):
-        beams_to_elements(few_beams)

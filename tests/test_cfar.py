@@ -1,5 +1,7 @@
 """CA-CFAR thresholding, sub-bin refinement, clustering."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.ndimage import maximum_filter, uniform_filter
@@ -12,7 +14,6 @@ from rangesr.cfar import (
     merge_beam_duplicates,
     noise_level_map,
     refine_peak,
-    with_angle,
 )
 from rangesr.config import ConfigError, UavTruth, from_json, make_radar_config, to_json
 from rangesr.cube import DataCube, RdaCube
@@ -220,7 +221,7 @@ def test_merge_beam_duplicates_keeps_strongest():
 
 
 def test_with_angle_and_dict_round_trip():
-    d = with_angle(make_det(rbin=3, dbin=-2, power=4.2), 0.15)
+    d = replace(make_det(rbin=3, dbin=-2, power=4.2), angle_rad=0.15)
     assert d.angle_rad == 0.15
     back = from_json(Detection, to_json(d))
     assert back == d

@@ -9,9 +9,11 @@ from rangesr import bench, cli, pipeline
 from rangesr.bench import GridSpec
 from rangesr.cli import main
 from rangesr.config import UavTruth, dump_json, load_json, make_radar_config, to_json
-from rangesr.cube import load_cube
+from rangesr.cube import CubeError, load_cube
+from rangesr.integrate import range_ft
 from rangesr.pipeline import Scene, scene_to_dict
 from rangesr.superres import SuperResError
+from spectral_oracles import scaled_slow_time_ft_direct
 
 
 @pytest.fixture()
@@ -144,20 +146,41 @@ def test_chain_synth_beamform_integrate_detect(tmp_path, scene_path, capsys):
     beams = load_cube(out / "cube_beams.json")
     assert beams.axis2_kind == "beam" and beams.data.shape == (64, 64, 8)
 
-    assert run("integrate", "--cube", out / "cube_beams.json", out_dir=out / "fast") == 0
-    assert run("integrate", "--cube", out / "cube_beams.json", "--direct",
-               out_dir=out / "direct") == 0
-    fast = load_cube(out / "fast" / "cube_rda.json").data
-    direct = load_cube(out / "direct" / "cube_rda.json").data
-    assert fast.shape == (64, 64, 8)
-    # the oracle tolerance of the keystone tests, after a float32 round trip
-    assert np.max(np.abs(fast - direct)) / np.max(np.abs(direct)) < 1e-9
+    assert run("integrate", "--cube", out / "cube_beams.json") == 0
+    rda = load_cube(out / "cube_rda.json").data
+    assert rda.shape == (64, 64, 8)
+    # the direct O(M^2) oracle, rounded through complex64 as save_cube stores
+    # the RDA; the oracle tolerance of the keystone tests
+    direct = range_ft(scaled_slow_time_ft_direct(beams)).data.astype(np.complex64)
+    assert np.max(np.abs(rda - direct)) / np.max(np.abs(direct)) < 1e-9
 
     capsys.readouterr()
-    assert run("detect", "--cube", out / "fast" / "cube_rda.json") == 0
+    assert run("detect", "--cube", out / "cube_rda.json") == 0
     assert "detections" in capsys.readouterr().out
     lines = (out / "detections.jsonl").read_text().splitlines()
     top = json.loads(lines[0])   # sorted by falling power
     # 2 m/s is a tenth of a Doppler cell at 64 chirps
     assert top["doppler_bin"] == 0
     assert top["refined_range_m"] == pytest.approx(30.0, abs=1.5)
+
+
+@pytest.mark.parametrize(
+    "command, cube, want, got",
+    [
+        ("detect", "cube_step1.json", "rda", "element"),
+        ("integrate", "cube_rda.json", "beam", "rda"),
+        ("beamform", "cube_rda.json", "element", "rda"),
+    ],
+)
+def test_staged_commands_name_the_cube_kind_they_expect(
+    tmp_path, scene_path, command, cube, want, got
+):
+    out = tmp_path / "out"
+    for argv in (
+        ["synth", "--scene", scene_path, "--step", "1"],
+        ["beamform", "--cube", out / "cube_step1.json"],
+        ["integrate", "--cube", out / "cube_beams.json"],
+    ):
+        assert main([*map(str, argv), "--out-dir", str(out)]) == 0
+    with pytest.raises(CubeError, match=f"rangesr {command} expects a {want} cube, got '{got}'"):
+        main([command, "--cube", str(out / cube), "--out-dir", str(out)])

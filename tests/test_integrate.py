@@ -11,15 +11,12 @@ from rangesr.config import UavTruth, make_radar_config
 from rangesr.cube import CubeError, DataCube, axis_values
 from rangesr.integrate import (
     integrate_cube,
-    keystone_explicit,
     range_ft,
-    range_profile_ft,
-    scaled_slow_time_ft_direct,
     scaled_slow_time_ft_fast,
     symmetric_fft,
-    symmetric_ifft,
 )
 from rangesr.synth import synth_beat_cube
+from spectral_oracles import keystone_explicit, range_profile_ft, scaled_slow_time_ft_direct
 
 
 def random_beam_cube(cfg, n, m, g, seed):
@@ -38,7 +35,7 @@ def test_symmetric_fft_parseval_and_inverse():
     x = rng.standard_normal((32, 5)) + 1j * rng.standard_normal((32, 5))
     spec = symmetric_fft(x, axis=0)
     assert np.sum(np.abs(spec) ** 2) == pytest.approx(32 * np.sum(np.abs(x) ** 2), rel=1e-12)
-    assert np.allclose(symmetric_ifft(spec, axis=0), x, rtol=1e-12, atol=1e-12)
+    assert np.allclose(shift_fft_reference(spec, 0, inverse=True), x, rtol=1e-12, atol=1e-12)
 
 
 def test_symmetric_fft_places_symmetric_tone():
@@ -74,7 +71,7 @@ def test_zero_cube_stays_zero(tiny_cfg):
 
 def test_transforms_reject_element_cubes(tiny_cfg):
     cube = DataCube(np.zeros((8, 4, 4), complex), "element", tiny_cfg)
-    for fn in (scaled_slow_time_ft_fast, scaled_slow_time_ft_direct, keystone_explicit):
+    for fn in (scaled_slow_time_ft_fast, integrate_cube):
         with pytest.raises(CubeError):
             fn(cube)
 
@@ -167,15 +164,12 @@ def test_keystone_and_scaled_transform_agree_on_migrating_peak():
     )
 
 
-def test_integrate_cube_direct_flag(tiny_cfg):
+def test_integrate_cube_is_slow_time_ft_then_range_ft(tiny_cfg):
     cube = random_beam_cube(tiny_cfg, 16, 12, 2, seed=9)
-    fast = integrate_cube(cube, fast=True)
-    slow = integrate_cube(cube, fast=False)
-    assert rel_err(fast.data, slow.data) < 1e-9
-    assert fast.n_slow == 12
-    # integration is the scaled slow-time FT followed by the range DFT
+    rda = integrate_cube(cube)
+    assert rda.n_slow == 12
     assert np.allclose(
-        fast.data, range_ft(scaled_slow_time_ft_fast(cube)).data, rtol=1e-12, atol=1e-9
+        rda.data, range_ft(scaled_slow_time_ft_fast(cube)).data, rtol=1e-12, atol=1e-9
     )
 
 
@@ -232,9 +226,8 @@ def shift_fft_reference(x, axis, inverse=False):
 def test_symmetric_transforms_match_the_shift_form(shape, axis):
     rng = np.random.default_rng(sum(shape) + axis)
     x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    for fn, inverse in ((symmetric_fft, False), (symmetric_ifft, True)):
-        ref = shift_fft_reference(x, axis, inverse)
-        assert np.allclose(fn(x, axis=axis), ref, rtol=1e-13, atol=1e-13 * np.abs(ref).max())
+    ref = shift_fft_reference(x, axis)
+    assert np.allclose(symmetric_fft(x, axis=axis), ref, rtol=1e-13, atol=1e-13 * np.abs(ref).max())
 
 
 def test_symmetric_fft_keeps_dtype_and_input():
