@@ -230,7 +230,7 @@ def run_trial_method(
         rows = replace(rows, data=np.ascontiguousarray(rows.data[:, mid : mid + 1, :]))
     try:
         # groups come sorted by falling power
-        mmv = group_mmv(rows, groups[0], sigma)
+        mmv = group_mmv(rows, groups[0])
         result = solve_by_name(method, mmv, n_atoms=k, options=options)
     except (SuperResError, ValueError, np.linalg.LinAlgError):
         return float("inf")

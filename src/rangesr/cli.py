@@ -34,7 +34,7 @@ from .pipeline import (
     write_range_walk_csv,
 )
 from .superres import FreqBand, SuperResError, extract_mmv, solve_by_name
-from .synth import add_noise, noise_sigma, synth_beat_cube
+from .synth import add_noise, synth_beat_cube
 
 
 def _out_dir(args) -> Path:
@@ -125,9 +125,7 @@ def _cmd_superres(args) -> int:
         for r in ranges
     )
     cube = synth_beat_cube(cfg, truths, n_slow=int(problem.get("n_slow", 1)))
-    snr_db = problem.get("snr_db")
-    cube = add_noise(cube, snr_db, rng_seed=seed + 1)
-    sigma = 0.0 if snr_db is None else noise_sigma(float(snr_db))
+    cube = add_noise(cube, problem.get("snr_db"), rng_seed=seed + 1)
     if "band_m" in problem:
         lo_m, hi_m = problem["band_m"]
     else:
@@ -139,7 +137,6 @@ def _cmd_superres(args) -> int:
         doppler_bin=0.0,
         band=band,
         n_ex=int(problem.get("n_ex", 32)),
-        noise_sigma=sigma,
     )
     try:
         result = solve_by_name(args.method, mmv, n_atoms=problem.get("n_atoms"))

@@ -99,14 +99,6 @@ class RdaCube:
             2.0 * self.n_slow * cfg.chirp_s * cfg.carrier_hz
         )
 
-    def bin_of_range(self, range_m) -> np.ndarray | float:
-        cfg = self.config
-        return np.asarray(range_m) * 2.0 * cfg.chirp_rate_hz_per_s * self.n_range * cfg.dt / C_LIGHT
-
-    def bin_of_velocity(self, velocity_mps) -> np.ndarray | float:
-        cfg = self.config
-        return np.asarray(velocity_mps) * 2.0 * self.n_slow * cfg.chirp_s * cfg.carrier_hz / C_LIGHT
-
 
 def _payload_path(sidecar_path: Path) -> Path:
     return sidecar_path.with_suffix(".bin")

@@ -55,7 +55,7 @@ from .superres import (
     prior_band,
     solve_by_name,
 )
-from .synth import add_noise, noise_sigma, synth_beat_cube
+from .synth import add_noise, synth_beat_cube
 
 DEFAULT_GAP_S = 6.0 / 44.01   # the table offsets: 6 m advance at swarm speed
 _STARE_HALF_WINDOW = 2        # step 2 stares on the prior beam and 2 either side
@@ -95,9 +95,6 @@ class Scene:
     gap_s: float = DEFAULT_GAP_S
     snr_db: float | None = None
     seed: int = 0
-
-    def noise_sigma(self) -> float:
-        return 0.0 if self.snr_db is None else noise_sigma(self.snr_db)
 
     def step2_truths(self) -> tuple[UavTruth, ...]:
         if self.step2_uavs is not None:
@@ -243,12 +240,14 @@ class Step1Report:
 
 @dataclass
 class Step2Report:
+    """The long stare's detections and groups and the rows step 3 extracts
+    from; step 3 reads its noise level from the data (`MmvMatrix.sigma`)."""
+
     detections: list[Detection]
     groups: list[DetectionGroup]
     angle_prior_rad: float
     beam_angles: tuple[float, ...]
     n_chirps: int
-    noise_sigma: float
     n_ex: int
     extraction_rows: ExtractionRows | None = None
 
@@ -344,9 +343,7 @@ def stare(
     return rda, detections, cluster_detections(detections), kept
 
 
-def group_mmv(
-    rows: ExtractionRows, group: DetectionGroup, noise_sigma: float
-) -> MmvMatrix:
+def group_mmv(rows: ExtractionRows, group: DetectionGroup) -> MmvMatrix:
     """Step 3's input for one group: the kept rows extracted over the group's
     prior band at its strongest member's refined Doppler bin."""
     return extract_mmv(
@@ -354,7 +351,6 @@ def group_mmv(
         doppler_bin=group.strongest.refined_doppler_bin,
         band=prior_band(group, rows.n_fast),
         n_ex=rows.n_ex,
-        noise_sigma=noise_sigma,
     )
 
 
@@ -397,7 +393,6 @@ def run_step2(scene: Scene, angle_prior_rad: float, n_ex: int = 32) -> Step2Repo
         angle_prior_rad=float(angle_prior_rad),
         beam_angles=beam_angles,
         n_chirps=rda.n_slow,
-        noise_sigma=scene.noise_sigma(),
         n_ex=n_ex,
         extraction_rows=kept,
     )
@@ -505,7 +500,7 @@ def run_step3(step2: Step2Report, method: str = "fsram") -> LocalizationResult:
             group_reports.append(report)
             continue
         try:
-            mmv = group_mmv(rows, group, step2.noise_sigma)
+            mmv = group_mmv(rows, group)
             result = solve_by_name(method, mmv)
         except (SuperResError, ValueError) as err:
             estimates.append(replace(fallback, step="step3-fallback"))

@@ -6,8 +6,8 @@ rows or beams. numpy, scipy.fft and scipy.ndimage release the GIL on large
 arrays, so threads over contiguous row spans use every core the process may
 run on. The rule:
 
-- workers come from the CPU affinity of the process (`os.sched_getaffinity`),
-  and the pool is created on first use;
+- workers come from the CPU affinity of the process (the CPU count where the
+  platform has no affinity call), and the pool is created on first use;
 - span bounds depend only on the row count and the worker count, and every
   output element is computed by the same code whatever span it falls in, so
   outputs are bit-identical for any worker count;
@@ -35,7 +35,8 @@ from concurrent.futures import ThreadPoolExecutor, wait
 # inline
 _CHUNK_BUDGET = 4_000_000
 
-WORKERS = len(os.sched_getaffinity(0))
+_affinity = getattr(os, "sched_getaffinity", None)   # absent on macOS and Windows
+WORKERS = len(_affinity(0)) if _affinity else os.cpu_count() or 1
 
 _pool: ThreadPoolExecutor | None = None
 

@@ -9,7 +9,7 @@ with an integer stride so a small number of samples still spans the full
 chirp (keeping the native range aperture). The resulting N_ex x L matrix S
 feeds either the band-constrained reweighted Toeplitz SDP, its
 unconstrained variant, or MUSIC; recovered local frequencies map affinely
-back to absolute range.
+back to absolute range. The noise level comes from S itself, not the scene.
 """
 
 from __future__ import annotations
@@ -75,15 +75,13 @@ class MmvMatrix:
     """Extracted snapshot matrix plus the bookkeeping to undo the mapping.
 
     A fast-time tone at global frequency f appears in `data` at local
-    frequency (f - f_shift) * step (mod 1); `sigma` is the per-entry noise
-    standard deviation after slow-time matched filtering.
+    frequency (f - f_shift) * step (mod 1).
     """
 
     data: np.ndarray
     f_shift: float
     step: int
     start_sample: int
-    sigma: float
     doppler_bin: float
     band: FreqBand
     config: RadarConfig
@@ -107,9 +105,26 @@ class MmvMatrix:
         hi = (self.band.f_hi - self.f_shift) * self.step
         return float(lo), float(hi)
 
+    @property
+    def sigma(self) -> float:
+        """Per-entry noise standard deviation, read from the data: the rank r
+        counts singular values above omega(beta) * median (Gavish & Donoho's
+        unknown-noise threshold, IEEE TIT 2014; r may be 0), and the rest give
+        sigma = sqrt(sum_{i>=r} s_i^2 / ((N - r)(L - r))). A single column has
+        no noise bulk, so it reads 0 and eta is the model floor; the pipeline
+        and the grid never build one (their snapshots are the 16 elements)."""
+        n, l = self.data.shape
+        if min(n, l) < 2:
+            return 0.0
+        s = np.linalg.svd(self.data, compute_uv=False)
+        beta = min(n, l) / max(n, l)
+        omega = 0.56 * beta**3 - 0.95 * beta**2 + 1.82 * beta + 1.43
+        r = int(np.count_nonzero(s > omega * np.median(s)))
+        return float(np.sqrt(np.sum(s[r:] ** 2) / ((n - r) * (l - r))))
+
     def default_eta(self) -> float:
-        """Noise budget: Frobenius tail bound for the filtered noise, floored
-        at a small fraction of the data norm.
+        """Noise budget: Frobenius tail bound for noise of the level `sigma`
+        reads from the data, floored at a small fraction of the data norm.
 
         The floor covers the extraction's model error: the slow-time matched
         filter runs at the refined (fractional) Doppler bin, which cancels
@@ -159,7 +174,6 @@ def extract_mmv(
     doppler_bin: float,
     band: FreqBand,
     n_ex: int = 32,
-    noise_sigma: float = 0.0,
 ) -> MmvMatrix:
     """Matched-filter, demodulate, and decimate one detected Doppler cell.
 
@@ -197,7 +211,6 @@ def extract_mmv(
         f_shift=float(f_shift),
         step=int(step),
         start_sample=-(n_fast // 2),
-        sigma=float(noise_sigma) * np.sqrt(n_slow),
         doppler_bin=float(doppler_bin),
         band=band,
         config=cfg,

@@ -251,7 +251,7 @@ def test_single_period_baseline_merges_equal_range_targets():
         config=cfg,
     )
     band = FreqBand(cfg.beat_freq(166.0), cfg.beat_freq(172.0))
-    mmv = extract_mmv(single, doppler_bin=0.0, band=band, n_ex=32, noise_sigma=0.0)
+    mmv = extract_mmv(single, doppler_bin=0.0, band=band, n_ex=32)
     res = ram_solve(mmv)
     ranges = np.sort(res.ranges_m)
     assert res.n_atoms == 3  # four targets, three recovered: the 168 m pair fused
@@ -290,8 +290,7 @@ def test_one_chirp_extraction_ignores_the_doppler_bin(trial_cube):
         config=cfg,
     )
     band = FreqBand(cfg.beat_freq(164.0), cfg.beat_freq(172.0))
-    at_zero = extract_mmv(single, doppler_bin=0.0, band=band, n_ex=32, noise_sigma=0.3)
+    at_zero = extract_mmv(single, doppler_bin=0.0, band=band, n_ex=32)
     for doppler_bin in (0.37, -12.8, 31.6):
-        mmv = extract_mmv(single, doppler_bin=doppler_bin, band=band, n_ex=32,
-                          noise_sigma=0.3)
+        mmv = extract_mmv(single, doppler_bin=doppler_bin, band=band, n_ex=32)
         assert np.array_equal(mmv.data, at_zero.data)

@@ -12,7 +12,7 @@ from rangesr.config import UavTruth, dump_json, load_json, make_radar_config, to
 from rangesr.cube import CubeError, load_cube
 from rangesr.integrate import range_ft
 from rangesr.pipeline import Scene, scene_to_dict
-from rangesr.superres import SuperResError
+from rangesr.superres import SuperResError, solve_by_name
 from spectral_oracles import scaled_slow_time_ft_direct
 
 
@@ -88,15 +88,25 @@ def test_superres_resolves_two_targets_on_the_table_radar(tmp_path):
     assert got == pytest.approx(truth, abs=0.3)
 
 
-def test_superres_inside_the_noise_ball_reports_no_atoms(tmp_path):
-    # at -15 dB this draw's data norm (129.3) is inside eta (132.75)
+def test_superres_inside_the_noise_ball_reports_no_atoms(tmp_path, monkeypatch):
+    # at -15 dB this draw's data norm (129.3) is inside the eta that its
+    # noise level, read from the data, gives (134.92)
+    solved = []
+
+    def keep_mmv(method, mmv, **kwargs):
+        solved.append(mmv)
+        return solve_by_name(method, mmv, **kwargs)
+
+    monkeypatch.setattr(cli, "solve_by_name", keep_mmv)
     problem = tmp_path / "problem.json"
     dump_json({"ranges_m": [165.0, 166.8], "snr_db": -15, "seed": 0}, problem)
     code = main(["superres", "--problem", str(problem), "--out-dir", str(tmp_path)])
     assert code == 0
     result = load_json(tmp_path / "superres.json")
     assert result["ranges_m"] == [] and result["powers"] == []
-    assert result["eta"] == pytest.approx(132.75, abs=0.01)
+    assert result["eta"] == pytest.approx(134.92, abs=0.01)
+    (mmv,) = solved
+    assert np.linalg.norm(mmv.data) < result["eta"] == mmv.default_eta()
 
 
 def test_superres_failed_solve_exits_2_with_one_line(tmp_path, monkeypatch, capsys):

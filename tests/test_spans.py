@@ -5,6 +5,7 @@ lowered so that the small test cubes do go through the pool; three workers
 divide neither the odd row counts nor the five beams used here.
 """
 
+import importlib
 import os
 import threading
 import time
@@ -53,6 +54,20 @@ def random_cube(shape, seed):
 
 
 def test_default_workers_follow_the_cpu_affinity():
+    assert spans.WORKERS == len(os.sched_getaffinity(0))
+
+
+def test_workers_fall_back_to_the_cpu_count_without_an_affinity_call(monkeypatch):
+    # macOS and Windows have no os.sched_getaffinity; importing must still work
+    pool = spans._pool
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    try:
+        importlib.reload(spans)
+        assert spans.WORKERS == (os.cpu_count() or 1)
+    finally:
+        monkeypatch.undo()
+        importlib.reload(spans)
+        spans._pool = pool
     assert spans.WORKERS == len(os.sched_getaffinity(0))
 
 

@@ -121,7 +121,6 @@ def test_step1_keeps_no_rows(windows, cfg):
 
 def test_group_mmv_on_kept_rows_is_extract_mmv_on_the_cube(windows, cfg):
     scene = scene_of(cfg, 600, 0.0)
-    sigma = scene.noise_sigma()
     cube = dwell_cube(scene, 2)
     _, _, groups, rows = stare(dwell_chunks(scene, 2), 600, stare_window(cfg), N_EX)
     compared = 0
@@ -130,10 +129,10 @@ def test_group_mmv_on_kept_rows_is_extract_mmv_on_the_cube(windows, cfg):
             band = prior_band(group, cfg.n_fast)
         except SuperResError:
             with pytest.raises(SuperResError):
-                pipeline.group_mmv(rows, group, sigma)
+                pipeline.group_mmv(rows, group)
             continue
-        got = pipeline.group_mmv(rows, group, sigma)
-        want = extract_mmv(cube, group.strongest.refined_doppler_bin, band, N_EX, sigma)
+        got = pipeline.group_mmv(rows, group)
+        want = extract_mmv(cube, group.strongest.refined_doppler_bin, band, N_EX)
         assert np.array_equal(got.data, want.data)
         assert (got.f_shift, got.step, got.start_sample, got.sigma, got.band) == (
             want.f_shift, want.step, want.start_sample, want.sigma, want.band)

@@ -43,14 +43,13 @@ def cfg():
     return make_radar_config(10e9, 50e6, 12.8e-6, 5e6, 4)
 
 
-def hand_mmv(data, band, cfg, sigma=0.0):
+def hand_mmv(data, band, cfg):
     """Snapshot matrix with identity bookkeeping (step 1, no shift)."""
     return MmvMatrix(
         data=np.asarray(data, dtype=np.complex128),
         f_shift=0.0,
         step=1,
         start_sample=-data.shape[0] // 2,
-        sigma=sigma,
         doppler_bin=0.0,
         band=band,
         config=cfg,
@@ -194,8 +193,8 @@ def test_extract_keeps_same_velocity_subset_and_rejects_others(cfg):
 
 def test_extract_noise_and_signal_gain_bookkeeping(cfg):
     """Slow-time summation multiplies noise power by M and signal power by
-    M^2, so the per-entry SNR gain is 10 log10(M) dB; `sigma` records the
-    filtered noise level."""
+    M^2, so the per-entry SNR gain is 10 log10(M) dB; `sigma` reads the
+    filtered noise level off the data."""
     n_slow, sigma = 64, 0.3
     rng = np.random.default_rng(11)
     noise = (
@@ -204,8 +203,8 @@ def test_extract_noise_and_signal_gain_bookkeeping(cfg):
     ) * (sigma / np.sqrt(2.0))
     noise_cube = DataCube(data=noise, axis2_kind="element", config=cfg)
     band = FreqBand(0.25, 0.40)
-    mm_noise = extract_mmv(noise_cube, 0.0, band, n_ex=32, noise_sigma=sigma)
-    assert mm_noise.sigma == pytest.approx(sigma * np.sqrt(n_slow))
+    mm_noise = extract_mmv(noise_cube, 0.0, band, n_ex=32)
+    assert mm_noise.sigma == pytest.approx(sigma * np.sqrt(n_slow), rel=0.1)
     noise_power = np.mean(np.abs(mm_noise.data) ** 2)
     assert noise_power == pytest.approx(sigma**2 * n_slow, rel=0.3)
     # the budget's tail bound covers the realized noise norm
@@ -221,13 +220,55 @@ def test_extract_noise_and_signal_gain_bookkeeping(cfg):
     assert gain_db == pytest.approx(10.0 * np.log10(n_slow), abs=1.0)
 
 
+# ------------------------------------------------- noise level from the data
+
+N_EST, L_EST, SIGMA_EST = 32, 16, 8.0
+
+
+def complex_noise(shape, sigma, seed):
+    rng = np.random.default_rng(seed)
+    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * (sigma / np.sqrt(2.0))
+
+
+def tone_columns(freq, ramp, amplitude):
+    """A tone in fast time whose phase ramps by `ramp` cycles per element."""
+    return amplitude * np.outer(
+        np.exp(2j * np.pi * freq * np.arange(N_EST)),
+        np.exp(2j * np.pi * ramp * np.arange(L_EST)),
+    )
+
+
+SIGNALS = {
+    "rank_1": lambda: tone_columns(0.21, 0.0, 50.0),
+    # a fixed rank-1 rule reads the second tone as noise, about 4x sigma
+    "rank_2": lambda: tone_columns(0.21, 0.0, 50.0) + tone_columns(0.27, 0.3, 30.0),
+    "pure_noise": lambda: np.zeros((N_EST, L_EST), dtype=np.complex128),
+}
+
+
 def test_default_eta_noise_term_and_floor(cfg):
-    data = np.ones((8, 3), dtype=np.complex128)
-    quiet = hand_mmv(data, FreqBand(0.2, 0.3), cfg, sigma=0.0)
-    assert quiet.default_eta() == pytest.approx(5e-4 * np.linalg.norm(data))
-    loud = hand_mmv(data, FreqBand(0.2, 0.3), cfg, sigma=2.0)
+    # noise-free rank 1 reads sigma ~1e-15, so eta is the floor exactly
+    data = tone_columns(0.21, 0.1, 50.0)
+    quiet = hand_mmv(data, FreqBand(0.2, 0.3), cfg)
+    assert quiet.default_eta() == 5e-4 * float(np.linalg.norm(data))
+    loud = hand_mmv(data + complex_noise(data.shape, SIGMA_EST, 4), FreqBand(0.2, 0.3), cfg)
     m = data.size
-    assert loud.default_eta() == pytest.approx(2.0 * np.sqrt(m + 2.0 * np.sqrt(m)))
+    assert loud.default_eta() == pytest.approx(loud.sigma * np.sqrt(m + 2.0 * np.sqrt(m)))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+@pytest.mark.parametrize("signal", sorted(SIGNALS))
+def test_sigma_is_read_from_the_noise_bulk(cfg, signal, seed):
+    data = SIGNALS[signal]() + complex_noise((N_EST, L_EST), SIGMA_EST, seed)
+    mm = hand_mmv(data, FreqBand(0.2, 0.3), cfg)
+    assert mm.sigma == pytest.approx(SIGMA_EST, rel=0.1)
+
+
+def test_single_column_has_no_noise_bulk(cfg):
+    data = tone_columns(0.21, 0.0, 50.0)[:, :1] + complex_noise((N_EST, 1), SIGMA_EST, 0)
+    mm = hand_mmv(data, FreqBand(0.2, 0.3), cfg)
+    assert mm.sigma == 0.0
+    assert mm.default_eta() == 5e-4 * float(np.linalg.norm(data))
 
 
 # -------------------------------------------------------------- prior band
