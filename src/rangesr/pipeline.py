@@ -248,7 +248,6 @@ class Step2Report:
     angle_prior_rad: float
     beam_angles: tuple[float, ...]
     n_chirps: int
-    n_ex: int
     extraction_rows: ExtractionRows | None = None
 
     def to_dict(self) -> dict:
@@ -393,7 +392,6 @@ def run_step2(scene: Scene, angle_prior_rad: float, n_ex: int = 32) -> Step2Repo
         angle_prior_rad=float(angle_prior_rad),
         beam_angles=beam_angles,
         n_chirps=rda.n_slow,
-        n_ex=n_ex,
         extraction_rows=kept,
     )
 
@@ -520,6 +518,7 @@ def run_step3(step2: Step2Report, method: str = "fsram") -> LocalizationResult:
                 "band": [mmv.band.f_lo, mmv.band.f_hi],
                 "eta": result.eta,
                 "n_atoms": int(keep.sum()),
+                **result.solver_summary(),
             }
         )
         if ranges.size == 0:

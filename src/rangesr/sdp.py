@@ -14,6 +14,23 @@ power atom a(f)_n = exp(j 2 pi f n) gives Tb = 2(cos(2 pi f - pi(f_lo+f_hi))
 [f_lo, f_hi]; imposing Tb >= 0 therefore confines the recovered line
 spectrum to the band.
 
+The solve runs on the data's signal subspace. With V_r the top r right
+singular vectors of S, Y is confined to Y = Y_r V_r^H. Then
+||S - Y||_F^2 = ||S V_r - Y_r||_F^2 + sum_{i>=r} s_i^2 (Pythagoras), and
+min Tr(Z) depends on Y only through Y Y^H = Y_r Y_r^H, so the problem above
+with Y of that form is the same SDP on the N x r data S V_r with the ball
+radius eta_r = sqrt(eta^2 - sum_{i>=r} s_i^2). The caller's eta is
+unchanged, and every returned Y is feasible for the caller's problem.
+r starts at the Gavish-Donoho rank of S (`signal_rank`, the count that
+`MmvMatrix.sigma` uses), at least 1, and grows while the tail alone fills
+the ball (sum_{i>=r} s_i^2 >= eta^2); at r = min(N, L) the problem is the
+original one up to a unitary rotation of the snapshots. Every synthetic
+scene puts its same-cell UAVs at one angle, so r = 1 there, and the ADMM
+block shrinks from (N+L)x(N+L) to (N+r)x(N+r): 33x33 instead of 48x48 at
+N=32, L=16. The audits below (the first-pass "doomed" test, the final
+misfit, `SdpDiagnostics.data_misfit`) measure ||S - Y||_F on the full S,
+so _DOOMED_RATIO counts the caller's etas.
+
 The weight W is refreshed outside the ADMM loop as (T(u) + eps I)^{-1}
 (majorization-minimization for log-det sparsity); W = I on the first pass.
 A new outer iterate is accepted only if it does not increase the weighted
@@ -96,7 +113,10 @@ class AdmmOptions:
     fourth pass; later passes only shift the atom powers. Three passes keep
     a spurious atom on exp2 at 0 dB that the fourth removes. The inner
     loops run to their caps, so the cost is proportional to
-    inner_iters_first + (max_outer - 1) * inner_iters.
+    inner_iters_first + (max_outer - 1) * inner_iters, and each inner
+    iteration projects the (N+r)x(N+r) block matrix (r the kept rank,
+    `SdpDiagnostics.rank`) and, with a band, the (N-1)x(N-1) band matrix
+    onto the PSD cone.
     """
 
     max_outer: int = 4
@@ -113,7 +133,8 @@ class SdpDiagnostics:
     objective_pairs: list = field(default_factory=list)   # (prev at same W, new)
     eta: float = 0.0
     scale: float = 1.0
-    data_misfit: float = 0.0
+    data_misfit: float = 0.0   # ||S - Y||_F on the full S
+    rank: int = 0              # right singular directions of S the solve kept
     feasible: bool = True
     converged: bool = False
     stop_reason: str = ""
@@ -472,18 +493,51 @@ def _atomic_certificate(
     return z, y, u
 
 
+def signal_rank(sv: np.ndarray, shape: tuple[int, int]) -> int:
+    """Number of singular values `sv` (descending) of an (N, L) matrix above
+    omega(beta) times their median: Gavish & Donoho's hard threshold for an
+    unknown noise level (IEEE TIT 2014), beta = min(N, L) / max(N, L). May be
+    0. Values at rounding level (at most max(N, L) * eps * s_1, the usual
+    numerical-rank tolerance) never count, so exactly low-rank data reads
+    its rank rather than a rounding outlier."""
+    beta = min(shape) / max(shape)
+    omega = 0.56 * beta**3 - 0.95 * beta**2 + 1.82 * beta + 1.43
+    rounding = max(shape) * np.finfo(np.float64).eps * sv[0]
+    return int(np.count_nonzero(sv > max(omega * np.median(sv), rounding)))
+
+
+def _signal_subspace(s: np.ndarray, eta: float) -> tuple[np.ndarray, float]:
+    """(V_r, tail): the top r right singular vectors of s as columns, and
+    the energy sum_{i>=r} s_i^2 that their span leaves out.
+
+    r starts at the `signal_rank` of s (at least 1) and grows while the tail
+    alone fills the noise ball, so the restricted ball keeps a positive
+    radius; at r = min(N, L) the tail is empty.
+    """
+    _, sv, vh = np.linalg.svd(s, full_matrices=False)
+    tails = np.append(np.cumsum(sv[::-1] ** 2)[::-1], 0.0)  # tails[r] = sum_{i>=r} s_i^2
+    r = max(signal_rank(sv, s.shape), 1)
+    while r < sv.size and tails[r] >= eta**2:
+        r += 1
+    return vh[:r].conj().T, float(tails[r])
+
+
 def solve_weighted_toeplitz_sdp(
     s: np.ndarray,
     eta: float,
     band: tuple[float, float] | None = None,
     options: AdmmOptions | None = None,
 ) -> tuple[np.ndarray, np.ndarray, SdpDiagnostics]:
-    """Returns (u, Y, diagnostics); T(u) carries the recovered line spectrum."""
+    """Returns (u, Y, diagnostics); T(u) carries the recovered line spectrum.
+
+    Y has the shape of S: Y = Y_r V_r^H, with V_r the `diag.rank` top right
+    singular vectors of S that the solve kept.
+    """
     opts = options or AdmmOptions()
     s = np.asarray(s, dtype=np.complex128)
     if s.ndim != 2:
         raise ConfigError("S must be a 2-D (samples x snapshots) array")
-    n, l = s.shape
+    n = s.shape[0]
     if n < 2:
         raise ConfigError("need at least two samples per snapshot")
     if eta < 0:
@@ -500,15 +554,30 @@ def solve_weighted_toeplitz_sdp(
         diag.converged = True
         diag.stop_reason = "inside_noise_ball"
         return np.zeros(n, dtype=np.complex128), np.zeros_like(s), diag
-    ss = s / scale
+
+    # the solve runs on S V_r; Y = Y_r V_r^H, and by Pythagoras
+    # ||S - Y||^2 = ||S V_r - Y_r||^2 + tail, so the ball shrinks to eta_r.
+    # The scale stays that of S: YY^H = Y_r Y_r^H, so the scaled optimum is
+    # the caller's
+    vr, tail = _signal_subspace(s, eta)
+    vr_h = vr.conj().T
+    l = vr.shape[1]
+    diag.rank = l
+    s_full = s / scale
+    ss = s_full @ vr
     eta_s = eta / scale
+    eta_r_s = np.sqrt(max(eta**2 - tail, 0.0)) / scale
+
+    def full_misfit(y_r: np.ndarray) -> float:
+        """||S - Y_r V_r^H||_F in scaled units: the caller's misfit."""
+        return float(np.linalg.norm(s_full - y_r @ vr_h))
 
     hcoefs = band_coefficients(*band) if band is not None else None
     upd = _UUpdate(n, hcoefs)
     root = np.sqrt(n)
 
-    # cold start from the sample covariance of the data
-    t0 = hermitize(ss @ ss.conj().T) / max(l, 1)
+    # cold start from the sample covariance of the kept data
+    t0 = hermitize(ss @ ss.conj().T) / l
     u = _diag_means(t0)
     u[0] = u[0].real
     y = ss.copy()
@@ -535,7 +604,7 @@ def solve_weighted_toeplitz_sdp(
         for it in range(max_inner):
             a = hermitize(q - lam)  # exactly Hermitian, and so is each diagonal block
             z = a[:l, :l] - (1.0 / (2.0 * root * rho)) * np.eye(l)
-            y = _ball_project(a[l:, :l], ss, eta_s)
+            y = _ball_project(a[l:, :l], ss, eta_r_s)
             a_means = _diag_means(a[l:, l:])
             b_means = None
             if hcoefs is not None:
@@ -590,9 +659,9 @@ def solve_weighted_toeplitz_sdp(
         u_acc, z_acc = u.copy(), z.copy()
         accepted_outer = outer + 1
         if outer == 0:
-            first_cert = _atomic_certificate(u_acc, ss, band, eta_s)
+            first_cert = _atomic_certificate(u_acc, ss, band, eta_r_s)
             if first_cert is not None:
-                misfit = float(np.linalg.norm(ss - first_cert[1]))
+                misfit = full_misfit(first_cert[1])
                 if misfit > _DOOMED_RATIO * _fit_tol(eta_s):
                     diag.outer_iters = 1
                     diag.stop_reason = "doomed_after_first_pass"
@@ -628,7 +697,7 @@ def solve_weighted_toeplitz_sdp(
     # its atoms are refitted to the data; that certificate is exactly
     # feasible by construction unless eta genuinely cannot cover the residual
     # after one accepted pass, u_acc is the iterate the first audit refitted
-    cert = first_cert if accepted_outer == 1 else _atomic_certificate(u_acc, ss, band, eta_s)
+    cert = first_cert if accepted_outer == 1 else _atomic_certificate(u_acc, ss, band, eta_r_s)
     if cert is None:
         diag.feasible = False
         raise AdmmError(
@@ -642,7 +711,7 @@ def solve_weighted_toeplitz_sdp(
     if hcoefs is not None:
         vals_b = np.linalg.eigvalsh(band_matrix_from_u(u_c, *hcoefs))
         ok = ok and vals_b[0] >= -1e-6 * max(vals_b[-1], 1e-12)
-    misfit = float(np.linalg.norm(ss - y_c))
+    misfit = full_misfit(y_c)
     diag.data_misfit = misfit * scale
     diag.feasible = ok and misfit <= _fit_tol(eta_s)
     if not diag.feasible:
@@ -653,4 +722,4 @@ def solve_weighted_toeplitz_sdp(
             "signal set",
             diag,
         )
-    return u_c * scale * scale, y_c * scale, diag
+    return u_c * scale * scale, (y_c @ vr_h) * scale, diag

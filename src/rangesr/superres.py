@@ -29,6 +29,7 @@ from .sdp import (
     atom_matrix,
     esprit,
     nnls_powers,
+    signal_rank,
     solve_weighted_toeplitz_sdp,
 )
 
@@ -81,7 +82,6 @@ class MmvMatrix:
     data: np.ndarray
     f_shift: float
     step: int
-    start_sample: int
     doppler_bin: float
     band: FreqBand
     config: RadarConfig
@@ -108,18 +108,20 @@ class MmvMatrix:
     @property
     def sigma(self) -> float:
         """Per-entry noise standard deviation, read from the data: the rank r
-        counts singular values above omega(beta) * median (Gavish & Donoho's
-        unknown-noise threshold, IEEE TIT 2014; r may be 0), and the rest give
-        sigma = sqrt(sum_{i>=r} s_i^2 / ((N - r)(L - r))). A single column has
-        no noise bulk, so it reads 0 and eta is the model floor; the pipeline
-        and the grid never build one (their snapshots are the 16 elements)."""
+        is `sdp.signal_rank`, the count of singular values above
+        omega(beta) * median (Gavish & Donoho's unknown-noise threshold, IEEE
+        TIT 2014; r may be 0), which the SDP also starts its kept rank from,
+        and the rest give sigma = sqrt(sum_{i>=r} s_i^2 / ((N - r)(L - r))).
+        `default_eta` and the SDP's tail share those s_i, so at r = 1 a noise
+        eta leaves the restricted ball eta_r^2 / eta^2 = 1 - 465 / 557.25 =
+        0.166 at N=32, L=16. A single column has no noise bulk, so it reads 0
+        and eta is the model floor; the pipeline and the grid never build one
+        (their snapshots are the 16 elements)."""
         n, l = self.data.shape
         if min(n, l) < 2:
             return 0.0
         s = np.linalg.svd(self.data, compute_uv=False)
-        beta = min(n, l) / max(n, l)
-        omega = 0.56 * beta**3 - 0.95 * beta**2 + 1.82 * beta + 1.43
-        r = int(np.count_nonzero(s > omega * np.median(s)))
+        r = signal_rank(s, (n, l))
         return float(np.sqrt(np.sum(s[r:] ** 2) / ((n - r) * (l - r))))
 
     def default_eta(self) -> float:
@@ -210,7 +212,6 @@ def extract_mmv(
         data=out,
         f_shift=float(f_shift),
         step=int(step),
-        start_sample=-(n_fast // 2),
         doppler_bin=float(doppler_bin),
         band=band,
         config=cfg,
@@ -304,6 +305,21 @@ class SuperResResult:
         order = np.argsort(self.powers)[::-1][:k]
         return np.sort(self.ranges_m[order])
 
+    def solver_summary(self) -> dict:
+        """What a run report says about the SDP solve: kept rank, stop
+        reason, passes, total inner iterations and full-data misfit; empty
+        for music."""
+        d = self.diagnostics
+        if d is None:
+            return {}
+        return {
+            "rank": d.rank,
+            "stop_reason": d.stop_reason,
+            "outer_iters": d.outer_iters,
+            "inner_iters": int(sum(d.inner_iters)),
+            "data_misfit": d.data_misfit,
+        }
+
     def to_dict(self) -> dict:
         return {
             "method": self.method,
@@ -313,6 +329,7 @@ class SuperResResult:
             "powers": [float(p) for p in self.powers],
             "eta": self.eta,
             "in_band": [bool(b) for b in self.in_band],
+            **self.solver_summary(),
         }
 
 

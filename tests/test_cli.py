@@ -86,6 +86,10 @@ def test_superres_resolves_two_targets_on_the_table_radar(tmp_path):
     got = sorted(result["ranges_m"])
     assert len(got) == 2
     assert got == pytest.approx(truth, abs=0.3)
+    # both targets sit at one angle: the solve keeps one direction
+    assert result["rank"] == 1 and result["outer_iters"] >= 1
+    assert result["inner_iters"] >= 300 and result["stop_reason"]
+    assert result["data_misfit"] <= result["eta"] * (1.0 + 1e-6)
 
 
 def test_superres_inside_the_noise_ball_reports_no_atoms(tmp_path, monkeypatch):
@@ -105,6 +109,8 @@ def test_superres_inside_the_noise_ball_reports_no_atoms(tmp_path, monkeypatch):
     result = load_json(tmp_path / "superres.json")
     assert result["ranges_m"] == [] and result["powers"] == []
     assert result["eta"] == pytest.approx(134.92, abs=0.01)
+    assert result["stop_reason"] == "inside_noise_ball"
+    assert result["rank"] == result["outer_iters"] == result["inner_iters"] == 0
     (mmv,) = solved
     assert np.linalg.norm(mmv.data) < result["eta"] == mmv.default_eta()
 

@@ -306,6 +306,10 @@ def test_step3_splits_a_shared_range_cell(cfg8):
     gi = matched[0].group_index
     report = loc.group_reports[gi]
     assert report["solved"] and report["n_atoms"] == 2
+    # one angle, so one direction; the report says how the solve ended
+    assert report["rank"] == 1 and report["stop_reason"]
+    assert report["outer_iters"] >= 1 and report["inner_iters"] >= 300
+    assert report["data_misfit"] <= report["eta"] * (1.0 + 1e-6)
     # recovered ranges stay inside the prior band
     lo_m = scene.config.range_of_freq(report["band"][0])
     hi_m = scene.config.range_of_freq(report["band"][1])

@@ -11,10 +11,12 @@ from rangesr.sdp import (
     _band_diagonals,
     _diag_means,
     _objective_gradient,
+    _signal_subspace,
     band_coefficients,
     band_matrix_from_u,
     hermitize,
     psd_project,
+    signal_rank,
     solve_weighted_toeplitz_sdp,
     toeplitz_from_u,
 )
@@ -317,3 +319,56 @@ def test_a_first_pass_miss_within_ten_etas_is_not_stopped(monkeypatch):
     assert diag.outer_iters > 1 and diag.stop_reason != "doomed_after_first_pass"
     assert diag.feasible and misfits[-1] <= 1.0
     audit(s, eta, u, y, band=(0.18, 0.53))
+
+
+def noisy(s, rel, seed):
+    """s plus white noise of total norm rel * ||s||."""
+    rng = np.random.default_rng(seed)
+    w = rng.standard_normal(s.shape) + 1j * rng.standard_normal(s.shape)
+    return s + w * (rel * np.linalg.norm(s) / np.linalg.norm(w))
+
+
+FULL_SPACE_CASES = {
+    # (data, eta as a fraction of the data norm, band)
+    "noisy_rank_1": lambda: (noisy(atom_mmv([0.21], 16, 8, 1), 0.05, 1), 0.06, (0.15, 0.3)),
+    "noisy_rank_2": lambda: (noisy(atom_mmv([0.21, 0.27], 16, 8, 2), 0.05, 2), 0.06, (0.15, 0.3)),
+    "tiny_eta_rank_2": lambda: (atom_mmv([0.21, 0.29], 8, 2, seed=4), 1e-6, (0.15, 0.35)),
+    "one_column_unbanded": lambda: (noisy(atom_mmv([0.3], 12, 1, 3), 0.05, 3), 0.06, None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FULL_SPACE_CASES))
+def test_a_returned_solve_fits_the_full_data(case):
+    s, rel_eta, band = FULL_SPACE_CASES[case]()
+    eta = rel_eta * np.linalg.norm(s)
+    u, y, diag = solve_weighted_toeplitz_sdp(s, eta, band=band)
+    assert y.shape == s.shape
+    assert 1 <= diag.rank <= min(s.shape)
+    misfit = np.linalg.norm(s - y)
+    assert misfit <= eta * (1.0 + 1e-6)
+    assert diag.data_misfit == pytest.approx(misfit, rel=1e-9)
+    # Y lies in the span of the kept right singular vectors
+    assert np.linalg.matrix_rank(y, tol=1e-9 * np.linalg.norm(y)) <= diag.rank
+
+
+def test_tiny_eta_on_rank_two_data_raises_the_rank_to_min_n_l():
+    # the threshold counts one direction of this 8x2 fixture, but the second
+    # singular value alone overfills the ball, so r rises to min(N, L) = 2
+    s = atom_mmv([0.21, 0.29], 8, 2, seed=4)
+    assert signal_rank(np.linalg.svd(s, compute_uv=False), s.shape) < 2
+    _, _, diag = solve_weighted_toeplitz_sdp(s, 1e-6 * np.linalg.norm(s), band=(0.15, 0.35))
+    assert diag.rank == 2
+    # with noise, every direction carries energy above a tiny ball
+    s = noisy(atom_mmv([0.21, 0.29], 16, 6, seed=5), 1e-3, 5)
+    vr, tail = _signal_subspace(s, 1e-6 * np.linalg.norm(s))
+    assert vr.shape == (6, 6) and tail == 0.0
+
+
+def test_the_rank_grows_only_while_the_tail_fills_the_ball():
+    s = noisy(atom_mmv([0.21], 16, 8, 6), 0.05, 6)
+    sv = np.linalg.svd(s, compute_uv=False)
+    assert signal_rank(sv, s.shape) == 1
+    vr, tail = _signal_subspace(s, 1.5 * np.linalg.norm(sv[1:]))
+    assert vr.shape == (8, 1) and tail == pytest.approx(np.sum(sv[1:] ** 2))
+    vr, tail = _signal_subspace(s, 0.99 * np.linalg.norm(sv[1:]))
+    assert vr.shape[1] >= 2 and tail < (0.99 * np.linalg.norm(sv[1:])) ** 2

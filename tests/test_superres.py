@@ -49,7 +49,6 @@ def hand_mmv(data, band, cfg):
         data=np.asarray(data, dtype=np.complex128),
         f_shift=0.0,
         step=1,
-        start_sample=-data.shape[0] // 2,
         doppler_bin=0.0,
         band=band,
         config=cfg,
@@ -269,6 +268,50 @@ def test_single_column_has_no_noise_bulk(cfg):
     mm = hand_mmv(data, FreqBand(0.2, 0.3), cfg)
     assert mm.sigma == 0.0
     assert mm.default_eta() == 5e-4 * float(np.linalg.norm(data))
+
+
+# two tones 0.7 cell apart (one cell is 1/N_EST here) on different element
+# phase ramps: a same-cell pair seen from two angles
+TWO_ANGLE_FREQS = np.array([0.21, 0.21 + 0.7 / N_EST])
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_two_angle_cell_keeps_two_directions_and_both_ranges(cfg, seed):
+    data = (
+        tone_columns(TWO_ANGLE_FREQS[0], 0.0, 50.0)
+        + tone_columns(TWO_ANGLE_FREQS[1], 0.3, 40.0)
+        + complex_noise((N_EST, L_EST), SIGMA_EST, seed)
+    )
+    res = fsram_solve(hand_mmv(data, FreqBand(0.17, 0.27), cfg))
+    assert res.diagnostics.rank == 2
+    want = [cfg.range_of_freq(f) for f in TWO_ANGLE_FREQS]
+    assert res.n_atoms == 2
+    # a range cell is 3.0 m; the errors read 0.003-0.071 m
+    assert np.abs(np.sort(res.ranges_m) - want).max() < 0.1
+
+
+def test_noise_free_rank_one_keeps_one_direction(cfg):
+    data = tone_columns(0.21, 0.1, 50.0)
+    res = fsram_solve(hand_mmv(data, FreqBand(0.17, 0.27), cfg))
+    assert res.diagnostics.rank == 1
+    assert res.n_atoms == 1 and abs(res.freqs_local[0] - 0.21) < 1e-6
+    assert res.amplitudes.shape == (1, L_EST)
+
+
+def test_sigma_and_the_solver_share_one_rank_rule(cfg):
+    import rangesr.sdp as sdp
+    import rangesr.superres as superres
+
+    assert superres.signal_rank is sdp.signal_rank
+    data = SIGNALS["rank_2"]() + complex_noise((N_EST, L_EST), SIGMA_EST, 0)
+    s = np.linalg.svd(data, compute_uv=False)
+    r = sdp.signal_rank(s, data.shape)
+    assert r == 2
+    mm = hand_mmv(data, FreqBand(0.17, 0.3), cfg)
+    assert mm.sigma == pytest.approx(np.sqrt(np.sum(s[r:] ** 2) / ((N_EST - r) * (L_EST - r))))
+    # the noise tail is inside the ball, so the solve keeps the rule's rank
+    assert np.sum(s[r:] ** 2) < mm.default_eta() ** 2
+    assert fsram_solve(mm).diagnostics.rank == r
 
 
 # -------------------------------------------------------------- prior band
