@@ -41,7 +41,7 @@ from .pipeline import (
     run_step3,
     table_radar_config,
 )
-from .sdp import AdmmError, AdmmOptions, SdpDiagnostics, solve_weighted_toeplitz_sdp
+from .sdp import AdmmError, SdpDiagnostics, solve_weighted_toeplitz_sdp
 from .superres import (
     FreqBand,
     MmvMatrix,
@@ -60,7 +60,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AdmmError",
-    "AdmmOptions",
     "BeamGrid",
     "C_LIGHT",
     "CfarSettings",

@@ -30,7 +30,6 @@ from .beamform import BeamGrid
 from .config import UavTruth, to_json
 from .cube import DataCube
 from .pipeline import group_mmv, stare, table_radar_config
-from .sdp import AdmmOptions
 from .superres import SuperResError, solve_by_name
 from .synth import noise_sigma, synth_beat_cube
 
@@ -95,11 +94,12 @@ class SuccessGrid:
             return np.sqrt(p * (1.0 - p) / np.maximum(self.trials_run, 1))
 
     def mean_rate(self, snr_db: float | None = None) -> float:
+        """Mean rate over the cells that ran trials (at one SNR); NaN if none did."""
         rates = self.rates
         if snr_db is not None:
             js = list(self.spec.snr_values_db).index(snr_db)
             rates = rates[:, :, js : js + 1]
-        return float(np.nanmean(rates))
+        return math.nan if np.isnan(rates).all() else float(np.nanmean(rates))
 
     def to_dict(self) -> dict:
         return {
@@ -204,13 +204,7 @@ def _prepare_trial(spec: GridSpec, k: int, delta_ratio: float, trial: int):
     return _TrialData(truth_ranges=ranges, clean=clean.data, unit_noise=unit)
 
 
-def run_trial_method(
-    spec: GridSpec,
-    data: _TrialData,
-    snr_db: float,
-    method: str,
-    options: AdmmOptions | None = None,
-) -> float:
+def run_trial_method(spec: GridSpec, data: _TrialData, snr_db: float, method: str) -> float:
     """Returns the assignment RMS in meters (inf on any failure)."""
     cfg = table_radar_config(spec.sample_rate_hz)
     sigma = noise_sigma(snr_db)
@@ -231,17 +225,13 @@ def run_trial_method(
     try:
         # groups come sorted by falling power
         mmv = group_mmv(rows, groups[0])
-        result = solve_by_name(method, mmv, n_atoms=k, options=options)
+        result = solve_by_name(method, mmv, n_atoms=k)
     except (SuperResError, ValueError, np.linalg.LinAlgError):
         return float("inf")
     return assignment_rms(data.truth_ranges, result.top_ranges(k))
 
 
-def run_success_grid(
-    spec: GridSpec,
-    method: str = "fsram",
-    options: AdmmOptions | None = None,
-) -> SuccessGrid:
+def run_success_grid(spec: GridSpec, method: str = "fsram") -> SuccessGrid:
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}")
     cfg = table_radar_config(spec.sample_rate_hz)
@@ -263,7 +253,7 @@ def run_success_grid(
                     break
                 hasher.update(np.ascontiguousarray(data.truth_ranges).tobytes())
                 for js, snr in enumerate(spec.snr_values_db):
-                    rms = run_trial_method(spec, data, snr, method, options)
+                    rms = run_trial_method(spec, data, snr, method)
                     trials_run[ik, idx, js] += 1
                     if rms < ok_limit:
                         successes[ik, idx, js] += 1
@@ -284,11 +274,9 @@ def run_success_grid(
 
 
 def compare_methods(
-    spec: GridSpec,
-    methods: tuple[str, ...] = METHODS,
-    options: AdmmOptions | None = None,
+    spec: GridSpec, methods: tuple[str, ...] = METHODS
 ) -> dict[str, SuccessGrid]:
-    grids = {m: run_success_grid(spec, m, options=options) for m in methods}
+    grids = {m: run_success_grid(spec, m) for m in methods}
     hashes = {g.truth_hash for g in grids.values()}
     if len(hashes) != 1:
         raise RuntimeError("common-random-number violation: truth draws differ")

@@ -190,8 +190,10 @@ def _cmd_compare(args) -> int:
     for name, grid in grids.items():
         grid.write_csv(out / f"bench_{name}.csv")
         summary["methods"][name] = {
+            # -1.0 marks an SNR without a feasible cell, as in `SuccessGrid.to_dict`
             "mean_rates_by_snr": {
-                f"{snr:g}": grid.mean_rate(snr) for snr in spec.snr_values_db
+                f"{snr:g}": float(np.nan_to_num(grid.mean_rate(snr), nan=-1.0))
+                for snr in spec.snr_values_db
             },
             "truth_hash": grid.truth_hash,
         }

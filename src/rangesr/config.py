@@ -174,8 +174,8 @@ def dump_json(obj, path) -> None:
     """Canonical JSON writer: sorted keys, fixed separators, trailing newline.
 
     Used for every serialized artifact so identical inputs yield identical
-    bytes.
+    bytes. NaN and infinity are not JSON, so writing one raises ValueError.
     """
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
+        json.dump(obj, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")

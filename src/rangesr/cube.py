@@ -140,6 +140,9 @@ def load_cube(sidecar_path) -> DataCube | RdaCube:
     meta = load_json(sidecar_path)
     if meta.get("format") != "rangesr-cube-v1":
         raise CubeError(f"unrecognized cube format in {sidecar_path}")
+    kind = meta.get("kind")
+    if kind not in ("time", "rda"):
+        raise CubeError(f"cube kind {kind!r} in {sidecar_path} is neither 'time' nor 'rda'")
     shape = tuple(meta["shape"])
     raw = np.frombuffer(
         (sidecar_path.parent / meta["payload"]).read_bytes(), dtype="<c8"
@@ -151,7 +154,7 @@ def load_cube(sidecar_path) -> DataCube | RdaCube:
     data = raw.reshape(shape[::-1]).transpose(2, 1, 0).astype(np.complex128)
     cfg = from_json(RadarConfig, meta["radar"])
     angles = tuple(meta["beam_angles"]) if "beam_angles" in meta else None
-    if meta["kind"] == "time":
+    if kind == "time":
         return DataCube(data=data, axis2_kind=meta["axis2_kind"], config=cfg, beam_angles=angles)
     return RdaCube(data=data, config=cfg, n_slow=int(meta["n_slow"]), beam_angles=angles)
 

@@ -24,7 +24,6 @@ from .cube import DataCube, axis_values
 from .sdp import (
     _RANK_TOL,
     AdmmError,
-    AdmmOptions,
     SdpDiagnostics,
     atom_matrix,
     esprit,
@@ -280,7 +279,7 @@ class SuperResResult:
 
     For fsram and ram, `powers` are the weights of the atoms of T(u) after
     the reweighting passes, so they depend on the pass budget
-    (`AdmmOptions.max_outer`): at four passes they read about 0.5-1.0x of
+    (`sdp._MAX_OUTER`): at four passes they read about 0.5-1.0x of
     their eight-pass values while the frequencies stay put. Use them only
     relative to each other, as the step-3 gates do (the 1% keep gate, the
     10% leakage test, the dedup order and `top_ranges`). For music they are
@@ -380,37 +379,36 @@ def _finalize(
     )
 
 
-def fsram_solve(
+def _toeplitz_solve(
+    method: str,
     mmv: MmvMatrix,
-    eta: float | None = None,
-    n_atoms: int | None = None,
-    options: AdmmOptions | None = None,
+    eta: float | None,
+    n_atoms: int | None,
+    band: tuple[float, float] | None,
+    failure: str,
+) -> SuperResResult:
+    eta = mmv.default_eta() if eta is None else float(eta)
+    try:
+        u, y, diag = solve_weighted_toeplitz_sdp(mmv.data, eta, band)
+    except AdmmError as exc:
+        raise SuperResError(f"{failure} solve failed: {exc}") from exc
+    freqs, powers = vandermonde_decompose(u, n_atoms=n_atoms)
+    return _finalize(method, mmv, freqs, powers, y, eta, diag)
+
+
+def fsram_solve(
+    mmv: MmvMatrix, eta: float | None = None, n_atoms: int | None = None
 ) -> SuperResResult:
     """Band-constrained reweighted Toeplitz recovery (the primary method)."""
-    eta = mmv.default_eta() if eta is None else float(eta)
     band = _solve_band(mmv.local_band(), mmv.n_samples)
-    try:
-        u, y, diag = solve_weighted_toeplitz_sdp(mmv.data, eta, band, options)
-    except AdmmError as exc:
-        raise SuperResError(f"band-constrained solve failed: {exc}") from exc
-    freqs, powers = vandermonde_decompose(u, n_atoms=n_atoms)
-    return _finalize("fsram", mmv, freqs, powers, y, eta, diag)
+    return _toeplitz_solve("fsram", mmv, eta, n_atoms, band, "band-constrained")
 
 
 def ram_solve(
-    mmv: MmvMatrix,
-    eta: float | None = None,
-    n_atoms: int | None = None,
-    options: AdmmOptions | None = None,
+    mmv: MmvMatrix, eta: float | None = None, n_atoms: int | None = None
 ) -> SuperResResult:
     """Same solver without the band constraint (baseline)."""
-    eta = mmv.default_eta() if eta is None else float(eta)
-    try:
-        u, y, diag = solve_weighted_toeplitz_sdp(mmv.data, eta, None, options)
-    except AdmmError as exc:
-        raise SuperResError(f"unconstrained solve failed: {exc}") from exc
-    freqs, powers = vandermonde_decompose(u, n_atoms=n_atoms)
-    return _finalize("ram", mmv, freqs, powers, y, eta, diag)
+    return _toeplitz_solve("ram", mmv, eta, n_atoms, None, "unconstrained")
 
 
 def music_spectrum(
@@ -465,14 +463,11 @@ def music_solve(mmv: MmvMatrix, n_sources: int | None = None) -> SuperResResult:
     return _finalize("music", mmv, freqs, powers, data, 0.0, None)
 
 
-def solve_by_name(method: str, mmv: MmvMatrix, **kwargs) -> SuperResResult:
+def solve_by_name(method: str, mmv: MmvMatrix, n_atoms: int | None = None) -> SuperResResult:
     if method == "fsram":
-        return fsram_solve(mmv, **kwargs)
+        return fsram_solve(mmv, n_atoms=n_atoms)
     if method == "ram":
-        return ram_solve(mmv, **kwargs)
+        return ram_solve(mmv, n_atoms=n_atoms)
     if method == "music":
-        allowed = {}
-        if "n_atoms" in kwargs and kwargs["n_atoms"] is not None:
-            allowed["n_sources"] = kwargs["n_atoms"]
-        return music_solve(mmv, **allowed)
+        return music_solve(mmv, n_sources=n_atoms)
     raise ConfigError(f"unknown method {method!r}")

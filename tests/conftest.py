@@ -2,7 +2,20 @@
 
 import pytest
 
+from rangesr import sdp
 from rangesr.config import make_radar_config
+
+
+@pytest.fixture()
+def admm_budget(monkeypatch):
+    """Sets the SDP's budget constants for one test, by name:
+    admm_budget(_MAX_OUTER=2, _INNER_ITERS=40)."""
+
+    def patch(**constants):
+        for name, value in constants.items():
+            monkeypatch.setattr(sdp, name, value)
+
+    return patch
 
 
 @pytest.fixture(scope="session")

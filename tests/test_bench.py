@@ -1,7 +1,7 @@
 """Monte Carlo benchmark harness: grid spec, assignment, success grids.
 
 Grid cells here are tiny (a few trials, one or two cells) so the full module
-stays in the tens of seconds; the light ADMM options are plenty for the
+stays in the tens of seconds; the light ADMM budget is plenty for the
 0.1-cell success criterion, which sits orders of magnitude above solver
 error on these scenes. Broad-grid behavior is exercised by the acceptance
 suite.
@@ -28,11 +28,12 @@ from rangesr.config import UavTruth, from_json, to_json
 from rangesr.cube import DataCube
 from rangesr.integrate import integrate_cube
 from rangesr.pipeline import stare, table_radar_config
-from rangesr.sdp import AdmmOptions
+from rangesr import sdp
 from rangesr.superres import FreqBand, extract_mmv, ram_solve
 from rangesr.synth import noise_sigma, synth_beat_cube
 
-LIGHT = AdmmOptions(max_outer=2, inner_iters_first=150, inner_iters=100)
+# the light budget, as values of the SDP's budget constants
+LIGHT = {"_MAX_OUTER": 2, "_INNER_ITERS_FIRST": 150, "_INNER_ITERS": 100}
 
 
 # ---------------------------------------------------------------- GridSpec
@@ -107,7 +108,10 @@ def easy_grid():
         trials=3,
         seed_base=7,
     )
-    return run_success_grid(spec, "fsram", options=LIGHT)
+    with pytest.MonkeyPatch.context() as mp:
+        for name, value in LIGHT.items():
+            mp.setattr(sdp, name, value)
+        return run_success_grid(spec, "fsram")
 
 
 def test_single_well_separated_tone_always_succeeds(easy_grid):
@@ -128,7 +132,7 @@ def test_rates_bounded_and_errors_match_formula(easy_grid):
     assert g.mean_rate() == pytest.approx(p)
 
 
-def test_grid_shape_covers_every_cell():
+def test_grid_shape_covers_every_cell(admm_budget):
     spec = GridSpec(
         k_values=(1, 2),
         delta_ratios=(0.5, 1.0, 1.5),
@@ -136,7 +140,8 @@ def test_grid_shape_covers_every_cell():
         trials=1,
         seed_base=3,
     )
-    g = run_success_grid(spec, "fsram", options=LIGHT)
+    admm_budget(**LIGHT)
+    g = run_success_grid(spec, "fsram")
     assert g.rates.shape == (2, 3, 2)
     assert g.trials_run.sum() == 2 * 3 * 2 * spec.trials
 
@@ -146,7 +151,7 @@ def test_unknown_method_rejected():
         run_success_grid(GridSpec(k_values=(1,), delta_ratios=(1.0,)), "esprit")
 
 
-def test_success_rate_improves_with_snr_under_common_random_numbers():
+def test_success_rate_improves_with_snr_under_common_random_numbers(admm_budget):
     # 0.1-cell spacing: hard at -25 dB, mostly recovered at +25 dB.
     spec = GridSpec(
         k_values=(2,),
@@ -155,14 +160,15 @@ def test_success_rate_improves_with_snr_under_common_random_numbers():
         trials=6,
         seed_base=11,
     )
-    g = run_success_grid(spec, "fsram", options=LIGHT)
+    admm_budget(**LIGHT)
+    g = run_success_grid(spec, "fsram")
     lo, hi = g.rates[0, 0]
     assert hi > lo
     se = g.standard_errors[0, 0]
     assert hi - lo > float(np.hypot(se[0], se[1]))
 
 
-def test_overpacked_window_is_marked_infeasible():
+def test_overpacked_window_is_marked_infeasible(admm_budget):
     # four targets cannot keep 0.9-cell spacing inside a two-cell window
     spec = GridSpec(
         k_values=(4,),
@@ -171,7 +177,8 @@ def test_overpacked_window_is_marked_infeasible():
         trials=2,
         seed_base=1,
     )
-    g = run_success_grid(spec, "fsram", options=LIGHT)
+    admm_budget(**LIGHT)
+    g = run_success_grid(spec, "fsram")
     assert bool(g.infeasible[0, 0])
     assert g.trials_run[0, 0, 0] == 0
     assert math.isnan(g.rates[0, 0, 0])
@@ -181,7 +188,7 @@ def test_overpacked_window_is_marked_infeasible():
 # ------------------------------------------------- reproducibility / CRN
 
 
-def test_grid_rerun_is_byte_identical():
+def test_grid_rerun_is_byte_identical(admm_budget):
     spec = GridSpec(
         k_values=(1,),
         delta_ratios=(0.5,),
@@ -189,12 +196,13 @@ def test_grid_rerun_is_byte_identical():
         trials=2,
         seed_base=5,
     )
-    a = run_success_grid(spec, "fsram", options=LIGHT)
-    b = run_success_grid(spec, "fsram", options=LIGHT)
+    admm_budget(**LIGHT)
+    a = run_success_grid(spec, "fsram")
+    b = run_success_grid(spec, "fsram")
     assert json.dumps(a.to_dict()) == json.dumps(b.to_dict())
 
 
-def test_methods_share_identical_truth_draws():
+def test_methods_share_identical_truth_draws(admm_budget):
     spec = GridSpec(
         k_values=(1,),
         delta_ratios=(0.5,),
@@ -202,14 +210,15 @@ def test_methods_share_identical_truth_draws():
         trials=2,
         seed_base=5,
     )
-    grids = compare_methods(spec, options=LIGHT)
+    admm_budget(**LIGHT)
+    grids = compare_methods(spec)
     assert set(grids) == set(METHODS)
     assert len({g.truth_hash for g in grids.values()}) == 1
     for name, g in grids.items():
         assert g.method == name
 
 
-def test_csv_export_lists_every_cell(tmp_path):
+def test_csv_export_lists_every_cell(tmp_path, admm_budget):
     spec = GridSpec(
         k_values=(1,),
         delta_ratios=(0.5, 2.0),
@@ -217,7 +226,8 @@ def test_csv_export_lists_every_cell(tmp_path):
         trials=2,
         seed_base=5,
     )
-    g = run_success_grid(spec, "fsram", options=LIGHT)
+    admm_budget(**LIGHT)
+    g = run_success_grid(spec, "fsram")
     path = tmp_path / "grid.csv"
     g.write_csv(path)
     lines = path.read_text().splitlines()

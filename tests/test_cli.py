@@ -146,6 +146,48 @@ def test_compare_rejects_an_unknown_method_before_any_grid_runs(
     assert not (tmp_path / "compare.json").exists()
 
 
+def _strict_json(path):
+    """The file's JSON, which may not hold NaN or infinity."""
+
+    def reject(name):
+        raise ValueError(f"{path.name} holds {name}")
+
+    return json.loads(path.read_text(encoding="utf-8"), parse_constant=reject)
+
+
+def test_bench_and_compare_write_their_grids(tmp_path, admm_budget):
+    # the grid tests' light budget: one K=1 cell is solved far inside 0.1 cell
+    admm_budget(_MAX_OUTER=2, _INNER_ITERS_FIRST=150, _INNER_ITERS=100)
+    spec = tmp_path / "spec.json"
+    dump_json(to_json(GridSpec(k_values=(1,), delta_ratios=(0.5,), snr_values_db=(10.0,),
+                               trials=1, n_slow=64, seed_base=5)), spec)
+    out = tmp_path / "out"
+    assert main(["bench", "--spec", str(spec), "--out-dir", str(out)]) == 0
+    grid = _strict_json(out / "bench_fsram.json")
+    assert grid["method"] == "fsram" and grid["trials_run"] == [[[1]]]
+    assert (out / "bench_fsram.csv").read_text().splitlines()[1].startswith("fsram,1,0.500,10.0,1,")
+
+    assert main(["compare", "--spec", str(spec), "--out-dir", str(out)]) == 0
+    summary = _strict_json(out / "compare.json")["methods"]
+    assert set(summary) == set(bench.METHODS)
+    assert {m["truth_hash"] for m in summary.values()} == {grid["truth_hash"]}
+    for name, method in summary.items():
+        assert 0.0 <= method["mean_rates_by_snr"]["10"] <= 1.0
+        rows = (out / f"bench_{name}.csv").read_text().splitlines()
+        assert len(rows) == 2 and rows[1].startswith(f"{name},1,0.500,10.0,1,")
+
+
+def test_compare_without_a_feasible_cell_writes_valid_json(tmp_path):
+    # four targets cannot keep a one-cell spacing inside the two-cell window
+    spec = tmp_path / "spec.json"
+    dump_json({"k_values": [4], "delta_ratios": [1.0], "snr_values_db": [10.0],
+               "trials": 1, "n_slow": 64, "max_draws": 50}, spec)
+    assert main(["compare", "--spec", str(spec), "--out-dir", str(tmp_path)]) == 2
+    summary = _strict_json(tmp_path / "compare.json")
+    for method in summary["methods"].values():
+        assert method["mean_rates_by_snr"] == {"10": -1.0}
+
+
 def test_chain_synth_beamform_integrate_detect(tmp_path, scene_path, capsys):
     out = tmp_path / "out"
 

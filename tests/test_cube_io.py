@@ -1,5 +1,7 @@
 """Cube containers, bin maps, and the sidecar+binary file format."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -90,6 +92,20 @@ def test_load_rejects_bad_format_and_size(tiny_cfg, tmp_path):
         load_cube(path)
     path.write_text('{"format": "other"}', encoding="utf-8")
     with pytest.raises(CubeError, match="format"):
+        load_cube(path)
+
+
+@pytest.mark.parametrize("kind", [None, "spam"])
+def test_load_rejects_an_unknown_cube_kind(tiny_cfg, tmp_path, kind):
+    path = save_cube(DataCube(np.zeros((8, 4, 1), complex), "element", tiny_cfg),
+                     tmp_path / "cube.json")
+    meta = json.loads(path.read_text(encoding="utf-8"))
+    if kind is None:
+        del meta["kind"]
+    else:
+        meta["kind"] = kind
+    path.write_text(json.dumps(meta), encoding="utf-8")
+    with pytest.raises(CubeError, match=f"cube kind {kind!r}"):
         load_cube(path)
 
 

@@ -7,7 +7,6 @@ from scipy.linalg import toeplitz
 from rangesr.config import ConfigError
 from rangesr.sdp import (
     AdmmError,
-    AdmmOptions,
     _band_diagonals,
     _diag_means,
     _objective_gradient,
@@ -164,7 +163,7 @@ def test_solver_input_validation():
 def test_zero_data_short_circuit():
     u, y, diag = solve_weighted_toeplitz_sdp(np.zeros((6, 3), dtype=complex), 0.5)
     assert not u.any() and not y.any()
-    assert diag.converged
+    assert diag.stop_reason == "inside_noise_ball"
 
 
 @pytest.mark.parametrize("slack", [1.0, 1.03])
@@ -243,27 +242,27 @@ def test_scaling_covariance():
     assert np.allclose(y2, c * y1, rtol=1e-6, atol=1e-9 * np.abs(y2).max())
 
 
-def test_infeasible_problem_raises_with_diagnostics():
+def test_infeasible_problem_raises_with_diagnostics(admm_budget):
     rng = np.random.default_rng(5)
     s = rng.standard_normal((8, 2)) + 1j * rng.standard_normal((8, 2))
-    opts = AdmmOptions(max_outer=2, inner_iters_first=60, inner_iters=40)
+    admm_budget(_MAX_OUTER=2, _INNER_ITERS_FIRST=60, _INNER_ITERS=40)
     with pytest.raises(AdmmError) as info:
-        solve_weighted_toeplitz_sdp(s, 0.0, band=(0.2, 0.25), options=opts)
+        solve_weighted_toeplitz_sdp(s, 0.0, band=(0.2, 0.25))
     assert info.value.diagnostics is not None
     assert not info.value.diagnostics.feasible
     assert "vs eta" in str(info.value)
 
 
-def test_missing_certificate_raises_without_quoting_a_misfit(monkeypatch):
+def test_missing_certificate_raises_without_quoting_a_misfit(monkeypatch, admm_budget):
     # the certificate is the only exit: without one the solve fails, and the
     # message says there was nothing to audit instead of a misfit of zero
     import rangesr.sdp as sdp
 
     monkeypatch.setattr(sdp, "nnls_powers", lambda u, freqs: np.zeros(freqs.size))
     s = atom_mmv([0.21], 8, 2, seed=3)
-    opts = AdmmOptions(max_outer=1, inner_iters_first=20)
+    admm_budget(_MAX_OUTER=1, _INNER_ITERS_FIRST=20)
     with pytest.raises(AdmmError, match="no atomic certificate") as info:
-        solve_weighted_toeplitz_sdp(s, 1e-3 * np.linalg.norm(s), band=(0.15, 0.3), options=opts)
+        solve_weighted_toeplitz_sdp(s, 1e-3 * np.linalg.norm(s), band=(0.15, 0.3))
     assert "misfit" not in str(info.value)
     assert not info.value.diagnostics.feasible
     assert info.value.diagnostics.outer_iters == 1
@@ -282,18 +281,18 @@ def test_out_of_band_tones_stop_after_the_first_pass():
     assert diag.data_misfit > 10.0 * eta and not diag.feasible
 
 
-def test_default_budget_matches_eight_passes_on_the_banded_fixture():
+def test_default_budget_matches_eight_passes_on_the_banded_fixture(admm_budget):
     s = atom_mmv([0.21, 0.29], 8, 2, seed=4)
     eta = 1e-6 * np.linalg.norm(s)
-    found = []
-    for opts in (None, AdmmOptions(max_outer=8)):
-        u, _, _ = solve_weighted_toeplitz_sdp(s, eta, band=(0.15, 0.35), options=opts)
-        found.append(vandermonde_decompose(u)[0])
+    u_default, _, _ = solve_weighted_toeplitz_sdp(s, eta, band=(0.15, 0.35))
+    admm_budget(_MAX_OUTER=8)
+    u_eight, _, _ = solve_weighted_toeplitz_sdp(s, eta, band=(0.15, 0.35))
+    found = [vandermonde_decompose(u)[0] for u in (u_default, u_eight)]
     assert found[0].size == found[1].size == 2
     np.testing.assert_allclose(found[0], found[1], rtol=0.0, atol=1e-9)
 
 
-def test_a_first_pass_miss_within_ten_etas_is_not_stopped(monkeypatch):
+def test_a_first_pass_miss_within_ten_etas_is_not_stopped(monkeypatch, admm_budget):
     # six in-band tones and a 10-iteration first pass: the first certificate
     # misses by a few etas, and the later passes reach the noise ball
     import rangesr.sdp as sdp
@@ -312,9 +311,8 @@ def test_a_first_pass_miss_within_ten_etas_is_not_stopped(monkeypatch):
     noise = 0.01 * (rng.standard_normal((8, 1)) + 1j * rng.standard_normal((8, 1))) / np.sqrt(2)
     s = atom_mmv(freqs, 8, 1, seed=98) + noise
     eta = float(np.linalg.norm(noise))
-    u, y, diag = solve_weighted_toeplitz_sdp(
-        s, eta, band=(0.18, 0.53), options=AdmmOptions(inner_iters_first=10)
-    )
+    admm_budget(_INNER_ITERS_FIRST=10)
+    u, y, diag = solve_weighted_toeplitz_sdp(s, eta, band=(0.18, 0.53))
     assert 1.0 < misfits[0] < 10.0
     assert diag.outer_iters > 1 and diag.stop_reason != "doomed_after_first_pass"
     assert diag.feasible and misfits[-1] <= 1.0

@@ -17,7 +17,6 @@ import pytest
 from rangesr.cfar import Detection, DetectionGroup
 from rangesr.config import ConfigError, UavTruth, make_radar_config
 from rangesr.cube import DataCube
-from rangesr.sdp import AdmmOptions
 from rangesr.superres import (
     FreqBand,
     MmvMatrix,
@@ -455,7 +454,7 @@ def test_fsram_solution_scales_with_the_data(cfg):
     )
 
 
-def test_band_constraint_is_free_when_the_band_covers_everything(cfg):
+def test_band_constraint_is_free_when_the_band_covers_everything(cfg, admm_budget):
     """On an (almost) full local band the constrained and unconstrained
     programs share their first-pass optimum (identity weights)."""
     rng = np.random.default_rng(7)
@@ -463,11 +462,9 @@ def test_band_constraint_is_free_when_the_band_covers_everything(cfg):
     data = atom_matrix(np.array([0.11, 0.37]), 16) @ amps
     mm = hand_mmv(data, FreqBand(1e-4, 0.5 - 1e-4), cfg)
     eta = 1e-6 * np.linalg.norm(data)
-    opts = AdmmOptions(
-        inner_iters_first=4000, inner_iters=400, tol_abs=1e-12, tol_rel=1e-11
-    )
-    res_fs = fsram_solve(mm, eta=eta, options=opts)
-    res_ram = ram_solve(mm, eta=eta, options=opts)
+    admm_budget(_INNER_ITERS_FIRST=4000, _INNER_ITERS=400, _TOL_ABS=1e-12, _TOL_REL=1e-11)
+    res_fs = fsram_solve(mm, eta=eta)
+    res_ram = ram_solve(mm, eta=eta)
     obj_fs = res_fs.diagnostics.objective_pairs[0][1]
     obj_ram = res_ram.diagnostics.objective_pairs[0][1]
     assert abs(obj_fs - obj_ram) / abs(obj_ram) < 1e-6
