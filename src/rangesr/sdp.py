@@ -39,7 +39,10 @@ inner tolerances.
 
 The budget is fixed: _MAX_OUTER reweighting passes, the first of at most
 _INNER_ITERS_FIRST ADMM iterations and the rest of at most _INNER_ITERS
-(the comment on those constants gives the cost).
+(the comment on those constants gives the cost). A pass ends earlier when
+the primal and dual residuals fall below _TOL_REL of their scales, Boyd et
+al.'s relative test (FnT ML 2011, sec. 3.3.1) at their 1e-3; on the
+benchmark's solves it saves about half the inner iterations.
 
 ADMM splitting: consensus copies Q (of the big block matrix) and P (of Tb)
 carry the PSD constraints; Z, Y, u have closed-form updates. The u update
@@ -112,19 +115,21 @@ _GN_ITERS = 30         # Gauss-Newton steps of the certificate's atom refit
 # and on every solve checked (the fixed grids with fsram and ram, noise-free
 # and 0/10 dB exp1/exp2, exp3) they stop changing by the fourth pass; later
 # passes only shift the atom powers. Three passes keep a spurious atom on
-# exp2 at 0 dB that the fourth removes. The inner residual test (_TOL_ABS,
-# _TOL_REL) ends a pass early only on small problems (N = 8 or 16); on the
-# benchmark's solves the inner loops run to their caps, so the cost is
-# proportional to _INNER_ITERS_FIRST + (_MAX_OUTER - 1) * _INNER_ITERS, and
-# each inner iteration projects the (N+r)x(N+r) block matrix (r the kept
-# rank, `SdpDiagnostics.rank`) and, with a band, the (N-1)x(N-1) band matrix
-# onto the PSD cone. The solver reads these names at call time, so a test
-# can patch them.
+# exp2 at 0 dB that the fourth removes. The inner stop (_TOL_REL, see the
+# module docstring) can be loose because the certificate refits its atoms to
+# the data: at 1e-3 the grid successes and the noise-free exp1/exp2 ranges
+# repeat those of 1e-6 (to 1e-8 m), and the benchmark's inner iterations
+# halve (grid_fsram 8,700 -> 4,232, scene_clean 3,000 -> 1,472). 1e-4 saves
+# 1% of them, and 3e-3 moves atoms in ghost groups of exp2 at 0 dB. The cost
+# is at most proportional to _INNER_ITERS_FIRST + (_MAX_OUTER - 1) *
+# _INNER_ITERS, and each inner iteration projects the (N+r)x(N+r) block
+# matrix (r the kept rank, `SdpDiagnostics.rank`) and, with a band, the
+# (N-1)x(N-1) band matrix onto the PSD cone. The solver reads these names at
+# call time, so a test can patch them.
 _MAX_OUTER = 4
 _INNER_ITERS_FIRST = 300
 _INNER_ITERS = 150
-_TOL_ABS = 1e-8
-_TOL_REL = 1e-6
+_TOL_REL = 1e-3
 
 
 @dataclass
@@ -628,9 +633,7 @@ def solve_weighted_toeplitz_sdp(
                 m_scale = max(m_scale, np.linalg.norm(tb_new))
             inner_done = it + 1
 
-            eps_pri = _TOL_ABS * (l + n) + _TOL_REL * m_scale
-            eps_dual = _TOL_ABS * (l + n) + _TOL_REL * rho * m_scale
-            if r_norm < eps_pri and s_norm < eps_dual:
+            if r_norm < _TOL_REL * m_scale and s_norm < _TOL_REL * rho * m_scale:
                 break
             if (it + 1) % _ADAPT_EVERY == 0:
                 if r_norm > _ADAPT_RATIO * s_norm and rho < _RHO_MAX:

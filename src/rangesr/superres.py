@@ -280,7 +280,10 @@ class SuperResResult:
     For fsram and ram, `powers` are the weights of the atoms of T(u) after
     the reweighting passes, so they depend on the pass budget
     (`sdp._MAX_OUTER`): at four passes they read about 0.5-1.0x of
-    their eight-pass values while the frequencies stay put. Use them only
+    their eight-pass values while the frequencies stay put. They also
+    depend on where the inner residual test (`sdp._TOL_REL`) stops each
+    pass: at 1e-3 they read about 0.5-2.8x of their 1e-6 values on the
+    solves whose frequencies stay put. Use them only
     relative to each other, as the step-3 gates do (the 1% keep gate, the
     10% leakage test, the dedup order and `top_ranges`). For music they are
     mean squared amplitudes.

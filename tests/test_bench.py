@@ -22,14 +22,15 @@ from rangesr.bench import (
     assignment_rms,
     compare_methods,
     run_success_grid,
+    run_trial_method,
 )
 from rangesr.cfar import ca_cfar, cluster_detections
 from rangesr.config import UavTruth, from_json, to_json
 from rangesr.cube import DataCube
 from rangesr.integrate import integrate_cube
 from rangesr.pipeline import stare, table_radar_config
-from rangesr import sdp
-from rangesr.superres import FreqBand, extract_mmv, ram_solve
+from rangesr import bench, sdp
+from rangesr.superres import FreqBand, extract_mmv, ram_solve, solve_by_name
 from rangesr.synth import noise_sigma, synth_beat_cube
 
 # the light budget, as values of the SDP's budget constants
@@ -183,6 +184,37 @@ def test_overpacked_window_is_marked_infeasible(admm_budget):
     assert g.trials_run[0, 0, 0] == 0
     assert math.isnan(g.rates[0, 0, 0])
     assert g.to_dict()["rates"][0][0][0] == -1.0
+
+
+def test_inner_stop_fires_on_a_grid_trial_and_keeps_its_ranges(monkeypatch, admm_budget):
+    """A grid-sized solve (N = 32) ends its ADMM passes on the inner
+    residual test at the default sdp._TOL_REL, and returns the ranges of a
+    solve held to 1e-6."""
+    spec = GridSpec(
+        k_values=(2,),
+        delta_ratios=(0.5,),
+        snr_values_db=(10.0,),
+        trials=1,
+        n_slow=64,
+        seed_base=0,
+    )
+    data = _prepare_trial(spec, 2, 0.5, 0)
+    results = []
+
+    def recording_solve(*args, **kwargs):
+        results.append(solve_by_name(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(bench, "solve_by_name", recording_solve)
+    rms = run_trial_method(spec, data, 10.0, "fsram")
+    admm_budget(_TOL_REL=1e-6)
+    strict_rms = run_trial_method(spec, data, 10.0, "fsram")
+    default, strict = results
+    # the cap is 300 + 3 * 150 inner iterations
+    assert sum(default.diagnostics.inner_iters) < 300 + 3 * 150
+    assert rms < 0.1 * table_radar_config().range_res_m
+    np.testing.assert_allclose(default.ranges_m, strict.ranges_m, rtol=0.0, atol=1e-9)
+    assert rms == pytest.approx(strict_rms, rel=0.0, abs=1e-9)
 
 
 # ------------------------------------------------- reproducibility / CRN

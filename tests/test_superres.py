@@ -462,7 +462,7 @@ def test_band_constraint_is_free_when_the_band_covers_everything(cfg, admm_budge
     data = atom_matrix(np.array([0.11, 0.37]), 16) @ amps
     mm = hand_mmv(data, FreqBand(1e-4, 0.5 - 1e-4), cfg)
     eta = 1e-6 * np.linalg.norm(data)
-    admm_budget(_INNER_ITERS_FIRST=4000, _INNER_ITERS=400, _TOL_ABS=1e-12, _TOL_REL=1e-11)
+    admm_budget(_INNER_ITERS_FIRST=4000, _INNER_ITERS=400, _TOL_REL=1e-11)
     res_fs = fsram_solve(mm, eta=eta)
     res_ram = ram_solve(mm, eta=eta)
     obj_fs = res_fs.diagnostics.objective_pairs[0][1]
