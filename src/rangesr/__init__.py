@@ -23,7 +23,7 @@ from .config import (
     UavTruth,
     make_radar_config,
 )
-from .cube import CubeError, DataCube, RdaCube, load_cube, save_cube
+from .cube import CubeError, DataCube, RdaCube
 from .integrate import (
     integrate_cube,
     range_ft,
@@ -90,7 +90,6 @@ __all__ = [
     "extract_mmv",
     "fsram_solve",
     "integrate_cube",
-    "load_cube",
     "make_exp1_scene",
     "make_exp2_scene",
     "make_exp3_scene",
@@ -106,7 +105,6 @@ __all__ = [
     "run_step2",
     "run_step3",
     "run_success_grid",
-    "save_cube",
     "scaled_slow_time_ft_fast",
     "solve_weighted_toeplitz_sdp",
     "steering_vector",

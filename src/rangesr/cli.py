@@ -1,13 +1,8 @@
-"""Command-line front end.
+"""Command-line front end: `superres`, `pipeline`, `bench` and `compare`.
 
-Subcommands mirror the processing chain: `synth`, `beamform`, `integrate`,
-`detect`, `superres`, `pipeline`, `bench`, `compare`. Every command reads
-JSON configuration, writes JSON/CSV artifacts into --out-dir, and exits 0 on
-success or 2 on infeasible/diagnostic outcomes (no detections, infeasible
-solve, empty pipeline result, infeasible benchmark cells). The staged
-commands take the cube the stage before writes: `beamform` an element cube,
-`integrate` a beam cube and `detect` a range-Doppler cube; any other kind
-raises `CubeError`.
+Each command reads JSON configuration, writes JSON/CSV artifacts into --out-dir
+and exits 0, or 2 on a failed solve (`superres`), no estimate (`pipeline`), an
+infeasible cell (`bench`, `compare`) or an unknown method (`compare`).
 """
 
 from __future__ import annotations
@@ -20,19 +15,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .beamform import beamform_cube, default_grid
 from .bench import METHODS, GridSpec, compare_methods, run_success_grid
-from .cfar import CfarSettings, ca_cfar
 from .config import RadarConfig, UavTruth, dump_json, from_json, load_json, to_json
-from .cube import CubeError, RdaCube, export_magnitude_csv, load_cube, save_cube
-from .integrate import integrate_cube
-from .pipeline import (
-    dwell_cube,
-    run_full,
-    scene_from_dict,
-    table_radar_config,
-    write_range_walk_csv,
-)
+from .pipeline import run_full, scene_from_dict, table_radar_config
 from .superres import FreqBand, SuperResError, extract_mmv, solve_by_name
 from .synth import add_noise, synth_beat_cube
 
@@ -50,67 +35,11 @@ def _load_scene(args):
     return scene
 
 
-def _load_cube(args, kind: str):
-    """The --cube file, which must hold a cube of `kind` ("element", "beam" or "rda")."""
-    cube = load_cube(args.cube)
-    found = "rda" if isinstance(cube, RdaCube) else cube.axis2_kind
-    if found != kind:
-        raise CubeError(f"rangesr {args.command} expects a {kind} cube, got {found!r}")
-    return cube
-
-
 def _load_spec(args) -> GridSpec:
     spec = from_json(GridSpec, load_json(args.spec))
     if args.seed is not None:
         spec = dataclasses.replace(spec, seed_base=args.seed)
     return spec
-
-
-def _cmd_synth(args) -> int:
-    scene = _load_scene(args)
-    out = _out_dir(args)
-    cube = dwell_cube(scene, args.step)
-    save_cube(cube, out / f"cube_step{args.step}.json")
-    print(f"wrote {out / f'cube_step{args.step}'}.json/.bin shape={cube.data.shape}")
-    return 0
-
-
-def _cmd_beamform(args) -> int:
-    cube = _load_cube(args, "element")
-    out = _out_dir(args)
-    grid = default_grid(cube.config, args.beams)
-    beams = beamform_cube(cube, grid)
-    save_cube(beams, out / "cube_beams.json")
-    print(f"wrote {out / 'cube_beams'}.json/.bin beams={len(grid.angles_rad)}")
-    return 0
-
-
-def _cmd_integrate(args) -> int:
-    cube = _load_cube(args, "beam")
-    out = _out_dir(args)
-    rda = integrate_cube(cube)
-    save_cube(rda, out / "cube_rda.json")
-    if args.csv:
-        export_magnitude_csv(rda, out / "rda_beam0.csv", beam=0)
-    if args.walk_csv:
-        write_range_walk_csv(cube, out / "range_walk.csv", beam=0)
-    print(f"wrote {out / 'cube_rda'}.json/.bin")
-    return 0
-
-
-def _cmd_detect(args) -> int:
-    rda = _load_cube(args, "rda")
-    out = _out_dir(args)
-    settings = CfarSettings(
-        train_cells=args.train, guard_cells=args.guard, pfa=args.pfa
-    )
-    detections = ca_cfar(rda, settings)
-    path = out / "detections.jsonl"
-    with open(path, "w", encoding="utf-8") as fh:
-        for det in detections:
-            fh.write(json.dumps(to_json(det), sort_keys=True) + "\n")
-    print(f"wrote {path} ({len(detections)} detections)")
-    return 0 if detections else 2
 
 
 def _cmd_superres(args) -> int:
@@ -217,35 +146,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument(
                 "--method", default="fsram", choices=METHODS, help="solver"
             )
-
-    p = sub.add_parser("synth", help="synthesize a beat-signal cube from a scene")
-    p.add_argument("--scene", required=True)
-    p.add_argument("--step", type=int, default=1, choices=(1, 2))
-    common(p)
-    p.set_defaults(func=_cmd_synth)
-
-    p = sub.add_parser("beamform", help="element cube -> beam cube")
-    p.add_argument("--cube", required=True)
-    p.add_argument("--beams", type=int, default=None)
-    common(p)
-    p.set_defaults(func=_cmd_beamform)
-
-    p = sub.add_parser("integrate", help="keystone long-time integration")
-    p.add_argument("--cube", required=True)
-    p.add_argument("--csv", action="store_true", help="emit RD magnitude CSV")
-    p.add_argument(
-        "--walk-csv", action="store_true", help="emit per-chirp range walk CSV"
-    )
-    common(p)
-    p.set_defaults(func=_cmd_integrate)
-
-    p = sub.add_parser("detect", help="CA-CFAR on a range-Doppler cube")
-    p.add_argument("--cube", required=True)
-    p.add_argument("--pfa", type=float, default=1e-4)
-    p.add_argument("--train", type=int, default=8)
-    p.add_argument("--guard", type=int, default=2)
-    common(p)
-    p.set_defaults(func=_cmd_detect)
 
     p = sub.add_parser("superres", help="solve a within-cell recovery problem")
     p.add_argument("--problem", required=True)

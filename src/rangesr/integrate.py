@@ -74,11 +74,6 @@ def _symmetric(
     return out
 
 
-def symmetric_fft(x: np.ndarray, axis: int = 0) -> np.ndarray:
-    """DFT with both time and frequency indexed symmetrically about zero."""
-    return _symmetric(x, axis)
-
-
 def _alphas(cube: DataCube) -> np.ndarray:
     cfg = cube.config
     n = cube.fast_index().astype(np.float64)

@@ -19,7 +19,6 @@ cube and keeps only the fast-time rows that step 3 extracts from. A window
 is the smallest multiple of `synth._CHUNK_M` chirps that holds at least
 `spans._CHUNK_BUDGET` entries: the multiple keeps the noise draws those of
 the whole dwell, and the size keeps synthesis and beamforming threaded.
-`dwell_cube` assembles the same windows into the whole cube.
 
 Scenes are JSON-serializable truth sets. The two dwells observe the scene at
 different times; the long-dwell truth can be given explicitly (as the
@@ -45,7 +44,7 @@ from .cfar import (
 )
 from .config import C_LIGHT, RadarConfig, UavTruth, from_json, to_json
 from .cube import DataCube, RdaCube
-from .integrate import integrate_cube, symmetric_fft
+from .integrate import integrate_cube
 from .superres import (
     ExtractionRows,
     MmvMatrix,
@@ -209,15 +208,6 @@ def dwell_chunks(scene: Scene, step: int) -> Iterator[tuple[int, int, DataCube]]
         chunk = synth_beat_cube(cfg, truths, n_slow, m0, m1)
         yield m0, m1, add_noise(chunk, scene.snr_db, rng_seed=rng)
         del chunk   # only the consumer may hold this window while the next is built
-
-
-def dwell_cube(scene: Scene, step: int) -> DataCube:
-    """The whole noisy element cube of a dwell, assembled from `dwell_chunks`."""
-    cfg = scene.config
-    data = np.empty((cfg.n_fast, dwell_chirps(scene, step), cfg.n_elements), np.complex128)
-    for m0, m1, chunk in dwell_chunks(scene, step):
-        data[:, m0:m1] = chunk.data
-    return DataCube(data=data, axis2_kind="element", config=cfg)
 
 
 @dataclass
@@ -581,14 +571,3 @@ def run_full(scene: Scene, method: str = "fsram", n_ex: int = 32) -> FullRunResu
     step2.extraction_rows = None
     return FullRunResult(scene, step1, step2, loc, method)
 
-
-def write_range_walk_csv(beam_cube: DataCube, path, beam: int = 0) -> None:
-    """Per-chirp strongest range cell (the migration trajectory) as CSV."""
-    mags = np.abs(symmetric_fft(beam_cube.data[:, :, beam], axis=0))
-    arg = np.argmax(mags, axis=0) - beam_cube.n_fast // 2
-    cfg = beam_cube.config
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("chirp_index,range_bin,range_m\n")
-        for m, bin_ in enumerate(arg):
-            r = bin_ * cfg.range_res_m
-            fh.write(f"{m - beam_cube.n_slow // 2},{int(bin_)},{r:.6f}\n")

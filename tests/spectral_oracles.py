@@ -10,7 +10,29 @@ import numpy as np
 
 from rangesr.beamform import steering_vector
 from rangesr.cube import CubeError, DataCube, axis_values
-from rangesr.integrate import _alphas, _require_beam, _scaled_dft, symmetric_fft
+from rangesr.integrate import _alphas, _require_beam, _scaled_dft, _symmetric
+from rangesr.pipeline import dwell_chirps, dwell_chunks
+
+
+def symmetric_fft(x, axis=0):
+    """DFT with both time and frequency indexed symmetrically about zero.
+
+    Shares code with the package: it is `integrate._symmetric`, which the
+    range DFT runs in place, here on a copy.
+    """
+    return _symmetric(x, axis)
+
+
+def dwell_cube(scene, step):
+    """The whole noisy element cube of a dwell, assembled from `dwell_chunks`.
+
+    The streamed stare never holds it; its tests compare the stream with it.
+    """
+    cfg = scene.config
+    data = np.empty((cfg.n_fast, dwell_chirps(scene, step), cfg.n_elements), np.complex128)
+    for m0, m1, chunk in dwell_chunks(scene, step):
+        data[:, m0:m1] = chunk.data
+    return DataCube(data=data, axis2_kind="element", config=cfg)
 
 
 def dft_peak_freq(x, pad=64):
@@ -54,7 +76,7 @@ def scaled_slow_time_ft_direct(cube: DataCube) -> DataCube:
 def range_profile_ft(cube: DataCube) -> np.ndarray:
     """Per-chirp range profiles: DFT along fast time only (no slow-time work).
 
-    Shares code with the package: it is `integrate.symmetric_fft` on axis 0.
+    Shares code with the package: it is `symmetric_fft` on axis 0.
     """
     return symmetric_fft(cube.data, axis=0)
 
@@ -69,10 +91,10 @@ def keystone_explicit(cube: DataCube) -> DataCube:
 
     i.e. a scaled inverse DFT of the row spectrum. Shares code with the
     package: it runs through the same chirp-z core (`integrate._scaled_dft`)
-    and `integrate.symmetric_fft`, so it checks the keystone's geometry, not
-    the transform's arithmetic. Truncated finite-support kernels hop a range
-    cell on the first/last few chirps (one-sided windows); the full
-    interpolant has no such edge.
+    and symmetric DFT (`integrate._symmetric`), so it checks the keystone's
+    geometry, not the transform's arithmetic. Truncated finite-support
+    kernels hop a range cell on the first/last few chirps (one-sided
+    windows); the full interpolant has no such edge.
     """
     _require_beam(cube)
     spec = symmetric_fft(cube.data, axis=1)

@@ -5,15 +5,12 @@ import json
 import numpy as np
 import pytest
 
-from rangesr import bench, cli, pipeline
+from rangesr import bench, cli
 from rangesr.bench import GridSpec
 from rangesr.cli import main
 from rangesr.config import UavTruth, dump_json, load_json, make_radar_config, to_json
-from rangesr.cube import CubeError, load_cube
-from rangesr.integrate import range_ft
-from rangesr.pipeline import Scene, scene_to_dict
+from rangesr.pipeline import Scene, scene_from_dict, scene_to_dict
 from rangesr.superres import SuperResError, solve_by_name
-from spectral_oracles import scaled_slow_time_ft_direct
 
 
 @pytest.fixture()
@@ -33,47 +30,33 @@ def scene_path(tmp_path):
     return path
 
 
-@pytest.mark.parametrize("step, n_slow", [(1, 32), (2, 64)])
-def test_synth_writes_the_dwell_cube(tmp_path, scene_path, step, n_slow):
+def test_pipeline_finds_the_uav_at_30_m(tmp_path, scene_path):
     out = tmp_path / "out"
-    code = main(["synth", "--scene", str(scene_path), "--step", str(step), "--out-dir", str(out)])
-    assert code == 0
-    cube = load_cube(out / f"cube_step{step}.json")
-    # the chirp count follows the pipeline's rule: rounded, then made even
-    assert cube.data.shape == (64, n_slow, 4)
-    assert cube.axis2_kind == "element"
+    assert main(["pipeline", "--scene", str(scene_path), "--out-dir", str(out)]) == 0
+    lines = (out / "detections.jsonl").read_text().splitlines()
+    top = json.loads(lines[0])   # sorted by falling power
+    # 2 m/s is a tenth of a Doppler cell at 64 chirps
+    assert top["doppler_bin"] == 0
+    assert top["refined_range_m"] == pytest.approx(30.0, abs=1.5)
+    cell = scene_from_dict(load_json(scene_path)).config.range_res_m
+    ranges = [est["range_m"] for est in load_json(out / "pipeline.json")["estimates"]]
+    assert min(abs(r - 30.0) for r in ranges) <= cell
 
 
-def test_synth_writes_the_cube_the_steps_synthesise(tmp_path, scene_path, monkeypatch):
-    chunks = []
-
-    def capture(cube, grid, out=None):
-        chunks.append(cube.data.copy())
-        return real_beamform(cube, grid, out=out)
-
-    real_beamform = pipeline.beamform_cube
-    monkeypatch.setattr(pipeline, "beamform_cube", capture)
-    scene = pipeline.scene_from_dict(load_json(scene_path))
-    captured = []
-    for run in (lambda: pipeline.run_step1(scene), lambda: pipeline.run_step2(scene, 0.1)):
-        chunks.clear()
-        run()
-        # the steps beamform the dwell chunk by chunk, in chirp order
-        captured.append(np.concatenate(chunks, axis=1))
-    for step, data in zip((1, 2), captured):
-        out = tmp_path / f"step{step}"
-        main(["synth", "--scene", str(scene_path), "--step", str(step), "--out-dir", str(out)])
-        written = load_cube(out / f"cube_step{step}.json").data
-        # cube files hold complex64
-        np.testing.assert_array_equal(written, data.astype(np.complex64))
+def test_pipeline_on_an_empty_scene_exits_2(tmp_path, scene_path):
+    scene = load_json(scene_path)
+    scene.update(uavs=[], snr_db=None)
+    dump_json(scene, scene_path)
+    assert main(["pipeline", "--scene", str(scene_path), "--out-dir", str(tmp_path)]) == 2
+    assert load_json(tmp_path / "pipeline.json")["estimates"] == []
 
 
-def test_synth_rejects_a_dwell_shorter_than_half_a_chirp(tmp_path, scene_path):
+def test_pipeline_rejects_a_dwell_shorter_than_half_a_chirp(tmp_path, scene_path):
     scene = load_json(scene_path)
     scene["dwell1_s"] = 0.4 * scene["radar"]["chirp_s"]
     dump_json(scene, scene_path)
     with pytest.raises(ValueError, match="shorter than one chirp"):
-        main(["synth", "--scene", str(scene_path), "--out-dir", str(tmp_path)])
+        main(["pipeline", "--scene", str(scene_path), "--out-dir", str(tmp_path)])
 
 
 def test_superres_resolves_two_targets_on_the_table_radar(tmp_path):
@@ -186,59 +169,3 @@ def test_compare_without_a_feasible_cell_writes_valid_json(tmp_path):
     summary = _strict_json(tmp_path / "compare.json")
     for method in summary["methods"].values():
         assert method["mean_rates_by_snr"] == {"10": -1.0}
-
-
-def test_chain_synth_beamform_integrate_detect(tmp_path, scene_path, capsys):
-    out = tmp_path / "out"
-
-    def run(*argv, out_dir=out):
-        return main([*map(str, argv), "--out-dir", str(out_dir)])
-
-    assert run("synth", "--scene", scene_path, "--step", "2") == 0
-    # the message names the files that were written
-    stem = capsys.readouterr().out.split()[1].removesuffix(".json/.bin")
-    assert (out / "cube_step2.json").samefile(stem + ".json")
-    assert (out / "cube_step2.bin").samefile(stem + ".bin")
-
-    assert run("beamform", "--cube", out / "cube_step2.json") == 0
-    beams = load_cube(out / "cube_beams.json")
-    assert beams.axis2_kind == "beam" and beams.data.shape == (64, 64, 8)
-
-    assert run("integrate", "--cube", out / "cube_beams.json") == 0
-    rda = load_cube(out / "cube_rda.json").data
-    assert rda.shape == (64, 64, 8)
-    # the direct O(M^2) oracle, rounded through complex64 as save_cube stores
-    # the RDA; the oracle tolerance of the keystone tests
-    direct = range_ft(scaled_slow_time_ft_direct(beams)).data.astype(np.complex64)
-    assert np.max(np.abs(rda - direct)) / np.max(np.abs(direct)) < 1e-9
-
-    capsys.readouterr()
-    assert run("detect", "--cube", out / "cube_rda.json") == 0
-    assert "detections" in capsys.readouterr().out
-    lines = (out / "detections.jsonl").read_text().splitlines()
-    top = json.loads(lines[0])   # sorted by falling power
-    # 2 m/s is a tenth of a Doppler cell at 64 chirps
-    assert top["doppler_bin"] == 0
-    assert top["refined_range_m"] == pytest.approx(30.0, abs=1.5)
-
-
-@pytest.mark.parametrize(
-    "command, cube, want, got",
-    [
-        ("detect", "cube_step1.json", "rda", "element"),
-        ("integrate", "cube_rda.json", "beam", "rda"),
-        ("beamform", "cube_rda.json", "element", "rda"),
-    ],
-)
-def test_staged_commands_name_the_cube_kind_they_expect(
-    tmp_path, scene_path, command, cube, want, got
-):
-    out = tmp_path / "out"
-    for argv in (
-        ["synth", "--scene", scene_path, "--step", "1"],
-        ["beamform", "--cube", out / "cube_step1.json"],
-        ["integrate", "--cube", out / "cube_beams.json"],
-    ):
-        assert main([*map(str, argv), "--out-dir", str(out)]) == 0
-    with pytest.raises(CubeError, match=f"rangesr {command} expects a {want} cube, got '{got}'"):
-        main([command, "--cube", str(out / cube), "--out-dir", str(out)])

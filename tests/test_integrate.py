@@ -9,14 +9,14 @@ import scipy.fft as sfft
 from rangesr import integrate
 from rangesr.config import UavTruth, make_radar_config
 from rangesr.cube import CubeError, DataCube, axis_values
-from rangesr.integrate import (
-    integrate_cube,
-    range_ft,
-    scaled_slow_time_ft_fast,
+from rangesr.integrate import integrate_cube, range_ft, scaled_slow_time_ft_fast
+from rangesr.synth import synth_beat_cube
+from spectral_oracles import (
+    keystone_explicit,
+    range_profile_ft,
+    scaled_slow_time_ft_direct,
     symmetric_fft,
 )
-from rangesr.synth import synth_beat_cube
-from spectral_oracles import keystone_explicit, range_profile_ft, scaled_slow_time_ft_direct
 
 
 def random_beam_cube(cfg, n, m, g, seed):

@@ -17,8 +17,9 @@ from rangesr.cfar import ca_cfar, cluster_detections, merge_beam_duplicates
 from rangesr.config import ConfigError, UavTruth, make_radar_config
 from rangesr.cube import DataCube
 from rangesr.integrate import integrate_cube
-from rangesr.pipeline import Scene, dwell_chirps, dwell_chunks, dwell_cube, run_step2, stare
+from rangesr.pipeline import Scene, dwell_chirps, dwell_chunks, run_step2, stare
 from rangesr.superres import ExtractionRows, FreqBand, SuperResError, extract_mmv, prior_band
+from spectral_oracles import dwell_cube
 
 N_EX = 8
 
