@@ -255,8 +255,9 @@ class Step2Report:
 class UavEstimate:
     """One reported UAV. `power` is the group's CFAR peak power for a step-2
     estimate, and the atom's weight in T(u) for a step-3 one: a reweighted
-    value that depends on the SDP pass budget (`SuperResResult.powers`), so
-    it is for relative use only (the 10% leakage test and the dedup order)."""
+    value that depends on the SDP's fixed pass count and inner tolerance
+    (`SuperResResult.powers`), so it is for relative use only (the 10%
+    leakage test and the dedup order)."""
 
     range_m: float
     velocity_mps: float

