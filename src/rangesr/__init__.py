@@ -52,7 +52,6 @@ from .superres import (
     music_solve,
     prior_band,
     ram_solve,
-    vandermonde_decompose,
 )
 from .synth import add_noise, noise_sigma, synth_beat_cube
 
@@ -110,5 +109,4 @@ __all__ = [
     "steering_vector",
     "synth_beat_cube",
     "table_radar_config",
-    "vandermonde_decompose",
 ]

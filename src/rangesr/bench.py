@@ -6,8 +6,10 @@ unit amplitudes and random phases, then runs the pipeline's stare-and-solve
 path: `pipeline.stare` on one matched beam (keystone integration, CFAR,
 Doppler-channel grouping, the rows extraction reads), `pipeline.group_mmv`
 on the strongest group (band construction, extraction), and the chosen
-solver. Success is a per-target RMS range error below 0.1 range cells after
-optimal assignment.
+solver. Only MUSIC is told the target count K; fsram and ram find their
+own model order. The K strongest atoms are scored (fewer than K is a
+failure): success is a per-target RMS range error below 0.1 range cells
+after optimal assignment.
 
 Common random numbers: truth and noise draws are keyed by
 (seed_base, K, spacing, trial) only, so every method and every SNR sees the
@@ -225,7 +227,7 @@ def run_trial_method(spec: GridSpec, data: _TrialData, snr_db: float, method: st
     try:
         # groups come sorted by falling power
         mmv = group_mmv(rows, groups[0])
-        result = solve_by_name(method, mmv, n_atoms=k)
+        result = solve_by_name(method, mmv, n_sources=k)
     except (SuperResError, ValueError, np.linalg.LinAlgError):
         return float("inf")
     return assignment_rms(data.truth_ranges, result.top_ranges(k))

@@ -1,7 +1,8 @@
 """Command-line front end: `superres`, `pipeline`, `bench` and `compare`.
 
 Each command reads JSON configuration, writes JSON/CSV artifacts into --out-dir
-and exits 0, or 2 on a failed solve (`superres`), no estimate (`pipeline`), an
+and exits 0, or 2 on a failed solve or an `n_atoms` key given to fsram or
+ram, which find their own order (`superres`), no estimate (`pipeline`), an
 infeasible cell (`bench`, `compare`) or an unknown method (`compare`).
 """
 
@@ -44,6 +45,13 @@ def _load_spec(args) -> GridSpec:
 
 def _cmd_superres(args) -> int:
     problem = load_json(args.problem)
+    if "n_atoms" in problem and args.method != "music":
+        print(
+            f"rangesr superres: n_atoms is MUSIC's model order; {args.method} "
+            "finds its own, so drop the key or use --method music",
+            file=sys.stderr,
+        )
+        return 2
     out = _out_dir(args)
     cfg = from_json(RadarConfig, problem["radar"]) if "radar" in problem else table_radar_config()
     ranges = [float(r) for r in problem["ranges_m"]]
@@ -68,7 +76,7 @@ def _cmd_superres(args) -> int:
         n_ex=int(problem.get("n_ex", 32)),
     )
     try:
-        result = solve_by_name(args.method, mmv, n_atoms=problem.get("n_atoms"))
+        result = solve_by_name(args.method, mmv, n_sources=problem.get("n_atoms"))
     except SuperResError as err:
         print(f"rangesr superres: {err}", file=sys.stderr)
         return 2

@@ -70,6 +70,14 @@ none, raises AdmmError. Data already inside the noise ball (||S||_F <= eta)
 never enters the loop; u = 0 and Y = 0 are optimal there, and the solve
 returns that empty spectrum with stop reason "inside_noise_ball".
 
+The audited certificate's atoms are the answer: T(u) = A(f) P A(f)^H is
+built from them, so `SdpDiagnostics.atom_freqs` and `atom_powers` carry
+its Vandermonde decomposition, and nothing re-derives it from u. Atoms
+whose power is at most _RANK_TOL of the largest are dropped there (their
+frequencies are arbitrary); u keeps them, at the certificate's 1e-9
+power floor. A certificate holds at most N-1 atoms, so T(u) is never full
+rank.
+
 The certificate of the first pass's iterate is audited too: a misfit above
 _DOOMED_RATIO * eta means the band cannot explain the data (on the noisy
 exp scenes the groups that fail read 35-535 eta there, and those that are
@@ -103,7 +111,7 @@ _ADAPT_FACTOR = 1.5
 _RHO_MIN = 1e-4
 _RHO_MAX = 1e4
 _EPS_DECAY = 0.5       # reweighting eps shrinks by this per outer pass
-_RANK_TOL = 1e-6       # eigenvalues of T(u) above this fraction of the top are signal
+_RANK_TOL = 1e-6       # T(u) eigenvalues and atom powers above this share of the top are signal
 _DOOMED_RATIO = 10.0   # first-pass certificate misfit, in etas, that ends a solve
 _GN_ITERS = 30         # Gauss-Newton steps of the certificate's atom refit
 
@@ -141,6 +149,10 @@ class SdpDiagnostics:
     rank: int = 0              # right singular directions of S the solve kept
     feasible: bool = True
     stop_reason: str = ""
+    # the returned T(u)'s atoms: local frequencies (cycles/sample, ascending)
+    # and powers in the caller's units; empty inside the noise ball
+    atom_freqs: np.ndarray = field(default_factory=lambda: np.empty(0))
+    atom_powers: np.ndarray = field(default_factory=lambda: np.empty(0))
 
     @property
     def outer_iters(self) -> int:
@@ -333,22 +345,21 @@ def atom_matrix(freqs: np.ndarray, n: int) -> np.ndarray:
     return np.exp(2j * np.pi * k * np.asarray(freqs)[None, :])
 
 
-def esprit(u: np.ndarray, n_atoms: int | None = None) -> tuple[np.ndarray, int]:
-    """Atom frequencies of T(u) by rotational invariance, and the rank of T(u).
+def esprit(u: np.ndarray) -> np.ndarray:
+    """Atom frequencies of T(u) by rotational invariance, ascending in [0, 1).
 
-    The signal subspace holds the `n_atoms` dominant eigenvectors, or those
-    whose eigenvalues exceed _RANK_TOL of the largest; at most n-1 either way.
+    The signal subspace holds the eigenvectors whose eigenvalues exceed
+    _RANK_TOL of the largest, at most n-1 of them.
     """
     n = u.shape[0]
     vals, vecs = np.linalg.eigh(toeplitz_from_u(u))
-    rank = int(np.count_nonzero(vals > _RANK_TOL * max(vals[-1], 1e-300)))
-    size = min(rank if n_atoms is None else int(n_atoms), n - 1)
-    if rank == 0 or size <= 0:
-        return np.empty(0), rank
+    size = min(int(np.count_nonzero(vals > _RANK_TOL * max(vals[-1], 1e-300))), n - 1)
+    if size == 0:
+        return np.empty(0)
     sub = vecs[:, n - size:]
     rot = np.linalg.pinv(sub[:-1]) @ sub[1:]
     f = np.angle(np.linalg.eigvals(rot)) / (2.0 * np.pi)
-    return np.sort(np.mod(f, 1.0)), rank
+    return np.sort(np.mod(f, 1.0))
 
 
 def nnls_powers(u: np.ndarray, freqs: np.ndarray) -> np.ndarray:
@@ -439,8 +450,9 @@ def _atomic_certificate(
     ss: np.ndarray,
     band: tuple[float, float] | None,
     eta_s: float,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-    """Exactly feasible (z, y, u) built from refined atoms of the iterate.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None:
+    """Exactly feasible (z, y, u) built from refined atoms of the iterate,
+    and those atoms: frequencies (ascending) and the powers that make u.
 
     With atoms A, powers Sigma and amplitudes C the block matrix
     [[C^H Sigma^-1 C, C^H A^H], [A C, A Sigma A^H]] is a Gram matrix, hence
@@ -459,7 +471,7 @@ def _atomic_certificate(
     fit_ok = _fit_tol(eta_s)
     candidates: list[tuple[np.ndarray, np.ndarray, float]] = []
 
-    freqs, _ = esprit(u_admm)
+    freqs = esprit(u_admm)
     if band is not None:
         freqs = np.clip(freqs, band[0], band[1])
     freqs = np.unique(freqs)
@@ -488,7 +500,7 @@ def _atomic_certificate(
     y = atoms @ c
     z = hermitize(c.conj().T @ ((1.0 / powers)[:, None] * c))
     u = atoms @ powers.astype(np.complex128)
-    return z, y, u
+    return z, y, u, freqs, powers
 
 
 def signal_rank(sv: np.ndarray, shape: tuple[int, int]) -> int:
@@ -525,7 +537,8 @@ def solve_weighted_toeplitz_sdp(
     eta: float,
     band: tuple[float, float] | None = None,
 ) -> tuple[np.ndarray, np.ndarray, SdpDiagnostics]:
-    """Returns (u, Y, diagnostics); T(u) carries the recovered line spectrum.
+    """Returns (u, Y, diagnostics); T(u) carries the recovered line spectrum,
+    whose atoms are `diagnostics.atom_freqs` and `atom_powers`.
 
     Y has the shape of S: Y = Y_r V_r^H, with V_r the `diag.rank` top right
     singular vectors of S that the solve kept.
@@ -675,7 +688,7 @@ def solve_weighted_toeplitz_sdp(
             f"power, so nothing can be audited against eta {diag.eta:.3e}",
             diag,
         )
-    z_c, y_c, u_c = cert
+    z_c, y_c, u_c, freqs, powers = cert
     vals_m = np.linalg.eigvalsh(hermitize(_assemble(z_c, y_c, u_c)))
     ok = vals_m[0] >= -1e-6 * max(vals_m[-1], 1e-12)
     if hcoefs is not None:
@@ -692,4 +705,7 @@ def solve_weighted_toeplitz_sdp(
             "signal set",
             diag,
         )
+    keep = powers > _RANK_TOL * powers.max()
+    diag.atom_freqs = freqs[keep]
+    diag.atom_powers = powers[keep] * scale * scale
     return u_c * scale * scale, (y_c @ vr_h) * scale, diag

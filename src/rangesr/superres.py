@@ -10,6 +10,9 @@ chirp (keeping the native range aperture). The resulting N_ex x L matrix S
 feeds either the band-constrained reweighted Toeplitz SDP, its
 unconstrained variant, or MUSIC; recovered local frequencies map affinely
 back to absolute range. The noise level comes from S itself, not the scene.
+The SDP solvers find their own model order: their atoms are those of the
+audited certificate (`SdpDiagnostics.atom_freqs`). Only MUSIC takes a
+source count K, and estimates it by MDL when none is given.
 """
 
 from __future__ import annotations
@@ -22,12 +25,9 @@ from .cfar import DetectionGroup, parabolic_offset
 from .config import ConfigError, RadarConfig
 from .cube import DataCube, axis_values
 from .sdp import (
-    _RANK_TOL,
     AdmmError,
     SdpDiagnostics,
     atom_matrix,
-    esprit,
-    nnls_powers,
     signal_rank,
     solve_weighted_toeplitz_sdp,
 )
@@ -52,10 +52,6 @@ class FreqBand:
     def __post_init__(self) -> None:
         if not 0.0 <= self.f_lo < self.f_hi <= 0.5:
             raise ConfigError(f"band ({self.f_lo}, {self.f_hi}) must satisfy 0 <= lo < hi <= 0.5")
-
-    @classmethod
-    def full(cls) -> "FreqBand":
-        return cls(0.0, 0.5)
 
     @property
     def is_full(self) -> bool:
@@ -230,31 +226,6 @@ def prior_band(group: DetectionGroup, n_fast: int) -> FreqBand:
     return FreqBand(lo, hi)
 
 
-def vandermonde_decompose(
-    u: np.ndarray, n_atoms: int | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Frequencies and non-negative powers of T(u) = sum_k p_k a(f_k)a(f_k)^H.
-
-    Frequencies come from a shift-invariance (ESPRIT style) fit on the signal
-    eigenspace; powers from non-negative least squares on the Toeplitz
-    entries. Atoms whose power is at most _RANK_TOL of the largest (the
-    floor that counts signal eigenvalues) are dropped: their frequencies are
-    arbitrary. Raises when T(u) is numerically full rank, which signals that
-    the solver was run with too small a noise budget.
-    """
-    u = np.asarray(u, dtype=np.complex128)
-    freqs, rank = esprit(u, n_atoms)
-    if n_atoms is None and rank >= u.shape[0]:
-        raise SuperResError(
-            "Toeplitz factor is full rank; increase the noise budget eta"
-        )
-    if freqs.size == 0:
-        return np.empty(0), np.empty(0)
-    powers = nnls_powers(u, freqs)
-    keep = powers > _RANK_TOL * powers.max()
-    return freqs[keep], powers[keep]
-
-
 def mdl_order(eigvals: np.ndarray, n_snapshots: int) -> int:
     """Minimum-description-length source count from covariance eigenvalues."""
     lam = np.sort(np.asarray(eigvals, dtype=np.float64))[::-1]
@@ -277,8 +248,10 @@ def mdl_order(eigvals: np.ndarray, n_snapshots: int) -> int:
 class SuperResResult:
     """One solve's line spectrum.
 
-    For fsram and ram, `powers` are the weights of the atoms of T(u) after
-    the last of the fixed reweighting passes, so they depend on the pass
+    fsram and ram choose their own number of atoms (the audited
+    certificate's); only music is handed a source count K. For fsram and
+    ram, `powers` are the weights of the atoms of T(u) after the last of
+    the fixed reweighting passes, so they depend on the pass
     budget (`sdp._MAX_OUTER`): on the fixed grid's solves whose frequencies
     stay put, four passes read 0.09-1.03x of their eight-pass values
     (fsram) and 0.61-1.13x (ram). They also depend on where the inner
@@ -349,21 +322,22 @@ def _solve_band(local: tuple[float, float], n_ex: int) -> tuple[float, float]:
     return lo, hi
 
 
+def _amplitudes(freqs_local: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Least-squares atom amplitudes of y (atoms x snapshots)."""
+    return np.linalg.pinv(atom_matrix(freqs_local, y.shape[0])) @ y
+
+
 def _finalize(
     method: str,
     mmv: MmvMatrix,
     freqs_local: np.ndarray,
     powers: np.ndarray,
-    y: np.ndarray,
+    amps: np.ndarray,
     eta: float,
     diagnostics: SdpDiagnostics | None,
 ) -> SuperResResult:
     freqs_local = np.asarray(freqs_local, dtype=np.float64)
     powers = np.asarray(powers, dtype=np.float64)
-    if freqs_local.size:
-        amps = np.linalg.pinv(atom_matrix(freqs_local, mmv.n_samples)) @ y
-    else:
-        amps = np.zeros((0, mmv.n_snapshots), dtype=np.complex128)
     f_global = mmv.global_freq(freqs_local)
     ranges = np.array([mmv.config.range_of_freq(f) for f in f_global])
     lo, hi = mmv.local_band()
@@ -386,32 +360,27 @@ def _toeplitz_solve(
     method: str,
     mmv: MmvMatrix,
     eta: float | None,
-    n_atoms: int | None,
     band: tuple[float, float] | None,
     failure: str,
 ) -> SuperResResult:
     eta = mmv.default_eta() if eta is None else float(eta)
     try:
-        u, y, diag = solve_weighted_toeplitz_sdp(mmv.data, eta, band)
+        _, y, diag = solve_weighted_toeplitz_sdp(mmv.data, eta, band)
     except AdmmError as exc:
         raise SuperResError(f"{failure} solve failed: {exc}") from exc
-    freqs, powers = vandermonde_decompose(u, n_atoms=n_atoms)
-    return _finalize(method, mmv, freqs, powers, y, eta, diag)
+    freqs = diag.atom_freqs
+    return _finalize(method, mmv, freqs, diag.atom_powers, _amplitudes(freqs, y), eta, diag)
 
 
-def fsram_solve(
-    mmv: MmvMatrix, eta: float | None = None, n_atoms: int | None = None
-) -> SuperResResult:
+def fsram_solve(mmv: MmvMatrix, eta: float | None = None) -> SuperResResult:
     """Band-constrained reweighted Toeplitz recovery (the primary method)."""
     band = _solve_band(mmv.local_band(), mmv.n_samples)
-    return _toeplitz_solve("fsram", mmv, eta, n_atoms, band, "band-constrained")
+    return _toeplitz_solve("fsram", mmv, eta, band, "band-constrained")
 
 
-def ram_solve(
-    mmv: MmvMatrix, eta: float | None = None, n_atoms: int | None = None
-) -> SuperResResult:
+def ram_solve(mmv: MmvMatrix, eta: float | None = None) -> SuperResResult:
     """Same solver without the band constraint (baseline)."""
-    return _toeplitz_solve("ram", mmv, eta, n_atoms, None, "unconstrained")
+    return _toeplitz_solve("ram", mmv, eta, None, "unconstrained")
 
 
 def music_spectrum(
@@ -437,9 +406,8 @@ def music_solve(mmv: MmvMatrix, n_sources: int | None = None) -> SuperResResult:
         n_sources = mdl_order(vals, l)
     n_sources = int(min(max(n_sources, 0), n - 1))
     if n_sources == 0:
-        return _finalize(
-            "music", mmv, np.empty(0), np.empty(0), data, 0.0, None
-        )
+        none = np.empty(0)
+        return _finalize("music", mmv, none, none, _amplitudes(none, data), 0.0, None)
     grid = np.linspace(0.0, 1.0, _MUSIC_GRID, endpoint=False)
     spec = music_spectrum(data, n_sources, grid)
     # imported here: scipy.signal is about half of `import rangesr` otherwise
@@ -461,16 +429,18 @@ def music_solve(mmv: MmvMatrix, n_sources: int | None = None) -> SuperResResult:
         for pk in sel
     ]
     freqs = np.mod((sel + np.asarray(offsets)) / _MUSIC_GRID, 1.0)
-    amps = np.linalg.pinv(atom_matrix(freqs, n)) @ data
+    amps = _amplitudes(freqs, data)
     powers = np.mean(np.abs(amps) ** 2, axis=1)
-    return _finalize("music", mmv, freqs, powers, data, 0.0, None)
+    return _finalize("music", mmv, freqs, powers, amps, 0.0, None)
 
 
-def solve_by_name(method: str, mmv: MmvMatrix, n_atoms: int | None = None) -> SuperResResult:
+def solve_by_name(method: str, mmv: MmvMatrix, n_sources: int | None = None) -> SuperResResult:
+    """Solve `mmv` with fsram, ram or music. `n_sources` is MUSIC's model
+    order (MDL when None); fsram and ram find their own order."""
     if method == "fsram":
-        return fsram_solve(mmv, n_atoms=n_atoms)
+        return fsram_solve(mmv)
     if method == "ram":
-        return ram_solve(mmv, n_atoms=n_atoms)
+        return ram_solve(mmv)
     if method == "music":
-        return music_solve(mmv, n_sources=n_atoms)
+        return music_solve(mmv, n_sources=n_sources)
     raise ConfigError(f"unknown method {method!r}")

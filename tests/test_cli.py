@@ -112,6 +112,41 @@ def test_superres_failed_solve_exits_2_with_one_line(tmp_path, monkeypatch, caps
     assert not (tmp_path / "superres.json").exists()
 
 
+@pytest.mark.parametrize("method", ["fsram", "ram"])
+def test_superres_rejects_n_atoms_for_the_sdp_methods(tmp_path, monkeypatch, capsys, method):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a solve ran")
+
+    monkeypatch.setattr(cli, "solve_by_name", no_solve)
+    problem = tmp_path / "problem.json"
+    dump_json({"ranges_m": [165.0, 166.8], "snr_db": 30.0, "n_atoms": 2}, problem)
+    code = main(["superres", "--problem", str(problem), "--method", method,
+                 "--out-dir", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == (f"rangesr superres: n_atoms is MUSIC's model order; {method} finds its "
+                   "own, so drop the key or use --method music\n")
+    assert not (tmp_path / "superres.json").exists()
+
+
+def test_superres_hands_n_atoms_to_music(tmp_path, monkeypatch):
+    orders = []
+
+    def keep_order(method, mmv, n_sources=None):
+        orders.append(n_sources)
+        return solve_by_name(method, mmv, n_sources=n_sources)
+
+    monkeypatch.setattr(cli, "solve_by_name", keep_order)
+    problem = tmp_path / "problem.json"
+    dump_json({"ranges_m": [165.0, 166.8], "snr_db": 30.0, "seed": 2, "n_atoms": 2}, problem)
+    code = main(["superres", "--problem", str(problem), "--method", "music",
+                 "--out-dir", str(tmp_path)])
+    assert code == 0
+    assert orders == [2]
+    result = load_json(tmp_path / "superres.json")
+    assert result["method"] == "music" and len(result["ranges_m"]) == 2
+
+
 def test_compare_rejects_an_unknown_method_before_any_grid_runs(
     tmp_path, monkeypatch, capsys
 ):

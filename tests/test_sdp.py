@@ -11,6 +11,7 @@ from rangesr.sdp import (
     _diag_means,
     _objective_gradient,
     _signal_subspace,
+    atom_matrix,
     band_coefficients,
     band_matrix_from_u,
     hermitize,
@@ -19,7 +20,6 @@ from rangesr.sdp import (
     solve_weighted_toeplitz_sdp,
     toeplitz_from_u,
 )
-from rangesr.superres import vandermonde_decompose
 
 
 def atoms(freqs, n):
@@ -176,8 +176,7 @@ def test_data_inside_the_noise_ball_gives_an_empty_spectrum(slack):
     assert diag.stop_reason == "inside_noise_ball"
     assert diag.outer_iters == 0 and diag.inner_iters == []
     assert diag.data_misfit == pytest.approx(np.linalg.norm(s)) and diag.feasible
-    freqs, powers = vandermonde_decompose(u, 2)
-    assert freqs.size == 0 and powers.size == 0
+    assert diag.atom_freqs.size == 0 and diag.atom_powers.size == 0
 
 
 def test_data_just_outside_the_noise_ball_is_solved():
@@ -203,9 +202,9 @@ def test_single_atom_full_band_recovery():
     u, y, diag = solve_weighted_toeplitz_sdp(s, eta)
     assert diag.feasible
     audit(s, eta, u, y)
-    freqs, powers = vandermonde_decompose(u, 1)
-    assert abs(freqs[0] - f0) < 1e-8
-    assert powers[0] > 0.0
+    assert diag.atom_freqs.shape == (1,)
+    assert abs(diag.atom_freqs[0] - f0) < 1e-8
+    assert diag.atom_powers[0] > 0.0
 
 
 def test_two_atoms_band_constrained_recovery():
@@ -216,9 +215,23 @@ def test_two_atoms_band_constrained_recovery():
     u, y, diag = solve_weighted_toeplitz_sdp(s, eta, band=band)
     assert diag.feasible
     audit(s, eta, u, y, band=band)
-    freqs, _ = vandermonde_decompose(u, 2)
-    assert np.allclose(np.sort(freqs), truth, atol=1e-6)
-    assert all(band[0] - 1e-3 <= f <= band[1] + 1e-3 for f in freqs)
+    freqs = diag.atom_freqs
+    assert np.allclose(freqs, truth, atol=1e-6)
+    assert all(band[0] <= f <= band[1] for f in freqs)
+
+
+@pytest.mark.parametrize("case", ["noisy_rank_2", "one_column_unbanded"])
+def test_the_returned_atoms_are_the_vandermonde_decomposition_of_u(case):
+    # T(u) = A(f) diag(p) A(f)^H with the diagnostics' atoms, up to the atoms
+    # dropped at _RANK_TOL, and a banded solve keeps every atom in its band
+    s, rel_eta, band = FULL_SPACE_CASES[case]()
+    u, _, diag = solve_weighted_toeplitz_sdp(s, rel_eta * np.linalg.norm(s), band=band)
+    freqs, powers = diag.atom_freqs, diag.atom_powers
+    assert freqs.size >= 1 and np.all(np.diff(freqs) > 0.0) and np.all(powers > 0.0)
+    rebuilt = atom_matrix(freqs, u.shape[0]) @ powers
+    assert np.linalg.norm(rebuilt - u) <= 1e-6 * np.linalg.norm(u)
+    if band is not None:
+        assert np.all((band[0] <= freqs) & (freqs <= band[1]))
 
 
 def test_scaling_covariance():
@@ -273,15 +286,16 @@ def test_out_of_band_tones_stop_after_the_first_pass():
 def test_default_budget_matches_eight_passes_on_the_banded_fixture(admm_budget):
     s = atom_mmv([0.21, 0.29], 8, 2, seed=4)
     eta = 1e-6 * np.linalg.norm(s)
-    u_default, _, diag = solve_weighted_toeplitz_sdp(s, eta, band=(0.15, 0.35))
+    _, _, diag = solve_weighted_toeplitz_sdp(s, eta, band=(0.15, 0.35))
     # every pass runs: the budget is the only exit after the first pass
     assert diag.outer_iters == len(diag.inner_iters) == 4
     assert diag.stop_reason == "max_outer"
+    found = [diag.atom_freqs]
     admm_budget(_MAX_OUTER=8)
-    u_eight, _, diag = solve_weighted_toeplitz_sdp(s, eta, band=(0.15, 0.35))
+    _, _, diag = solve_weighted_toeplitz_sdp(s, eta, band=(0.15, 0.35))
     assert diag.outer_iters == len(diag.inner_iters) == 8
     assert diag.stop_reason == "max_outer"
-    found = [vandermonde_decompose(u)[0] for u in (u_default, u_eight)]
+    found.append(diag.atom_freqs)
     assert found[0].size == found[1].size == 2
     np.testing.assert_allclose(found[0], found[1], rtol=0.0, atol=1e-9)
 

@@ -29,8 +29,8 @@ from rangesr.superres import (
     prior_band,
     ram_solve,
     solve_by_name,
-    vandermonde_decompose,
 )
+from rangesr.sdp import esprit, nnls_powers
 from rangesr.synth import synth_beat_cube
 
 MUSIC_GRID_STEP = 1.0 / 8192.0
@@ -89,7 +89,7 @@ def test_band_validation_and_properties():
     assert band.width == pytest.approx(0.2)
     assert band.center == pytest.approx(0.2)
     assert not band.is_full
-    full = FreqBand.full()
+    full = FreqBand(0.0, 0.5)
     assert full.is_full and full.f_lo == 0.0 and full.f_hi == 0.5
     for lo, hi in [(0.3, 0.2), (-0.1, 0.2), (0.3, 0.6), (0.2, 0.2)]:
         with pytest.raises(ConfigError):
@@ -111,7 +111,7 @@ def test_extract_rejects_beamformed_cube(cfg):
 def test_extract_rejects_full_band(cfg):
     cube = synth_beat_cube(cfg, [static_target(60.0)], 8)
     with pytest.raises(ConfigError, match="band"):
-        extract_mmv(cube, 0.0, FreqBand.full())
+        extract_mmv(cube, 0.0, FreqBand(0.0, 0.5))
 
 
 def test_extract_sample_count_bounds(cfg):
@@ -346,6 +346,13 @@ def test_prior_band_degenerate_beyond_nyquist_raises(cfg):
 
 
 # ------------------------------------------------------------- vandermonde
+# T(u) = A(f) diag(p) A(f)^H by ESPRIT and NNLS, as the SDP's certificate
+# reads the atoms of its iterate
+
+
+def vandermonde(u):
+    freqs = esprit(u)
+    return freqs, nnls_powers(u, freqs)
 
 
 def test_vandermonde_two_tones_exact():
@@ -353,26 +360,13 @@ def test_vandermonde_two_tones_exact():
     u = 2.0 * np.exp(2j * np.pi * 0.1 * np.arange(n)) + np.exp(
         2j * np.pi * 0.31 * np.arange(n)
     )
-    freqs, powers = vandermonde_decompose(u)
-    assert np.abs(np.sort(freqs) - np.array([0.1, 0.31])).max() < 1e-8
-    assert np.abs(np.sort(powers) - np.array([1.0, 2.0])).max() < 1e-6
+    freqs, powers = vandermonde(u)
+    assert np.abs(freqs - np.array([0.1, 0.31])).max() < 1e-8
+    assert np.abs(powers - np.array([2.0, 1.0])).max() < 1e-6
 
 
 def test_vandermonde_zero_vector_gives_no_atoms():
-    freqs, powers = vandermonde_decompose(np.zeros(8, dtype=np.complex128))
-    assert freqs.size == 0 and powers.size == 0
-
-
-def test_vandermonde_drops_atoms_without_power():
-    # asked for more atoms than T(u) holds, the surplus atom gets no power
-    n = 16
-    u = 2.0 * np.exp(2j * np.pi * 0.1 * np.arange(n)) + np.exp(
-        2j * np.pi * 0.31 * np.arange(n)
-    )
-    freqs, powers = vandermonde_decompose(u, n_atoms=3)
-    assert freqs.shape == (2,) and powers.shape == (2,)
-    assert np.abs(np.sort(freqs) - np.array([0.1, 0.31])).max() < 1e-8
-    assert np.abs(np.sort(powers) - np.array([1.0, 2.0])).max() < 1e-6
+    assert esprit(np.zeros(8, dtype=np.complex128)).size == 0
 
 
 def test_vandermonde_close_tones_with_skewed_powers():
@@ -381,20 +375,10 @@ def test_vandermonde_close_tones_with_skewed_powers():
     fr = np.array([0.2, 0.2 + 0.1 / n])
     pw = np.array([100.0, 1.0])
     u = (np.exp(2j * np.pi * np.outer(np.arange(n), fr)) * pw).sum(axis=1)
-    freqs, powers = vandermonde_decompose(u)
+    freqs, powers = vandermonde(u)
     assert freqs.shape == (2,)
-    assert np.abs(np.sort(freqs) - fr).max() < 1e-6
-    assert np.abs(np.sort(powers) - np.sort(pw)).max() < 1e-3
-
-
-def test_vandermonde_full_rank_raises_unless_order_given():
-    rng = np.random.default_rng(5)
-    fv = np.sort(rng.uniform(0.0, 1.0, 8))
-    u = np.exp(2j * np.pi * np.outer(np.arange(8), fv)).sum(axis=1)
-    with pytest.raises(SuperResError, match="noise budget eta"):
-        vandermonde_decompose(u)
-    freqs, powers = vandermonde_decompose(u, n_atoms=3)
-    assert freqs.shape == (3,) and powers.shape == (3,)
+    assert np.abs(freqs - fr).max() < 1e-6
+    assert np.abs(powers - pw).max() < 1e-3
 
 
 def test_mdl_order_counts_dominant_eigenvalues():
@@ -561,7 +545,7 @@ def test_solve_by_name_dispatch(cfg):
     data = np.outer(atom_matrix([0.22], 16)[:, 0], c)
     mm = hand_mmv(data, FreqBand(0.15, 0.3), cfg)
     for name in ("fsram", "ram", "music"):
-        res = solve_by_name(name, mm, n_atoms=1)
+        res = solve_by_name(name, mm, n_sources=1)
         assert res.method == name
         assert res.n_atoms == 1
         assert abs(res.freqs_local[0] - 0.22) < 1e-3
