@@ -3,7 +3,9 @@
 Each command reads JSON configuration, writes JSON/CSV artifacts into --out-dir
 and exits 0, or 2 on a failed solve or an `n_atoms` key given to fsram or
 ram, which find their own order (`superres`), no estimate (`pipeline`), an
-infeasible cell (`bench`, `compare`) or an unknown method (`compare`).
+infeasible cell (`bench`, `compare`) or an unknown method (`compare`). Any
+command also exits 2 on an input that violates a configuration contract
+(`ConfigError`), printing `rangesr <command>: <message>` on stderr.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .bench import METHODS, GridSpec, compare_methods, run_success_grid
-from .config import RadarConfig, UavTruth, dump_json, from_json, load_json, to_json
+from .config import ConfigError, RadarConfig, UavTruth, dump_json, from_json, load_json, to_json
 from .pipeline import run_full, scene_from_dict, table_radar_config
 from .superres import FreqBand, SuperResError, extract_mmv, solve_by_name
 from .synth import add_noise, synth_beat_cube
@@ -181,7 +183,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ConfigError as err:
+        print(f"rangesr {args.command}: {err}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -27,24 +27,45 @@ the ball (sum_{i>=r} s_i^2 >= eta^2); at r = min(N, L) the problem is the
 original one up to a unitary rotation of the snapshots. Every synthetic
 scene puts its same-cell UAVs at one angle, so r = 1 there, and the ADMM
 block shrinks from (N+L)x(N+L) to (N+r)x(N+r): 33x33 instead of 48x48 at
-N=32, L=16. The audits below (the first-pass "doomed" test, the final
-misfit, `SdpDiagnostics.data_misfit`) measure ||S - Y||_F on the full S,
-so _DOOMED_RATIO counts the caller's etas.
+N=32, L=16. The audits below (the data fit's misfit, the final misfit,
+`SdpDiagnostics.data_misfit`) measure ||S - Y||_F on the full S.
 
-The weight W is refreshed between passes as (T(u) + eps I)^{-1}, with u
-the last pass's iterate (majorization-minimization for log-det sparsity);
-W = I on the first pass. eps is lambda_max(T(u_1))/10 after the first pass
-and halves after each later one. Every pass runs: the loop keeps no
-acceptance test, because the objectives of loose ADMM iterates are not
-those of feasible points and so cannot say whether a pass helped. The
-last pass's iterate goes to the certificate below.
+The answer path has four steps:
+1. Data atoms. Forward selection on the kept data S V_r picks the
+   in-band frequency whose atom best correlates with the residual, refits
+   every chosen frequency by projected Gauss-Newton (clipped to the band),
+   and stops at the first set whose least-squares fit lies inside the
+   ball; without one it keeps the closest fit. When that fit's misfit on
+   the full S exceeds eta, the band cannot explain the data, and the solve
+   raises AdmmError before any ADMM pass.
+2. ADMM passes. The weight W is refreshed between passes as
+   (T(u) + eps I)^{-1}, with u the last pass's iterate
+   (majorization-minimization for log-det sparsity); W = I on the first
+   pass. eps is lambda_max(T(u_1))/10 after the first pass and halves
+   after each later one. Every one of the _MAX_OUTER passes runs: the
+   first of at most _INNER_ITERS_FIRST ADMM iterations and the rest of at
+   most _INNER_ITERS (the comment on those constants gives the cost). A
+   pass ends earlier when the primal and dual residuals fall below
+   _TOL_REL of their scales, Boyd et al.'s relative test (FnT ML 2011,
+   sec. 3.3.1) at their 1e-3.
+3. Weights. The last iterate u weighs the data atoms by nonnegative least
+   squares (`nnls_powers`); a solve where no atom gets a positive power
+   raises AdmmError.
+4. Audit. With atoms A, powers P (floored at 1e-9 of the largest) and the
+   data fit's amplitudes C, the returned certificate is the Gram-form
+   [[C^H P^-1 C, C^H A^H], [A C, A P A^H]], which is PSD by construction
+   with Tb PSD because in-band atoms have nonnegative transform weights.
+   It must still pass the feasibility audit (ball within
+   eta(1+1e-6)+1e-9, block matrix and Tb eigenvalues above -1e-6
+   relative), or the solve raises AdmmError.
 
-The budget is fixed: _MAX_OUTER reweighting passes, the first of at most
-_INNER_ITERS_FIRST ADMM iterations and the rest of at most _INNER_ITERS
-(the comment on those constants gives the cost). A pass ends earlier when
-the primal and dual residuals fall below _TOL_REL of their scales, Boyd et
-al.'s relative test (FnT ML 2011, sec. 3.3.1) at their 1e-3; on the
-benchmark's solves it saves about half the inner iterations.
+So the data choose the frequencies, and the SDP only weighs them: T(u) =
+A(f) P A(f)^H, and `SdpDiagnostics.atom_freqs` and `atom_powers` carry
+that decomposition, minus the atoms whose power is at most _RANK_TOL of
+the largest (u keeps them at the 1e-9 floor). A fit holds at most
+min(N-1, 16) atoms, so T(u) is never full rank. Data already inside the
+noise ball (||S||_F <= eta) never reaches step 1; u = 0 and Y = 0 are
+optimal there, and the solve returns that empty spectrum.
 
 ADMM splitting: consensus copies Q (of the big block matrix) and P (of Tb)
 carry the PSD constraints; Z, Y, u have closed-form updates. The u update
@@ -56,40 +77,12 @@ update, and the Toeplitz layouts of T(u) and Tb(u)) are gathers through
 flat index maps computed once per N and cached, so an inner iteration runs
 no per-diagonal Python loop.
 
-The returned solution must survive a feasibility audit (ball within
-eta(1+1e-6)+1e-9, block matrix and Tb eigenvalues above -1e-6 relative).
-First-order iterates approach that set tangentially near low-rank optima,
-so the solver refits the atoms of the final iterate to the data
-(projected Gauss-Newton on the frequencies, clipped to the band) and
-returns the Gram-form certificate [[C^H P^-1 C, C^H A^H], [A C, A P A^H]],
-which is PSD by construction with Tb PSD because in-band atoms have
-nonnegative transform weights. Only the data misfit can then fail, which
-is exactly the eta-infeasible case. The certificate is the only way out
-of the ADMM loop: a solve whose certificate fails the audit, or that yields
-none, raises AdmmError. Data already inside the noise ball (||S||_F <= eta)
-never enters the loop; u = 0 and Y = 0 are optimal there, and the solve
-returns that empty spectrum with stop reason "inside_noise_ball".
-
-The audited certificate's atoms are the answer: T(u) = A(f) P A(f)^H is
-built from them, so `SdpDiagnostics.atom_freqs` and `atom_powers` carry
-its Vandermonde decomposition, and nothing re-derives it from u. Atoms
-whose power is at most _RANK_TOL of the largest are dropped there (their
-frequencies are arbitrary); u keeps them, at the certificate's 1e-9
-power floor. A certificate holds at most N-1 atoms, so T(u) is never full
-rank.
-
-The certificate of the first pass's iterate is audited too: a misfit above
-_DOOMED_RATIO * eta means the band cannot explain the data (on the noisy
-exp scenes the groups that fail read 35-535 eta there, and those that are
-solved read at most 1), so the solve raises AdmmError at once instead of
-spending its remaining passes.
-
 Stop reasons (`SdpDiagnostics.stop_reason`):
-- "inside_noise_ball": ||S||_F <= eta, returned before any ADMM work;
-- "doomed_after_first_pass": raised after pass 1, the certificate misfit
-  exceeds _DOOMED_RATIO * eta;
-- "max_outer": all _MAX_OUTER passes ran; the certificate audit then
-  returns or raises.
+- "inside_noise_ball": ||S||_F <= eta, returned before any work;
+- "misfit_over_eta": raised before any ADMM pass, the data atoms' fit
+  misses the data by more than eta;
+- "max_outer": all _MAX_OUTER passes ran; the weights and the audit then
+  return or raise.
 """
 
 from __future__ import annotations
@@ -112,23 +105,24 @@ _RHO_MIN = 1e-4
 _RHO_MAX = 1e4
 _EPS_DECAY = 0.5       # reweighting eps shrinks by this per outer pass
 _RANK_TOL = 1e-6       # T(u) eigenvalues and atom powers above this share of the top are signal
-_DOOMED_RATIO = 10.0   # first-pass certificate misfit, in etas, that ends a solve
-_GN_ITERS = 30         # Gauss-Newton steps of the certificate's atom refit
+_GN_ITERS = 30         # Gauss-Newton steps of the data atoms' refit
 
-# The ADMM budget: reweighting passes, and inner iterations per pass. Four
-# passes: the answers are the atoms of the certificate refitted to the data.
-# On the fixed grids (fsram and ram) and the noise-free exp1/exp2 scenes,
-# three, four and eight passes give the same successes and ranges (to 2e-8
-# m); only the four K=3 grid trials whose prior band misses a target move.
-# On exp2 at 0 dB, seed 0, three passes keep two ghost atoms of one group
-# (60.475 and 63.824 m) that the fourth removes; exp1 at 0 dB and exp2 at
-# 10 dB read the same at three and four passes. The inner stop (_TOL_REL,
-# see the module docstring) can be loose because the certificate refits its
-# atoms to the data: at 1e-3 the grid successes and the noise-free exp1/exp2
-# ranges repeat those of 1e-6 (to 1e-8 m), and the benchmark's inner
-# iterations halved when it was set (grid_fsram 8,700 -> 4,232, scene_clean
-# 3,000 -> 1,472). 1e-4 saves 1% of them, and 3e-3 moves atoms in ghost
-# groups of exp2 at 0 dB. The cost is at most proportional to
+# The ADMM budget: reweighting passes, and inner iterations per pass. The
+# data fix the atoms' frequencies before the first pass, so the passes
+# change only the weights that the last iterate gives them (`nnls_powers`),
+# and with them which atoms fall below _RANK_TOL. Four passes: on the fixed
+# grids (fsram and ram) and the noise-free exp1/exp2 scenes, three, four
+# and eight passes gave the same successes and ranges (to 2e-8 m); only the
+# four K=3 grid trials whose prior band misses a target moved. On exp2 at
+# 0 dB, seed 0, three passes keep two ghost atoms of one group (60.475 and
+# 63.824 m) that the fourth removes; exp1 at 0 dB and exp2 at 10 dB read
+# the same at three and four passes. The inner stop (_TOL_REL, see the
+# module docstring) can be loose because the frequencies come from the
+# data: at 1e-3 the grid successes and the noise-free exp1/exp2 ranges
+# repeat those of 1e-6 (to 1e-8 m), and the benchmark's inner iterations
+# halved when it was set (grid_fsram 8,700 -> 4,232, scene_clean 3,000 ->
+# 1,472). 1e-4 saves 1% of them, and 3e-3 moves atoms in ghost groups of
+# exp2 at 0 dB. The cost is at most proportional to
 # _INNER_ITERS_FIRST + (_MAX_OUTER - 1) * _INNER_ITERS, and each inner
 # iteration projects the (N+r)x(N+r) block matrix (r the kept rank,
 # `SdpDiagnostics.rank`) and, with a band, the (N-1)x(N-1) band matrix onto
@@ -161,7 +155,9 @@ class SdpDiagnostics:
 
 
 class AdmmError(RuntimeError):
-    """Solver could not produce an audited feasible iterate within budget."""
+    """The solve has no audited feasible answer: raised before the ADMM runs
+    when the band's data atoms miss the data by more than eta, or after it
+    when the iterate weighs no atom or the certificate fails its audit."""
 
     def __init__(self, message: str, diagnostics: SdpDiagnostics):
         super().__init__(message)
@@ -345,23 +341,6 @@ def atom_matrix(freqs: np.ndarray, n: int) -> np.ndarray:
     return np.exp(2j * np.pi * k * np.asarray(freqs)[None, :])
 
 
-def esprit(u: np.ndarray) -> np.ndarray:
-    """Atom frequencies of T(u) by rotational invariance, ascending in [0, 1).
-
-    The signal subspace holds the eigenvectors whose eigenvalues exceed
-    _RANK_TOL of the largest, at most n-1 of them.
-    """
-    n = u.shape[0]
-    vals, vecs = np.linalg.eigh(toeplitz_from_u(u))
-    size = min(int(np.count_nonzero(vals > _RANK_TOL * max(vals[-1], 1e-300))), n - 1)
-    if size == 0:
-        return np.empty(0)
-    sub = vecs[:, n - size:]
-    rot = np.linalg.pinv(sub[:-1]) @ sub[1:]
-    f = np.angle(np.linalg.eigvals(rot)) / (2.0 * np.pi)
-    return np.sort(np.mod(f, 1.0))
-
-
 def nnls_powers(u: np.ndarray, freqs: np.ndarray) -> np.ndarray:
     """Nonnegative atom powers fitting u: u_d ~= sum_q p_q e^{j2pi f_q d}."""
     basis = atom_matrix(freqs, u.shape[0])
@@ -371,11 +350,18 @@ def nnls_powers(u: np.ndarray, freqs: np.ndarray) -> np.ndarray:
     return powers
 
 
+def _least_squares_fit(ss: np.ndarray, freqs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(atoms, amplitudes) of the least-squares fit of ss by the atoms at freqs."""
+    atoms = atom_matrix(freqs, ss.shape[0])
+    coef, *_ = np.linalg.lstsq(atoms, ss, rcond=None)
+    return atoms, coef
+
+
 def _gn_refine(
     ss: np.ndarray,
     freqs: np.ndarray,
     band: tuple[float, float] | None,
-) -> tuple[np.ndarray, np.ndarray, float]:
+) -> tuple[np.ndarray, float]:
     """Refine atom frequencies against the data by projected Gauss-Newton.
 
     Variable projection with the Kaufman approximation: amplitudes are the
@@ -389,8 +375,7 @@ def _gn_refine(
     f = np.clip(np.sort(freqs), lo, hi)
 
     def fit(fv: np.ndarray):
-        a = atom_matrix(fv, n)
-        c, *_ = np.linalg.lstsq(a, ss, rcond=None)
+        a, c = _least_squares_fit(ss, fv)
         r = ss - a @ c
         return a, c, r, float(np.linalg.norm(r) ** 2)
 
@@ -419,8 +404,7 @@ def _gn_refine(
             step *= 0.5
         if not improved or np.max(np.abs(delta)) * step < 1e-13:
             break
-    order = np.argsort(f)
-    return f[order], c[order], cost
+    return np.sort(f), cost
 
 
 def _residual_peak(residual: np.ndarray, band: tuple[float, float] | None) -> float:
@@ -432,75 +416,54 @@ def _residual_peak(residual: np.ndarray, band: tuple[float, float] | None) -> fl
     return float(grid[int(np.argmax(np.sum(np.abs(corr) ** 2, axis=1)))])
 
 
-def _refined_fit(
-    ss: np.ndarray, init: np.ndarray, band: tuple[float, float] | None
-) -> tuple[np.ndarray, np.ndarray, float]:
-    freqs, c, cost = _gn_refine(ss, init, band)
-    keep = np.concatenate(([True], np.diff(freqs) > 1e-9))
-    return freqs[keep], c[keep], float(np.sqrt(cost))
-
-
 def _fit_tol(eta_s: float) -> float:
     """Largest data misfit the audit accepts for a (scaled) noise budget."""
     return eta_s * (1.0 + 1e-6) + 1e-9
 
 
+def _data_atoms(
+    ss: np.ndarray, band: tuple[float, float] | None, eta_s: float
+) -> np.ndarray:
+    """Atom frequencies (ascending) that explain the data ss, by forward
+    selection on residual peaks with a Gauss-Newton refit after each pick:
+    the first set whose fit lies inside the eta_s ball, or else the
+    closest fit."""
+    fits: list[tuple[np.ndarray, float]] = []
+    forward, residual = np.empty(0), ss
+    for _ in range(min(ss.shape[0] - 1, 16)):
+        init = np.append(forward, _residual_peak(residual, band))
+        refined, cost = _gn_refine(ss, init, band)
+        # atoms the refit moved onto one frequency count once
+        forward = refined[np.concatenate(([True], np.diff(refined) > 1e-9))]
+        misfit = float(np.sqrt(cost))
+        if misfit <= _fit_tol(eta_s):
+            return forward
+        fits.append((forward, misfit))
+        atoms, coef = _least_squares_fit(ss, forward)
+        residual = ss - atoms @ coef
+    return min(fits, key=lambda fit: fit[1])[0]
+
+
 def _atomic_certificate(
-    u_admm: np.ndarray,
-    ss: np.ndarray,
-    band: tuple[float, float] | None,
-    eta_s: float,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None:
-    """Exactly feasible (z, y, u) built from refined atoms of the iterate,
-    and those atoms: frequencies (ascending) and the powers that make u.
+    u_admm: np.ndarray, ss: np.ndarray, freqs: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None:
+    """Exactly feasible (z, y, u) from the data atoms at freqs, weighed by
+    the iterate u_admm, and the powers that make u.
 
     With atoms A, powers Sigma and amplitudes C the block matrix
     [[C^H Sigma^-1 C, C^H A^H], [A C, A Sigma A^H]] is a Gram matrix, hence
-    PSD to machine precision, and every clipped atom has a nonnegative
-    band-transform weight, so Tb(u) is PSD as well. The only quantity left
-    to audit is the data misfit ||S - AC||, which the caller compares
-    against eta; a miss there means the band cannot explain the data.
-
-    Candidate atom sets come from ESPRIT on the iterate and from forward
-    selection on residual peaks; the fewest atoms that stay inside the eta
-    ball win. A half-converged iterate can split one true atom in two, and
-    reading its rank verbatim would lock in the overfit. There is no
+    PSD to machine precision, and every in-band atom has a nonnegative
+    band-transform weight, so Tb(u) is PSD as well. There is no
     certificate (None) when no atom gets a positive power in u.
     """
-    n = u_admm.shape[0]
-    fit_ok = _fit_tol(eta_s)
-    candidates: list[tuple[np.ndarray, np.ndarray, float]] = []
-
-    freqs = esprit(u_admm)
-    if band is not None:
-        freqs = np.clip(freqs, band[0], band[1])
-    freqs = np.unique(freqs)
-    if freqs.size:
-        candidates.append(_refined_fit(ss, freqs, band))
-
-    forward: list[float] = []
-    for _ in range(min(n - 1, 16)):
-        a = atom_matrix(forward, n)
-        coef, *_ = np.linalg.lstsq(a, ss, rcond=None) if forward else (np.zeros((0, ss.shape[1])),)
-        forward.append(_residual_peak(ss - a @ coef, band))
-        cand = _refined_fit(ss, np.array(forward), band)
-        candidates.append(cand)
-        forward = list(cand[0])
-        if cand[2] <= fit_ok:
-            break
-
-    feasible = [c for c in candidates if c[2] <= fit_ok]
-    freqs = min(feasible or candidates, key=lambda c: (c[0].size, c[2]))[0]
     powers = nnls_powers(u_admm, freqs)
     if powers.max() <= 0.0:
         return None
     powers = np.maximum(powers, 1e-9 * powers.max())
-    atoms = atom_matrix(freqs, n)
-    c, *_ = np.linalg.lstsq(atoms, ss, rcond=None)
-    y = atoms @ c
+    atoms, c = _least_squares_fit(ss, freqs)
     z = hermitize(c.conj().T @ ((1.0 / powers)[:, None] * c))
     u = atoms @ powers.astype(np.complex128)
-    return z, y, u, freqs, powers
+    return z, atoms @ c, u, powers
 
 
 def signal_rank(sv: np.ndarray, shape: tuple[int, int]) -> int:
@@ -581,6 +544,19 @@ def solve_weighted_toeplitz_sdp(
         return float(np.linalg.norm(s_full - y_r @ vr_h))
 
     hcoefs = band_coefficients(*band) if band is not None else None
+    # the data choose the atoms; the ADMM passes below only weigh them
+    freqs = _data_atoms(ss, band, eta_r_s)
+    atoms, coef = _least_squares_fit(ss, freqs)
+    misfit = full_misfit(atoms @ coef)
+    if misfit > _fit_tol(eta_s):
+        diag.stop_reason = "misfit_over_eta"
+        diag.data_misfit = misfit * scale
+        diag.feasible = False
+        raise AdmmError(
+            f"no in-band atomic fit reaches the noise ball: data misfit "
+            f"{diag.data_misfit:.3e} vs eta {diag.eta:.3e}",
+            diag,
+        )
     upd = _UUpdate(n, hcoefs)
     root = np.sqrt(n)
 
@@ -659,36 +635,16 @@ def solve_weighted_toeplitz_sdp(
                         gam *= _ADAPT_FACTOR
         diag.inner_iters.append(inner_done)
 
-        if outer == 0:
-            cert = _atomic_certificate(u, ss, band, eta_r_s)
-            if cert is not None:
-                misfit = full_misfit(cert[1])
-                if misfit > _DOOMED_RATIO * _fit_tol(eta_s):
-                    diag.stop_reason = "doomed_after_first_pass"
-                    diag.data_misfit = misfit * scale
-                    diag.feasible = False
-                    raise AdmmError(
-                        "doomed after the first pass: the atomic certificate's "
-                        f"data misfit {diag.data_misfit:.3e} vs eta {diag.eta:.3e} "
-                        f"is over {_DOOMED_RATIO:g}x, so the band cannot explain "
-                        "the data",
-                        diag,
-                    )
-
     diag.stop_reason = "max_outer"
-
-    # an ADMM iterate rarely passes the audit at loose inner tolerances, so
-    # its atoms are refitted to the data; that certificate is exactly
-    # feasible by construction unless eta genuinely cannot cover the residual
-    cert = _atomic_certificate(u, ss, band, eta_r_s)
+    cert = _atomic_certificate(u, ss, freqs)
     if cert is None:
         diag.feasible = False
         raise AdmmError(
-            "no atomic certificate: no atom of the iterate has positive "
+            "no atomic certificate: the iterate gives no atom a positive "
             f"power, so nothing can be audited against eta {diag.eta:.3e}",
             diag,
         )
-    z_c, y_c, u_c, freqs, powers = cert
+    z_c, y_c, u_c, powers = cert
     vals_m = np.linalg.eigvalsh(hermitize(_assemble(z_c, y_c, u_c)))
     ok = vals_m[0] >= -1e-6 * max(vals_m[-1], 1e-12)
     if hcoefs is not None:

@@ -59,6 +59,15 @@ def test_pipeline_rejects_a_dwell_shorter_than_half_a_chirp(tmp_path, scene_path
         main(["pipeline", "--scene", str(scene_path), "--out-dir", str(tmp_path)])
 
 
+def test_pipeline_rejects_a_negative_range_with_exit_2(tmp_path, scene_path, capsys):
+    scene = load_json(scene_path)
+    scene["uavs"][0]["range0_m"] = -30.0
+    dump_json(scene, scene_path)
+    assert main(["pipeline", "--scene", str(scene_path), "--out-dir", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == "rangesr pipeline: range0_m must be positive, got -30.0\n"
+    assert not (tmp_path / "pipeline.json").exists()
+
+
 def test_superres_resolves_two_targets_on_the_table_radar(tmp_path):
     problem = tmp_path / "problem.json"
     truth = [165.0, 166.8]
@@ -109,6 +118,23 @@ def test_superres_failed_solve_exits_2_with_one_line(tmp_path, monkeypatch, caps
     assert code == 2
     err = capsys.readouterr().err
     assert err == "rangesr superres: band-constrained solve failed: test\n"
+    assert not (tmp_path / "superres.json").exists()
+
+
+@pytest.mark.parametrize(
+    "key, message",
+    [
+        ({"band_m": [150.0, 400.0]}, "band too wide for the decimation stride"),
+        ({"n_ex": 1}, "n_ex=1 must be in [2, 512]"),
+    ],
+    ids=["band_too_wide", "one_row"],
+)
+def test_superres_rejects_an_invalid_problem_with_exit_2(tmp_path, capsys, key, message):
+    problem = tmp_path / "problem.json"
+    dump_json({"ranges_m": [165.0, 166.8], "snr_db": 30.0, "seed": 2, **key}, problem)
+    code = main(["superres", "--problem", str(problem), "--out-dir", str(tmp_path)])
+    assert code == 2
+    assert capsys.readouterr().err == f"rangesr superres: {message}\n"
     assert not (tmp_path / "superres.json").exists()
 
 

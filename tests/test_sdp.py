@@ -270,16 +270,16 @@ def test_missing_certificate_raises_without_quoting_a_misfit(monkeypatch, admm_b
     assert info.value.diagnostics.outer_iters == 1
 
 
-def test_out_of_band_tones_stop_after_the_first_pass():
-    # no in-band atom explains tones at 0.6 and 0.7, so the first pass's
-    # certificate misses by far more than ten etas and the solve ends there
+def test_out_of_band_tones_fail_before_any_pass():
+    # no in-band atom explains tones at 0.6 and 0.7, so the data atoms miss
+    # by far more than eta and no ADMM pass runs
     s = atom_mmv([0.6, 0.7], 8, 2, seed=4)
     eta = 1e-3 * np.linalg.norm(s)
     with pytest.raises(AdmmError, match="vs eta") as info:
         solve_weighted_toeplitz_sdp(s, eta, band=(0.15, 0.35))
     diag = info.value.diagnostics
-    assert diag.stop_reason == "doomed_after_first_pass"
-    assert diag.outer_iters == 1 and diag.inner_iters == [300]
+    assert diag.stop_reason == "misfit_over_eta"
+    assert diag.outer_iters == 0 and diag.inner_iters == []
     assert diag.data_misfit > 10.0 * eta and not diag.feasible
 
 
@@ -287,7 +287,7 @@ def test_default_budget_matches_eight_passes_on_the_banded_fixture(admm_budget):
     s = atom_mmv([0.21, 0.29], 8, 2, seed=4)
     eta = 1e-6 * np.linalg.norm(s)
     _, _, diag = solve_weighted_toeplitz_sdp(s, eta, band=(0.15, 0.35))
-    # every pass runs: the budget is the only exit after the first pass
+    # every pass runs: once the data atoms fit, the budget is the only exit
     assert diag.outer_iters == len(diag.inner_iters) == 4
     assert diag.stop_reason == "max_outer"
     found = [diag.atom_freqs]
@@ -298,33 +298,6 @@ def test_default_budget_matches_eight_passes_on_the_banded_fixture(admm_budget):
     found.append(diag.atom_freqs)
     assert found[0].size == found[1].size == 2
     np.testing.assert_allclose(found[0], found[1], rtol=0.0, atol=1e-9)
-
-
-def test_a_first_pass_miss_within_ten_etas_is_not_stopped(monkeypatch, admm_budget):
-    # six in-band tones and a 10-iteration first pass: the first certificate
-    # misses by a few etas, and the later passes reach the noise ball
-    import rangesr.sdp as sdp
-
-    misfits = []
-    certificate = sdp._atomic_certificate
-
-    def spy(u, ss, band, eta_s):
-        cert = certificate(u, ss, band, eta_s)
-        misfits.append(np.linalg.norm(ss - cert[1]) / eta_s)
-        return cert
-
-    monkeypatch.setattr(sdp, "_atomic_certificate", spy)
-    rng = np.random.default_rng(98)
-    freqs = np.sort(rng.uniform(0.18, 0.53, 6))
-    noise = 0.01 * (rng.standard_normal((8, 1)) + 1j * rng.standard_normal((8, 1))) / np.sqrt(2)
-    s = atom_mmv(freqs, 8, 1, seed=98) + noise
-    eta = float(np.linalg.norm(noise))
-    admm_budget(_INNER_ITERS_FIRST=10)
-    u, y, diag = solve_weighted_toeplitz_sdp(s, eta, band=(0.18, 0.53))
-    assert 1.0 < misfits[0] < 10.0
-    assert diag.outer_iters > 1 and diag.stop_reason != "doomed_after_first_pass"
-    assert diag.feasible and misfits[-1] <= 1.0
-    audit(s, eta, u, y, band=(0.18, 0.53))
 
 
 def noisy(s, rel, seed):
@@ -378,3 +351,54 @@ def test_the_rank_grows_only_while_the_tail_fills_the_ball():
     assert vr.shape == (8, 1) and tail == pytest.approx(np.sum(sv[1:] ** 2))
     vr, tail = _signal_subspace(s, 0.99 * np.linalg.norm(sv[1:]))
     assert vr.shape[1] >= 2 and tail < (0.99 * np.linalg.norm(sv[1:])) ** 2
+
+
+def six_tones():
+    """Six in-band tones in light noise on one snapshot, eta the noise norm."""
+    rng = np.random.default_rng(98)
+    freqs = np.sort(rng.uniform(0.18, 0.53, 6))
+    noise = 0.01 * (rng.standard_normal((8, 1)) + 1j * rng.standard_normal((8, 1))) / np.sqrt(2)
+    s = atom_mmv(freqs, 8, 1, seed=98) + noise
+    return s, float(np.linalg.norm(noise)) / np.linalg.norm(s), (0.18, 0.53)
+
+
+ATOM_CASES = {"six_tones": six_tones, **FULL_SPACE_CASES}
+
+
+@pytest.mark.parametrize("case", sorted(ATOM_CASES))
+def test_the_atoms_do_not_depend_on_the_admm_budget(case, admm_budget):
+    # the data choose the frequencies before the ADMM runs: a 10-iteration
+    # first pass, or one pass instead of four, returns the same atoms
+    import rangesr.sdp as sdp
+
+    s, rel_eta, band = ATOM_CASES[case]()
+    eta = rel_eta * np.linalg.norm(s)
+    default = {"_INNER_ITERS_FIRST": sdp._INNER_ITERS_FIRST, "_MAX_OUTER": sdp._MAX_OUTER}
+    found = []
+    for budget in ({}, {"_INNER_ITERS_FIRST": 10}, {"_MAX_OUTER": 1}):
+        admm_budget(**{**default, **budget})
+        u, y, diag = solve_weighted_toeplitz_sdp(s, eta, band=band)
+        audit(s, eta, u, y, band=band)
+        found.append(diag.atom_freqs)
+    assert found[0].size >= 1
+    for freqs in found[1:]:
+        assert np.array_equal(freqs, found[0])
+
+
+def test_the_data_atoms_are_fitted_once_per_solve(monkeypatch):
+    import rangesr.sdp as sdp
+
+    calls = []
+    data_atoms = sdp._data_atoms
+
+    def spy(ss, band, eta_s):
+        calls.append(band)
+        return data_atoms(ss, band, eta_s)
+
+    monkeypatch.setattr(sdp, "_data_atoms", spy)
+    s = atom_mmv([0.21, 0.29], 8, 2, seed=4)
+    eta = 1e-6 * np.linalg.norm(s)
+    solve_weighted_toeplitz_sdp(s, eta, band=(0.15, 0.35))
+    with pytest.raises(AdmmError, match="vs eta"):
+        solve_weighted_toeplitz_sdp(s, eta, band=(0.6, 0.65))
+    assert calls == [(0.15, 0.35), (0.6, 0.65)]

@@ -30,7 +30,7 @@ from rangesr.superres import (
     ram_solve,
     solve_by_name,
 )
-from rangesr.sdp import esprit, nnls_powers
+from rangesr.sdp import nnls_powers
 from rangesr.synth import synth_beat_cube
 
 MUSIC_GRID_STEP = 1.0 / 8192.0
@@ -346,13 +346,8 @@ def test_prior_band_degenerate_beyond_nyquist_raises(cfg):
 
 
 # ------------------------------------------------------------- vandermonde
-# T(u) = A(f) diag(p) A(f)^H by ESPRIT and NNLS, as the SDP's certificate
-# reads the atoms of its iterate
-
-
-def vandermonde(u):
-    freqs = esprit(u)
-    return freqs, nnls_powers(u, freqs)
+# T(u) = A(f) diag(p) A(f)^H: NNLS weighs atoms at known frequencies, as the
+# SDP's certificate weighs the data atoms by its iterate
 
 
 def test_vandermonde_two_tones_exact():
@@ -360,13 +355,8 @@ def test_vandermonde_two_tones_exact():
     u = 2.0 * np.exp(2j * np.pi * 0.1 * np.arange(n)) + np.exp(
         2j * np.pi * 0.31 * np.arange(n)
     )
-    freqs, powers = vandermonde(u)
-    assert np.abs(freqs - np.array([0.1, 0.31])).max() < 1e-8
+    powers = nnls_powers(u, np.array([0.1, 0.31]))
     assert np.abs(powers - np.array([2.0, 1.0])).max() < 1e-6
-
-
-def test_vandermonde_zero_vector_gives_no_atoms():
-    assert esprit(np.zeros(8, dtype=np.complex128)).size == 0
 
 
 def test_vandermonde_close_tones_with_skewed_powers():
@@ -375,9 +365,7 @@ def test_vandermonde_close_tones_with_skewed_powers():
     fr = np.array([0.2, 0.2 + 0.1 / n])
     pw = np.array([100.0, 1.0])
     u = (np.exp(2j * np.pi * np.outer(np.arange(n), fr)) * pw).sum(axis=1)
-    freqs, powers = vandermonde(u)
-    assert freqs.shape == (2,)
-    assert np.abs(freqs - fr).max() < 1e-6
+    powers = nnls_powers(u, fr)
     assert np.abs(powers - pw).max() < 1e-3
 
 
