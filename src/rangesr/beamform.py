@@ -59,6 +59,11 @@ def steering_vector(cfg: RadarConfig, angle_rad: float) -> np.ndarray:
     return np.exp(-1j * array_phase(cfg, angle_rad))
 
 
+def steering_weights(cfg: RadarConfig, grid: BeamGrid) -> np.ndarray:
+    """The (L, G) weights whose column g forms beam g: beams = elements @ weights."""
+    return np.stack([steering_vector(cfg, a) for a in grid.angles_rad], axis=1)
+
+
 def beamform_cube(
     cube: DataCube, grid: BeamGrid, out: np.ndarray | None = None
 ) -> DataCube:
@@ -73,9 +78,7 @@ def beamform_cube(
         raise CubeError(
             f"cube has {cube.data.shape[2]} channels, config says {cube.config.n_elements}"
         )
-    weights = np.stack(
-        [steering_vector(cube.config, a) for a in grid.angles_rad], axis=1
-    ).astype(cube.data.dtype)  # (L, G)
+    weights = steering_weights(cube.config, grid).astype(cube.data.dtype)
     data = cube.data
     shape = data.shape[:2] + (len(grid),)
     if out is None:

@@ -1,4 +1,4 @@
-"""Cell-averaging CFAR detection on range-Doppler-beam cubes.
+"""Cell-averaging CFAR detection on range-Doppler-channel cubes.
 
 Per beam, the noise level at each cell is estimated as the mean power over a
 square training ring (a (2(t+g)+1)^2 box minus the inner (2g+1)^2 guard box),
@@ -9,16 +9,26 @@ Detections are additionally required to be 3x3 local maxima so one target
 yields one hit, and are refined to sub-bin accuracy by a three-point
 parabolic fit on log power.
 
+The cube's channels are beams, or elements with the steering weights that
+form the beams (`RdaCube.weights`). Either way the beams' power maps are
+formed a group at a time into contiguous (beams, N, M) buffers, as many
+beams as `spans._CHUNK_BUDGET` map entries hold. A beam cube's maps are read
+straight from it. An element cube is read once per group, a block of rows
+at a time, and each block is beamformed by one matrix product, so the beam
+cube is never built: integrating the elements and forming the beams after
+commute (`integrate`).
+
 The work is split into spans of lines, not of beams, so every worker gets
 an equal share whatever the beam count (`spans`: workers come from the CPU
 affinity, span bounds depend only on the shape and the worker count, small
-cubes run inline). Beam by beam, the power map is formed on row spans, the
-training-ring box sums run as two 1-D passes (range axis on column spans,
-Doppler axis on row spans) and the hits are found on row spans. Each line is
-filtered by the same code whatever span holds it, so the box sums equal the
-one-call 2-D filter bit for bit; hits come out in row-major order per beam
-and beams in order before the sort, so the result is identical for any
-worker count. One beam's maps are alive at a time.
+cubes run inline). A beam cube's maps are formed on row spans and an
+element cube's on spans of row blocks; beam by beam, the training-ring box
+sums run as two 1-D passes (range axis on column spans, Doppler axis on row
+spans) and the hits are found on row spans. Each block and line is computed
+by the same code whatever span holds it, so the box sums equal the one-call
+2-D filter bit for bit; hits come out in row-major order per beam and beams
+in order before the sort, so the result is identical for any worker count.
+One group's power maps and one beam's noise maps are alive at a time.
 """
 
 from __future__ import annotations
@@ -31,6 +41,10 @@ from scipy.ndimage import uniform_filter1d
 from . import spans
 from .config import ConfigError
 from .cube import RdaCube
+
+# channel entries per block of rows whose beams are formed at once (1 MB of
+# complex128, so a block stays in cache while its group's maps are written)
+_BLOCK_ENTRIES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -166,17 +180,45 @@ def _is_local_max(pmap: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.nd
     return keep
 
 
-def _beam_detections(rda: RdaCube, b: int, settings: CfarSettings) -> list[Detection]:
-    """CA-CFAR hits of one beam, in row-major cell order."""
+def _power_maps(rda: RdaCube, b0: int, maps: np.ndarray) -> None:
+    """|beam|^2 of beams [b0, b0 + len(maps)) into `maps` (beams, N, M).
+
+    A beam cube's maps are read straight from it, beam by beam on row spans.
+    An element cube is read once for the whole group, in blocks of rows of
+    about `_BLOCK_ENTRIES` entries, each beamformed by one matrix product;
+    spans of whole blocks run on threads, so every block is the same
+    product for any worker count.
+    """
+    data = rda.data
+    n_range, n_doppler, n_ch = data.shape
+    if rda.weights is None:
+        for k, pmap in enumerate(maps):
+            def power(r0: int, r1: int, b: int = b0 + k, pmap: np.ndarray = pmap) -> None:
+                np.abs(data[r0:r1, :, b], out=pmap[r0:r1])
+                np.square(pmap[r0:r1], out=pmap[r0:r1])
+
+            spans.run(power, spans.split(n_range, data.size))
+        return
+    w_t = np.ascontiguousarray(rda.weights[:, b0 : b0 + len(maps)].T)   # (beams, L)
+    rows = max(1, _BLOCK_ENTRIES // (n_doppler * n_ch))
+
+    def form(k0: int, k1: int) -> None:
+        for i0 in range(k0 * rows, min(k1 * rows, n_range), rows):
+            i1 = min(i0 + rows, n_range)
+            beams = w_t @ data[i0:i1].reshape(-1, n_ch).T   # (beams, rows * M)
+            block = maps[:, i0:i1]
+            np.abs(beams.reshape(block.shape), out=block)
+            np.square(block, out=block)
+
+    spans.run(form, spans.split(-(-n_range // rows), data.size))
+
+
+def _beam_detections(
+    rda: RdaCube, b: int, pmap: np.ndarray, settings: CfarSettings
+) -> list[Detection]:
+    """CA-CFAR hits of beam `b`, whose power map is `pmap`, in row-major cell order."""
     alpha = settings.alpha
     rows = spans.split(rda.n_range, rda.data.size)
-    pmap = np.empty(rda.data.shape[:2])
-
-    def power(r0: int, r1: int) -> None:
-        np.abs(rda.data[r0:r1, :, b], out=pmap[r0:r1])
-        np.square(pmap[r0:r1], out=pmap[r0:r1])
-
-    spans.run(power, rows)
     noise = noise_level_map(pmap, settings, rda.data.size)
     angle = rda.beam_angles[b] if rda.beam_angles is not None else 0.0
 
@@ -215,9 +257,20 @@ def _beam_detections(rda: RdaCube, b: int, settings: CfarSettings) -> list[Detec
 
 
 def ca_cfar(rda: RdaCube, settings: CfarSettings | None = None) -> list[Detection]:
-    """Run per-beam 2-D CA-CFAR; returns detections sorted by falling power."""
+    """Run per-beam 2-D CA-CFAR; returns detections sorted by falling power.
+
+    The beams' power maps are formed a group at a time, as many as
+    `spans._CHUNK_BUDGET` map entries hold (at least one beam).
+    """
     settings = settings or CfarSettings()
-    detections = [d for b in range(rda.n_beams) for d in _beam_detections(rda, b, settings)]
+    group = max(1, min(rda.n_beams, spans._CHUNK_BUDGET // (rda.n_range * rda.n_doppler)))
+    maps = np.empty((group, rda.n_range, rda.n_doppler))
+    detections = []
+    for b0 in range(0, rda.n_beams, group):
+        pmaps = maps[: min(group, rda.n_beams - b0)]
+        _power_maps(rda, b0, pmaps)
+        for k, pmap in enumerate(pmaps):
+            detections += _beam_detections(rda, b0 + k, pmap, settings)
     detections.sort(key=lambda d: -d.power)
     return detections
 

@@ -58,9 +58,12 @@ class DataCube:
 
 @dataclass
 class RdaCube:
-    """Range-frequency x Doppler x beam cube (the integration output).
+    """Range-frequency x Doppler x channel cube (the integration output).
 
-    Bin maps use symmetric bin values n_fhat in [-N/2, N/2-1] and
+    The channels are beams, or elements with `weights`: the (L, G) steering
+    weights whose columns form the G beams (`data[i, j] @ weights`), so a
+    cube integrated in the element domain forms its beams only where they
+    are read. Bin maps use symmetric bin values n_fhat in [-N/2, N/2-1] and
     n_mhat in [-M/2, M/2-1].
     """
 
@@ -68,10 +71,16 @@ class RdaCube:
     config: RadarConfig
     n_slow: int                                    # M of the dwell that produced this
     beam_angles: tuple[float, ...] | None = None
+    weights: np.ndarray | None = None              # (L, G) when the channels are elements
 
     def __post_init__(self) -> None:
         if self.data.ndim != 3:
             raise CubeError(f"rda cube must be 3-D, got shape {self.data.shape}")
+        if self.weights is not None and self.weights.shape[0] != self.data.shape[2]:
+            raise CubeError(
+                f"beam weights take {self.weights.shape[0]} channels, "
+                f"the cube has {self.data.shape[2]}"
+            )
 
     @property
     def n_range(self) -> int:
@@ -83,7 +92,7 @@ class RdaCube:
 
     @property
     def n_beams(self) -> int:
-        return self.data.shape[2]
+        return self.data.shape[2] if self.weights is None else self.weights.shape[1]
 
     def range_of_bin(self, n_fhat) -> np.ndarray | float:
         cfg = self.config

@@ -11,7 +11,7 @@ evaluated here by the chirp-z (Bluestein) factorization:
 k m = (k^2 + m^2 - (k-m)^2)/2 turns the scaled DFT into a pre-chirp multiply,
 a cyclic convolution of length >= 2M-1 done with FFTs, and a post-chirp
 multiply. The chirp kernels are computed once per chunk of fast-time rows and
-shared by every beam of the chunk; the convolution runs in one reused
+shared by every channel of the chunk; the convolution runs in one reused
 workspace with in-place FFTs. The test suite checks it against a direct
 O(M^2) summation and an explicit interpolating keystone transform
 (`tests/spectral_oracles.py`).
@@ -21,9 +21,15 @@ even-length axis is a sign-modulated FFT, (-1)^(k + N/2) FFT((-1)^n x)[k],
 which needs one output array where the shift-based form needs four. The
 range DFT goes one step further and overwrites the intermediate that
 `integrate_cube` owns. With `overwrite_x=True` (scipy's sense: the input's
-contents are then lost), the chirp-z transform is written over the beam
+contents are then lost), the chirp-z transform is written over the input
 cube too, so the whole integration runs in the input's buffer; the stare,
-which owns its beams, integrates that way.
+which owns its channel cube, integrates that way.
+
+Both transforms act on each channel alone, so they commute with
+beamforming, which mixes channels at each (n, m): an element cube
+integrates to the element RDA whose beams are the beam cube's RDA. The
+stare integrates whichever of its element and beam sets is smaller
+(`pipeline.stare`), and the transforms take either kind of cube.
 
 Threading (`spans`): the chirp-z transform runs spans of fast-time rows on
 threads, each span with its own 1/workers share of the workspace budget,
@@ -42,8 +48,8 @@ from . import spans
 from .cube import CubeError, DataCube, RdaCube, axis_values
 
 # cap on the convolution workspace of the Bluestein chunks, in complex
-# entries (chunk rows x FFT length x beams, summed over spans); the chirp
-# kernels add 1/beams of that. The same figure is the spans' inline gate.
+# entries (chunk rows x FFT length x channels, summed over spans); the chirp
+# kernels add 1/channels of that. The same figure is the spans' inline gate.
 _CHUNK_BUDGET = spans._CHUNK_BUDGET
 
 
@@ -80,9 +86,14 @@ def _alphas(cube: DataCube) -> np.ndarray:
     return 1.0 + cfg.chirp_rate_hz_per_s * n * cfg.dt / cfg.carrier_hz
 
 
-def _require_beam(cube: DataCube) -> None:
-    if cube.axis2_kind != "beam":
-        raise CubeError(f"slow-time integration expects a beam cube, got {cube.axis2_kind!r}")
+def _require_channels(cube: DataCube) -> None:
+    """An element cube must hold the config's elements, which its beams are
+    later formed from; a beam cube may hold any beams."""
+    if cube.axis2_kind == "element" and cube.data.shape[2] != cube.config.n_elements:
+        raise CubeError(
+            f"element cube has {cube.data.shape[2]} channels, "
+            f"config says {cube.config.n_elements}"
+        )
 
 
 def _scaled_dft(
@@ -96,21 +107,21 @@ def _scaled_dft(
     receives the result: each chunk reads its rows into the workspace before
     it writes them, and spans are disjoint.
     """
-    n_rows, n_slow, n_beams = rows.shape
+    n_rows, n_slow, n_ch = rows.shape
     m_vals = axis_values(n_slow).astype(np.float64)
     l_fft = sfft.next_fast_len(2 * n_slow - 1)
     bounds = spans.split(n_rows, rows.size)
-    chunk = max(1, min(n_rows, _CHUNK_BUDGET // len(bounds) // (l_fft * n_beams)))
+    chunk = max(1, min(n_rows, _CHUNK_BUDGET // len(bounds) // (l_fft * n_ch)))
     if overwrite and rows.dtype == np.complex128:
         out = rows
     else:
-        out = np.empty((n_rows, n_slow, n_beams), dtype=np.complex128)
+        out = np.empty((n_rows, n_slow, n_ch), dtype=np.complex128)
     m_sq = m_vals * m_vals
     # the kernel is even in the lag: lags 0..M-1, mirrored to -(M-1)..-1
     lag_sq = np.arange(n_slow, dtype=np.float64) ** 2
 
     def transform(r0: int, r1: int) -> None:
-        work = np.empty((min(chunk, r1 - r0), l_fft, n_beams), dtype=np.complex128)
+        work = np.empty((min(chunk, r1 - r0), l_fft, n_ch), dtype=np.complex128)
         kernel = np.empty((work.shape[0], l_fft), dtype=np.complex128)
         for i0 in range(r0, r1, chunk):
             i1 = min(i0 + chunk, r1)
@@ -138,10 +149,10 @@ def scaled_slow_time_ft_fast(cube: DataCube, overwrite_x: bool = False) -> DataC
 
     With `overwrite_x`, a complex128 `cube.data` is overwritten by the result.
     """
-    _require_beam(cube)
+    _require_channels(cube)
     out = _scaled_dft(cube.data, _alphas(cube), overwrite=overwrite_x)
     return DataCube(
-        data=out, axis2_kind="beam", config=cube.config, beam_angles=cube.beam_angles
+        data=out, axis2_kind=cube.axis2_kind, config=cube.config, beam_angles=cube.beam_angles
     )
 
 

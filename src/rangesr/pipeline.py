@@ -12,13 +12,22 @@ map recovered frequencies back to meters.
 and 2, and `group_mmv` (prior band, extraction) is step 3's input; the Monte
 Carlo grid (`bench`) runs the same two helpers on its trial cubes.
 
-A dwell is never held as one element cube. `dwell_chunks` synthesises it a
-window of chirps at a time, with noise from one generator carried across
-the windows, and `stare` beamforms each window into its slice of the beam
-cube and keeps only the fast-time rows that step 3 extracts from. A window
-is the smallest multiple of `synth._CHUNK_M` chirps that holds at least
-`spans._CHUNK_BUDGET` entries: the multiple keeps the noise draws those of
-the whole dwell, and the size keeps synthesis and beamforming threaded.
+The channel-domain rule: `stare` integrates whichever channel set is
+smaller. Beamforming mixes the channels of each sample and the keystone
+chirp-z and range DFT transform each channel alone, so the two commute.
+Step 1's 32-beam fan is integrated as its 16 elements, and the CFAR forms
+the beams from the element RDA a group of maps at a time (`cfar`), so the
+32-beam cube is never built. Step 2's five beams and the grid trial's one
+beam are fewer than the elements, so they are formed first and integrated.
+
+`dwell_chunks` synthesises a dwell a window of chirps at a time, with noise
+from one generator carried across the windows. `stare` copies each window
+into its slice of the element cube, or beamforms it into its slice of the
+beam cube, and keeps only the fast-time rows that step 3 extracts from; so
+step 2 never holds its element cube. A window is the smallest multiple of
+`synth._CHUNK_M` chirps that holds at least `spans._CHUNK_BUDGET` entries:
+the multiple keeps the noise draws those of the whole dwell, and the size
+keeps synthesis and beamforming threaded.
 
 Scenes are JSON-serializable truth sets. The two dwells observe the scene at
 different times; the long-dwell truth can be given explicitly (as the
@@ -34,7 +43,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import spans, synth
-from .beamform import BeamGrid, beamform_cube, default_grid
+from .beamform import BeamGrid, beamform_cube, default_grid, steering_weights
 from .cfar import (
     Detection,
     DetectionGroup,
@@ -42,7 +51,7 @@ from .cfar import (
     cluster_detections,
     merge_beam_duplicates,
 )
-from .config import C_LIGHT, RadarConfig, UavTruth, from_json, to_json
+from .config import C_LIGHT, ConfigError, RadarConfig, UavTruth, from_json, to_json
 from .cube import DataCube, RdaCube
 from .integrate import integrate_cube
 from .superres import (
@@ -70,9 +79,11 @@ def table_radar_config(sample_rate_hz: float = 5.12e6) -> RadarConfig:
     here keeps every derived quantity that matters to the method (range cell
     size, cell index per meter, keystone warp, Doppler axis) identical while
     shrinking the fast-time grid tenfold; pass 50e6 to reproduce the
-    full-rate grid. Noise-free exp1 runs end to end in 49 s at a 2.8 GB peak
-    RSS at 50e6, and in 7 s at 0.42 GB by default (2 cores, BLAS on one
-    thread); at 50e6 step 1's 32-beam cube sets the peak.
+    full-rate grid. Noise-free exp1 runs end to end in 38 s at a 2.65 GB
+    peak RSS at 50e6, and in 4.1 s at 0.42 GB by default (2 cores, BLAS on
+    one thread). At 50e6 step 2's five-beam cube (2.0 GB) sets the peak;
+    step 1, which integrates its 16 elements (1.28 GB) instead of 32 beams,
+    peaks at 1.6 GB.
     """
     return RadarConfig(
         carrier_hz=10e9,
@@ -175,7 +186,7 @@ def make_exp3_scene(seed: int = 0, sample_rate_hz: float = 5.12e6) -> Scene:
 def _n_chirps(dwell_s: float, chirp_s: float) -> int:
     m = int(round(dwell_s / chirp_s))
     if m < 1:
-        raise ValueError("dwell shorter than one chirp")
+        raise ConfigError("dwell shorter than one chirp")
     return m - (m % 2) if m >= 2 else m
 
 
@@ -284,7 +295,10 @@ class LocalizationResult:
 def _angle_centroid(rda: RdaCube, det: Detection) -> float:
     i = det.range_bin + rda.n_range // 2
     j = det.doppler_bin + rda.n_doppler // 2
-    pw = np.abs(rda.data[i, j, :]) ** 2
+    cell = rda.data[i, j, :]
+    if rda.weights is not None:
+        cell = cell @ rda.weights   # the one cell's beams
+    pw = np.abs(cell) ** 2
     g0 = int(np.argmax(pw))
     half = _CENTROID_HALF_WINDOW
     sel = slice(max(0, g0 - half), min(pw.shape[0], g0 + half + 1))
@@ -302,31 +316,42 @@ def stare(
     grid: BeamGrid,
     n_ex: int | None = None,
 ) -> tuple[RdaCube, list[Detection], list[DetectionGroup], ExtractionRows | None]:
-    """Form `grid`'s beams from an `n_slow`-chirp element cube given as
-    windows `(m0, m1, chirps [m0, m1))`, integrate them and CFAR-test them
-    together; a detection's `beam` is its slot in `grid`, and a cell hit in
-    several beams keeps its strongest hit. Detections and groups come sorted
-    by falling power.
+    """Integrate an `n_slow`-chirp element cube, given as windows
+    `(m0, m1, chirps [m0, m1))`, and CFAR-test `grid`'s beams together; a
+    detection's `beam` is its slot in `grid`, and a cell hit in several beams
+    keeps its strongest hit. Detections and groups come sorted by falling
+    power.
 
-    Each window is beamformed into its slice of one beam cube, which the
-    integration then overwrites. With `n_ex`, the rows that extraction reads
-    (`decimation_rows`) are kept as the last result; otherwise it is None.
+    The integration runs on whichever channel set is smaller. With fewer
+    beams than elements, each window is beamformed into its slice of one
+    beam cube; otherwise it is copied into its slice of one element cube,
+    and the RDA carries the steering weights, so the CFAR forms the beams
+    where it reads them. Either cube is then overwritten by the integration.
+    With `n_ex`, the rows that extraction reads (`decimation_rows`) are kept
+    as the last result; otherwise it is None.
     """
-    beams = kept = pick = None
+    channels = kept = pick = None
     for m0, m1, chunk in chunks:
-        if beams is None:
+        if channels is None:
             cfg, dtype = chunk.config, chunk.data.dtype
-            beams = np.empty((chunk.n_fast, n_slow, len(grid)), dtype=dtype)
+            in_beams = len(grid) < cfg.n_elements
+            width = len(grid) if in_beams else cfg.n_elements
+            channels = np.empty((chunk.n_fast, n_slow, width), dtype=dtype)
             if n_ex is not None:
                 pick = decimation_rows(chunk.n_fast, n_ex)
                 kept = np.empty((n_ex, n_slow, chunk.data.shape[2]), dtype=dtype)
-        beamform_cube(chunk, grid, out=beams[:, m0:m1])
+        if in_beams:
+            beamform_cube(chunk, grid, out=channels[:, m0:m1])
+        else:
+            channels[:, m0:m1] = chunk.data
         if kept is not None:
             kept[:, m0:m1] = chunk.data[pick]
         del chunk   # the element window goes before the next one is built
-    cube = DataCube(beams, "beam", cfg, beam_angles=tuple(grid.angles_rad))
+    cube = DataCube(channels, "beam" if in_beams else "element", cfg)
     rda = integrate_cube(cube, overwrite_x=True)
-    del cube, beams
+    del cube, channels
+    weights = None if in_beams else steering_weights(cfg, grid)
+    rda = replace(rda, beam_angles=tuple(grid.angles_rad), weights=weights)
     detections = merge_beam_duplicates(ca_cfar(rda))
     if kept is not None:
         kept = ExtractionRows(kept, rda.n_range, cfg)

@@ -12,15 +12,22 @@ with C_k the scattering amplitude times the carrier phase exp(j2pi f_c 2R/c).
 The quadratic residual exp(-j pi gamma tau^2) of dechirping is negligible at
 these delays and is omitted.
 
-Synthesis fills blocks of fast-time rows, and spans of whole blocks run on
-threads (`spans`: workers come from the CPU affinity, span bounds depend
-only on the shape and the worker count, small cubes run inline). Each block
-is computed by the same code whatever its span, so the cube is
-bit-identical for any worker count.
+The model separates into an (n, m) signal and an element phase per
+target, so a block of fast-time rows is one matrix product: the
+(rows * M, K) signals times the (K, L) element phases, summing the K
+targets of each sample in one pass instead of adding K cubes of L
+channels. Each sample is then rounded once, not once per target, so a
+scene equals the sum of its targets' cubes to a few ulp, not bit for bit.
 
-A dwell can be synthesised a window of chirps at a time: every sample is an
-elementwise function of its (n, m, l) axis values, so a window equals the
-same chirps of the whole dwell bit for bit. `add_noise` draws in blocks of
+Spans of whole blocks run on threads (`spans`: workers come from the CPU
+affinity, span bounds depend only on the shape and the worker count, small
+cubes run inline). Each block is computed by the same code whatever its
+span, so the cube is bit-identical for any worker count.
+
+A dwell can be synthesised a window of chirps at a time: every sample is
+the same sum over targets of functions of its (n, m, l) axis values,
+whatever block holds it, so a window equals the same chirps of the whole
+dwell bit for bit (the tests check both). `add_noise` draws in blocks of
 `_CHUNK_M` chirps from a generator that may be carried across windows;
 windows that start on a multiple of `_CHUNK_M` then draw exactly the noise
 of the whole dwell.
@@ -36,7 +43,7 @@ from .cube import DataCube, axis_values
 
 # slow-time block size of the noise draws
 _CHUNK_M = 256
-# complex entries per fast-time row block of the synthesis accumulator
+# output samples per fast-time row block of the synthesis product
 _BLOCK_ENTRIES = 1 << 16
 
 
@@ -77,7 +84,8 @@ def synth_beat_cube(
     dt = cfg.dt
     gamma = cfg.chirp_rate_hz_per_s
     terms = []
-    for t in targets:
+    phases = np.empty((len(targets), cfg.n_elements), dtype=np.complex128)
+    for k, t in enumerate(targets):
         f_beat = cfg.beat_freq(t.range0_m)
         if f_beat >= 0.5:
             raise OutOfBandError(
@@ -87,25 +95,27 @@ def synth_beat_cube(
         c_amp = t.amplitude * np.exp(2j * np.pi * cfg.carrier_hz * 2.0 * t.range0_m / C_LIGHT)
         f_dop = cfg.doppler_freq(t.velocity_mps)
         walk = 2.0 * np.pi * (2.0 * gamma * t.velocity_mps / C_LIGHT) * cfg.chirp_s * dt
-        elem = np.exp(1j * array_phase(cfg, t.angle_rad))
-        terms.append((c_amp, 2.0 * np.pi * f_beat * n, walk, (2.0 * np.pi * f_dop) * m, elem))
+        phases[k] = np.exp(1j * array_phase(cfg, t.angle_rad))
+        terms.append((c_amp, 2.0 * np.pi * f_beat * n, walk, (2.0 * np.pi * f_dop) * m))
 
-    # accumulate every target into one block of fast-time rows at a time, so
-    # the block and its per-target term stay small; spans of whole blocks run
-    # on threads, each with its own term buffer
+    # one block of fast-time rows at a time: each target's (n, m) signal
+    # fills one row of a (K, rows * M) block, and one matrix product with
+    # the (K, L) element phases writes the block's (rows * M, L) samples;
+    # spans of whole blocks run on threads, each with its own signal buffer
     rows = max(1, _BLOCK_ENTRIES // (n_chirps * cfg.n_elements))
     n_blocks = -(-n_fast // rows)
 
     def fill(b0: int, b1: int) -> None:
-        term = np.empty((min(rows, n_fast), n_chirps, cfg.n_elements), dtype=np.complex128)
+        signal = np.empty((len(terms), min(rows, n_fast), n_chirps), dtype=np.complex128)
         for n0 in range(b0 * rows, min(b1 * rows, n_fast), rows):
             n1 = min(n0 + rows, n_fast)
-            block, tmp = data[n0:n1], term[: n1 - n0]
-            for c_amp, phase_n, walk, phase_m, elem in terms:
+            sig = signal[:, : n1 - n0]
+            for k, (c_amp, phase_n, walk, phase_m) in enumerate(terms):
                 # phase over (n, m): beat tone + walk coupling + Doppler
                 ph = phase_n[n0:n1, None] + walk * np.outer(n[n0:n1], m) + phase_m[None, :]
-                np.multiply((c_amp * np.exp(1j * ph))[:, :, None], elem, out=tmp)
-                block += tmp
+                np.multiply(c_amp, np.exp(1j * ph), out=sig[k])
+            flat = sig.reshape(len(terms), -1)
+            np.matmul(flat.T, phases, out=data[n0:n1].reshape(-1, cfg.n_elements))
 
     spans.run(fill, spans.split(n_blocks, data.size))
     return DataCube(data=data, axis2_kind="element", config=cfg)

@@ -10,8 +10,10 @@ import numpy as np
 
 from rangesr.beamform import steering_vector
 from rangesr.cube import CubeError, DataCube, axis_values
-from rangesr.integrate import _alphas, _require_beam, _scaled_dft, _symmetric
+from rangesr.config import C_LIGHT
+from rangesr.integrate import _alphas, _require_channels, _scaled_dft, _symmetric
 from rangesr.pipeline import dwell_chirps, dwell_chunks
+from rangesr.synth import array_phase
 
 
 def symmetric_fft(x, axis=0):
@@ -58,9 +60,9 @@ def scaled_slow_time_ft_direct(cube: DataCube) -> DataCube:
     """O(M^2) direct evaluation of the scaled slow-time DFT.
 
     Independent of the chirp-z core: it shares only the package's scale
-    factors (`integrate._alphas`) and beam-cube check.
+    factors (`integrate._alphas`) and channel check.
     """
-    _require_beam(cube)
+    _require_channels(cube)
     m = axis_values(cube.n_slow).astype(np.float64)
     alphas = _alphas(cube)
     out = np.empty_like(cube.data, dtype=np.complex128)
@@ -69,7 +71,7 @@ def scaled_slow_time_ft_direct(cube: DataCube) -> DataCube:
         kernel = np.exp(-2j * np.pi * alpha / cube.n_slow * km)
         out[i] = kernel @ cube.data[i]
     return DataCube(
-        data=out, axis2_kind="beam", config=cube.config, beam_angles=cube.beam_angles
+        data=out, axis2_kind=cube.axis2_kind, config=cube.config, beam_angles=cube.beam_angles
     )
 
 
@@ -96,12 +98,12 @@ def keystone_explicit(cube: DataCube) -> DataCube:
     kernels hop a range cell on the first/last few chirps (one-sided
     windows); the full interpolant has no such edge.
     """
-    _require_beam(cube)
+    _require_channels(cube)
     spec = symmetric_fft(cube.data, axis=1)
     inv_scales = 1.0 / _alphas(cube)
     out = np.conj(_scaled_dft(np.conj(spec), inv_scales)) / cube.n_slow
     return DataCube(
-        data=out, axis2_kind="beam", config=cube.config, beam_angles=cube.beam_angles
+        data=out, axis2_kind=cube.axis2_kind, config=cube.config, beam_angles=cube.beam_angles
     )
 
 
@@ -125,3 +127,24 @@ def beams_to_elements(cube: DataCube) -> DataCube:
     )  # (L, G)
     data = cube.data @ weights.conj().T.astype(cube.data.dtype) / g
     return DataCube(data=data, axis2_kind="element", config=cube.config)
+
+
+def synth_per_target(cfg, targets, n_slow):
+    """The beat cube summed one target at a time over the whole (n, m, l) grid.
+
+    Shares the package's axis values, frequency maps and array phase, not
+    its block loop or its matrix product: each target's samples are
+    C_k exp(j phase(n, m)) exp(j array_phase(l)), added to the cube in turn.
+    """
+    n = axis_values(cfg.n_fast).astype(np.float64)[:, None]
+    m = axis_values(n_slow).astype(np.float64)[None, :]
+    data = np.zeros((cfg.n_fast, n_slow, cfg.n_elements), dtype=np.complex128)
+    for t in targets:
+        c_amp = t.amplitude * np.exp(2j * np.pi * cfg.carrier_hz * 2.0 * t.range0_m / C_LIGHT)
+        walk = (2.0 * np.pi * (2.0 * cfg.chirp_rate_hz_per_s * t.velocity_mps / C_LIGHT)
+                * cfg.chirp_s * cfg.dt)
+        ph = (2.0 * np.pi * cfg.beat_freq(t.range0_m) * n + walk * n * m
+              + 2.0 * np.pi * cfg.doppler_freq(t.velocity_mps) * m)
+        elem = np.exp(1j * array_phase(cfg, t.angle_rad))
+        data += (c_amp * np.exp(1j * ph))[:, :, None] * elem
+    return data

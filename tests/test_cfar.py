@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 from scipy.ndimage import maximum_filter, uniform_filter
 
+from rangesr import cfar, spans
+from rangesr.beamform import beamform_cube, default_grid, steering_weights
 from rangesr.cfar import (
     CfarSettings,
     Detection,
@@ -16,9 +18,9 @@ from rangesr.cfar import (
     refine_peak,
 )
 from rangesr.config import ConfigError, UavTruth, from_json, make_radar_config, to_json
-from rangesr.cube import DataCube, RdaCube
+from rangesr.cube import CubeError, DataCube, RdaCube
 from rangesr.integrate import integrate_cube
-from rangesr.synth import synth_beat_cube
+from rangesr.synth import add_noise, synth_beat_cube
 
 
 @pytest.fixture(scope="module")
@@ -262,3 +264,60 @@ def test_local_max_gate_matches_maximum_filter(cfg, shape, levels):
     got = sorted((d.range_bin, d.doppler_bin, d.beam) for d in ca_cfar(rda, settings))
     assert got == maximum_filter_hits(rda, settings)
     assert got   # the maps do produce hits
+
+
+# ------------------------------------------------ element-domain cubes
+
+
+def element_and_beam_rda(n_elements=8):
+    """A noisy three-target scene integrated as elements (carrying the
+    default grid's steering weights) and as the beams of that grid."""
+    cfg = make_radar_config(10e9, 50e6, 12.8e-6, 5e6, n_elements)
+    targets = [
+        UavTruth(range0_m=30.0, velocity_mps=40.0, angle_rad=0.3),
+        UavTruth(range0_m=31.2, velocity_mps=-25.0, angle_rad=-0.5, amplitude=0.6j),
+        UavTruth(range0_m=55.0, velocity_mps=10.0, angle_rad=0.05),
+    ]
+    cube = add_noise(synth_beat_cube(cfg, targets, 48), 0.0, rng_seed=3)
+    grid = default_grid(cfg)
+    beams = integrate_cube(beamform_cube(cube, grid))
+    elements = replace(integrate_cube(cube), beam_angles=grid.angles_rad,
+                       weights=steering_weights(cfg, grid))
+    return elements, beams
+
+
+def detection_cells(detections):
+    return [(d.range_bin, d.doppler_bin, d.beam, d.angle_rad, d.at_edge) for d in detections]
+
+
+@pytest.mark.parametrize("budget", [None, 3 * 64 * 48])
+def test_element_cube_detections_are_the_beam_cube_detections(monkeypatch, budget):
+    if budget is not None:
+        # groups of three maps, the last of the 16 beams a group of one
+        monkeypatch.setattr(spans, "_CHUNK_BUDGET", budget)
+    elements, beams = element_and_beam_rda()
+    assert elements.n_beams == beams.n_beams == 16
+    got, want = ca_cfar(elements), ca_cfar(beams)
+    assert len(want) > 20 and len({d.beam for d in want}) > 8
+    assert detection_cells(got) == detection_cells(want)
+    for g, w in zip(got, want):
+        assert g.refined_range_bin == pytest.approx(w.refined_range_bin, abs=1e-9)
+        assert g.refined_doppler_bin == pytest.approx(w.refined_doppler_bin, abs=1e-9)
+        assert g.power == pytest.approx(w.power, rel=1e-9)
+
+
+def test_element_cube_cfar_is_bit_identical_for_any_worker_count(monkeypatch):
+    elements, _ = element_and_beam_rda()
+    # groups of three maps, and the 64 x 48 x 8 cube counts as large
+    monkeypatch.setattr(spans, "_CHUNK_BUDGET", 3 * 64 * 48)
+    monkeypatch.setattr(cfar, "_BLOCK_ENTRIES", 5 * 48 * 8)   # 13 blocks, the last short
+    runs = []
+    for n in (1, 3):
+        monkeypatch.setattr(spans, "WORKERS", n)
+        runs.append(ca_cfar(elements))
+    assert runs[0] == runs[1] and runs[0]
+
+
+def test_beam_weights_must_take_the_cubes_channels(cfg):
+    with pytest.raises(CubeError, match="take 4 channels"):
+        RdaCube(np.zeros((8, 8, 3), complex), cfg, 8, weights=np.ones((4, 2), complex))

@@ -51,12 +51,13 @@ def test_pipeline_on_an_empty_scene_exits_2(tmp_path, scene_path):
     assert load_json(tmp_path / "pipeline.json")["estimates"] == []
 
 
-def test_pipeline_rejects_a_dwell_shorter_than_half_a_chirp(tmp_path, scene_path):
+def test_pipeline_rejects_a_dwell_shorter_than_half_a_chirp(tmp_path, scene_path, capsys):
     scene = load_json(scene_path)
     scene["dwell1_s"] = 0.4 * scene["radar"]["chirp_s"]
     dump_json(scene, scene_path)
-    with pytest.raises(ValueError, match="shorter than one chirp"):
-        main(["pipeline", "--scene", str(scene_path), "--out-dir", str(tmp_path)])
+    assert main(["pipeline", "--scene", str(scene_path), "--out-dir", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == "rangesr pipeline: dwell shorter than one chirp\n"
+    assert not (tmp_path / "pipeline.json").exists()
 
 
 def test_pipeline_rejects_a_negative_range_with_exit_2(tmp_path, scene_path, capsys):

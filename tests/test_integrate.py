@@ -7,6 +7,7 @@ import pytest
 import scipy.fft as sfft
 
 from rangesr import integrate
+from rangesr.beamform import beamform_cube, default_grid, steering_weights
 from rangesr.config import UavTruth, make_radar_config
 from rangesr.cube import CubeError, DataCube, axis_values
 from rangesr.integrate import integrate_cube, range_ft, scaled_slow_time_ft_fast
@@ -69,11 +70,32 @@ def test_zero_cube_stays_zero(tiny_cfg):
     assert not integrate_cube(cube).data.any()
 
 
-def test_transforms_reject_element_cubes(tiny_cfg):
-    cube = DataCube(np.zeros((8, 4, 4), complex), "element", tiny_cfg)
+def test_transforms_take_element_cubes_of_the_configs_elements(tiny_cfg):
+    # the transforms act per channel, so an element cube integrates as the
+    # same data read as beams would; its channels must be the config's elements
+    data = random_beam_cube(tiny_cfg, 16, 12, tiny_cfg.n_elements, seed=3).data
+    elements = integrate_cube(DataCube(data.copy(), "element", tiny_cfg))
+    assert np.array_equal(elements.data, integrate_cube(DataCube(data, "beam", tiny_cfg)).data)
+    assert scaled_slow_time_ft_fast(DataCube(data, "element", tiny_cfg)).axis2_kind == "element"
+    wrong = DataCube(np.zeros((8, 4, 3), complex), "element", tiny_cfg)
     for fn in (scaled_slow_time_ft_fast, integrate_cube):
-        with pytest.raises(CubeError):
-            fn(cube)
+        with pytest.raises(CubeError, match="config says 4"):
+            fn(wrong)
+
+
+def test_beamformed_element_rda_is_the_beam_rda(tiny_cfg):
+    # integration acts per channel and beamforming mixes channels per cell,
+    # so the two commute: three targets at three angles, 8 beams of 4 elements
+    targets = [
+        UavTruth(range0_m=30.0, velocity_mps=40.0, angle_rad=0.3),
+        UavTruth(range0_m=31.2, velocity_mps=-25.0, angle_rad=-0.5, amplitude=0.6j),
+        UavTruth(range0_m=55.0, velocity_mps=10.0, angle_rad=0.05),
+    ]
+    cube = synth_beat_cube(tiny_cfg, targets, 48)
+    grid = default_grid(tiny_cfg)
+    beams = integrate_cube(beamform_cube(cube, grid)).data
+    formed = integrate_cube(cube).data @ steering_weights(tiny_cfg, grid)
+    assert np.max(np.abs(formed - beams)) <= 1e-12 * np.max(np.abs(beams))
 
 
 def on_grid_truth(cfg, n_slow, range_bin, doppler_bin):

@@ -6,6 +6,7 @@ several 256-chirp windows and a ragged last one.
 """
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from rangesr.cfar import ca_cfar, cluster_detections, merge_beam_duplicates
 from rangesr.config import ConfigError, UavTruth, make_radar_config
 from rangesr.cube import DataCube
 from rangesr.integrate import integrate_cube
-from rangesr.pipeline import Scene, dwell_chirps, dwell_chunks, run_step2, stare
+from rangesr.pipeline import Scene, dwell_chirps, dwell_chunks, run_step1, run_step2, stare
 from rangesr.superres import ExtractionRows, FreqBand, SuperResError, extract_mmv, prior_band
 from spectral_oracles import dwell_cube
 
@@ -114,6 +115,28 @@ def test_streamed_stare_matches_the_whole_cube_chain(windows, cfg, monkeypatch, 
     assert np.array_equal(rows.data, cube.data[np.arange(N_EX) * (64 // N_EX)])
 
 
+@pytest.mark.parametrize("n_beams, kind", [(32, "element"), (5, "beam"), (1, "beam")])
+def test_stare_integrates_the_smaller_channel_set(windows, monkeypatch, n_beams, kind):
+    # 16 elements: the default grid's 32 beams integrate as the elements,
+    # a five-beam window and a single beam as the beams
+    cfg = make_radar_config(10e9, 50e6, 12.8e-6, 5e6, 16)
+    fan = default_grid(cfg)
+    grid = fan if n_beams == 32 else BeamGrid(fan.angles_rad[14 : 14 + n_beams])
+    integrated = []
+    real_integrate = pipeline.integrate_cube
+
+    def spy(cube, **kwargs):
+        integrated.append((cube.axis2_kind, cube.data.shape[2]))
+        return real_integrate(cube, **kwargs)
+
+    monkeypatch.setattr(pipeline, "integrate_cube", spy)
+    scene = scene_of(cfg, 600, 0.0)
+    rda, detections, _, _ = stare(dwell_chunks(scene, 2), 600, grid)
+    assert integrated == [(kind, min(n_beams, 16))]
+    assert rda.n_beams == n_beams and rda.beam_angles == grid.angles_rad
+    assert detections and {d.beam for d in detections} <= set(range(n_beams))
+
+
 def test_step1_keeps_no_rows(windows, cfg):
     scene = scene_of(cfg, 600, None)
     *_, rows = stare(dwell_chunks(scene, 1), dwell_chirps(scene, 1), default_grid(cfg))
@@ -197,4 +220,37 @@ def test_step2_never_holds_the_element_cube(monkeypatch):
     finally:
         tracemalloc.stop()
     assert report.detections and report.extraction_rows.data.nbytes == kept
+    assert peak < bound, f"peak {peak / 1e6:.1f} MB, bound {bound / 1e6:.1f} MB"
+
+
+def test_step1_never_holds_the_beam_fan(monkeypatch):
+    # 16 elements under 32 beams: step 1 integrates the element cube, and
+    # its CFAR forms one group of beam maps at a time from the element RDA
+    cfg = make_radar_config(10e9, 50e6, 12.8e-6, 5e6, 16)
+    n_fast, n_el, n_slow = cfg.n_fast, cfg.n_elements, 2048
+    monkeypatch.setattr(spans, "_CHUNK_BUDGET", synth._CHUNK_M * n_fast * n_el)
+    monkeypatch.setattr(spans, "WORKERS", 2)
+    # the chirp-z workspace: 16 rows of 16 elements, split over the two
+    # spans, and the chirp kernels (1/elements of that)
+    workspace = 16 * 16 * sfft.next_fast_len(2 * n_slow - 1) * n_el
+    monkeypatch.setattr(integrate, "_CHUNK_BUDGET", workspace // 16)
+    workspace += workspace // n_el
+    scene = replace(scene_of(cfg, 64, 10.0), dwell1_s=n_slow * cfg.chirp_s)
+    element_rda = 16 * n_fast * n_slow * n_el
+    beam_fan = 16 * n_fast * n_slow * 32
+    chunk = 16 * n_fast * synth._CHUNK_M * n_el
+    group = spans._CHUNK_BUDGET // (n_fast * n_slow)     # two maps
+    maps = 8 * group * n_fast * n_slow
+    bound = element_rda + chunk + workspace + maps
+    # the 32-beam cube alone would break the bound
+    assert bound < beam_fan
+
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        report = run_step1(scene)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.n_chirps == n_slow and report.detections
     assert peak < bound, f"peak {peak / 1e6:.1f} MB, bound {bound / 1e6:.1f} MB"
