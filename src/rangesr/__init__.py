@@ -9,7 +9,6 @@ range estimates, plus a Monte Carlo benchmark harness and a CLI.
 from .beamform import BeamGrid, beamform_cube, default_grid, steering_vector
 from .bench import GridSpec, SuccessGrid, assignment_rms, compare_methods, run_success_grid
 from .cfar import (
-    CfarSettings,
     Detection,
     DetectionGroup,
     ca_cfar,
@@ -61,7 +60,6 @@ __all__ = [
     "AdmmError",
     "BeamGrid",
     "C_LIGHT",
-    "CfarSettings",
     "ConfigError",
     "CubeError",
     "DataCube",

@@ -39,15 +39,15 @@ class BeamGrid:
         return len(self.angles_rad)
 
 
-def default_grid(cfg: RadarConfig, n_beams: int | None = None) -> BeamGrid:
-    """Beams uniform in sin(theta) over [-1, 1), G = 2L by default.
+def default_grid(cfg: RadarConfig) -> BeamGrid:
+    """G = 2L beams uniform in sin(theta) over [-1, 1).
 
     Midpoint placement keeps every angle strictly inside (-pi/2, pi/2) and
     makes the beam set an oversampled DFT across the element axis, so the
     beam-domain data can be mapped back to elements exactly (the test suite's
     `beams_to_elements` oracle does so).
     """
-    g = 2 * cfg.n_elements if n_beams is None else int(n_beams)
+    g = 2 * cfg.n_elements
     s = -1.0 + (2.0 * np.arange(g) + 1.0) / g
     return BeamGrid(angles_rad=tuple(np.arcsin(s)))
 
@@ -90,6 +90,4 @@ def beamform_cube(
         np.matmul(data[a:b], weights, out=out[a:b])
 
     spans.run(form, spans.split(data.shape[0], data.size))
-    return DataCube(
-        data=out, axis2_kind="beam", config=cube.config, beam_angles=tuple(grid.angles_rad)
-    )
+    return DataCube(data=out, axis2_kind="beam", config=cube.config)

@@ -29,7 +29,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .beamform import BeamGrid
-from .config import UavTruth, to_json
+from .config import ConfigError, UavTruth, to_json
 from .cube import DataCube
 from .pipeline import group_mmv, stare, table_radar_config
 from .superres import SuperResError, solve_by_name
@@ -63,11 +63,13 @@ class GridSpec:
 
     def __post_init__(self) -> None:
         if self.trials < 1:
-            raise ValueError("trials must be >= 1")
+            raise ConfigError("trials must be >= 1")
         if any(d <= 0 for d in self.delta_ratios):
-            raise ValueError("delta ratios must be positive")
+            raise ConfigError("delta ratios must be positive")
         if any(k < 1 for k in self.k_values):
-            raise ValueError("K values must be >= 1")
+            raise ConfigError("K values must be >= 1")
+        if self.seed_base < 0:
+            raise ConfigError(f"seed_base must be >= 0, got {self.seed_base}")
 
 
 @dataclass

@@ -9,6 +9,14 @@ Detections are additionally required to be 3x3 local maxima so one target
 yields one hit, and are refined to sub-bin accuracy by a three-point
 parabolic fit on log power.
 
+The detector runs at fixed settings, module constants read at call time:
+t = `_TRAIN_CELLS` = 8 and g = `_GUARD_CELLS` = 2 cells per axis, pfa =
+`_PFA` = 1e-4 per tested cell, and no hit below `_MIN_POWER` = 1e-24. The
+ring then holds N_t = 21^2 - 5^2 = 416 training cells (alpha = 9.31, a
+threshold 9.7 dB over the local mean), and a 512 x 5000 x 5 step-2 stare
+tests 12.8 million cells, so it expects about 1,300 noise cells over the
+threshold before the local-maximum gate (ROADMAP item 4).
+
 The cube's channels are beams, or elements with the steering weights that
 form the beams (`RdaCube.weights`). Either way the beams' power maps are
 formed a group at a time into contiguous (beams, N, M) buffers, as many
@@ -47,33 +55,25 @@ from .cube import RdaCube
 _BLOCK_ENTRIES = 1 << 16
 
 
-@dataclass(frozen=True)
-class CfarSettings:
-    """Training/guard half-widths are per axis; pfa is per tested cell."""
+# training and guard half-widths per axis, false-alarm probability per
+# tested cell, and the power floor under which no cell is a hit
+_TRAIN_CELLS = 8
+_GUARD_CELLS = 2
+_PFA = 1e-4
+_MIN_POWER = 1e-24
 
-    train_cells: int = 8
-    guard_cells: int = 2
-    pfa: float = 1e-4
-    min_power: float = 1e-24
 
-    def __post_init__(self) -> None:
-        if self.train_cells < 1:
-            raise ConfigError("train_cells must be >= 1")
-        if self.guard_cells < 0:
-            raise ConfigError("guard_cells must be >= 0")
-        if not 0.0 < self.pfa < 1.0:
-            raise ConfigError("pfa must be in (0, 1)")
+def _window() -> tuple[int, int, int]:
+    """The training box side, the guard box side and the training-ring count."""
+    outer = 2 * (_TRAIN_CELLS + _GUARD_CELLS) + 1
+    inner = 2 * _GUARD_CELLS + 1
+    return outer, inner, outer * outer - inner * inner
 
-    @property
-    def n_train(self) -> int:
-        outer = 2 * (self.train_cells + self.guard_cells) + 1
-        inner = 2 * self.guard_cells + 1
-        return outer * outer - inner * inner
 
-    @property
-    def alpha(self) -> float:
-        n_t = self.n_train
-        return n_t * (self.pfa ** (-1.0 / n_t) - 1.0)
+def _alpha() -> float:
+    """Threshold scale N_t (pfa^(-1/N_t) - 1) over the mean training power."""
+    n_t = _window()[2]
+    return n_t * (_PFA ** (-1.0 / n_t) - 1.0)
 
 
 @dataclass(frozen=True)
@@ -106,16 +106,12 @@ def _box_filter(lines: np.ndarray, size: int, axis: int, out: np.ndarray) -> Non
         out[...] = lines
 
 
-def noise_level_map(
-    power: np.ndarray, settings: CfarSettings, entries: int | None = None
-) -> np.ndarray:
+def noise_level_map(power: np.ndarray, entries: int | None = None) -> np.ndarray:
     """Mean training-ring power per cell, with wraparound at the edges.
 
     `entries` sizes the pass for `spans` (default: the map's size).
     """
-    t, g = settings.train_cells, settings.guard_cells
-    outer = 2 * (t + g) + 1
-    inner = 2 * g + 1
+    outer, inner, n_train = _window()
     if outer > min(power.shape):
         raise ConfigError(
             f"CFAR window {outer} exceeds map extent {min(power.shape)}"
@@ -135,7 +131,7 @@ def noise_level_map(
         rows *= outer * outer
         inner_rows *= inner * inner
         rows -= inner_rows
-        rows /= settings.n_train
+        rows /= n_train
 
     spans.run(down, spans.split(power.shape[1], entries))
     spans.run(across, spans.split(power.shape[0], entries))
@@ -213,18 +209,16 @@ def _power_maps(rda: RdaCube, b0: int, maps: np.ndarray) -> None:
     spans.run(form, spans.split(-(-n_range // rows), data.size))
 
 
-def _beam_detections(
-    rda: RdaCube, b: int, pmap: np.ndarray, settings: CfarSettings
-) -> list[Detection]:
+def _beam_detections(rda: RdaCube, b: int, pmap: np.ndarray) -> list[Detection]:
     """CA-CFAR hits of beam `b`, whose power map is `pmap`, in row-major cell order."""
-    alpha = settings.alpha
+    alpha, min_power = _alpha(), _MIN_POWER
     rows = spans.split(rda.n_range, rda.data.size)
-    noise = noise_level_map(pmap, settings, rda.data.size)
+    noise = noise_level_map(pmap, rda.data.size)
     angle = rda.beam_angles[b] if rda.beam_angles is not None else 0.0
 
     def detect(r0: int, r1: int) -> list[Detection]:
         block = pmap[r0:r1]
-        hit = (block > alpha * noise[r0:r1]) & (block > settings.min_power)
+        hit = (block > alpha * noise[r0:r1]) & (block > min_power)
         hit_rows, hit_cols = np.nonzero(hit)
         hit_rows += r0
         keep = _is_local_max(pmap, hit_rows, hit_cols)
@@ -256,13 +250,12 @@ def _beam_detections(
     return [d for hits in spans.run(detect, rows) for d in hits]
 
 
-def ca_cfar(rda: RdaCube, settings: CfarSettings | None = None) -> list[Detection]:
+def ca_cfar(rda: RdaCube) -> list[Detection]:
     """Run per-beam 2-D CA-CFAR; returns detections sorted by falling power.
 
     The beams' power maps are formed a group at a time, as many as
     `spans._CHUNK_BUDGET` map entries hold (at least one beam).
     """
-    settings = settings or CfarSettings()
     group = max(1, min(rda.n_beams, spans._CHUNK_BUDGET // (rda.n_range * rda.n_doppler)))
     maps = np.empty((group, rda.n_range, rda.n_doppler))
     detections = []
@@ -270,7 +263,7 @@ def ca_cfar(rda: RdaCube, settings: CfarSettings | None = None) -> list[Detectio
         pmaps = maps[: min(group, rda.n_beams - b0)]
         _power_maps(rda, b0, pmaps)
         for k, pmap in enumerate(pmaps):
-            detections += _beam_detections(rda, b0 + k, pmap, settings)
+            detections += _beam_detections(rda, b0 + k, pmap)
     detections.sort(key=lambda d: -d.power)
     return detections
 

@@ -5,7 +5,8 @@ and exits 0, or 2 on a failed solve or an `n_atoms` key given to fsram or
 ram, which find their own order (`superres`), no estimate (`pipeline`), an
 infeasible cell (`bench`, `compare`) or an unknown method (`compare`). Any
 command also exits 2 on an input that violates a configuration contract
-(`ConfigError`), printing `rangesr <command>: <message>` on stderr.
+(`ConfigError`: an unknown JSON key or a negative seed among them), printing
+`rangesr <command>: <message>` on stderr.
 """
 
 from __future__ import annotations
@@ -21,8 +22,11 @@ import numpy as np
 from .bench import METHODS, GridSpec, compare_methods, run_success_grid
 from .config import ConfigError, RadarConfig, UavTruth, dump_json, from_json, load_json, to_json
 from .pipeline import run_full, scene_from_dict, table_radar_config
-from .superres import FreqBand, SuperResError, extract_mmv, solve_by_name
+from .superres import ExtractionRows, FreqBand, SuperResError, extract_mmv, solve_by_name
 from .synth import add_noise, synth_beat_cube
+
+# the problem keys `superres` reads; any other key is a mistake
+_PROBLEM_KEYS = ("band_m", "n_atoms", "n_ex", "n_slow", "radar", "ranges_m", "seed", "snr_db")
 
 
 def _out_dir(args) -> Path:
@@ -47,6 +51,9 @@ def _load_spec(args) -> GridSpec:
 
 def _cmd_superres(args) -> int:
     problem = load_json(args.problem)
+    unknown = sorted(set(problem).difference(_PROBLEM_KEYS))
+    if unknown:
+        raise ConfigError(f"unknown problem key(s): {', '.join(unknown)}")
     if "n_atoms" in problem and args.method != "music":
         print(
             f"rangesr superres: n_atoms is MUSIC's model order; {args.method} "
@@ -58,6 +65,8 @@ def _cmd_superres(args) -> int:
     cfg = from_json(RadarConfig, problem["radar"]) if "radar" in problem else table_radar_config()
     ranges = [float(r) for r in problem["ranges_m"]]
     seed = int(args.seed if args.seed is not None else problem.get("seed", 0))
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     truths = tuple(
         UavTruth(range0_m=r, amplitude=complex(np.exp(2j * np.pi * rng.random())))
@@ -71,12 +80,8 @@ def _cmd_superres(args) -> int:
         lo_m = min(ranges) - cfg.range_res_m
         hi_m = max(ranges) + cfg.range_res_m
     band = FreqBand(cfg.beat_freq(lo_m), cfg.beat_freq(hi_m))
-    mmv = extract_mmv(
-        cube,
-        doppler_bin=0.0,
-        band=band,
-        n_ex=int(problem.get("n_ex", 32)),
-    )
+    rows = ExtractionRows.of(cube, int(problem.get("n_ex", 32)))
+    mmv = extract_mmv(rows, doppler_bin=0.0, band=band)
     try:
         result = solve_by_name(args.method, mmv, n_sources=problem.get("n_atoms"))
     except SuperResError as err:

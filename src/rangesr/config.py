@@ -138,8 +138,13 @@ def from_json(cls, raw: dict):
     Each value is decoded by its field's declared type: records, tuples and
     optionals recursively, a complex number from `[re, im]` or a scalar, and
     any other value by calling the type on it (so 10 becomes 10.0 in a float
-    field). Missing keys take the field defaults; unknown keys are ignored.
+    field). Missing keys take the field defaults; a key that names no field,
+    at any depth, raises `ConfigError`, so a misspelled key is not read as
+    its field's default.
     """
+    unknown = set(raw) - {f.name for f in dataclasses.fields(cls)}
+    if unknown:
+        raise ConfigError(f"unknown {cls.__name__} key(s): {', '.join(sorted(unknown))}")
     hints = typing.get_type_hints(cls)
     return cls(**{
         f.name: _decode(hints[f.name], raw[f.name])

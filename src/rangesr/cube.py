@@ -4,6 +4,11 @@ A cube is a complex tensor over (fast-time n, slow-time m, element/beam).
 Fast-time and slow-time (or their transformed bins) are indexed symmetrically
 about zero, matching the signal model: index axis value = storage index -
 size//2.
+
+A data cube carries no beam angles: `pipeline.stare` names the beams once,
+on the RDA it integrates (and gives an element RDA the steering weights that
+form them). An RDA's Doppler axis is as long as its dwell has chirps, so its
+velocity bins are read from `n_doppler`.
 """
 
 from __future__ import annotations
@@ -31,7 +36,6 @@ class DataCube:
     data: np.ndarray           # complex, shape (N, M, n_channels)
     axis2_kind: str            # "element" | "beam"
     config: RadarConfig
-    beam_angles: tuple[float, ...] | None = None   # set when axis2_kind == "beam"
 
     def __post_init__(self) -> None:
         if self.data.ndim != 3:
@@ -40,9 +44,6 @@ class DataCube:
             raise CubeError(f"cube dimensions must be positive, got {self.data.shape}")
         if self.axis2_kind not in ("element", "beam"):
             raise CubeError(f"axis2_kind must be 'element' or 'beam', got {self.axis2_kind!r}")
-        if self.axis2_kind == "beam" and self.beam_angles is not None:
-            if len(self.beam_angles) != self.data.shape[2]:
-                raise CubeError("beam_angles length does not match axis 2")
 
     @property
     def n_fast(self) -> int:
@@ -69,7 +70,6 @@ class RdaCube:
 
     data: np.ndarray
     config: RadarConfig
-    n_slow: int                                    # M of the dwell that produced this
     beam_angles: tuple[float, ...] | None = None
     weights: np.ndarray | None = None              # (L, G) when the channels are elements
 
@@ -103,6 +103,6 @@ class RdaCube:
     def velocity_of_bin(self, n_mhat) -> np.ndarray | float:
         cfg = self.config
         return np.asarray(n_mhat) * C_LIGHT / (
-            2.0 * self.n_slow * cfg.chirp_s * cfg.carrier_hz
+            2.0 * self.n_doppler * cfg.chirp_s * cfg.carrier_hz
         )
 

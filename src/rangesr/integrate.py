@@ -151,9 +151,7 @@ def scaled_slow_time_ft_fast(cube: DataCube, overwrite_x: bool = False) -> DataC
     """
     _require_channels(cube)
     out = _scaled_dft(cube.data, _alphas(cube), overwrite=overwrite_x)
-    return DataCube(
-        data=out, axis2_kind=cube.axis2_kind, config=cube.config, beam_angles=cube.beam_angles
-    )
+    return DataCube(data=out, axis2_kind=cube.axis2_kind, config=cube.config)
 
 
 def range_ft(inter: DataCube) -> RdaCube:
@@ -163,12 +161,7 @@ def range_ft(inter: DataCube) -> RdaCube:
     length; the returned cube then shares that buffer.
     """
     data = _symmetric(inter.data, 0, overwrite=True, workers=spans.workers(inter.data.size))
-    return RdaCube(
-        data=data,
-        config=inter.config,
-        n_slow=inter.n_slow,
-        beam_angles=inter.beam_angles,
-    )
+    return RdaCube(data=data, config=inter.config)
 
 
 def integrate_cube(cube: DataCube, overwrite_x: bool = False) -> RdaCube:

@@ -106,6 +106,10 @@ class Scene:
     snr_db: float | None = None
     seed: int = 0
 
+    def __post_init__(self) -> None:
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+
     def step2_truths(self) -> tuple[UavTruth, ...]:
         if self.step2_uavs is not None:
             return self.step2_uavs
@@ -123,7 +127,8 @@ def scene_to_dict(scene: Scene) -> dict:
 
 
 def scene_from_dict(d: dict) -> Scene:
-    return from_json(Scene, {"name": "scene", "uavs": [], **d, "config": d["radar"]})
+    fields = {k: v for k, v in d.items() if k != "radar"}
+    return from_json(Scene, {"name": "scene", "uavs": [], **fields, "config": d["radar"]})
 
 
 def _swarm(name, cfg, rows, step2_rows, angle, snr_db, seed):
@@ -365,13 +370,13 @@ def group_mmv(rows: ExtractionRows, group: DetectionGroup) -> MmvMatrix:
         rows,
         doppler_bin=group.strongest.refined_doppler_bin,
         band=prior_band(group, rows.n_fast),
-        n_ex=rows.n_ex,
     )
 
 
 def run_step1(scene: Scene) -> Step1Report:
     grid = default_grid(scene.config)
-    rda, detections, groups, _ = stare(dwell_chunks(scene, 1), dwell_chirps(scene, 1), grid)
+    n_chirps = dwell_chirps(scene, 1)
+    rda, detections, groups, _ = stare(dwell_chunks(scene, 1), n_chirps, grid)
     angle = sin_est = None
     if detections:
         angle = _angle_centroid(rda, detections[0])
@@ -381,7 +386,7 @@ def run_step1(scene: Scene) -> Step1Report:
         groups=groups,
         angle_est_rad=angle,
         sin_est=sin_est,
-        n_chirps=rda.n_slow,
+        n_chirps=n_chirps,
     )
 
 
@@ -399,15 +404,16 @@ def run_step2(scene: Scene, angle_prior_rad: float, n_ex: int = 32) -> Step2Repo
     hi = min(len(sines), g0 + _STARE_HALF_WINDOW + 1)
     beam_angles = grid.angles_rad[lo:hi]
 
-    rda, detections, groups, kept = stare(
-        dwell_chunks(scene, 2), dwell_chirps(scene, 2), BeamGrid(beam_angles), n_ex
+    n_chirps = dwell_chirps(scene, 2)
+    _, detections, groups, kept = stare(
+        dwell_chunks(scene, 2), n_chirps, BeamGrid(beam_angles), n_ex
     )
     return Step2Report(
         detections=detections,
         groups=groups,
         angle_prior_rad=float(angle_prior_rad),
         beam_angles=beam_angles,
-        n_chirps=rda.n_slow,
+        n_chirps=n_chirps,
         extraction_rows=kept,
     )
 

@@ -161,34 +161,20 @@ class ExtractionRows:
             raise ConfigError("extraction wants the raw element cube")
         return cls(cube.data[decimation_rows(cube.n_fast, n_ex)], cube.n_fast, cube.config)
 
-    @property
-    def n_ex(self) -> int:
-        return self.data.shape[0]
 
-
-def extract_mmv(
-    cube: DataCube | ExtractionRows,
-    doppler_bin: float,
-    band: FreqBand,
-    n_ex: int = 32,
-) -> MmvMatrix:
-    """Matched-filter, demodulate, and decimate one detected Doppler cell.
-
-    `cube` is an element cube, or the n_ex rows of one that extraction reads
-    (`ExtractionRows`); both run the same code.
+def extract_mmv(rows: ExtractionRows, doppler_bin: float, band: FreqBand) -> MmvMatrix:
+    """Matched-filter, demodulate, and decimate one detected Doppler cell of
+    the element cube whose extraction rows are `rows`; the MMV has one sample
+    per kept row.
     """
     if band.is_full:
         raise ConfigError("extraction needs a finite prior band for demodulation")
-    if isinstance(cube, DataCube):
-        cube = ExtractionRows.of(cube, n_ex)
-    elif cube.n_ex != n_ex:
-        raise ConfigError(f"n_ex={n_ex}, but {cube.n_ex} rows were kept")
-    n_fast = cube.n_fast
-    _, n_slow, n_channels = cube.data.shape
+    n_fast = rows.n_fast
+    n_ex, n_slow, n_channels = rows.data.shape
     step = n_fast // n_ex
     if step * band.width > 0.5:
         raise ConfigError("band too wide for the decimation stride")
-    cfg = cube.config
+    cfg = rows.config
     f_shift = band.center - 0.25 / step
 
     n_vals = (decimation_rows(n_fast, n_ex) - n_fast // 2).astype(np.float64)
@@ -200,7 +186,7 @@ def extract_mmv(
         phase = np.exp(
             (-2j * np.pi * doppler_bin / n_slow) * np.outer(alphas[j0:j1], m_vals)
         )
-        filtered = np.einsum("nm,nml->nl", phase, cube.data[j0:j1])
+        filtered = np.einsum("nm,nml->nl", phase, rows.data[j0:j1])
         demod = np.exp(-2j * np.pi * f_shift * n_vals[j0:j1])
         out[j0:j1] = filtered * demod[:, None]
     return MmvMatrix(

@@ -70,9 +70,7 @@ def scaled_slow_time_ft_direct(cube: DataCube) -> DataCube:
     for i, alpha in enumerate(alphas):
         kernel = np.exp(-2j * np.pi * alpha / cube.n_slow * km)
         out[i] = kernel @ cube.data[i]
-    return DataCube(
-        data=out, axis2_kind=cube.axis2_kind, config=cube.config, beam_angles=cube.beam_angles
-    )
+    return DataCube(data=out, axis2_kind=cube.axis2_kind, config=cube.config)
 
 
 def range_profile_ft(cube: DataCube) -> np.ndarray:
@@ -102,28 +100,25 @@ def keystone_explicit(cube: DataCube) -> DataCube:
     spec = symmetric_fft(cube.data, axis=1)
     inv_scales = 1.0 / _alphas(cube)
     out = np.conj(_scaled_dft(np.conj(spec), inv_scales)) / cube.n_slow
-    return DataCube(
-        data=out, axis2_kind=cube.axis2_kind, config=cube.config, beam_angles=cube.beam_angles
-    )
+    return DataCube(data=out, axis2_kind=cube.axis2_kind, config=cube.config)
 
 
-def beams_to_elements(cube: DataCube) -> DataCube:
+def beams_to_elements(cube: DataCube, grid) -> DataCube:
     """Invert beamforming for a full uniform-in-sin grid over [-1, 1).
 
     With G >= L beams placed by `default_grid`, beamforming is an
     oversampled discrete Fourier transform along the element axis; the
     adjoint sum divided by G restores the element-domain samples exactly.
-    Shares the package's `steering_vector`, not its beamformer.
+    `grid` is the `BeamGrid` that formed the beam cube. Shares the
+    package's `steering_vector`, not its beamformer.
     """
     if cube.axis2_kind != "beam":
         raise CubeError("beams_to_elements expects a beam cube")
-    if cube.beam_angles is None:
-        raise CubeError("beam cube lacks its beam angles")
-    g = len(cube.beam_angles)
+    g = len(grid)
     if g < cube.config.n_elements:
         raise CubeError(f"need at least L={cube.config.n_elements} beams, got {g}")
     weights = np.stack(
-        [steering_vector(cube.config, a) for a in cube.beam_angles], axis=1
+        [steering_vector(cube.config, a) for a in grid.angles_rad], axis=1
     )  # (L, G)
     data = cube.data @ weights.conj().T.astype(cube.data.dtype) / g
     return DataCube(data=data, axis2_kind="element", config=cube.config)

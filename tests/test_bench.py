@@ -25,12 +25,12 @@ from rangesr.bench import (
     run_trial_method,
 )
 from rangesr.cfar import ca_cfar, cluster_detections
-from rangesr.config import UavTruth, from_json, to_json
+from rangesr.config import ConfigError, UavTruth, from_json, to_json
 from rangesr.cube import DataCube
 from rangesr.integrate import integrate_cube
 from rangesr.pipeline import stare, table_radar_config
 from rangesr import bench, sdp
-from rangesr.superres import FreqBand, extract_mmv, ram_solve, solve_by_name
+from rangesr.superres import ExtractionRows, FreqBand, extract_mmv, ram_solve, solve_by_name
 from rangesr.synth import noise_sigma, synth_beat_cube
 
 # the light budget, as values of the SDP's budget constants
@@ -47,6 +47,8 @@ def test_grid_spec_rejects_bad_fields():
         GridSpec(delta_ratios=(0.5, 0.0))
     with pytest.raises(ValueError, match="K"):
         GridSpec(k_values=(1, 0))
+    with pytest.raises(ConfigError, match="seed_base"):
+        GridSpec(seed_base=-1)
 
 
 def test_grid_spec_dict_round_trip():
@@ -293,7 +295,7 @@ def test_single_period_baseline_merges_equal_range_targets():
         config=cfg,
     )
     band = FreqBand(cfg.beat_freq(166.0), cfg.beat_freq(172.0))
-    mmv = extract_mmv(single, doppler_bin=0.0, band=band, n_ex=32)
+    mmv = extract_mmv(ExtractionRows.of(single, 32), doppler_bin=0.0, band=band)
     res = ram_solve(mmv)
     ranges = np.sort(res.ranges_m)
     assert res.n_atoms == 3  # four targets, three recovered: the 168 m pair fused
@@ -332,7 +334,8 @@ def test_one_chirp_extraction_ignores_the_doppler_bin(trial_cube):
         config=cfg,
     )
     band = FreqBand(cfg.beat_freq(164.0), cfg.beat_freq(172.0))
-    at_zero = extract_mmv(single, doppler_bin=0.0, band=band, n_ex=32)
+    rows = ExtractionRows.of(single, 32)
+    at_zero = extract_mmv(rows, doppler_bin=0.0, band=band)
     for doppler_bin in (0.37, -12.8, 31.6):
-        mmv = extract_mmv(single, doppler_bin=doppler_bin, band=band, n_ex=32)
+        mmv = extract_mmv(rows, doppler_bin=doppler_bin, band=band)
         assert np.array_equal(mmv.data, at_zero.data)

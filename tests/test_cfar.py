@@ -9,7 +9,6 @@ from scipy.ndimage import maximum_filter, uniform_filter
 from rangesr import cfar, spans
 from rangesr.beamform import beamform_cube, default_grid, steering_weights
 from rangesr.cfar import (
-    CfarSettings,
     Detection,
     ca_cfar,
     cluster_detections,
@@ -30,11 +29,23 @@ def cfg():
 
 def rda_for(cfg, targets, n_slow=64):
     cube = synth_beat_cube(cfg, targets, n_slow)
-    return integrate_cube(DataCube(cube.data, "beam", cfg, (0.0,)))
+    return integrate_cube(DataCube(cube.data, "beam", cfg))
 
 
 def blank_rda(cfg, n_slow=64):
     return integrate_cube(DataCube(np.zeros((cfg.n_fast, n_slow, 1), complex), "beam", cfg))
+
+
+@pytest.fixture()
+def cfar_constants(monkeypatch):
+    """Sets the detector's constants for one test, by name:
+    cfar_constants(_TRAIN_CELLS=4, _PFA=1e-3)."""
+
+    def patch(**constants):
+        for name, value in constants.items():
+            monkeypatch.setattr(cfar, name, value)
+
+    return patch
 
 
 def make_det(rbin=0, dbin=0, beam=0, power=1.0, **kw):
@@ -49,28 +60,22 @@ def make_det(rbin=0, dbin=0, beam=0, power=1.0, **kw):
 
 
 def test_settings_closed_forms():
-    s = CfarSettings(train_cells=8, guard_cells=2, pfa=1e-4)
-    assert s.n_train == 21 * 21 - 5 * 5
-    assert s.alpha == pytest.approx(s.n_train * (1e-4 ** (-1.0 / s.n_train) - 1.0), rel=1e-12)
+    outer, inner, n_train = cfar._window()
+    assert (outer, inner, n_train) == (21, 5, 21 * 21 - 5 * 5)
+    assert cfar._alpha() == pytest.approx(n_train * (1e-4 ** (-1.0 / n_train) - 1.0), rel=1e-12)
 
 
-@pytest.mark.parametrize(
-    "kw", [{"train_cells": 0}, {"guard_cells": -1}, {"pfa": 0.0}, {"pfa": 1.0}]
-)
-def test_settings_validation(kw):
-    with pytest.raises(ConfigError):
-        CfarSettings(**kw)
-
-
-def test_noise_level_map_constant_field():
-    s = CfarSettings(train_cells=3, guard_cells=1, pfa=1e-3)
-    level = noise_level_map(np.full((32, 32), 7.5), s)
+def test_noise_level_map_constant_field(cfar_constants):
+    cfar_constants(_TRAIN_CELLS=3, _GUARD_CELLS=1)
+    level = noise_level_map(np.full((32, 32), 7.5))
     assert np.allclose(level, 7.5, rtol=1e-12)
 
 
 @pytest.mark.parametrize("guard", [0, 2])
 @pytest.mark.parametrize("workers", [1, 3])
-def test_noise_level_map_equals_the_two_dimensional_filter(monkeypatch, guard, workers):
+def test_noise_level_map_equals_the_two_dimensional_filter(
+    monkeypatch, cfar_constants, guard, workers
+):
     # the map runs as 1-D passes on line spans; it must equal the one-call
     # wrapped box filter bit for bit, including a 1-cell guard box
     from rangesr import spans
@@ -79,19 +84,19 @@ def test_noise_level_map_equals_the_two_dimensional_filter(monkeypatch, guard, w
     monkeypatch.setattr(spans, "WORKERS", workers)
     rng = np.random.default_rng(guard)
     power = rng.exponential(size=(37, 41))
-    s = CfarSettings(train_cells=4, guard_cells=guard, pfa=1e-3)
+    cfar_constants(_TRAIN_CELLS=4, _GUARD_CELLS=guard)
     outer, inner = 2 * (4 + guard) + 1, 2 * guard + 1
     expected = (
         uniform_filter(power, size=outer, mode="wrap") * (outer * outer)
         - uniform_filter(power, size=inner, mode="wrap") * (inner * inner)
-    ) / s.n_train
-    assert np.array_equal(noise_level_map(power, s), expected)
+    ) / (outer * outer - inner * inner)
+    assert np.array_equal(noise_level_map(power), expected)
 
 
 def test_noise_level_map_rejects_oversized_window():
-    s = CfarSettings(train_cells=8, guard_cells=2, pfa=1e-3)   # 21-cell window
+    # the 21-cell window of 8 training and 2 guard cells per side
     with pytest.raises(ConfigError):
-        noise_level_map(np.ones((16, 16)), s)
+        noise_level_map(np.ones((16, 16)))
 
 
 def test_single_target_detected_at_truth_bins(cfg):
@@ -163,25 +168,27 @@ def test_boundary_peak_flagged_not_refined():
     assert refine_peak(power, 8, 15)[2]
 
 
-def test_lower_pfa_never_detects_more():
+def test_lower_pfa_never_detects_more(cfar_constants):
     rng = np.random.default_rng(7)
     cfg1 = make_radar_config(10e9, 50e6, 12.8e-6, 5e6, 1)
     noise = rng.standard_normal((64, 64, 1)) + 1j * rng.standard_normal((64, 64, 1))
-    rda = integrate_cube(DataCube(noise.astype(complex), "beam", cfg1, (0.0,)))
+    rda = integrate_cube(DataCube(noise.astype(complex), "beam", cfg1))
     counts = []
     for pfa in (1e-1, 1e-2, 1e-3, 1e-4):
-        counts.append(len(ca_cfar(rda, CfarSettings(train_cells=4, guard_cells=1, pfa=pfa))))
+        cfar_constants(_TRAIN_CELLS=4, _GUARD_CELLS=1, _PFA=pfa)
+        counts.append(len(ca_cfar(rda)))
     assert counts == sorted(counts, reverse=True)
 
 
-def test_false_alarm_rate_matches_binomial_band(cfg):
+def test_false_alarm_rate_matches_binomial_band(cfg, cfar_constants):
     # 320x320 exponential-power cells, pfa 1e-3: expect ~102 +/- 3*sigma(~10)
     rng = np.random.default_rng(2024)
     field = (rng.standard_normal((320, 320, 1)) + 1j * rng.standard_normal((320, 320, 1)))
     from rangesr.cube import RdaCube
 
-    rda = RdaCube(data=field, config=cfg, n_slow=320, beam_angles=(0.0,))
-    n_fa = len(ca_cfar(rda, CfarSettings(train_cells=8, guard_cells=2, pfa=1e-3)))
+    rda = RdaCube(data=field, config=cfg, beam_angles=(0.0,))
+    cfar_constants(_TRAIN_CELLS=8, _GUARD_CELLS=2, _PFA=1e-3)
+    n_fa = len(ca_cfar(rda))
     assert 70 <= n_fa <= 135
 
 
@@ -229,16 +236,16 @@ def test_with_angle_and_dict_round_trip():
     assert back == d
 
 
-def maximum_filter_hits(rda, settings):
+def maximum_filter_hits(rda):
     """The dense rule: threshold, power floor and a wrapped 3x3 maximum filter."""
     hits = []
     for b in range(rda.n_beams):
         pmap = np.abs(rda.data[:, :, b]) ** 2
-        noise = noise_level_map(pmap, settings)
+        noise = noise_level_map(pmap)
         hit = (
-            (pmap > settings.alpha * noise)
+            (pmap > cfar._alpha() * noise)
             & (pmap >= maximum_filter(pmap, size=3, mode="wrap"))
-            & (pmap > settings.min_power)
+            & (pmap > cfar._MIN_POWER)
         )
         hits += [
             (int(i) - rda.n_range // 2, int(j) - rda.n_doppler // 2, b)
@@ -249,7 +256,7 @@ def maximum_filter_hits(rda, settings):
 
 @pytest.mark.parametrize("shape", [(12, 10, 3), (3, 7, 2), (16, 16, 1)])
 @pytest.mark.parametrize("levels", [3, 0])
-def test_local_max_gate_matches_maximum_filter(cfg, shape, levels):
+def test_local_max_gate_matches_maximum_filter(cfg, cfar_constants, shape, levels):
     # few power levels make equal-valued plateaus; the edge rows and
     # columns carry peaks whose neighbours wrap around
     rng = np.random.default_rng(sum(shape) + levels)
@@ -259,10 +266,10 @@ def test_local_max_gate_matches_maximum_filter(cfg, shape, levels):
     else:
         power = rng.exponential(size=shape)
         power[0, 0, :] = power[-1, -1, :] = 50.0
-    rda = RdaCube(data=np.sqrt(power) + 0j, config=cfg, n_slow=shape[1])
-    settings = CfarSettings(train_cells=1, guard_cells=0, pfa=0.3, min_power=0.5)
-    got = sorted((d.range_bin, d.doppler_bin, d.beam) for d in ca_cfar(rda, settings))
-    assert got == maximum_filter_hits(rda, settings)
+    rda = RdaCube(data=np.sqrt(power) + 0j, config=cfg)
+    cfar_constants(_TRAIN_CELLS=1, _GUARD_CELLS=0, _PFA=0.3, _MIN_POWER=0.5)
+    got = sorted((d.range_bin, d.doppler_bin, d.beam) for d in ca_cfar(rda))
+    assert got == maximum_filter_hits(rda)
     assert got   # the maps do produce hits
 
 
@@ -280,7 +287,7 @@ def element_and_beam_rda(n_elements=8):
     ]
     cube = add_noise(synth_beat_cube(cfg, targets, 48), 0.0, rng_seed=3)
     grid = default_grid(cfg)
-    beams = integrate_cube(beamform_cube(cube, grid))
+    beams = replace(integrate_cube(beamform_cube(cube, grid)), beam_angles=grid.angles_rad)
     elements = replace(integrate_cube(cube), beam_angles=grid.angles_rad,
                        weights=steering_weights(cfg, grid))
     return elements, beams
@@ -320,4 +327,4 @@ def test_element_cube_cfar_is_bit_identical_for_any_worker_count(monkeypatch):
 
 def test_beam_weights_must_take_the_cubes_channels(cfg):
     with pytest.raises(CubeError, match="take 4 channels"):
-        RdaCube(np.zeros((8, 8, 3), complex), cfg, 8, weights=np.ones((4, 2), complex))
+        RdaCube(np.zeros((8, 8, 3), complex), cfg, weights=np.ones((4, 2), complex))

@@ -127,8 +127,10 @@ def test_superres_failed_solve_exits_2_with_one_line(tmp_path, monkeypatch, caps
     [
         ({"band_m": [150.0, 400.0]}, "band too wide for the decimation stride"),
         ({"n_ex": 1}, "n_ex=1 must be in [2, 512]"),
+        ({"seed": -2}, "seed must be >= 0, got -2"),
+        ({"snr_dB": 0.0, "nex": 16}, "unknown problem key(s): nex, snr_dB"),
     ],
-    ids=["band_too_wide", "one_row"],
+    ids=["band_too_wide", "one_row", "negative_seed", "misspelled_keys"],
 )
 def test_superres_rejects_an_invalid_problem_with_exit_2(tmp_path, capsys, key, message):
     problem = tmp_path / "problem.json"
@@ -156,6 +158,25 @@ def test_superres_rejects_n_atoms_for_the_sdp_methods(tmp_path, monkeypatch, cap
     assert not (tmp_path / "superres.json").exists()
 
 
+def test_superres_solves_on_the_problems_n_ex_samples(tmp_path, monkeypatch):
+    solved = []
+
+    def keep_mmv(method, mmv, **kwargs):
+        solved.append(mmv)
+        return solve_by_name(method, mmv, **kwargs)
+
+    monkeypatch.setattr(cli, "solve_by_name", keep_mmv)
+    problem = tmp_path / "problem.json"
+    truth = [165.0, 166.8]
+    dump_json({"ranges_m": truth, "snr_db": 30.0, "seed": 2, "n_ex": 16}, problem)
+    assert main(["superres", "--problem", str(problem), "--out-dir", str(tmp_path)]) == 0
+    (mmv,) = solved
+    # 16 of the table radar's 512 fast-time samples, every 32nd
+    assert (mmv.n_samples, mmv.step) == (16, 32)
+    got = sorted(load_json(tmp_path / "superres.json")["ranges_m"])
+    assert len(got) == 2 and got == pytest.approx(truth, abs=0.3)
+
+
 def test_superres_hands_n_atoms_to_music(tmp_path, monkeypatch):
     orders = []
 
@@ -172,6 +193,32 @@ def test_superres_hands_n_atoms_to_music(tmp_path, monkeypatch):
     assert orders == [2]
     result = load_json(tmp_path / "superres.json")
     assert result["method"] == "music" and len(result["ranges_m"]) == 2
+
+
+def test_pipeline_rejects_a_negative_seed_with_exit_2(tmp_path, scene_path, capsys):
+    code = main(["pipeline", "--scene", str(scene_path), "--seed", "-1",
+                 "--out-dir", str(tmp_path)])
+    assert code == 2
+    assert capsys.readouterr().err == "rangesr pipeline: seed must be >= 0, got -1\n"
+    assert not (tmp_path / "pipeline.json").exists()
+
+
+@pytest.mark.parametrize(
+    "spec, seed, message",
+    [
+        ({"trials": 0}, None, "trials must be >= 1"),
+        ({}, "-1", "seed_base must be >= 0, got -1"),
+        ({"k_value": [2]}, None, "unknown GridSpec key(s): k_value"),
+    ],
+    ids=["no_trials", "negative_seed", "misspelled_key"],
+)
+def test_bench_rejects_an_invalid_spec_with_exit_2(tmp_path, capsys, spec, seed, message):
+    path = tmp_path / "spec.json"
+    dump_json(spec, path)
+    argv = ["bench", "--spec", str(path), "--out-dir", str(tmp_path)]
+    assert main(argv + (["--seed", seed] if seed else [])) == 2
+    assert capsys.readouterr().err == f"rangesr bench: {message}\n"
+    assert not (tmp_path / "bench_fsram.json").exists()
 
 
 def test_compare_rejects_an_unknown_method_before_any_grid_runs(

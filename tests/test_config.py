@@ -17,7 +17,7 @@ from rangesr.config import (
     make_radar_config,
     to_json,
 )
-from rangesr.pipeline import table_radar_config
+from rangesr.pipeline import Scene, table_radar_config
 
 
 def test_derived_fields_match_definitions(tiny_cfg):
@@ -142,8 +142,8 @@ def test_table_radar_json_form_is_pinned():
     }
 
 
-def test_from_json_coerces_defaults_and_ignores_unknown_keys():
-    t = from_json(UavTruth, {"range0_m": 165, "angle_rad": 0, "extra": "ignored"})
+def test_from_json_coerces_defaults_and_rejects_unknown_keys():
+    t = from_json(UavTruth, {"range0_m": 165, "angle_rad": 0})
     assert t == UavTruth(range0_m=165.0)
     assert type(t.range0_m) is float and type(t.angle_rad) is float
     assert t.velocity_mps == 0.0 and t.amplitude == 1.0 + 0.0j
@@ -158,3 +158,11 @@ def test_from_json_coerces_defaults_and_ignores_unknown_keys():
     spec = from_json(GridSpec, {"snr_values_db": [10], "trials": 2})
     assert spec.snr_values_db == (10.0,) and type(spec.snr_values_db[0]) is float
     assert to_json(spec)["snr_values_db"] == [10.0]
+    # a key that names no field is an error, not its field's default
+    with pytest.raises(ConfigError, match="unknown UavTruth key.*: extra"):
+        from_json(UavTruth, {"range0_m": 165, "extra": "ignored"})
+    with pytest.raises(ConfigError, match="unknown GridSpec key.*: k_value"):
+        from_json(GridSpec, {"k_value": [2]})
+    # ... at any depth
+    with pytest.raises(ConfigError, match="unknown UavTruth key.*: range_m"):
+        from_json(Scene, {"config": to_json(table_radar_config()), "uavs": [{"range_m": 165.0}]})

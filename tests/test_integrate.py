@@ -24,7 +24,7 @@ def random_beam_cube(cfg, n, m, g, seed):
     rng = np.random.default_rng(seed)
     data = rng.standard_normal((n, m, g)) + 1j * rng.standard_normal((n, m, g))
     # fast-time length is decoupled from cfg.n_fast for transform-only tests
-    return DataCube(data=data, axis2_kind="beam", config=cfg, beam_angles=None)
+    return DataCube(data=data, axis2_kind="beam", config=cfg)
 
 
 def rel_err(a, b):
@@ -108,7 +108,7 @@ def test_on_grid_target_peaks_at_truth_bins(tiny_cfg_1ch):
     m = 64
     r0, v0 = on_grid_truth(cfg, m, 10, 7)
     cube = synth_beat_cube(cfg, [UavTruth(r0, v0)], m)
-    rda = integrate_cube(DataCube(cube.data, "beam", cfg, (0.0,)))
+    rda = integrate_cube(DataCube(cube.data, "beam", cfg))
     i, j, _ = np.unravel_index(np.argmax(np.abs(rda.data)), rda.data.shape)
     rbin, dbin = i - cfg.n_fast // 2, j - m // 2
     assert (rbin, dbin) == (10, 7)
@@ -123,7 +123,7 @@ def test_doppler_ambiguity_wraps(tiny_cfg_1ch):
     v_alias = 299792458.0 / (4.0 * cfg.carrier_hz * cfg.chirp_s) * (2.0 + delta)
     r0, _ = on_grid_truth(cfg, m, 10, 0)
     cube = synth_beat_cube(cfg, [UavTruth(r0, v_alias)], m)
-    rda = integrate_cube(DataCube(cube.data, "beam", cfg, (0.0,)))
+    rda = integrate_cube(DataCube(cube.data, "beam", cfg))
     _, j, _ = np.unravel_index(np.argmax(np.abs(rda.data)), rda.data.shape)
     # normalized Doppler (2 + delta)/2 wraps to delta/2
     assert j - m // 2 == round(m * delta / 2.0)
@@ -131,7 +131,7 @@ def test_doppler_ambiguity_wraps(tiny_cfg_1ch):
 
 def test_keystone_identity_for_stationary_target(tiny_cfg_1ch):
     cube = synth_beat_cube(tiny_cfg_1ch, [UavTruth(30.0, 0.0)], 32)
-    beam = DataCube(cube.data, "beam", tiny_cfg_1ch, (0.0,))
+    beam = DataCube(cube.data, "beam", tiny_cfg_1ch)
     kt = keystone_explicit(beam)
     assert rel_err(kt.data, beam.data) < 1e-9
 
@@ -145,7 +145,7 @@ def test_keystone_removes_range_walk():
     cfg = walk_cfg()
     v, m = 44.07, 2000
     cube = synth_beat_cube(cfg, [UavTruth(165.0, v)], m)
-    beam = DataCube(cube.data, "beam", cfg, (0.0,))
+    beam = DataCube(cube.data, "beam", cfg)
 
     def drift(bc):
         profiles = range_profile_ft(bc)
@@ -164,9 +164,9 @@ def test_keystone_then_plain_dft_matches_scaled_transform():
     m = 256
     r0, v0 = on_grid_truth(cfg, m, 10, 7)
     cube = synth_beat_cube(cfg, [UavTruth(r0, v0)], m)
-    beam = DataCube(cube.data, "beam", cfg, (0.0,))
+    beam = DataCube(cube.data, "beam", cfg)
     inter = symmetric_fft(keystone_explicit(beam).data, axis=1)
-    via_kt = range_ft(DataCube(inter, "beam", cfg, (0.0,)))
+    via_kt = range_ft(DataCube(inter, "beam", cfg))
     via_czt = integrate_cube(beam)
     peak_kt = np.unravel_index(np.argmax(np.abs(via_kt.data)), via_kt.data.shape)
     peak_czt = np.unravel_index(np.argmax(np.abs(via_czt.data)), via_czt.data.shape)
@@ -177,9 +177,9 @@ def test_keystone_then_plain_dft_matches_scaled_transform():
 def test_keystone_and_scaled_transform_agree_on_migrating_peak():
     cfg = walk_cfg()
     cube = synth_beat_cube(cfg, [UavTruth(165.0, 44.07)], 256)
-    beam = DataCube(cube.data, "beam", cfg, (0.0,))
+    beam = DataCube(cube.data, "beam", cfg)
     inter = symmetric_fft(keystone_explicit(beam).data, axis=1)
-    via_kt = range_ft(DataCube(inter, "beam", cfg, (0.0,))).data
+    via_kt = range_ft(DataCube(inter, "beam", cfg)).data
     via_czt = integrate_cube(beam).data
     assert np.unravel_index(np.argmax(np.abs(via_kt)), via_kt.shape) == np.unravel_index(
         np.argmax(np.abs(via_czt)), via_czt.shape
@@ -189,7 +189,7 @@ def test_keystone_and_scaled_transform_agree_on_migrating_peak():
 def test_integrate_cube_is_slow_time_ft_then_range_ft(tiny_cfg):
     cube = random_beam_cube(tiny_cfg, 16, 12, 2, seed=9)
     rda = integrate_cube(cube)
-    assert rda.n_slow == 12
+    assert rda.n_doppler == 12
     assert np.allclose(
         rda.data, range_ft(scaled_slow_time_ft_fast(cube)).data, rtol=1e-12, atol=1e-9
     )

@@ -19,7 +19,7 @@ import pytest
 
 from rangesr.beamform import default_grid, steering_vector
 from rangesr.cfar import ca_cfar, merge_beam_duplicates
-from rangesr.config import C_LIGHT, UavTruth, make_radar_config
+from rangesr.config import C_LIGHT, ConfigError, UavTruth, make_radar_config
 from rangesr.cube import DataCube
 from rangesr.integrate import integrate_cube
 from rangesr.pipeline import (
@@ -133,6 +133,14 @@ def test_scene_json_form_is_pinned():
     assert scene_from_dict({"radar": radar}) == Scene(
         name="scene", config=table_radar_config(), uavs=()
     )
+
+
+def test_scene_from_dict_rejects_a_misspelled_key():
+    # "snr_dB" read as a default would be a noise-free run
+    d = scene_to_dict(make_exp1_scene(snr_db=0.0))
+    d["snr_dB"] = d.pop("snr_db")
+    with pytest.raises(ConfigError, match="unknown Scene key.*: snr_dB"):
+        scene_from_dict(d)
 
 
 def test_scene_advances_truth_through_the_gap():
@@ -254,8 +262,9 @@ def per_beam_step2_reference(scene, angle_prior_rad, half_window=2):
     detections = []
     for slot, g in enumerate(window):
         w = steering_vector(cfg, angles[g])
-        beam = DataCube((cube.data @ w)[:, :, None], "beam", cfg, (angles[g],))
-        detections += [replace(d, beam=slot) for d in ca_cfar(integrate_cube(beam))]
+        beam = DataCube((cube.data @ w)[:, :, None], "beam", cfg)
+        rda = replace(integrate_cube(beam), beam_angles=(angles[g],))
+        detections += [replace(d, beam=slot) for d in ca_cfar(rda)]
     return merge_beam_duplicates(detections)
 
 

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from rangesr import bench, integrate, spans, synth
-from rangesr.beamform import beamform_cube, default_grid
+from rangesr.beamform import BeamGrid, beamform_cube
 from rangesr.cfar import ca_cfar
 from rangesr.config import UavTruth, make_radar_config
 from rangesr.cube import DataCube
@@ -51,6 +51,10 @@ def with_workers(set_workers, fn):
 def random_cube(shape, seed):
     rng = np.random.default_rng(seed)
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+# five beams uniform in sin(theta) over [-1, 1), as `default_grid` places 2L
+FIVE_BEAMS = BeamGrid(tuple(np.arcsin(-1.0 + (2.0 * np.arange(5) + 1.0) / 5)))
 
 
 def test_default_workers_follow_the_cpu_affinity():
@@ -132,7 +136,7 @@ def test_synthesis_is_bit_identical_for_any_worker_count(threaded, monkeypatch):
 
 def test_beamforming_is_bit_identical_for_any_worker_count(threaded, tiny_cfg):
     cube = DataCube(random_cube((37, 9, 4), 1), "element", tiny_cfg)
-    grid = default_grid(tiny_cfg, 5)
+    grid = FIVE_BEAMS
     one, three = with_workers(threaded, lambda: beamform_cube(cube, grid).data)
     assert np.array_equal(one, three)
     assert np.array_equal(one, cube.data @ np.stack(
@@ -185,7 +189,7 @@ def test_cfar_is_bit_identical_for_any_worker_count(threaded, tiny_cfg):
     cube = DataCube(random_cube((64, 33, 4), 2), "element", tiny_cfg)
     # a strong on-grid tone in every beam, over the random floor
     cube.data[:] += 30.0 * synth.synth_beat_cube(tiny_cfg, [UavTruth(30.0, 0.0)], 33).data
-    rda = integrate_cube(beamform_cube(cube, default_grid(tiny_cfg, 5)))
+    rda = integrate_cube(beamform_cube(cube, FIVE_BEAMS))
     one, three = with_workers(threaded, lambda: ca_cfar(rda))
     assert one == three
     assert len({d.beam for d in one}) == 5
@@ -195,8 +199,7 @@ def test_cfar_spans_carry_equal_work(threaded, tiny_cfg, monkeypatch):
     # five beams on two workers: every pass splits lines of one beam, not
     # beams, so no worker gets a beam more than the other
     rda = integrate_cube(
-        beamform_cube(DataCube(random_cube((64, 33, 4), 2), "element", tiny_cfg),
-                      default_grid(tiny_cfg, 5))
+        beamform_cube(DataCube(random_cube((64, 33, 4), 2), "element", tiny_cfg), FIVE_BEAMS)
     )
     seen = []
     run = spans.run

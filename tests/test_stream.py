@@ -94,7 +94,7 @@ def test_streamed_stare_matches_the_whole_cube_chain(windows, cfg, monkeypatch, 
     grid = stare_window(cfg)
     cube = dwell_cube(scene, 2)
     beams = beamform_cube(cube, grid)
-    rda = integrate_cube(beams)
+    rda = replace(integrate_cube(beams), beam_angles=grid.angles_rad)
     detections = merge_beam_duplicates(ca_cfar(rda))
 
     integrated = []
@@ -156,7 +156,8 @@ def test_group_mmv_on_kept_rows_is_extract_mmv_on_the_cube(windows, cfg):
                 pipeline.group_mmv(rows, group)
             continue
         got = pipeline.group_mmv(rows, group)
-        want = extract_mmv(cube, group.strongest.refined_doppler_bin, band, N_EX)
+        want = extract_mmv(
+            ExtractionRows.of(cube, N_EX), group.strongest.refined_doppler_bin, band)
         assert np.array_equal(got.data, want.data)
         assert (got.f_shift, got.step, got.sigma, got.band) == (
             want.f_shift, want.step, want.sigma, want.band)
@@ -165,13 +166,13 @@ def test_group_mmv_on_kept_rows_is_extract_mmv_on_the_cube(windows, cfg):
 
 
 def test_extraction_rows_must_match_n_ex(cfg):
+    # the kept rows are the cube's decimation rows, and extraction reads one
+    # sample from each
     cube = synth.synth_beat_cube(cfg, [UavTruth(range0_m=60.0)], 8)
     rows = ExtractionRows.of(cube, 16)
-    band = FreqBand(0.28, 0.34)
-    assert np.array_equal(extract_mmv(rows, 0.0, band, n_ex=16).data,
-                          extract_mmv(cube, 0.0, band, n_ex=16).data)
-    with pytest.raises(ConfigError, match="n_ex"):
-        extract_mmv(rows, 0.0, band, n_ex=8)
+    assert np.array_equal(rows.data, cube.data[np.arange(16) * 4])
+    mmv = extract_mmv(rows, 0.0, FreqBand(0.28, 0.34))
+    assert (mmv.n_samples, mmv.step) == (16, 4)
 
 
 @pytest.mark.parametrize("budget", [None, 1])
@@ -185,8 +186,8 @@ def test_integrate_in_place_equals_the_default_and_shares_the_buffer(
     rng = np.random.default_rng(7)
     shape = (64, 45, 5)
     x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    beams = DataCube(x, "beam", cfg, beam_angles=stare_window(cfg).angles_rad)
-    want = integrate_cube(DataCube(x.copy(), "beam", cfg, beams.beam_angles))
+    beams = DataCube(x, "beam", cfg)
+    want = integrate_cube(DataCube(x.copy(), "beam", cfg))
     got = integrate_cube(beams, overwrite_x=True)
     assert np.array_equal(got.data, want.data)
     assert np.shares_memory(got.data, x)

@@ -18,6 +18,7 @@ from rangesr.cfar import Detection, DetectionGroup
 from rangesr.config import ConfigError, UavTruth, make_radar_config
 from rangesr.cube import DataCube
 from rangesr.superres import (
+    ExtractionRows,
     FreqBand,
     MmvMatrix,
     SuperResError,
@@ -34,6 +35,11 @@ from rangesr.sdp import nnls_powers
 from rangesr.synth import synth_beat_cube
 
 MUSIC_GRID_STEP = 1.0 / 8192.0
+
+
+def extract(cube, doppler_bin, band, n_ex=32):
+    """`extract_mmv` on the element cube's extraction rows."""
+    return extract_mmv(ExtractionRows.of(cube, n_ex), doppler_bin, band)
 
 
 @pytest.fixture(scope="module")
@@ -101,27 +107,25 @@ def test_band_validation_and_properties():
 
 def test_extract_rejects_beamformed_cube(cfg):
     cube = synth_beat_cube(cfg, [static_target(60.0)], 8)
-    beamish = DataCube(
-        data=cube.data, axis2_kind="beam", config=cfg, beam_angles=np.zeros(4)
-    )
+    beamish = DataCube(data=cube.data, axis2_kind="beam", config=cfg)
     with pytest.raises(ConfigError, match="element"):
-        extract_mmv(beamish, 0.0, FreqBand(0.2, 0.3))
+        extract(beamish, 0.0, FreqBand(0.2, 0.3))
 
 
 def test_extract_rejects_full_band(cfg):
     cube = synth_beat_cube(cfg, [static_target(60.0)], 8)
     with pytest.raises(ConfigError, match="band"):
-        extract_mmv(cube, 0.0, FreqBand(0.0, 0.5))
+        extract(cube, 0.0, FreqBand(0.0, 0.5))
 
 
 def test_extract_sample_count_bounds(cfg):
     cube = synth_beat_cube(cfg, [static_target(60.0)], 8)
     band = FreqBand(0.28, 0.34)
     with pytest.raises(ConfigError, match="n_ex"):
-        extract_mmv(cube, 0.0, band, n_ex=1)
+        extract(cube, 0.0, band, n_ex=1)
     with pytest.raises(ConfigError, match="n_ex"):
-        extract_mmv(cube, 0.0, band, n_ex=cfg.n_fast + 1)
-    mm = extract_mmv(cube, 0.0, band, n_ex=cfg.n_fast)
+        extract(cube, 0.0, band, n_ex=cfg.n_fast + 1)
+    mm = extract(cube, 0.0, band, n_ex=cfg.n_fast)
     assert mm.step == 1 and mm.n_samples == cfg.n_fast
 
 
@@ -129,14 +133,14 @@ def test_extract_rejects_band_wider_than_stride_allows(cfg):
     cube = synth_beat_cube(cfg, [static_target(60.0)], 8)
     # n_ex=2 -> step=32; 32 * 0.2 = 6.4 aliases the demodulated band
     with pytest.raises(ConfigError, match="band"):
-        extract_mmv(cube, 0.0, FreqBand(0.1, 0.3), n_ex=2)
+        extract(cube, 0.0, FreqBand(0.1, 0.3), n_ex=2)
 
 
 def test_extract_single_static_target_is_rank_one(cfg):
     r0 = 20.0 * cfg.range_of_freq(1.0 / cfg.n_fast)
     cube = synth_beat_cube(cfg, [static_target(r0, angle_rad=0.25)], 32)
     f0 = cfg.beat_freq(r0)
-    mm = extract_mmv(cube, 0.0, FreqBand(f0 - 0.04, f0 + 0.04), n_ex=32)
+    mm = extract(cube, 0.0, FreqBand(f0 - 0.04, f0 + 0.04), n_ex=32)
     s = np.linalg.svd(mm.data, compute_uv=False)
     assert s[1] / s[0] < 1e-8
 
@@ -146,7 +150,7 @@ def test_extract_places_tone_at_local_frequency(cfg):
     r0 = 20.7 * cell
     cube = synth_beat_cube(cfg, [static_target(r0)], 16)
     f0 = cfg.beat_freq(r0)
-    mm = extract_mmv(cube, 0.0, FreqBand(f0 - 0.05, f0 + 0.05), n_ex=32)
+    mm = extract(cube, 0.0, FreqBand(f0 - 0.05, f0 + 0.05), n_ex=32)
     f_loc = mm.local_freq(f0)
     lo, hi = mm.local_band()
     assert lo < f_loc < hi
@@ -174,7 +178,7 @@ def test_extract_keeps_same_velocity_subset_and_rejects_others(cfg):
     ]
     cube = synth_beat_cube(cfg, targets, n_slow)
     band = FreqBand(cfg.beat_freq(r1 - 2 * cell), cfg.beat_freq(r3 + 2 * cell))
-    mm = extract_mmv(cube, 0.0, band, n_ex=32)
+    mm = extract(cube, 0.0, band, n_ex=32)
     atoms = atom_matrix(
         [mm.local_freq(cfg.beat_freq(r)) for r in (r1, r2, r3)], mm.n_samples
     )
@@ -201,7 +205,7 @@ def test_extract_noise_and_signal_gain_bookkeeping(cfg):
     ) * (sigma / np.sqrt(2.0))
     noise_cube = DataCube(data=noise, axis2_kind="element", config=cfg)
     band = FreqBand(0.25, 0.40)
-    mm_noise = extract_mmv(noise_cube, 0.0, band, n_ex=32)
+    mm_noise = extract(noise_cube, 0.0, band, n_ex=32)
     assert mm_noise.sigma == pytest.approx(sigma * np.sqrt(n_slow), rel=0.1)
     noise_power = np.mean(np.abs(mm_noise.data) ** 2)
     assert noise_power == pytest.approx(sigma**2 * n_slow, rel=0.3)
@@ -210,7 +214,7 @@ def test_extract_noise_and_signal_gain_bookkeeping(cfg):
 
     r0 = 20.0 * cfg.range_of_freq(1.0 / cfg.n_fast)
     sig_cube = synth_beat_cube(cfg, [static_target(r0)], n_slow)
-    mm_sig = extract_mmv(sig_cube, 0.0, band, n_ex=32)
+    mm_sig = extract(sig_cube, 0.0, band, n_ex=32)
     gain_db = 10.0 * np.log10(
         (np.abs(mm_sig.data).max() ** 2 / noise_power)
         / (np.abs(sig_cube.data).max() ** 2 / sigma**2)
@@ -458,7 +462,7 @@ def test_extract_then_solve_recovers_ranges(cfg):
         cfg, [static_target(r1), static_target(r2, amplitude=0.7)], 64
     )
     band = FreqBand(cfg.beat_freq(r1 - 2 * cell), cfg.beat_freq(r2 + 2 * cell))
-    mm = extract_mmv(cube, 0.0, band, n_ex=32)
+    mm = extract(cube, 0.0, band, n_ex=32)
     assert mm.step == 2
     res = fsram_solve(mm)
     assert res.n_atoms == 2
