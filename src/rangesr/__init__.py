@@ -47,10 +47,8 @@ from .superres import (
     SuperResError,
     SuperResResult,
     extract_mmv,
-    fsram_solve,
-    music_solve,
     prior_band,
-    ram_solve,
+    solve_by_name,
 )
 from .synth import add_noise, noise_sigma, synth_beat_cube
 
@@ -85,17 +83,14 @@ __all__ = [
     "compare_methods",
     "default_grid",
     "extract_mmv",
-    "fsram_solve",
     "integrate_cube",
     "make_exp1_scene",
     "make_exp2_scene",
     "make_exp3_scene",
     "make_radar_config",
     "merge_beam_duplicates",
-    "music_solve",
     "noise_sigma",
     "prior_band",
-    "ram_solve",
     "range_ft",
     "run_full",
     "run_step1",
@@ -103,6 +98,7 @@ __all__ = [
     "run_step3",
     "run_success_grid",
     "scaled_slow_time_ft_fast",
+    "solve_by_name",
     "solve_weighted_toeplitz_sdp",
     "steering_vector",
     "synth_beat_cube",

@@ -1,12 +1,14 @@
 """Command-line front end: `superres`, `pipeline`, `bench` and `compare`.
 
 Each command reads JSON configuration, writes JSON/CSV artifacts into --out-dir
-and exits 0, or 2 on a failed solve or an `n_atoms` key given to fsram or
+and exits 0, or 2 on a problem without an answer (a band too wide for the
+decimation stride or a failed solve) or an `n_atoms` key given to fsram or
 ram, which find their own order (`superres`), no estimate (`pipeline`), an
 infeasible cell (`bench`, `compare`) or an unknown method (`compare`). Any
 command also exits 2 on an input that violates a configuration contract
-(`ConfigError`: an unknown JSON key or a negative seed among them), printing
-`rangesr <command>: <message>` on stderr.
+(`ConfigError`: an unknown JSON key, a missing required key such as a
+scene's "radar" or a UAV's "range0_m", an empty "ranges_m" or a negative
+seed among them), printing `rangesr <command>: <message>` on stderr.
 """
 
 from __future__ import annotations
@@ -54,6 +56,8 @@ def _cmd_superres(args) -> int:
     unknown = sorted(set(problem).difference(_PROBLEM_KEYS))
     if unknown:
         raise ConfigError(f"unknown problem key(s): {', '.join(unknown)}")
+    if not problem.get("ranges_m"):
+        raise ConfigError("problem needs a non-empty \"ranges_m\" list")
     if "n_atoms" in problem and args.method != "music":
         print(
             f"rangesr superres: n_atoms is MUSIC's model order; {args.method} "
@@ -81,8 +85,8 @@ def _cmd_superres(args) -> int:
         hi_m = max(ranges) + cfg.range_res_m
     band = FreqBand(cfg.beat_freq(lo_m), cfg.beat_freq(hi_m))
     rows = ExtractionRows.of(cube, int(problem.get("n_ex", 32)))
-    mmv = extract_mmv(rows, doppler_bin=0.0, band=band)
     try:
+        mmv = extract_mmv(rows, doppler_bin=0.0, band=band)
         result = solve_by_name(args.method, mmv, n_sources=problem.get("n_atoms"))
     except SuperResError as err:
         print(f"rangesr superres: {err}", file=sys.stderr)

@@ -138,19 +138,26 @@ def from_json(cls, raw: dict):
     Each value is decoded by its field's declared type: records, tuples and
     optionals recursively, a complex number from `[re, im]` or a scalar, and
     any other value by calling the type on it (so 10 becomes 10.0 in a float
-    field). Missing keys take the field defaults; a key that names no field,
-    at any depth, raises `ConfigError`, so a misspelled key is not read as
-    its field's default.
+    field). Missing keys take the field defaults. At any depth, a key that
+    names no field raises `ConfigError`, so a misspelled key is not read as
+    its field's default, and so does a missing key whose field has no
+    default.
     """
-    unknown = set(raw) - {f.name for f in dataclasses.fields(cls)}
+    fields = dataclasses.fields(cls)
+    unknown = set(raw) - {f.name for f in fields}
     if unknown:
         raise ConfigError(f"unknown {cls.__name__} key(s): {', '.join(sorted(unknown))}")
     hints = typing.get_type_hints(cls)
-    return cls(**{
-        f.name: _decode(hints[f.name], raw[f.name])
-        for f in dataclasses.fields(cls)
-        if f.name in raw
-    })
+    values = {f.name: _decode(hints[f.name], raw[f.name]) for f in fields if f.name in raw}
+    missing = [
+        f.name for f in fields
+        if f.name not in raw
+        and f.default is dataclasses.MISSING
+        and f.default_factory is dataclasses.MISSING
+    ]
+    if missing:
+        raise ConfigError(f"missing {cls.__name__} key(s): {', '.join(missing)}")
+    return cls(**values)
 
 
 def _decode(tp, value):

@@ -127,6 +127,8 @@ def scene_to_dict(scene: Scene) -> dict:
 
 
 def scene_from_dict(d: dict) -> Scene:
+    if "radar" not in d:
+        raise ConfigError("scene lacks its \"radar\" config")
     fields = {k: v for k, v in d.items() if k != "radar"}
     return from_json(Scene, {"name": "scene", "uavs": [], **fields, "config": d["radar"]})
 
@@ -478,6 +480,12 @@ def run_step3(step2: Step2Report, method: str = "fsram") -> LocalizationResult:
     returns nothing usable (keeps the final count >= the group count).
     Estimates carry the stare's prior angle.
 
+    A group falls back, with `solved: False` and the message in its report,
+    when it has no answer (`SuperResError`): its prior band is unusable or
+    too wide for the decimation stride, or its solve failed (the SDP's
+    audit, or a linear-algebra routine). Any other exception is a bug and
+    propagates.
+
     Single-cell groups are solved too: several targets in one range-Doppler
     cell look exactly like one, so cell count cannot identify the
     multi-target suspects. The cost of solving true singletons is
@@ -522,7 +530,7 @@ def run_step3(step2: Step2Report, method: str = "fsram") -> LocalizationResult:
         try:
             mmv = group_mmv(rows, group)
             result = solve_by_name(method, mmv)
-        except (SuperResError, ValueError) as err:
+        except SuperResError as err:
             estimates.append(replace(fallback, step="step3-fallback"))
             report.update({"solved": False, "error": str(err)})
             group_reports.append(report)

@@ -423,32 +423,33 @@ def _fit_tol(eta_s: float) -> float:
 
 def _data_atoms(
     ss: np.ndarray, band: tuple[float, float] | None, eta_s: float
-) -> np.ndarray:
-    """Atom frequencies (ascending) that explain the data ss, by forward
-    selection on residual peaks with a Gauss-Newton refit after each pick:
-    the first set whose fit lies inside the eta_s ball, or else the
-    closest fit."""
-    fits: list[tuple[np.ndarray, float]] = []
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(frequencies ascending, atoms, amplitudes) of a least-squares fit that
+    explains the data ss, by forward selection on residual peaks with a
+    Gauss-Newton refit after each pick: the first set whose fit lies inside
+    the eta_s ball, or else the closest fit."""
+    fits: list[tuple[tuple, float]] = []
     forward, residual = np.empty(0), ss
     for _ in range(min(ss.shape[0] - 1, 16)):
         init = np.append(forward, _residual_peak(residual, band))
         refined, cost = _gn_refine(ss, init, band)
         # atoms the refit moved onto one frequency count once
         forward = refined[np.concatenate(([True], np.diff(refined) > 1e-9))]
+        atoms, coef = _least_squares_fit(ss, forward)
         misfit = float(np.sqrt(cost))
         if misfit <= _fit_tol(eta_s):
-            return forward
-        fits.append((forward, misfit))
-        atoms, coef = _least_squares_fit(ss, forward)
+            return forward, atoms, coef
+        fits.append(((forward, atoms, coef), misfit))
         residual = ss - atoms @ coef
     return min(fits, key=lambda fit: fit[1])[0]
 
 
 def _atomic_certificate(
-    u_admm: np.ndarray, ss: np.ndarray, freqs: np.ndarray
+    u_admm: np.ndarray, freqs: np.ndarray, atoms: np.ndarray, c: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None:
-    """Exactly feasible (z, y, u) from the data atoms at freqs, weighed by
-    the iterate u_admm, and the powers that make u.
+    """Exactly feasible (z, y, u) from the data fit by the atoms at freqs
+    with amplitudes c, weighed by the iterate u_admm, and the powers that
+    make u.
 
     With atoms A, powers Sigma and amplitudes C the block matrix
     [[C^H Sigma^-1 C, C^H A^H], [A C, A Sigma A^H]] is a Gram matrix, hence
@@ -460,7 +461,6 @@ def _atomic_certificate(
     if powers.max() <= 0.0:
         return None
     powers = np.maximum(powers, 1e-9 * powers.max())
-    atoms, c = _least_squares_fit(ss, freqs)
     z = hermitize(c.conj().T @ ((1.0 / powers)[:, None] * c))
     u = atoms @ powers.astype(np.complex128)
     return z, atoms @ c, u, powers
@@ -545,8 +545,7 @@ def solve_weighted_toeplitz_sdp(
 
     hcoefs = band_coefficients(*band) if band is not None else None
     # the data choose the atoms; the ADMM passes below only weigh them
-    freqs = _data_atoms(ss, band, eta_r_s)
-    atoms, coef = _least_squares_fit(ss, freqs)
+    freqs, atoms, coef = _data_atoms(ss, band, eta_r_s)
     misfit = full_misfit(atoms @ coef)
     if misfit > _fit_tol(eta_s):
         diag.stop_reason = "misfit_over_eta"
@@ -636,7 +635,7 @@ def solve_weighted_toeplitz_sdp(
         diag.inner_iters.append(inner_done)
 
     diag.stop_reason = "max_outer"
-    cert = _atomic_certificate(u, ss, freqs)
+    cert = _atomic_certificate(u, freqs, atoms, coef)
     if cert is None:
         diag.feasible = False
         raise AdmmError(

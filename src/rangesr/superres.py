@@ -7,12 +7,16 @@ tones whose frequencies encode the in-cell ranges. The sequence is
 demodulated so the expected band sits around a quarter cycle, then decimated
 with an integer stride so a small number of samples still spans the full
 chirp (keeping the native range aperture). The resulting N_ex x L matrix S
-feeds either the band-constrained reweighted Toeplitz SDP, its
-unconstrained variant, or MUSIC; recovered local frequencies map affinely
-back to absolute range. The noise level comes from S itself, not the scene.
-The SDP solvers find their own model order: their atoms are those of the
-audited certificate (`SdpDiagnostics.atom_freqs`). Only MUSIC takes a
-source count K, and estimates it by MDL when none is given.
+feeds one entry, `solve_by_name`, which picks the method by name: "fsram"
+(the band-constrained reweighted Toeplitz SDP), "ram" (the same SDP without
+the band) or "music". fsram's band is the MMV's local band
+(`MmvMatrix.local_band`), which extraction confines to [0, 0.5]; recovered
+local frequencies map affinely back to absolute range. The noise level comes
+from S itself, not the scene. The SDP methods find their own model order:
+their atoms are those of the audited certificate
+(`SdpDiagnostics.atom_freqs`). Only MUSIC takes a source count K, and
+estimates it by MDL when none is given. Every failure of a group, from its
+band to its solve, raises `SuperResError`.
 """
 
 from __future__ import annotations
@@ -39,7 +43,8 @@ _MUSIC_GRID = 8192      # MUSIC pseudo-spectrum points per cycle
 
 
 class SuperResError(RuntimeError):
-    pass
+    """One group has no answer: its prior band is unusable or too wide for
+    the decimation stride, or its solve failed."""
 
 
 @dataclass(frozen=True)
@@ -52,10 +57,6 @@ class FreqBand:
     def __post_init__(self) -> None:
         if not 0.0 <= self.f_lo < self.f_hi <= 0.5:
             raise ConfigError(f"band ({self.f_lo}, {self.f_hi}) must satisfy 0 <= lo < hi <= 0.5")
-
-    @property
-    def is_full(self) -> bool:
-        return self.f_lo == 0.0 and self.f_hi == 0.5
 
     @property
     def width(self) -> float:
@@ -77,20 +78,12 @@ class MmvMatrix:
     data: np.ndarray
     f_shift: float
     step: int
-    doppler_bin: float
     band: FreqBand
     config: RadarConfig
 
     @property
     def n_samples(self) -> int:
         return self.data.shape[0]
-
-    @property
-    def n_snapshots(self) -> int:
-        return self.data.shape[1]
-
-    def local_freq(self, f_global: float) -> float:
-        return ((f_global - self.f_shift) * self.step) % 1.0
 
     def global_freq(self, f_local) -> np.ndarray:
         return self.f_shift + np.asarray(f_local, dtype=np.float64) / self.step
@@ -165,15 +158,15 @@ class ExtractionRows:
 def extract_mmv(rows: ExtractionRows, doppler_bin: float, band: FreqBand) -> MmvMatrix:
     """Matched-filter, demodulate, and decimate one detected Doppler cell of
     the element cube whose extraction rows are `rows`; the MMV has one sample
-    per kept row.
+    per kept row. The band, demodulated to be centred on a quarter cycle,
+    must fit in [0, 0.5] after decimation (step * width <= 0.5), or the group
+    has no answer (`SuperResError`); its local band then lies in [0, 0.5].
     """
-    if band.is_full:
-        raise ConfigError("extraction needs a finite prior band for demodulation")
     n_fast = rows.n_fast
     n_ex, n_slow, n_channels = rows.data.shape
     step = n_fast // n_ex
     if step * band.width > 0.5:
-        raise ConfigError("band too wide for the decimation stride")
+        raise SuperResError("band too wide for the decimation stride")
     cfg = rows.config
     f_shift = band.center - 0.25 / step
 
@@ -193,7 +186,6 @@ def extract_mmv(rows: ExtractionRows, doppler_bin: float, band: FreqBand) -> Mmv
         data=out,
         f_shift=float(f_shift),
         step=int(step),
-        doppler_bin=float(doppler_bin),
         band=band,
         config=cfg,
     )
@@ -212,18 +204,19 @@ def prior_band(group: DetectionGroup, n_fast: int) -> FreqBand:
     return FreqBand(lo, hi)
 
 
-def mdl_order(eigvals: np.ndarray, n_snapshots: int) -> int:
-    """Minimum-description-length source count from covariance eigenvalues."""
+def mdl_order(eigvals: np.ndarray, n_obs: int) -> int:
+    """Minimum-description-length source count from the eigenvalues of a
+    covariance estimated from `n_obs` snapshots."""
     lam = np.sort(np.asarray(eigvals, dtype=np.float64))[::-1]
-    n_eff = int(min(lam.shape[0], n_snapshots))
+    n_eff = int(min(lam.shape[0], n_obs))
     lam = np.maximum(lam[:n_eff], 1e-18 * max(lam[0], 1e-300))
     best_k, best_val = 0, np.inf
     for k in range(n_eff):
         tail = lam[k:]
         geo = np.exp(np.mean(np.log(tail)))
         ari = np.mean(tail)
-        ll = -n_snapshots * (n_eff - k) * np.log(max(geo / ari, 1e-300))
-        pen = 0.5 * k * (2 * n_eff - k) * np.log(max(n_snapshots, 2))
+        ll = -n_obs * (n_eff - k) * np.log(max(geo / ari, 1e-300))
+        pen = 0.5 * k * (2 * n_eff - k) * np.log(max(n_obs, 2))
         val = ll + pen
         if val < best_val:
             best_k, best_val = k, val
@@ -232,19 +225,19 @@ def mdl_order(eigvals: np.ndarray, n_snapshots: int) -> int:
 
 @dataclass
 class SuperResResult:
-    """One solve's line spectrum.
+    """One solve's line spectrum, as `solve_by_name` returns it.
 
-    fsram and ram choose their own number of atoms (the audited
-    certificate's); only music is handed a source count K. For fsram and
-    ram, `powers` are the weights of the atoms of T(u) after the last of
-    the fixed reweighting passes, so they depend on the pass
-    budget (`sdp._MAX_OUTER`): on the fixed grid's solves whose frequencies
-    stay put, four passes read 0.09-1.03x of their eight-pass values
-    (fsram) and 0.61-1.13x (ram). They also depend on where the inner
-    residual test (`sdp._TOL_REL`) stops each pass: at 1e-3 they read
-    0.90-1.58x (fsram) and 0.80-1.20x (ram) of their 1e-6 values on those
-    solves. Use them only relative to each other, as the step-3 gates do
-    (the 1% keep gate, the 10% leakage test, the dedup order and
+    fsram solves on the MMV's local band and ram without one; both choose
+    their own number of atoms (the audited certificate's), and only music
+    is handed a source count K. For fsram and ram, `powers` are the weights
+    of the atoms of T(u) after the last of the fixed reweighting passes, so
+    they depend on the pass budget (`sdp._MAX_OUTER`): on the fixed grid's
+    solves whose frequencies stay put, four passes read 0.09-1.03x of their
+    eight-pass values (fsram) and 0.61-1.13x (ram). They also depend on
+    where the inner residual test (`sdp._TOL_REL`) stops each pass: at 1e-3
+    they read 0.90-1.58x (fsram) and 0.80-1.20x (ram) of their 1e-6 values
+    on those solves. Use them only relative to each other, as the step-3
+    gates do (the 1% keep gate, the 10% leakage test, the dedup order and
     `top_ranges`). For music they are mean squared amplitudes.
     """
 
@@ -294,20 +287,6 @@ class SuperResResult:
         }
 
 
-def _solve_band(local: tuple[float, float], n_ex: int) -> tuple[float, float]:
-    """Clamp the local band into (0, 0.5) and enforce a minimum width."""
-    lo, hi = local
-    floor = 1.0 / (4.0 * n_ex)
-    if hi - lo < floor:
-        mid = 0.5 * (lo + hi)
-        lo, hi = mid - 0.5 * floor, mid + 0.5 * floor
-    lo = max(lo, 1e-4)
-    hi = min(hi, 0.5 - 1e-4)
-    if not lo < hi:
-        raise SuperResError(f"degenerate local band ({lo}, {hi})")
-    return lo, hi
-
-
 def _amplitudes(freqs_local: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Least-squares atom amplitudes of y (atoms x snapshots)."""
     return np.linalg.pinv(atom_matrix(freqs_local, y.shape[0])) @ y
@@ -342,52 +321,14 @@ def _finalize(
     )
 
 
-def _toeplitz_solve(
-    method: str,
-    mmv: MmvMatrix,
-    eta: float | None,
-    band: tuple[float, float] | None,
-    failure: str,
-) -> SuperResResult:
-    eta = mmv.default_eta() if eta is None else float(eta)
-    try:
-        _, y, diag = solve_weighted_toeplitz_sdp(mmv.data, eta, band)
-    except AdmmError as exc:
-        raise SuperResError(f"{failure} solve failed: {exc}") from exc
-    freqs = diag.atom_freqs
-    return _finalize(method, mmv, freqs, diag.atom_powers, _amplitudes(freqs, y), eta, diag)
-
-
-def fsram_solve(mmv: MmvMatrix, eta: float | None = None) -> SuperResResult:
-    """Band-constrained reweighted Toeplitz recovery (the primary method)."""
-    band = _solve_band(mmv.local_band(), mmv.n_samples)
-    return _toeplitz_solve("fsram", mmv, eta, band, "band-constrained")
-
-
-def ram_solve(mmv: MmvMatrix, eta: float | None = None) -> SuperResResult:
-    """Same solver without the band constraint (baseline)."""
-    return _toeplitz_solve("ram", mmv, eta, None, "unconstrained")
-
-
-def music_spectrum(
-    data: np.ndarray, n_sources: int, grid: np.ndarray
-) -> np.ndarray:
-    """MUSIC pseudo-spectrum of an N x L snapshot matrix on `grid` freqs."""
-    n, l = data.shape
-    cov = data @ data.conj().T / max(l, 1)
-    vals, vecs = np.linalg.eigh(cov)
-    noise = vecs[:, : n - n_sources]
-    a = atom_matrix(grid, n)
-    denom = np.sum(np.abs(noise.conj().T @ a) ** 2, axis=0)
-    return 1.0 / np.maximum(denom, 1e-300)
-
-
-def music_solve(mmv: MmvMatrix, n_sources: int | None = None) -> SuperResResult:
-    """Classic subspace baseline; degrades on coherent snapshots by design."""
+def _music(mmv: MmvMatrix, n_sources: int | None) -> SuperResResult:
+    """Classic subspace baseline; degrades on coherent snapshots by design.
+    One covariance eigendecomposition gives both the MDL order and the noise
+    subspace of the pseudo-spectrum."""
     data = mmv.data
     n, l = data.shape
     cov = data @ data.conj().T / max(l, 1)
-    vals = np.linalg.eigvalsh(cov)
+    vals, vecs = np.linalg.eigh(cov)
     if n_sources is None:
         n_sources = mdl_order(vals, l)
     n_sources = int(min(max(n_sources, 0), n - 1))
@@ -395,7 +336,9 @@ def music_solve(mmv: MmvMatrix, n_sources: int | None = None) -> SuperResResult:
         none = np.empty(0)
         return _finalize("music", mmv, none, none, _amplitudes(none, data), 0.0, None)
     grid = np.linspace(0.0, 1.0, _MUSIC_GRID, endpoint=False)
-    spec = music_spectrum(data, n_sources, grid)
+    noise = vecs[:, : n - n_sources]
+    denom = np.sum(np.abs(noise.conj().T @ atom_matrix(grid, n)) ** 2, axis=0)
+    spec = 1.0 / np.maximum(denom, 1e-300)
     # imported here: scipy.signal is about half of `import rangesr` otherwise
     from scipy.signal import find_peaks
 
@@ -420,13 +363,25 @@ def music_solve(mmv: MmvMatrix, n_sources: int | None = None) -> SuperResResult:
     return _finalize("music", mmv, freqs, powers, amps, 0.0, None)
 
 
+# what a failed solve of each method calls itself
+_SOLVE_KIND = {"fsram": "band-constrained", "ram": "unconstrained", "music": "music"}
+
+
 def solve_by_name(method: str, mmv: MmvMatrix, n_sources: int | None = None) -> SuperResResult:
-    """Solve `mmv` with fsram, ram or music. `n_sources` is MUSIC's model
-    order (MDL when None); fsram and ram find their own order."""
-    if method == "fsram":
-        return fsram_solve(mmv)
-    if method == "ram":
-        return ram_solve(mmv)
-    if method == "music":
-        return music_solve(mmv, n_sources=n_sources)
-    raise ConfigError(f"unknown method {method!r}")
+    """Solve `mmv` with fsram (the reweighted Toeplitz SDP confined to the
+    local band), ram (the same SDP without a band) or music. `n_sources` is
+    MUSIC's model order (MDL when None); fsram and ram find their own order.
+    The SDP's noise budget is `mmv.default_eta()`. A solve that fails, in
+    the SDP's audit or in a linear-algebra routine, raises SuperResError."""
+    if method not in _SOLVE_KIND:
+        raise ConfigError(f"unknown method {method!r}")
+    try:
+        if method == "music":
+            return _music(mmv, n_sources)
+        eta = mmv.default_eta()
+        band = mmv.local_band() if method == "fsram" else None
+        _, y, diag = solve_weighted_toeplitz_sdp(mmv.data, eta, band)
+        freqs = diag.atom_freqs
+        return _finalize(method, mmv, freqs, diag.atom_powers, _amplitudes(freqs, y), eta, diag)
+    except (AdmmError, np.linalg.LinAlgError) as exc:
+        raise SuperResError(f"{_SOLVE_KIND[method]} solve failed: {exc}") from exc

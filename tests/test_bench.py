@@ -30,7 +30,7 @@ from rangesr.cube import DataCube
 from rangesr.integrate import integrate_cube
 from rangesr.pipeline import stare, table_radar_config
 from rangesr import bench, sdp
-from rangesr.superres import ExtractionRows, FreqBand, extract_mmv, ram_solve, solve_by_name
+from rangesr.superres import ExtractionRows, FreqBand, extract_mmv, solve_by_name
 from rangesr.synth import noise_sigma, synth_beat_cube
 
 # the light budget, as values of the SDP's budget constants
@@ -219,6 +219,22 @@ def test_inner_stop_fires_on_a_grid_trial_and_keeps_its_ranges(monkeypatch, admm
     assert rms == pytest.approx(strict_rms, rel=0.0, abs=1e-9)
 
 
+def test_a_bug_in_a_grid_solve_propagates(monkeypatch):
+    """Only a group without an answer (SuperResError) scores as a failed
+    trial; any other exception is a bug."""
+    import rangesr.superres as superres
+
+    def bug(s, eta, band):
+        raise ValueError("a bug, not a failed solve")
+
+    monkeypatch.setattr(superres, "solve_weighted_toeplitz_sdp", bug)
+    spec = GridSpec(k_values=(2,), delta_ratios=(0.5,), snr_values_db=(10.0,),
+                    trials=1, n_slow=64)
+    data = _prepare_trial(spec, 2, 0.5, 0)
+    with pytest.raises(ValueError, match="a bug"):
+        run_trial_method(spec, data, 10.0, "fsram")
+
+
 # ------------------------------------------------- reproducibility / CRN
 
 
@@ -296,7 +312,7 @@ def test_single_period_baseline_merges_equal_range_targets():
     )
     band = FreqBand(cfg.beat_freq(166.0), cfg.beat_freq(172.0))
     mmv = extract_mmv(ExtractionRows.of(single, 32), doppler_bin=0.0, band=band)
-    res = ram_solve(mmv)
+    res = solve_by_name("ram", mmv)
     ranges = np.sort(res.ranges_m)
     assert res.n_atoms == 3  # four targets, three recovered: the 168 m pair fused
     assert ranges == pytest.approx([168.0, 169.2, 170.4], abs=0.05)

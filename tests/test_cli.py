@@ -69,6 +69,30 @@ def test_pipeline_rejects_a_negative_range_with_exit_2(tmp_path, scene_path, cap
     assert not (tmp_path / "pipeline.json").exists()
 
 
+@pytest.mark.parametrize(
+    "drop, message",
+    [
+        (("radar",), 'scene lacks its "radar" config'),
+        (("radar", "carrier_hz"), "missing RadarConfig key(s): carrier_hz"),
+        (("uavs", 0, "range0_m"), "missing UavTruth key(s): range0_m"),
+    ],
+    ids=["radar", "carrier", "uav_range"],
+)
+def test_pipeline_rejects_a_scene_missing_a_required_key_with_exit_2(
+    tmp_path, scene_path, capsys, drop, message
+):
+    scene = load_json(scene_path)
+    *path, key = drop
+    parent = scene
+    for step in path:
+        parent = parent[step]
+    del parent[key]
+    dump_json(scene, scene_path)
+    assert main(["pipeline", "--scene", str(scene_path), "--out-dir", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"rangesr pipeline: {message}\n"
+    assert not (tmp_path / "pipeline.json").exists()
+
+
 def test_superres_resolves_two_targets_on_the_table_radar(tmp_path):
     problem = tmp_path / "problem.json"
     truth = [165.0, 166.8]
@@ -129,12 +153,17 @@ def test_superres_failed_solve_exits_2_with_one_line(tmp_path, monkeypatch, caps
         ({"n_ex": 1}, "n_ex=1 must be in [2, 512]"),
         ({"seed": -2}, "seed must be >= 0, got -2"),
         ({"snr_dB": 0.0, "nex": 16}, "unknown problem key(s): nex, snr_dB"),
+        ({"ranges_m": None}, 'problem needs a non-empty "ranges_m" list'),
+        ({"ranges_m": []}, 'problem needs a non-empty "ranges_m" list'),
     ],
-    ids=["band_too_wide", "one_row", "negative_seed", "misspelled_keys"],
+    ids=["band_too_wide", "one_row", "negative_seed", "misspelled_keys", "no_ranges",
+         "empty_ranges"],
 )
 def test_superres_rejects_an_invalid_problem_with_exit_2(tmp_path, capsys, key, message):
+    # a key set to None is left out of the problem
     problem = tmp_path / "problem.json"
-    dump_json({"ranges_m": [165.0, 166.8], "snr_db": 30.0, "seed": 2, **key}, problem)
+    given = {"ranges_m": [165.0, 166.8], "snr_db": 30.0, "seed": 2, **key}
+    dump_json({k: v for k, v in given.items() if v is not None}, problem)
     code = main(["superres", "--problem", str(problem), "--out-dir", str(tmp_path)])
     assert code == 2
     assert capsys.readouterr().err == f"rangesr superres: {message}\n"

@@ -166,3 +166,18 @@ def test_from_json_coerces_defaults_and_rejects_unknown_keys():
     # ... at any depth
     with pytest.raises(ConfigError, match="unknown UavTruth key.*: range_m"):
         from_json(Scene, {"config": to_json(table_radar_config()), "uavs": [{"range_m": 165.0}]})
+
+
+def test_from_json_names_each_missing_required_key():
+    # a field without a default must be given, at any depth
+    with pytest.raises(ConfigError, match=r"^missing UavTruth key\(s\): range0_m$"):
+        from_json(UavTruth, {"velocity_mps": 1.0})
+    radar = to_json(table_radar_config())
+    del radar["carrier_hz"], radar["n_elements"]
+    with pytest.raises(ConfigError, match=r"^missing RadarConfig key\(s\): carrier_hz, n_elements$"):
+        from_json(RadarConfig, radar)
+    with pytest.raises(ConfigError, match=r"^missing UavTruth key\(s\): range0_m$"):
+        from_json(Scene, {"name": "s", "config": to_json(table_radar_config()),
+                          "uavs": [{"velocity_mps": 44.0}]})
+    with pytest.raises(ConfigError, match=r"^missing Scene key\(s\): name, config$"):
+        from_json(Scene, {"uavs": []})

@@ -382,6 +382,58 @@ def test_step3_needs_the_extraction_rows(cfg8):
         run_step3(s2)
 
 
+def one_uav_scene(cfg):
+    v = 2.0 * vbin_mps(cfg, 64)
+    return tiny_scene(
+        cfg, [UavTruth(range0_m=20.0 * cell_m(cfg), velocity_mps=v, angle_rad=0.15)]
+    )
+
+
+def attempted_groups(loc):
+    """Reports of the groups step 3 tried to solve (not gated off)."""
+    return [g for g in loc.group_reports if "skipped" not in g]
+
+
+def test_step3_lets_a_bug_in_the_solve_propagate(cfg8, monkeypatch):
+    import rangesr.superres as superres
+
+    def bug(s, eta, band):
+        raise ValueError("a bug, not a failed solve")
+
+    monkeypatch.setattr(superres, "solve_weighted_toeplitz_sdp", bug)
+    s2 = run_step2(one_uav_scene(cfg8), 0.15)
+    with pytest.raises(ValueError, match="a bug"):
+        run_step3(s2)
+
+
+def test_a_linalg_failure_in_a_music_group_is_its_fallback(cfg8, monkeypatch):
+    def no_convergence(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    # only MUSIC's covariance decomposition calls eigh on this path
+    monkeypatch.setattr(np.linalg, "eigh", no_convergence)
+    loc = run_full(one_uav_scene(cfg8), method="music").localization
+    reports = attempted_groups(loc)
+    assert reports
+    for report in reports:
+        assert report["solved"] is False
+        assert report["error"] == "music solve failed: Eigenvalues did not converge"
+    assert {e.step for e in loc.estimates} <= {"step2", "step3-fallback"}
+    assert any(e.step == "step3-fallback" for e in loc.estimates)
+
+
+def test_a_band_too_wide_for_the_stride_is_the_groups_fallback(cfg8):
+    # n_ex=2 keeps every 32nd of the 64 fast-time rows; the target's band
+    # spans at least two cells, 2/64, and 32 * 2/64 exceeds half a cycle
+    s2 = run_step2(one_uav_scene(cfg8), 0.15, n_ex=2)
+    loc = run_step3(s2)
+    reports = attempted_groups(loc)
+    assert reports
+    for report in reports:
+        assert report["solved"] is False
+        assert report["error"] == "band too wide for the decimation stride"
+
+
 def test_noisy_run_is_deterministic(cfg8):
     cell = cell_m(cfg8)
     v = 2.0 * vbin_mps(cfg8, 64)

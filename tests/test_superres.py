@@ -24,11 +24,8 @@ from rangesr.superres import (
     SuperResError,
     atom_matrix,
     extract_mmv,
-    fsram_solve,
     mdl_order,
-    music_solve,
     prior_band,
-    ram_solve,
     solve_by_name,
 )
 from rangesr.sdp import nnls_powers
@@ -54,10 +51,25 @@ def hand_mmv(data, band, cfg):
         data=np.asarray(data, dtype=np.complex128),
         f_shift=0.0,
         step=1,
-        doppler_bin=0.0,
         band=band,
         config=cfg,
     )
+
+
+def local_freq(mm, f_global):
+    """Where a fast-time tone at global frequency f_global sits in mm.data."""
+    return ((f_global - mm.f_shift) * mm.step) % 1.0
+
+
+@pytest.fixture()
+def fixed_eta(monkeypatch):
+    """Sets the noise budget that `solve_by_name` hands the SDP:
+    fixed_eta(0.0) pins `MmvMatrix.default_eta` for the solves that follow."""
+
+    def fix(eta):
+        monkeypatch.setattr(MmvMatrix, "default_eta", lambda self: eta)
+
+    return fix
 
 
 def static_target(range_m, amplitude=1.0, angle_rad=0.0):
@@ -94,9 +106,8 @@ def test_band_validation_and_properties():
     band = FreqBand(0.1, 0.3)
     assert band.width == pytest.approx(0.2)
     assert band.center == pytest.approx(0.2)
-    assert not band.is_full
     full = FreqBand(0.0, 0.5)
-    assert full.is_full and full.f_lo == 0.0 and full.f_hi == 0.5
+    assert full.f_lo == 0.0 and full.f_hi == 0.5
     for lo, hi in [(0.3, 0.2), (-0.1, 0.2), (0.3, 0.6), (0.2, 0.2)]:
         with pytest.raises(ConfigError):
             FreqBand(lo, hi)
@@ -113,8 +124,9 @@ def test_extract_rejects_beamformed_cube(cfg):
 
 
 def test_extract_rejects_full_band(cfg):
+    # n_ex=32 -> step=2; 2 * 0.5 = 1 exceeds the half cycle a band may span
     cube = synth_beat_cube(cfg, [static_target(60.0)], 8)
-    with pytest.raises(ConfigError, match="band"):
+    with pytest.raises(SuperResError, match="band too wide"):
         extract(cube, 0.0, FreqBand(0.0, 0.5))
 
 
@@ -132,7 +144,7 @@ def test_extract_sample_count_bounds(cfg):
 def test_extract_rejects_band_wider_than_stride_allows(cfg):
     cube = synth_beat_cube(cfg, [static_target(60.0)], 8)
     # n_ex=2 -> step=32; 32 * 0.2 = 6.4 aliases the demodulated band
-    with pytest.raises(ConfigError, match="band"):
+    with pytest.raises(SuperResError, match="band too wide"):
         extract(cube, 0.0, FreqBand(0.1, 0.3), n_ex=2)
 
 
@@ -151,7 +163,7 @@ def test_extract_places_tone_at_local_frequency(cfg):
     cube = synth_beat_cube(cfg, [static_target(r0)], 16)
     f0 = cfg.beat_freq(r0)
     mm = extract(cube, 0.0, FreqBand(f0 - 0.05, f0 + 0.05), n_ex=32)
-    f_loc = mm.local_freq(f0)
+    f_loc = local_freq(mm, f0)
     lo, hi = mm.local_band()
     assert lo < f_loc < hi
     atom = np.exp(2j * np.pi * f_loc * np.arange(mm.n_samples))
@@ -180,7 +192,7 @@ def test_extract_keeps_same_velocity_subset_and_rejects_others(cfg):
     band = FreqBand(cfg.beat_freq(r1 - 2 * cell), cfg.beat_freq(r3 + 2 * cell))
     mm = extract(cube, 0.0, band, n_ex=32)
     atoms = atom_matrix(
-        [mm.local_freq(cfg.beat_freq(r)) for r in (r1, r2, r3)], mm.n_samples
+        [local_freq(mm, cfg.beat_freq(r)) for r in (r1, r2, r3)], mm.n_samples
     )
     coef, *_ = np.linalg.lstsq(atoms, mm.data, rcond=None)
     amps = np.linalg.norm(coef, axis=1)
@@ -285,7 +297,7 @@ def test_two_angle_cell_keeps_two_directions_and_both_ranges(cfg, seed):
         + tone_columns(TWO_ANGLE_FREQS[1], 0.3, 40.0)
         + complex_noise((N_EST, L_EST), SIGMA_EST, seed)
     )
-    res = fsram_solve(hand_mmv(data, FreqBand(0.17, 0.27), cfg))
+    res = solve_by_name("fsram", hand_mmv(data, FreqBand(0.17, 0.27), cfg))
     assert res.diagnostics.rank == 2
     want = [cfg.range_of_freq(f) for f in TWO_ANGLE_FREQS]
     assert res.n_atoms == 2
@@ -295,7 +307,7 @@ def test_two_angle_cell_keeps_two_directions_and_both_ranges(cfg, seed):
 
 def test_noise_free_rank_one_keeps_one_direction(cfg):
     data = tone_columns(0.21, 0.1, 50.0)
-    res = fsram_solve(hand_mmv(data, FreqBand(0.17, 0.27), cfg))
+    res = solve_by_name("fsram", hand_mmv(data, FreqBand(0.17, 0.27), cfg))
     assert res.diagnostics.rank == 1
     assert res.n_atoms == 1 and abs(res.freqs_local[0] - 0.21) < 1e-6
     assert res.amplitudes.shape == (1, L_EST)
@@ -314,7 +326,7 @@ def test_sigma_and_the_solver_share_one_rank_rule(cfg):
     assert mm.sigma == pytest.approx(np.sqrt(np.sum(s[r:] ** 2) / ((N_EST - r) * (L_EST - r))))
     # the noise tail is inside the ball, so the solve keeps the rule's rank
     assert np.sum(s[r:] ** 2) < mm.default_eta() ** 2
-    assert fsram_solve(mm).diagnostics.rank == r
+    assert solve_by_name("fsram", mm).diagnostics.rank == r
 
 
 # -------------------------------------------------------------- prior band
@@ -382,13 +394,14 @@ def test_mdl_order_counts_dominant_eigenvalues():
 # ------------------------------------------------------------------ solver
 
 
-def test_fsram_recovers_two_atoms_with_zero_budget(cfg):
+def test_fsram_recovers_two_atoms_with_zero_budget(cfg, fixed_eta):
     rng = np.random.default_rng(7)
     f_true = np.array([0.20, 0.23])
     amps = rng.standard_normal((2, 16)) + 1j * rng.standard_normal((2, 16))
     data = atom_matrix(f_true, 32) @ amps
     mm = hand_mmv(data, FreqBand(0.19, 0.24), cfg)
-    res = fsram_solve(mm, eta=0.0)
+    fixed_eta(0.0)
+    res = solve_by_name("fsram", mm)
     assert res.n_atoms == 2
     assert np.abs(np.sort(res.freqs_local) - f_true).max() < 1e-6
     assert res.diagnostics.feasible
@@ -397,23 +410,26 @@ def test_fsram_recovers_two_atoms_with_zero_budget(cfg):
     assert res.amplitudes.shape == (2, 16)
 
 
-def test_fsram_zero_data_gives_empty_solution(cfg):
+def test_fsram_zero_data_gives_empty_solution(cfg, fixed_eta):
     mm = hand_mmv(np.zeros((8, 2), dtype=np.complex128), FreqBand(0.2, 0.3), cfg)
-    res = fsram_solve(mm, eta=0.0)
+    fixed_eta(0.0)
+    res = solve_by_name("fsram", mm)
     assert res.n_atoms == 0
     assert res.amplitudes.shape == (0, 2)
     assert res.method == "fsram"
 
 
-def test_fsram_solution_scales_with_the_data(cfg):
+def test_fsram_solution_scales_with_the_data(cfg, fixed_eta):
     rng = np.random.default_rng(7)
     amps = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
     data = atom_matrix(np.array([0.11, 0.37]), 16) @ amps
     scale = 3.0j
     band = FreqBand(0.05, 0.45)
     eta = 1e-6 * np.linalg.norm(data)
-    res1 = fsram_solve(hand_mmv(data, band, cfg), eta=eta)
-    res2 = fsram_solve(hand_mmv(scale * data, band, cfg), eta=abs(scale) * eta)
+    fixed_eta(eta)
+    res1 = solve_by_name("fsram", hand_mmv(data, band, cfg))
+    fixed_eta(abs(scale) * eta)
+    res2 = solve_by_name("fsram", hand_mmv(scale * data, band, cfg))
     o1, o2 = np.argsort(res1.freqs_local), np.argsort(res2.freqs_local)
     assert np.abs(res1.freqs_local[o1] - res2.freqs_local[o2]).max() < 1e-9
     np.testing.assert_allclose(
@@ -425,7 +441,7 @@ def test_fsram_solution_scales_with_the_data(cfg):
 
 
 def test_band_constraint_is_free_when_the_band_covers_everything(
-    cfg, admm_budget, monkeypatch
+    cfg, admm_budget, monkeypatch, fixed_eta
 ):
     """On an (almost) full local band the constrained and unconstrained
     programs share their first-pass optimum (identity weights), so one
@@ -445,10 +461,10 @@ def test_band_constraint_is_free_when_the_band_covers_everything(
     amps = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
     data = atom_matrix(np.array([0.11, 0.37]), 16) @ amps
     mm = hand_mmv(data, FreqBand(1e-4, 0.5 - 1e-4), cfg)
-    eta = 1e-6 * np.linalg.norm(data)
+    fixed_eta(1e-6 * np.linalg.norm(data))
     admm_budget(_MAX_OUTER=1, _INNER_ITERS_FIRST=4000, _TOL_REL=1e-11)
-    res_fs = fsram_solve(mm, eta=eta)
-    res_ram = ram_solve(mm, eta=eta)
+    res_fs = solve_by_name("fsram", mm)
+    res_ram = solve_by_name("ram", mm)
     u_fs, u_ram = solved
     np.testing.assert_allclose(u_fs, u_ram, rtol=1e-6)
     assert np.abs(np.sort(res_fs.freqs_local) - np.sort(res_ram.freqs_local)).max() < 1e-6
@@ -464,7 +480,7 @@ def test_extract_then_solve_recovers_ranges(cfg):
     band = FreqBand(cfg.beat_freq(r1 - 2 * cell), cfg.beat_freq(r2 + 2 * cell))
     mm = extract(cube, 0.0, band, n_ex=32)
     assert mm.step == 2
-    res = fsram_solve(mm)
+    res = solve_by_name("fsram", mm)
     assert res.n_atoms == 2
     assert np.abs(np.sort(res.ranges_m) - np.array([r1, r2])).max() < 1e-6
     assert bool(np.all(res.in_band))
@@ -497,7 +513,7 @@ def test_music_resolves_separated_uncorrelated_tones(cfg):
     f_true = np.array([0.15, 0.15 + 4.0 / 32])
     x = rng.standard_normal((2, 64)) + 1j * rng.standard_normal((2, 64))
     mm = hand_mmv(atom_matrix(f_true, 32) @ x, FreqBand(0.01, 0.49), cfg)
-    res = music_solve(mm, n_sources=2)
+    res = solve_by_name("music", mm, n_sources=2)
     assert res.n_atoms == 2
     assert np.abs(np.sort(res.freqs_local) - f_true).max() < MUSIC_GRID_STEP
 
@@ -513,7 +529,7 @@ def test_music_collapses_on_coherent_snapshots(cfg):
     cov = data @ data.conj().T / 8
     assert np.linalg.matrix_rank(cov, tol=1e-9 * np.linalg.norm(cov, 2)) == 1
     mm = hand_mmv(data, FreqBand(0.01, 0.49), cfg)
-    forced = music_solve(mm, n_sources=2)
+    forced = solve_by_name("music", mm, n_sources=2)
     errs = np.abs(np.sort(forced.freqs_local) - f_true)
     # an order of magnitude worse than the uncorrelated case above
     assert errs.max() > 4.0 * MUSIC_GRID_STEP
@@ -523,7 +539,7 @@ def test_music_single_tone_peak(cfg):
     rng = np.random.default_rng(3)
     c = rng.standard_normal(8) + 1j * rng.standard_normal(8)
     data = np.outer(atom_matrix([0.2], 32)[:, 0], c)
-    res = music_solve(hand_mmv(data, FreqBand(0.01, 0.49), cfg), n_sources=1)
+    res = solve_by_name("music", hand_mmv(data, FreqBand(0.01, 0.49), cfg), n_sources=1)
     assert res.n_atoms == 1
     assert abs(res.freqs_local[0] - 0.2) < MUSIC_GRID_STEP
 
@@ -545,12 +561,13 @@ def test_solve_by_name_dispatch(cfg):
         solve_by_name("esprit", mm)
 
 
-def test_result_serialization_and_top_ranges(cfg):
+def test_result_serialization_and_top_ranges(cfg, fixed_eta):
     rng = np.random.default_rng(7)
     f_true = np.array([0.20, 0.23])
     amps = rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4))
     data = atom_matrix(f_true, 24) @ amps
-    res = fsram_solve(hand_mmv(data, FreqBand(0.19, 0.24), cfg), eta=0.0)
+    fixed_eta(0.0)
+    res = solve_by_name("fsram", hand_mmv(data, FreqBand(0.19, 0.24), cfg))
     d = res.to_dict()
     assert d["method"] == "fsram"
     assert len(d["freqs_local"]) == len(d["ranges_m"]) == res.n_atoms
