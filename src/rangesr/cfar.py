@@ -289,7 +289,9 @@ class DetectionGroup:
 
 def cluster_detections(detections: list[Detection]) -> list[DetectionGroup]:
     """Union-find grouping of detections at most one range and one Doppler
-    bin apart (any beam)."""
+    bin apart (any beam): each joins the first detection of every cell of
+    its 3x3 neighbourhood, found in a dict keyed by cell. Members keep the
+    input order; groups come sorted by falling strongest power."""
     n = len(detections)
     parent = list(range(n))
 
@@ -299,14 +301,15 @@ def cluster_detections(detections: list[Detection]) -> list[DetectionGroup]:
             a = parent[a]
         return a
 
-    for i in range(n):
-        for j in range(i + 1, n):
-            di, dj = detections[i], detections[j]
-            if (
-                abs(di.range_bin - dj.range_bin) <= 1
-                and abs(di.doppler_bin - dj.doppler_bin) <= 1
-            ):
-                parent[find(i)] = find(j)
+    first: dict[tuple[int, int], int] = {}
+    for i, det in enumerate(detections):
+        first.setdefault((det.range_bin, det.doppler_bin), i)
+    for i, det in enumerate(detections):
+        for dr in (-1, 0, 1):
+            for dd in (-1, 0, 1):
+                j = first.get((det.range_bin + dr, det.doppler_bin + dd))
+                if j is not None:
+                    parent[find(i)] = find(j)
     buckets: dict[int, list[Detection]] = {}
     for i in range(n):
         buckets.setdefault(find(i), []).append(detections[i])

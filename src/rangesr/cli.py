@@ -7,8 +7,10 @@ ram, which find their own order (`superres`), no estimate (`pipeline`), an
 infeasible cell (`bench`, `compare`) or an unknown method (`compare`). Any
 command also exits 2 on an input that violates a configuration contract
 (`ConfigError`: an unknown JSON key, a missing required key such as a
-scene's "radar" or a UAV's "range0_m", an empty "ranges_m" or a negative
-seed among them), printing `rangesr <command>: <message>` on stderr.
+scene's "radar" or a UAV's "range0_m", a null in a field that is not
+optional, a value its field's type cannot take, an empty "ranges_m", a
+"band_m" that is not two ranges or a negative seed among them), printing
+`rangesr <command>: <message>` on stderr.
 """
 
 from __future__ import annotations
@@ -27,8 +29,28 @@ from .pipeline import run_full, scene_from_dict, table_radar_config
 from .superres import ExtractionRows, FreqBand, SuperResError, extract_mmv, solve_by_name
 from .synth import add_noise, synth_beat_cube
 
-# the problem keys `superres` reads; any other key is a mistake
-_PROBLEM_KEYS = ("band_m", "n_atoms", "n_ex", "n_slow", "radar", "ranges_m", "seed", "snr_db")
+
+@dataclasses.dataclass(frozen=True)
+class Problem:
+    """A `superres` problem file; absent radar and band mean the table radar
+    and the targets' span padded by a range cell."""
+
+    ranges_m: tuple[float, ...] = ()
+    radar: RadarConfig | None = None
+    band_m: tuple[float, ...] | None = None
+    n_atoms: int | None = None
+    n_ex: int = 32
+    n_slow: int = 1
+    seed: int = 0
+    snr_db: float | None = None
+
+    def __post_init__(self) -> None:
+        if not self.ranges_m:
+            raise ConfigError("problem needs a non-empty \"ranges_m\" list")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        if self.band_m is not None and len(self.band_m) != 2:
+            raise ConfigError(f"band_m must be two ranges [lo, hi], got {list(self.band_m)}")
 
 
 def _out_dir(args) -> Path:
@@ -52,13 +74,10 @@ def _load_spec(args) -> GridSpec:
 
 
 def _cmd_superres(args) -> int:
-    problem = load_json(args.problem)
-    unknown = sorted(set(problem).difference(_PROBLEM_KEYS))
-    if unknown:
-        raise ConfigError(f"unknown problem key(s): {', '.join(unknown)}")
-    if not problem.get("ranges_m"):
-        raise ConfigError("problem needs a non-empty \"ranges_m\" list")
-    if "n_atoms" in problem and args.method != "music":
+    problem = from_json(Problem, load_json(args.problem))
+    if args.seed is not None:
+        problem = dataclasses.replace(problem, seed=args.seed)
+    if problem.n_atoms is not None and args.method != "music":
         print(
             f"rangesr superres: n_atoms is MUSIC's model order; {args.method} "
             "finds its own, so drop the key or use --method music",
@@ -66,28 +85,21 @@ def _cmd_superres(args) -> int:
         )
         return 2
     out = _out_dir(args)
-    cfg = from_json(RadarConfig, problem["radar"]) if "radar" in problem else table_radar_config()
-    ranges = [float(r) for r in problem["ranges_m"]]
-    seed = int(args.seed if args.seed is not None else problem.get("seed", 0))
-    if seed < 0:
-        raise ConfigError(f"seed must be >= 0, got {seed}")
-    rng = np.random.default_rng(seed)
+    cfg = problem.radar or table_radar_config()
+    rng = np.random.default_rng(problem.seed)
     truths = tuple(
         UavTruth(range0_m=r, amplitude=complex(np.exp(2j * np.pi * rng.random())))
-        for r in ranges
+        for r in problem.ranges_m
     )
-    cube = synth_beat_cube(cfg, truths, n_slow=int(problem.get("n_slow", 1)))
-    cube = add_noise(cube, problem.get("snr_db"), rng_seed=seed + 1)
-    if "band_m" in problem:
-        lo_m, hi_m = problem["band_m"]
-    else:
-        lo_m = min(ranges) - cfg.range_res_m
-        hi_m = max(ranges) + cfg.range_res_m
+    cube = synth_beat_cube(cfg, truths, n_slow=problem.n_slow)
+    cube = add_noise(cube, problem.snr_db, rng_seed=problem.seed + 1)
+    pad = cfg.range_res_m
+    lo_m, hi_m = problem.band_m or (min(problem.ranges_m) - pad, max(problem.ranges_m) + pad)
     band = FreqBand(cfg.beat_freq(lo_m), cfg.beat_freq(hi_m))
-    rows = ExtractionRows.of(cube, int(problem.get("n_ex", 32)))
+    rows = ExtractionRows.of(cube, problem.n_ex)
     try:
         mmv = extract_mmv(rows, doppler_bin=0.0, band=band)
-        result = solve_by_name(args.method, mmv, n_sources=problem.get("n_atoms"))
+        result = solve_by_name(args.method, mmv, n_sources=problem.n_atoms)
     except SuperResError as err:
         print(f"rangesr superres: {err}", file=sys.stderr)
         return 2

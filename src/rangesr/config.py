@@ -138,17 +138,23 @@ def from_json(cls, raw: dict):
     Each value is decoded by its field's declared type: records, tuples and
     optionals recursively, a complex number from `[re, im]` or a scalar, and
     any other value by calling the type on it (so 10 becomes 10.0 in a float
-    field). Missing keys take the field defaults. At any depth, a key that
-    names no field raises `ConfigError`, so a misspelled key is not read as
-    its field's default, and so does a missing key whose field has no
-    default.
+    field). Missing keys take the field defaults. At any depth `ConfigError`
+    is raised for a key that names no field (so a misspelled key is not read
+    as its field's default), a missing key whose field has no default, a
+    record that is not a JSON object, a null in a field that is not
+    optional and a value its field's type cannot take.
     """
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{cls.__name__} must be a JSON object, got {raw!r}")
     fields = dataclasses.fields(cls)
     unknown = set(raw) - {f.name for f in fields}
     if unknown:
         raise ConfigError(f"unknown {cls.__name__} key(s): {', '.join(sorted(unknown))}")
     hints = typing.get_type_hints(cls)
-    values = {f.name: _decode(hints[f.name], raw[f.name]) for f in fields if f.name in raw}
+    values = {
+        f.name: _decode(hints[f.name], raw[f.name], f"{cls.__name__}.{f.name}")
+        for f in fields if f.name in raw
+    }
     missing = [
         f.name for f in fields
         if f.name not in raw
@@ -160,21 +166,29 @@ def from_json(cls, raw: dict):
     return cls(**values)
 
 
-def _decode(tp, value):
-    if value is None:
-        return None
+def _decode(tp, value, key: str):
+    """`value` read as type `tp`; `key` ("Class.field") names it in errors."""
     args = typing.get_args(tp)
     origin = typing.get_origin(tp)
     if origin in (typing.Union, types.UnionType):   # X | None
+        if value is None:
+            return None
         (tp,) = [a for a in args if a is not type(None)]
-        return _decode(tp, value)
+        return _decode(tp, value, key)
+    if value is None:
+        raise ConfigError(f"{key} must not be null")
     if origin is tuple:                             # tuple[X, ...]
-        return tuple(_decode(args[0], v) for v in value)
+        if not isinstance(value, (list, tuple)):
+            raise ConfigError(f"{key} must be a list, got {value!r}")
+        return tuple(_decode(args[0], v, key) for v in value)
     if dataclasses.is_dataclass(tp):
         return from_json(tp, value)
-    if tp is complex and isinstance(value, (list, tuple)):
-        return complex(*value)
-    return tp(value)
+    try:
+        if tp is complex and isinstance(value, (list, tuple)):
+            return complex(*value)
+        return tp(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{key} cannot be read as {tp.__name__}: {value!r}") from None
 
 
 def load_json(path) -> dict:

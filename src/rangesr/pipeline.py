@@ -6,7 +6,8 @@ produces a swarm angle prior as a power-weighted beam centroid. Step 2
 one batch, per-beam CFAR; detection groups carry refined range/Doppler cells.
 Step 3 (super-resolve): per group, extract the multi-snapshot matrix at the
 detected Doppler, build the range prior band, run the gridless solver, and
-map recovered frequencies back to meters.
+map recovered frequencies back to meters. One rule answers a group: its
+step-3 atoms that survive the leakage filter, or else its CFAR estimate.
 
 `stare` (beamform, integrate, CFAR, group) is the detection chain of steps 1
 and 2, and `group_mmv` (prior band, extraction) is step 3's input; the Monte
@@ -23,8 +24,9 @@ beam are fewer than the elements, so they are formed first and integrated.
 `dwell_chunks` synthesises a dwell a window of chirps at a time, with noise
 from one generator carried across the windows. `stare` copies each window
 into its slice of the element cube, or beamforms it into its slice of the
-beam cube, and keeps only the fast-time rows that step 3 extracts from; so
-step 2 never holds its element cube. A window is the smallest multiple of
+beam cube, and keeps only the fast-time rows that step 3 extracts from
+(`run_step2` returns them beside its report); so step 2 never holds its
+element cube. A window is the smallest multiple of
 `synth._CHUNK_M` chirps that holds at least `spans._CHUNK_BUDGET` entries:
 the multiple keeps the noise draws those of the whole dwell, and the size
 keeps synthesis and beamforming threaded.
@@ -39,6 +41,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, replace
+from itertools import groupby
 
 import numpy as np
 
@@ -248,15 +251,15 @@ class Step1Report:
 
 @dataclass
 class Step2Report:
-    """The long stare's detections and groups and the rows step 3 extracts
-    from; step 3 reads its noise level from the data (`MmvMatrix.sigma`)."""
+    """The long stare's detections and groups. The rows step 3 extracts from
+    come beside it from `run_step2`, and step 3 reads its noise level from
+    the data (`MmvMatrix.sigma`)."""
 
     detections: list[Detection]
     groups: list[DetectionGroup]
     angle_prior_rad: float
     beam_angles: tuple[float, ...]
     n_chirps: int
-    extraction_rows: ExtractionRows | None = None
 
     def to_dict(self) -> dict:
         return {
@@ -271,9 +274,13 @@ class Step2Report:
 
 @dataclass(frozen=True)
 class UavEstimate:
-    """One reported UAV. `power` is the group's CFAR peak power for a step-2
-    estimate, and the atom's weight in T(u) for a step-3 one: a reweighted
-    value that depends on the SDP's fixed pass count and inner tolerance
+    """One reported UAV: a step-3 atom of its group (`step` "step3"), or the
+    group's CFAR estimate when no atom of the group survives, "step2" if the
+    group was gated off and "step3-fallback" otherwise (`run_step3`).
+
+    `power` is the group's CFAR peak power for a CFAR estimate, and the
+    atom's weight in T(u) for a step-3 one: a reweighted value that depends
+    on the SDP's fixed pass count and inner tolerance
     (`SuperResResult.powers`), so it is for relative use only (the 10%
     leakage test and the dedup order)."""
 
@@ -392,12 +399,14 @@ def run_step1(scene: Scene) -> Step1Report:
     )
 
 
-def run_step2(scene: Scene, angle_prior_rad: float, n_ex: int = 32) -> Step2Report:
+def run_step2(
+    scene: Scene, angle_prior_rad: float, n_ex: int = 32
+) -> tuple[Step2Report, ExtractionRows]:
     """Long stare at the prior angle over a narrow beam window.
 
     The window's beams go through `stare` together; a detection's `beam` is
-    its slot in `beam_angles`. The report keeps the `n_ex` element-cube rows
-    that step 3 extracts from, not the cube.
+    its slot in `beam_angles`. Returns the report and the `n_ex`
+    element-cube rows that step 3 extracts from (`run_step3`), not the cube.
     """
     grid = default_grid(scene.config)
     sines = np.sin(np.asarray(grid.angles_rad))
@@ -407,17 +416,11 @@ def run_step2(scene: Scene, angle_prior_rad: float, n_ex: int = 32) -> Step2Repo
     beam_angles = grid.angles_rad[lo:hi]
 
     n_chirps = dwell_chirps(scene, 2)
-    _, detections, groups, kept = stare(
+    _, detections, groups, rows = stare(
         dwell_chunks(scene, 2), n_chirps, BeamGrid(beam_angles), n_ex
     )
-    return Step2Report(
-        detections=detections,
-        groups=groups,
-        angle_prior_rad=float(angle_prior_rad),
-        beam_angles=beam_angles,
-        n_chirps=n_chirps,
-        extraction_rows=kept,
-    )
+    report = Step2Report(detections, groups, float(angle_prior_rad), beam_angles, n_chirps)
+    return report, rows
 
 
 def _dedup(estimates: list[UavEstimate], cfg: RadarConfig, n_slow: int) -> list[UavEstimate]:
@@ -437,143 +440,102 @@ def _dedup(estimates: list[UavEstimate], cfg: RadarConfig, n_slow: int) -> list[
 
 
 def _strip_leakage(
-    estimates: list[UavEstimate],
-    fallbacks: dict[int, UavEstimate],
-    reports: list[dict],
-    cfg: RadarConfig,
-) -> list[UavEstimate]:
-    """Drop solved atoms that echo a much stronger atom of another group.
+    atoms: list[UavEstimate], cfg: RadarConfig
+) -> tuple[list[UavEstimate], dict[int, int]]:
+    """The step-3 atoms that do not echo a much stronger atom of another
+    group, and the count dropped per group.
 
     A strong target bleeds into neighboring Doppler channels through the
     slow-time filter sidelobes, so a weak channel's solve can return a
-    genuine tone at the intruder's range. Such an echo sits within a
-    fraction of a range cell of the source atom but carries a small
-    fraction of its power; a real target sharing the range at a different
-    velocity shows up at comparable power in its own channel and survives.
-    A group whose every atom was leakage still detected something, so its
-    CFAR estimate is restored.
+    genuine tone at the intruder's range. Such an echo sits within half a
+    range cell of the source atom but carries under a tenth of its power; a
+    real target sharing the range at a different velocity shows up at
+    comparable power in its own channel and survives.
     """
     tol = 0.5 * cfg.range_res_m
-    atoms = [e for e in estimates if e.step == "step3"]
     kept: list[UavEstimate] = []
     dropped: dict[int, int] = {}
-    for est in estimates:
-        if est.step == "step3" and any(
-            other.group_index != est.group_index
-            and abs(other.range_m - est.range_m) <= tol
-            and est.power < 0.1 * other.power
+    for atom in atoms:
+        if any(
+            other.group_index != atom.group_index
+            and abs(other.range_m - atom.range_m) <= tol
+            and atom.power < 0.1 * other.power
             for other in atoms
         ):
-            dropped[est.group_index] = dropped.get(est.group_index, 0) + 1
-            continue
-        kept.append(est)
-    survivors = {e.group_index for e in kept if e.step == "step3"}
-    for gi, n in dropped.items():
-        reports[gi]["leakage_atoms"] = n
-        if gi not in survivors and gi in fallbacks:
-            kept.append(replace(fallbacks[gi], step="step3-fallback"))
-    return kept
+            dropped[atom.group_index] = dropped.get(atom.group_index, 0) + 1
+        else:
+            kept.append(atom)
+    return kept, dropped
 
 
-def run_step3(step2: Step2Report, method: str = "fsram") -> LocalizationResult:
-    """Solve each detection group; falls back to the CFAR estimate if a solve
-    returns nothing usable (keeps the final count >= the group count).
-    Estimates carry the stare's prior angle.
+def run_step3(
+    step2: Step2Report, rows: ExtractionRows, method: str = "fsram"
+) -> LocalizationResult:
+    """Answer each detection group from the extraction rows `run_step2`
+    returned, by one rule: a group reports its step-3 atoms that survive
+    the leakage filter, or else its CFAR estimate, so there are at least as
+    many estimates as groups. Estimates carry the stare's prior angle.
 
-    A group falls back, with `solved: False` and the message in its report,
-    when it has no answer (`SuperResError`): its prior band is unusable or
-    too wide for the decimation stride, or its solve failed (the SDP's
-    audit, or a linear-algebra routine). Any other exception is a bug and
-    propagates.
+    A group's atoms come from one of three outcomes. Gated: a group more
+    than 50 dB below the strongest is not solved, and its CFAR estimate is
+    labelled "step2" (on noise-free scenes the integration sidelobes clear
+    the CFAR floor and would burn one SDP solve per speck); every other
+    group's is "step3-fallback". No answer: its band is unusable or too
+    wide for the decimation stride, or its solve failed (`SuperResError`,
+    reported as `solved: False` with the message); any other exception is a
+    bug and propagates. Solved: its in-band atoms within 20 dB of its
+    strongest atom. `_strip_leakage` then drops, across groups, the atoms
+    that echo a much stronger atom of another group (`leakage_atoms` in the
+    group's report), and the groups' answers, in group order, are
+    deduplicated and sorted by range.
 
     Single-cell groups are solved too: several targets in one range-Doppler
     cell look exactly like one, so cell count cannot identify the
-    multi-target suspects. The cost of solving true singletons is
-    cross-channel leakage atoms, which `_strip_leakage` removes after the fact.
-
-    Groups more than 50 dB below the strongest group keep their CFAR
-    estimate without a solve; on noise-free synthetic scenes the integration
-    sidelobes clear the CFAR floor and would otherwise burn one SDP solve per
-    speck. Of a solved group, the in-band atoms within 20 dB of its strongest
-    atom become estimates.
+    multi-target suspects; the leakage filter is the cost of that.
     """
-    rows = step2.extraction_rows
-    if rows is None:
-        raise ValueError("step-2 report lacks the extraction rows")
     cfg = rows.config
     power_top = max((g.strongest.power for g in step2.groups), default=0.0)
-    estimates: list[UavEstimate] = []
+    atoms: list[UavEstimate] = []
+    fallbacks: list[UavEstimate] = []
     group_reports: list[dict] = []
-    fallbacks: dict[int, UavEstimate] = {}
     for gi, group in enumerate(step2.groups):
         rep = group.strongest
-        report: dict = {
-            "group_index": gi,
-            "size": group.size,
-            "range_bins": list(group.range_bins),
-            "doppler_bin": rep.doppler_bin,
-            "velocity_mps": rep.refined_velocity_mps,
-        }
-        fallback = UavEstimate(
-            range_m=rep.refined_range_m,
-            velocity_mps=rep.refined_velocity_mps,
-            angle_rad=step2.angle_prior_rad,
-            power=rep.power,
-            step="step2",
-            group_index=gi,
-        )
-        if rep.power < _REL_GROUP_POWER_MIN * power_top:
-            estimates.append(fallback)
-            report.update({"solved": False, "skipped": "below dynamic-range gate"})
-            group_reports.append(report)
+        gated = rep.power < _REL_GROUP_POWER_MIN * power_top
+        fallbacks.append(UavEstimate(
+            rep.refined_range_m, rep.refined_velocity_mps, step2.angle_prior_rad, rep.power,
+            step="step2" if gated else "step3-fallback", group_index=gi,
+        ))
+        report = {"group_index": gi, "size": group.size, "range_bins": list(group.range_bins),
+                  "doppler_bin": rep.doppler_bin, "velocity_mps": rep.refined_velocity_mps}
+        group_reports.append(report)
+        if gated:
+            report.update(solved=False, skipped="below dynamic-range gate")
             continue
         try:
             mmv = group_mmv(rows, group)
             result = solve_by_name(method, mmv)
         except SuperResError as err:
-            estimates.append(replace(fallback, step="step3-fallback"))
-            report.update({"solved": False, "error": str(err)})
-            group_reports.append(report)
+            report.update(solved=False, error=str(err))
             continue
         keep = result.powers >= _REL_POWER_MIN * max(
             result.powers.max() if result.n_atoms else 0.0, 1e-300
         )
         keep &= result.in_band
-        ranges = result.ranges_m[keep]
-        powers = result.powers[keep]
-        report.update(
-            {
-                "solved": True,
-                "method": result.method,
-                "band": [mmv.band.f_lo, mmv.band.f_hi],
-                "eta": result.eta,
-                "n_atoms": int(keep.sum()),
-                **result.solver_summary(),
-            }
-        )
-        if ranges.size == 0:
-            estimates.append(replace(fallback, step="step3-fallback"))
-        else:
-            fallbacks[gi] = fallback
-            for r, p in zip(ranges, powers):
-                estimates.append(
-                    UavEstimate(
-                        range_m=float(r),
-                        velocity_mps=rep.refined_velocity_mps,
-                        angle_rad=step2.angle_prior_rad,
-                        power=float(p),
-                        step="step3",
-                        group_index=gi,
-                    )
-                )
-        group_reports.append(report)
-    estimates = _strip_leakage(estimates, fallbacks, group_reports, cfg)
-    estimates = _dedup(estimates, cfg, step2.n_chirps)
-    return LocalizationResult(
-        estimates=estimates,
-        group_reports=group_reports,
-        method=method,
-    )
+        report.update(solved=True, method=result.method, band=[mmv.band.f_lo, mmv.band.f_hi],
+                      eta=result.eta, n_atoms=int(keep.sum()), **result.solver_summary())
+        atoms += [
+            replace(fallbacks[gi], range_m=float(r), power=float(p), step="step3")
+            for r, p in zip(result.ranges_m[keep], result.powers[keep])
+        ]
+    kept, dropped = _strip_leakage(atoms, cfg)
+    for gi, n in dropped.items():
+        group_reports[gi]["leakage_atoms"] = n
+    # the atoms come group by group, and the filter keeps their order
+    answers = {gi: list(own) for gi, own in groupby(kept, key=lambda a: a.group_index)}
+    estimates: list[UavEstimate] = []
+    for gi, fallback in enumerate(fallbacks):
+        estimates += answers.get(gi, [fallback])
+    return LocalizationResult(_dedup(estimates, cfg, step2.n_chirps), group_reports, method)
 
 
 @dataclass
@@ -604,10 +566,9 @@ def run_full(scene: Scene, method: str = "fsram", n_ex: int = 32) -> FullRunResu
     step1 = run_step1(scene)
     if not step1.detections:
         return FullRunResult(scene, step1, None, None, method)
-    step2 = run_step2(scene, step1.angle_est_rad, n_ex=n_ex)
+    step2, rows = run_step2(scene, step1.angle_est_rad, n_ex=n_ex)
     if not step2.groups:
         return FullRunResult(scene, step1, step2, None, method)
-    loc = run_step3(step2, method=method)
-    step2.extraction_rows = None
+    loc = run_step3(step2, rows, method=method)
     return FullRunResult(scene, step1, step2, loc, method)
 

@@ -9,6 +9,7 @@ docstring says whether the oracle shares code with the package.
 import numpy as np
 
 from rangesr.beamform import steering_vector
+from rangesr.cfar import DetectionGroup
 from rangesr.cube import CubeError, DataCube, axis_values
 from rangesr.config import C_LIGHT
 from rangesr.integrate import _alphas, _require_channels, _scaled_dft, _symmetric
@@ -143,3 +144,36 @@ def synth_per_target(cfg, targets, n_slow):
         elem = np.exp(1j * array_phase(cfg, t.angle_rad))
         data += (c_amp * np.exp(1j * ph))[:, :, None] * elem
     return data
+
+
+def cluster_all_pairs(detections):
+    """Detection groups by testing every pair of detections.
+
+    The package looks up each detection's 3x3 neighbouring cells in a dict;
+    this oracle shares only `DetectionGroup` with it: union-find over all
+    pairs at most one range and one Doppler bin apart, members in input
+    order, groups sorted by falling strongest power.
+    """
+    n = len(detections)
+    parent = list(range(n))
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for i in range(n):
+        for j in range(i + 1, n):
+            di, dj = detections[i], detections[j]
+            if (
+                abs(di.range_bin - dj.range_bin) <= 1
+                and abs(di.doppler_bin - dj.doppler_bin) <= 1
+            ):
+                parent[find(i)] = find(j)
+    buckets = {}
+    for i in range(n):
+        buckets.setdefault(find(i), []).append(detections[i])
+    groups = [DetectionGroup(members=tuple(v)) for v in buckets.values()]
+    groups.sort(key=lambda g: -g.strongest.power)
+    return groups

@@ -4,6 +4,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.ndimage import maximum_filter, uniform_filter
 
 from rangesr import cfar, spans
@@ -20,6 +22,7 @@ from rangesr.config import ConfigError, UavTruth, from_json, make_radar_config, 
 from rangesr.cube import CubeError, DataCube, RdaCube
 from rangesr.integrate import integrate_cube
 from rangesr.synth import add_noise, synth_beat_cube
+from spectral_oracles import cluster_all_pairs
 
 
 @pytest.fixture(scope="module")
@@ -216,6 +219,22 @@ def test_cluster_groups_sorted_by_strongest():
     dets = [make_det(rbin=0, power=1.0), make_det(rbin=50, power=9.0)]
     groups = cluster_detections(dets)
     assert groups[0].strongest.power == 9.0
+
+
+# cells on a 6 x 5 patch, so cells repeat and neighbours touch, and four
+# power levels, so strongest powers tie within and across groups
+cells = st.lists(
+    st.tuples(st.integers(0, 5), st.integers(-2, 2), st.sampled_from((0.5, 1.0, 2.0, 4.0))),
+    max_size=40,
+)
+
+
+@given(cells)
+@settings(max_examples=200, deadline=None)
+def test_cluster_matches_the_all_pairs_oracle(hits):
+    # each hit has its own beam, so equal members are the same member
+    dets = [make_det(rbin=r, dbin=d, beam=i, power=p) for i, (r, d, p) in enumerate(hits)]
+    assert cluster_detections(dets) == cluster_all_pairs(dets)
 
 
 def test_merge_beam_duplicates_keeps_strongest():

@@ -93,6 +93,31 @@ def test_pipeline_rejects_a_scene_missing_a_required_key_with_exit_2(
     assert not (tmp_path / "pipeline.json").exists()
 
 
+@pytest.mark.parametrize(
+    "path, value, message",
+    [
+        (("uavs", 0, "range0_m"), None, "UavTruth.range0_m must not be null"),
+        (("uavs", 0, "velocity_mps"), "fast", "UavTruth.velocity_mps cannot be read as float: 'fast'"),
+        (("dwell2_s",), None, "Scene.dwell2_s must not be null"),
+        (("uavs",), {"range0_m": 30.0}, "Scene.uavs must be a list, got {'range0_m': 30.0}"),
+    ],
+    ids=["null_range", "text_velocity", "null_dwell", "uavs_object"],
+)
+def test_pipeline_rejects_a_malformed_field_with_exit_2(
+    tmp_path, scene_path, capsys, path, value, message
+):
+    scene = load_json(scene_path)
+    *parents, key = path
+    parent = scene
+    for step in parents:
+        parent = parent[step]
+    parent[key] = value
+    dump_json(scene, scene_path)
+    assert main(["pipeline", "--scene", str(scene_path), "--out-dir", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"rangesr pipeline: {message}\n"
+    assert not (tmp_path / "pipeline.json").exists()
+
+
 def test_superres_resolves_two_targets_on_the_table_radar(tmp_path):
     problem = tmp_path / "problem.json"
     truth = [165.0, 166.8]
@@ -152,7 +177,7 @@ def test_superres_failed_solve_exits_2_with_one_line(tmp_path, monkeypatch, caps
         ({"band_m": [150.0, 400.0]}, "band too wide for the decimation stride"),
         ({"n_ex": 1}, "n_ex=1 must be in [2, 512]"),
         ({"seed": -2}, "seed must be >= 0, got -2"),
-        ({"snr_dB": 0.0, "nex": 16}, "unknown problem key(s): nex, snr_dB"),
+        ({"snr_dB": 0.0, "nex": 16}, "unknown Problem key(s): nex, snr_dB"),
         ({"ranges_m": None}, 'problem needs a non-empty "ranges_m" list'),
         ({"ranges_m": []}, 'problem needs a non-empty "ranges_m" list'),
     ],
@@ -168,6 +193,35 @@ def test_superres_rejects_an_invalid_problem_with_exit_2(tmp_path, capsys, key, 
     assert code == 2
     assert capsys.readouterr().err == f"rangesr superres: {message}\n"
     assert not (tmp_path / "superres.json").exists()
+
+
+@pytest.mark.parametrize(
+    "key, message",
+    [
+        ({"ranges_m": ["abc"]}, "Problem.ranges_m cannot be read as float: 'abc'"),
+        ({"band_m": [150.0]}, "band_m must be two ranges [lo, hi], got [150.0]"),
+        ({"n_ex": None}, "Problem.n_ex must not be null"),
+        ({"ranges_m": None}, "Problem.ranges_m must not be null"),
+        ({"radar": [1.0]}, "RadarConfig must be a JSON object, got [1.0]"),
+    ],
+    ids=["text_range", "one_band_edge", "null_n_ex", "null_ranges", "radar_list"],
+)
+def test_superres_rejects_a_malformed_field_with_exit_2(tmp_path, capsys, key, message):
+    problem = tmp_path / "problem.json"
+    dump_json({"ranges_m": [165.0, 166.8], "snr_db": 30.0, **key}, problem)
+    code = main(["superres", "--problem", str(problem), "--out-dir", str(tmp_path)])
+    assert code == 2
+    assert capsys.readouterr().err == f"rangesr superres: {message}\n"
+    assert not (tmp_path / "superres.json").exists()
+
+
+def test_superres_rejects_a_negative_seed_override_with_exit_2(tmp_path, capsys):
+    problem = tmp_path / "problem.json"
+    dump_json({"ranges_m": [165.0, 166.8]}, problem)
+    code = main(["superres", "--problem", str(problem), "--seed", "-3",
+                 "--out-dir", str(tmp_path)])
+    assert code == 2
+    assert capsys.readouterr().err == "rangesr superres: seed must be >= 0, got -3\n"
 
 
 @pytest.mark.parametrize("method", ["fsram", "ram"])

@@ -181,3 +181,26 @@ def test_from_json_names_each_missing_required_key():
                           "uavs": [{"velocity_mps": 44.0}]})
     with pytest.raises(ConfigError, match=r"^missing Scene key\(s\): name, config$"):
         from_json(Scene, {"uavs": []})
+
+
+def test_from_json_names_the_key_of_a_malformed_value():
+    # a null is only read where the field is optional
+    with pytest.raises(ConfigError, match=r"^UavTruth\.range0_m must not be null$"):
+        from_json(UavTruth, {"range0_m": None})
+    assert from_json(RadarConfig, {**to_json(table_radar_config()), "element_spacing_m": None}) == (
+        table_radar_config()
+    )
+    with pytest.raises(ConfigError, match=r"^GridSpec\.trials cannot be read as int: '2x'$"):
+        from_json(GridSpec, {"trials": "2x"})
+    with pytest.raises(ConfigError, match=r"^GridSpec\.k_values cannot be read as int: \[2\]$"):
+        from_json(GridSpec, {"k_values": [[2]]})
+    with pytest.raises(ConfigError, match=r"^GridSpec\.snr_values_db must be a list, got 10$"):
+        from_json(GridSpec, {"snr_values_db": 10})
+    with pytest.raises(ConfigError, match=r"^UavTruth\.amplitude cannot be read as complex"):
+        from_json(UavTruth, {"range0_m": 5.0, "amplitude": [1, 2, 3]})
+    # ... at any depth, and a record must be a JSON object
+    with pytest.raises(ConfigError, match=r"^UavTruth\.angle_rad must not be null$"):
+        from_json(Scene, {"name": "s", "config": to_json(table_radar_config()),
+                          "uavs": [{"range0_m": 5.0, "angle_rad": None}]})
+    with pytest.raises(ConfigError, match=r"^UavTruth must be a JSON object, got 5\.0$"):
+        from_json(Scene, {"name": "s", "config": to_json(table_radar_config()), "uavs": [5.0]})

@@ -17,13 +17,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from rangesr import pipeline
 from rangesr.beamform import default_grid, steering_vector
-from rangesr.cfar import ca_cfar, merge_beam_duplicates
+from rangesr.cfar import Detection, DetectionGroup, ca_cfar, merge_beam_duplicates
 from rangesr.config import C_LIGHT, ConfigError, UavTruth, make_radar_config
 from rangesr.cube import DataCube
 from rangesr.integrate import integrate_cube
 from rangesr.pipeline import (
     Scene,
+    Step2Report,
     _n_chirps,
     make_exp1_scene,
     make_exp2_scene,
@@ -36,6 +38,7 @@ from rangesr.pipeline import (
     scene_to_dict,
     table_radar_config,
 )
+from rangesr.superres import ExtractionRows, SuperResResult
 from rangesr.synth import add_noise, synth_beat_cube
 
 VEL_GATE = 0.045   # 1.5 long-dwell Doppler cells around a truth velocity
@@ -223,7 +226,7 @@ def test_step2_stays_within_one_bin_of_step1(cfg8):
         ],
     )
     s1 = run_step1(scene)
-    s2 = run_step2(scene, s1.angle_est_rad)
+    s2, _ = run_step2(scene, s1.angle_est_rad)
     s1_bins = {d.range_bin for d in strong_dets(s1.detections)}
     for group in strong_groups(s2):
         # gap_s = 0: the truth does not move between dwells
@@ -243,7 +246,7 @@ def test_step2_separates_distinct_velocities(cfg8):
             UavTruth(range0_m=20 * cell, velocity_mps=v2, angle_rad=0.15),
         ],
     )
-    s2 = run_step2(scene, 0.15)
+    s2, _ = run_step2(scene, 0.15)
     groups = strong_groups(s2)
     assert len(groups) == 2
     got_v = sorted(g.strongest.refined_velocity_mps for g in groups)
@@ -281,7 +284,7 @@ def test_batched_step2_matches_the_per_beam_loop(cfg8, snr_db):
         snr_db=snr_db,
         seed=5,
     )
-    got = run_step2(scene, 0.15).detections
+    got = run_step2(scene, 0.15)[0].detections
     ref = per_beam_step2_reference(scene, 0.15)
 
     def key(d):
@@ -306,8 +309,8 @@ def test_step3_splits_a_shared_range_cell(cfg8):
             UavTruth(range0_m=r2, velocity_mps=v, angle_rad=0.15, amplitude=0.8),
         ],
     )
-    s2 = run_step2(scene, 0.15)
-    loc = run_step3(s2)
+    s2, rows = run_step2(scene, 0.15)
+    loc = run_step3(s2, rows)
     matched = ests_near(loc.estimates, v)
     assert [e.step for e in matched] == ["step3", "step3"]
     assert abs(matched[0].range_m - r1) < 1e-6
@@ -342,7 +345,7 @@ def test_step3_singleton_agrees_with_refined_cfar(cfg8):
     scene = tiny_scene(
         cfg8, [UavTruth(range0_m=20.0 * cell, velocity_mps=v, angle_rad=0.15)]
     )
-    s2 = run_step2(scene, 0.15)
+    s2, rows = run_step2(scene, 0.15)
     (target_group,) = [
         g
         for g in strong_groups(s2)
@@ -350,7 +353,7 @@ def test_step3_singleton_agrees_with_refined_cfar(cfg8):
     ]
     refined = target_group.strongest.refined_range_m
 
-    solved = run_step3(s2)
+    solved = run_step3(s2, rows)
     (est_s,) = ests_near(solved.estimates, v)
     assert est_s.step == "step3"
     assert abs(est_s.range_m - refined) < 0.1 * cfg8.range_res_m
@@ -365,21 +368,10 @@ def test_step3_singleton_beats_parabolic_refinement_off_grid(cfg8):
     scene = tiny_scene(
         cfg8, [UavTruth(range0_m=truth, velocity_mps=v, angle_rad=0.15)]
     )
-    s2 = run_step2(scene, 0.15)
-    solved = run_step3(s2)
+    solved = run_step3(*run_step2(scene, 0.15))
     (est,) = ests_near(solved.estimates, v)
     assert est.step == "step3"
     assert abs(est.range_m - truth) < 0.02
-
-
-def test_step3_needs_the_extraction_rows(cfg8):
-    scene = tiny_scene(
-        cfg8, [UavTruth(range0_m=60.0, velocity_mps=0.0, angle_rad=0.15)]
-    )
-    s2 = run_step2(scene, 0.15)
-    s2.extraction_rows = None
-    with pytest.raises(ValueError, match="extraction rows"):
-        run_step3(s2)
 
 
 def one_uav_scene(cfg):
@@ -401,9 +393,9 @@ def test_step3_lets_a_bug_in_the_solve_propagate(cfg8, monkeypatch):
         raise ValueError("a bug, not a failed solve")
 
     monkeypatch.setattr(superres, "solve_weighted_toeplitz_sdp", bug)
-    s2 = run_step2(one_uav_scene(cfg8), 0.15)
+    s2, rows = run_step2(one_uav_scene(cfg8), 0.15)
     with pytest.raises(ValueError, match="a bug"):
-        run_step3(s2)
+        run_step3(s2, rows)
 
 
 def test_a_linalg_failure_in_a_music_group_is_its_fallback(cfg8, monkeypatch):
@@ -425,13 +417,113 @@ def test_a_linalg_failure_in_a_music_group_is_its_fallback(cfg8, monkeypatch):
 def test_a_band_too_wide_for_the_stride_is_the_groups_fallback(cfg8):
     # n_ex=2 keeps every 32nd of the 64 fast-time rows; the target's band
     # spans at least two cells, 2/64, and 32 * 2/64 exceeds half a cycle
-    s2 = run_step2(one_uav_scene(cfg8), 0.15, n_ex=2)
-    loc = run_step3(s2)
+    loc = run_step3(*run_step2(one_uav_scene(cfg8), 0.15, n_ex=2))
     reports = attempted_groups(loc)
     assert reports
     for report in reports:
         assert report["solved"] is False
         assert report["error"] == "band too wide for the decimation stride"
+
+
+# ------------------------------------------------------------ leakage rule
+
+
+def hand_detection(cfg, range_bin, doppler_bin, power):
+    """A step-2 hit on the bin grid: range `range_bin` cells, 1 m/s a bin."""
+    range_m = range_bin * cell_m(cfg)
+    return Detection(
+        range_bin=range_bin, doppler_bin=doppler_bin, beam=0, power=power,
+        noise_power=1e-6, threshold=1e-5, range_m=range_m,
+        velocity_mps=float(doppler_bin), angle_rad=0.15,
+        refined_range_bin=float(range_bin), refined_doppler_bin=float(doppler_bin),
+        refined_range_m=range_m, refined_velocity_mps=float(doppler_bin), at_edge=False,
+    )
+
+
+def hand_step3(cfg, monkeypatch, answers):
+    """Step 3 on three single-hit groups (range bins 20, 20, 10; Doppler bins
+    2, 3, 5; CFAR powers 1, 0.5, 0.3) whose solves return `answers[g]`, a
+    list of (range offset from the group's hit in m, atom power)."""
+    groups = [
+        DetectionGroup(members=(hand_detection(cfg, r, d, p),))
+        for r, d, p in ((20, 2, 1.0), (20, 3, 0.5), (10, 5, 0.3))
+    ]
+    calls = iter(zip(groups, answers))
+
+    def solve(method, mmv, n_sources=None):
+        group, atoms = next(calls)
+        k = len(atoms)
+        return SuperResResult(
+            method=method,
+            freqs_local=np.zeros(k),
+            freqs_global=np.zeros(k),
+            ranges_m=np.array([group.strongest.refined_range_m + dr for dr, _ in atoms]),
+            powers=np.array([p for _, p in atoms]),
+            amplitudes=np.zeros((k, 1), dtype=complex),
+            eta=1.0,
+            in_band=np.ones(k, dtype=bool),
+        )
+
+    monkeypatch.setattr(pipeline, "solve_by_name", solve)
+    rows = ExtractionRows(np.zeros((32, 128, cfg.n_elements), complex), cfg.n_fast, cfg)
+    s2 = Step2Report(
+        detections=[g.strongest for g in groups], groups=groups, angle_prior_rad=0.15,
+        beam_angles=(0.15,), n_chirps=128,
+    )
+    return run_step3(s2, rows)
+
+
+def group_estimates(loc, gi):
+    return [e for e in loc.estimates if e.group_index == gi]
+
+
+def test_a_weak_atom_beside_another_groups_strong_atom_is_leakage(cfg8, monkeypatch):
+    # group 1 sits in group 0's range cell; of its atoms 1.2 m from group 0's
+    # atom, the one under a tenth of its power is leakage, and one 1.8 m away
+    # (over half the 3 m cell) is not
+    loc = hand_step3(cfg8, monkeypatch, [
+        [(0.0, 1.0)], [(1.2, 0.09), (1.2, 0.11), (1.8, 0.09)], [(0.0, 1.0)],
+    ])
+    r0 = 20 * cell_m(cfg8)
+    kept = group_estimates(loc, 1)
+    assert [(e.step, e.range_m, e.power) for e in kept] == [
+        ("step3", r0 + 1.2, 0.11), ("step3", r0 + 1.8, 0.09),
+    ]
+    assert loc.group_reports[1]["leakage_atoms"] == 1
+    # the stronger atom is never the echo of the weaker one
+    assert [e.step for e in group_estimates(loc, 0)] == ["step3"]
+    assert "leakage_atoms" not in loc.group_reports[0]
+    assert "leakage_atoms" not in loc.group_reports[2]
+
+
+def test_a_group_of_leakage_atoms_reports_its_cfar_estimate(cfg8, monkeypatch):
+    loc = hand_step3(cfg8, monkeypatch, [[(0.0, 1.0)], [(0.3, 0.05)], [(0.0, 1.0)]])
+    (fallback,) = group_estimates(loc, 1)
+    hit = hand_detection(cfg8, 20, 3, 0.5)
+    assert (fallback.step, fallback.range_m, fallback.power) == (
+        "step3-fallback", hit.refined_range_m, hit.power,
+    )
+    report = loc.group_reports[1]
+    assert report["solved"] and report["n_atoms"] == 1 and report["leakage_atoms"] == 1
+
+
+def test_a_group_keeping_one_atom_reports_no_fallback(cfg8, monkeypatch):
+    loc = hand_step3(cfg8, monkeypatch, [
+        [(0.0, 1.0)], [(0.3, 0.05), (6.0, 0.05)], [(0.0, 1.0)],
+    ])
+    (kept,) = group_estimates(loc, 1)
+    assert (kept.step, kept.range_m) == ("step3", 20 * cell_m(cfg8) + 6.0)
+    assert loc.group_reports[1]["leakage_atoms"] == 1
+
+
+def test_a_group_of_leakage_atoms_answers_in_its_place(cfg8, monkeypatch):
+    # before dedup sorts by range, the estimates run group by group, and a
+    # group whose atoms were all leakage keeps its place with its CFAR estimate
+    monkeypatch.setattr(pipeline, "_dedup", lambda estimates, cfg, n_slow: estimates)
+    loc = hand_step3(cfg8, monkeypatch, [[(0.0, 1.0)], [(0.3, 0.05)], [(0.0, 1.0)]])
+    assert [(e.group_index, e.step) for e in loc.estimates] == [
+        (0, "step3"), (1, "step3-fallback"), (2, "step3"),
+    ]
 
 
 def test_noisy_run_is_deterministic(cfg8):

@@ -226,10 +226,10 @@ def test_step2_is_bit_identical_for_any_worker_count(threaded, cfg8):
         snr_db=10.0,
         seed=5,
     )
-    one, three = with_workers(threaded, lambda: run_step2(scene, 0.15))
+    (one, one_rows), (three, three_rows) = with_workers(threaded, lambda: run_step2(scene, 0.15))
     assert one.detections == three.detections and one.detections
     assert one.groups == three.groups
-    assert np.array_equal(one.extraction_rows.data, three.extraction_rows.data)
+    assert np.array_equal(one_rows.data, three_rows.data)
 
 
 def test_a_grid_sized_trial_never_starts_a_thread(monkeypatch):

@@ -216,11 +216,11 @@ def test_step2_never_holds_the_element_cube(monkeypatch):
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
-        report = run_step2(scene, 0.15, n_ex=N_EX)
+        report, rows = run_step2(scene, 0.15, n_ex=N_EX)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert report.detections and report.extraction_rows.data.nbytes == kept
+    assert report.detections and rows.data.nbytes == kept
     assert peak < bound, f"peak {peak / 1e6:.1f} MB, bound {bound / 1e6:.1f} MB"
 
 
