@@ -138,11 +138,13 @@ def from_json(cls, raw: dict):
     Each value is decoded by its field's declared type: records, tuples and
     optionals recursively, a complex number from `[re, im]` or a scalar, and
     any other value by calling the type on it (so 10 becomes 10.0 in a float
-    field). Missing keys take the field defaults. At any depth `ConfigError`
-    is raised for a key that names no field (so a misspelled key is not read
-    as its field's default), a missing key whose field has no default, a
-    record that is not a JSON object, a null in a field that is not
-    optional and a value its field's type cannot take.
+    field, and 2.0 becomes 2 in an int field). Missing keys take the field
+    defaults. At any depth `ConfigError` is raised for a key that names no
+    field (so a misspelled key is not read as its field's default), a
+    missing key whose field has no default, a record that is not a JSON
+    object, a null in a field that is not optional, a fractional number or a
+    bool in an int field (so 2.5 is not truncated to 2) and a value its
+    field's type cannot take.
     """
     if not isinstance(raw, dict):
         raise ConfigError(f"{cls.__name__} must be a JSON object, got {raw!r}")
@@ -183,6 +185,10 @@ def _decode(tp, value, key: str):
         return tuple(_decode(args[0], v, key) for v in value)
     if dataclasses.is_dataclass(tp):
         return from_json(tp, value)
+    if tp is int and (
+        isinstance(value, bool) or (isinstance(value, float) and not value.is_integer())
+    ):
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
     try:
         if tp is complex and isinstance(value, (list, tuple)):
             return complex(*value)

@@ -39,6 +39,7 @@ gap.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, replace
 from itertools import groupby
@@ -424,17 +425,26 @@ def run_step2(
 
 
 def _dedup(estimates: list[UavEstimate], cfg: RadarConfig, n_slow: int) -> list[UavEstimate]:
+    """The estimates by rising range, less each one within range_tol and
+    vel_tol of a stronger one kept before it (ties in power keep input
+    order). A kept estimate is filed under its (range_tol, vel_tol) cell, so
+    a duplicate can only sit in the 3x3 cells around an estimate's own."""
     range_tol = 1e-3 * cfg.range_res_m
     vel_tol = 1e-3 * C_LIGHT / (2.0 * n_slow * cfg.chirp_s * cfg.carrier_hz)
     kept: list[UavEstimate] = []
+    cells: dict[tuple[int, int], list[UavEstimate]] = {}
     for est in sorted(estimates, key=lambda e: -e.power):
+        i, j = math.floor(est.range_m / range_tol), math.floor(est.velocity_mps / vel_tol)
         dup = any(
             abs(est.range_m - k.range_m) < range_tol
             and abs(est.velocity_mps - k.velocity_mps) < vel_tol
-            for k in kept
+            for di in (-1, 0, 1)
+            for dj in (-1, 0, 1)
+            for k in cells.get((i + di, j + dj), ())
         )
         if not dup:
             kept.append(est)
+            cells.setdefault((i, j), []).append(est)
     kept.sort(key=lambda e: e.range_m)
     return kept
 

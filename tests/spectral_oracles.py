@@ -14,6 +14,7 @@ from rangesr.cube import CubeError, DataCube, axis_values
 from rangesr.config import C_LIGHT
 from rangesr.integrate import _alphas, _require_channels, _scaled_dft, _symmetric
 from rangesr.pipeline import dwell_chirps, dwell_chunks
+from rangesr.sdp import hermitize
 from rangesr.synth import array_phase
 
 
@@ -177,3 +178,37 @@ def cluster_all_pairs(detections):
     groups = [DetectionGroup(members=tuple(v)) for v in buckets.values()]
     groups.sort(key=lambda g: -g.strongest.power)
     return groups
+
+
+def psd_project_eigh(a):
+    """Projection of a onto the PSD cone by a full eigendecomposition.
+
+    Shares `sdp.hermitize` with the package: every eigenpair of the
+    Hermitian part of a, with the negative eigenvalues clipped to zero.
+    """
+    vals, vecs = np.linalg.eigh(hermitize(a))
+    np.maximum(vals, 0.0, out=vals)
+    return (vecs * vals) @ vecs.conj().T
+
+
+def dedup_all_pairs(estimates, cfg, n_slow):
+    """Estimates without duplicates, by testing each against every kept one.
+
+    The package files kept estimates by cell and tests only the 3x3
+    neighbouring cells; this oracle shares nothing with it: in falling
+    power (stable), an estimate within range_tol and vel_tol of any kept
+    estimate is dropped, and the kept ones are sorted by range.
+    """
+    range_tol = 1e-3 * cfg.range_res_m
+    vel_tol = 1e-3 * C_LIGHT / (2.0 * n_slow * cfg.chirp_s * cfg.carrier_hz)
+    kept = []
+    for est in sorted(estimates, key=lambda e: -e.power):
+        dup = any(
+            abs(est.range_m - k.range_m) < range_tol
+            and abs(est.velocity_mps - k.velocity_mps) < vel_tol
+            for k in kept
+        )
+        if not dup:
+            kept.append(est)
+    kept.sort(key=lambda e: e.range_m)
+    return kept

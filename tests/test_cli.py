@@ -201,10 +201,12 @@ def test_superres_rejects_an_invalid_problem_with_exit_2(tmp_path, capsys, key, 
         ({"ranges_m": ["abc"]}, "Problem.ranges_m cannot be read as float: 'abc'"),
         ({"band_m": [150.0]}, "band_m must be two ranges [lo, hi], got [150.0]"),
         ({"n_ex": None}, "Problem.n_ex must not be null"),
+        ({"n_ex": 16.7}, "Problem.n_ex must be an integer, got 16.7"),
         ({"ranges_m": None}, "Problem.ranges_m must not be null"),
         ({"radar": [1.0]}, "RadarConfig must be a JSON object, got [1.0]"),
     ],
-    ids=["text_range", "one_band_edge", "null_n_ex", "null_ranges", "radar_list"],
+    ids=["text_range", "one_band_edge", "null_n_ex", "fractional_n_ex", "null_ranges",
+         "radar_list"],
 )
 def test_superres_rejects_a_malformed_field_with_exit_2(tmp_path, capsys, key, message):
     problem = tmp_path / "problem.json"

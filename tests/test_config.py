@@ -183,6 +183,23 @@ def test_from_json_names_each_missing_required_key():
         from_json(Scene, {"uavs": []})
 
 
+def test_from_json_reads_an_int_field_only_from_an_integral_number():
+    # 2.0 reads as 2; a fraction, a bool or infinity is an error, not truncated
+    spec = from_json(GridSpec, {"trials": 2.0, "k_values": [2.0, 3]})
+    assert spec.trials == 2 and spec.k_values == (2, 3)
+    assert type(spec.trials) is int and type(spec.k_values[0]) is int
+    with pytest.raises(ConfigError, match=r"^GridSpec\.trials must be an integer, got 2\.5$"):
+        from_json(GridSpec, {"trials": 2.5})
+    with pytest.raises(ConfigError, match=r"^GridSpec\.k_values must be an integer, got 2\.9$"):
+        from_json(GridSpec, {"k_values": [2.9]})
+    with pytest.raises(ConfigError, match=r"^GridSpec\.trials must be an integer, got True$"):
+        from_json(GridSpec, {"trials": True})
+    with pytest.raises(ConfigError, match=r"^GridSpec\.k_values must be an integer, got False$"):
+        from_json(GridSpec, {"k_values": [False]})
+    with pytest.raises(ConfigError, match=r"^GridSpec\.trials must be an integer, got inf$"):
+        from_json(GridSpec, {"trials": float("inf")})
+
+
 def test_from_json_names_the_key_of_a_malformed_value():
     # a null is only read where the field is optional
     with pytest.raises(ConfigError, match=r"^UavTruth\.range0_m must not be null$"):

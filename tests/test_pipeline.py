@@ -16,6 +16,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rangesr import pipeline
 from rangesr.beamform import default_grid, steering_vector
@@ -26,6 +28,8 @@ from rangesr.integrate import integrate_cube
 from rangesr.pipeline import (
     Scene,
     Step2Report,
+    UavEstimate,
+    _dedup,
     _n_chirps,
     make_exp1_scene,
     make_exp2_scene,
@@ -40,6 +44,7 @@ from rangesr.pipeline import (
 )
 from rangesr.superres import ExtractionRows, SuperResResult
 from rangesr.synth import add_noise, synth_beat_cube
+from spectral_oracles import dedup_all_pairs
 
 VEL_GATE = 0.045   # 1.5 long-dwell Doppler cells around a truth velocity
 
@@ -524,6 +529,30 @@ def test_a_group_of_leakage_atoms_answers_in_its_place(cfg8, monkeypatch):
     assert [(e.group_index, e.step) for e in loc.estimates] == [
         (0, "step3"), (1, "step3-fallback"), (2, "step3"),
     ]
+
+
+# estimates on a 4 x 4 patch of (range_tol, vel_tol) cells at tenths of a
+# cell, so cells repeat and near pairs straddle cell edges, and three power
+# levels, so powers tie
+DEDUP_N_SLOW = 512
+dedup_hits = st.lists(
+    st.tuples(st.integers(0, 40), st.integers(-20, 20), st.sampled_from((0.5, 1.0, 2.0))),
+    max_size=40,
+)
+
+
+@given(dedup_hits)
+@settings(max_examples=200, deadline=None)
+def test_dedup_matches_the_all_pairs_oracle(hits):
+    cfg = table_radar_config()
+    range_tol = 1e-3 * cfg.range_res_m
+    vel_tol = 1e-3 * vbin_mps(cfg, DEDUP_N_SLOW)
+    estimates = [
+        UavEstimate(165.0 + 0.1 * r * range_tol, 44.0 + 0.1 * v * vel_tol, 0.2, p, "step3", i)
+        for i, (r, v, p) in enumerate(hits)
+    ]
+    # each estimate has its own group index, so equal estimates are the same one
+    assert _dedup(estimates, cfg, DEDUP_N_SLOW) == dedup_all_pairs(estimates, cfg, DEDUP_N_SLOW)
 
 
 def test_noisy_run_is_deterministic(cfg8):

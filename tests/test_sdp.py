@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import toeplitz
 
 from rangesr.config import ConfigError
@@ -20,6 +22,7 @@ from rangesr.sdp import (
     solve_weighted_toeplitz_sdp,
     toeplitz_from_u,
 )
+from spectral_oracles import psd_project_eigh
 
 
 def atoms(freqs, n):
@@ -55,6 +58,39 @@ def test_psd_project_clips_negative_eigenvalues():
     # already-PSD input passes through
     g = h @ h.conj().T
     assert np.allclose(psd_project(g), g, atol=1e-10)
+
+
+@st.composite
+def hermitian_spectra(draw):
+    """(matrix, counts): a Hermitian matrix with chosen numbers of positive,
+    zero and negative eigenvalues, in a random unitary basis."""
+    n = draw(st.integers(1, 40))
+    n_pos = draw(st.integers(0, n))
+    n_zero = draw(st.integers(0, n - n_pos))
+    magnitudes = st.floats(1e-3, 1e3)
+    vals = np.array(
+        [draw(magnitudes) for _ in range(n_pos)]
+        + [0.0] * n_zero
+        + [-draw(magnitudes) for _ in range(n - n_pos - n_zero)]
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    basis, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    return hermitize((basis * vals) @ basis.conj().T), (n_pos, n_zero)
+
+
+@given(hermitian_spectra())
+@settings(max_examples=200, deadline=None)
+def test_psd_project_matches_the_full_eigendecomposition(case):
+    a, (n_pos, n_zero) = case
+    got = psd_project(a)
+    assert np.linalg.norm(got - psd_project_eigh(a)) <= 1e-10 * np.linalg.norm(a)
+    if n_pos == n_zero == 0:
+        # no positive eigenvalue: LAPACK returns no eigenpair, and the
+        # projection is exact zeros
+        assert not got.any()
+    if n_pos + n_zero == a.shape[0]:
+        # already PSD: the input comes back
+        assert np.linalg.norm(got - a) <= 1e-10 * np.linalg.norm(a)
 
 
 def test_toeplitz_from_u_layout():

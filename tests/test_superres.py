@@ -313,6 +313,18 @@ def test_noise_free_rank_one_keeps_one_direction(cfg):
     assert res.amplitudes.shape == (1, L_EST)
 
 
+def test_a_lapack_failure_in_the_projection_is_a_failed_solve(cfg, monkeypatch):
+    import rangesr.sdp as sdp
+
+    def failing_zheevr(a, **kwargs):
+        n = a.shape[0]
+        return np.zeros(n), np.zeros((n, n), complex), 0, np.zeros(2 * n, np.int32), 1
+
+    monkeypatch.setattr(sdp, "zheevr", failing_zheevr)
+    with pytest.raises(SuperResError, match="zheevr failed with info = 1"):
+        solve_by_name("fsram", hand_mmv(tone_columns(0.21, 0.1, 50.0), FreqBand(0.17, 0.27), cfg))
+
+
 def test_sigma_and_the_solver_share_one_rank_rule(cfg):
     import rangesr.sdp as sdp
     import rangesr.superres as superres
