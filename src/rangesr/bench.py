@@ -12,9 +12,12 @@ failure): success is a per-target RMS range error below 0.1 range cells
 after optimal assignment.
 
 Common random numbers: truth and noise draws are keyed by
-(seed_base, K, spacing, trial) only, so every method and every SNR sees the
-same targets and the same unit-variance noise realization (scaled to the SNR
-under test). Baselines ("ram", "music") receive a single modulation period,
+(seed_base, K, spacing, trial) only, so every SNR sees the same targets and
+the same unit-variance noise realization (scaled to the SNR under test).
+`compare_methods` runs every method in one pass: each trial is drawn and
+synthesised once and handed to each method in turn, so the methods share
+their draws by construction, and one hash of the truth draws serves them
+all. Baselines ("ram", "music") receive a single modulation period,
 as the comparison prescribes; the band-constrained solver gets the full
 dwell.
 """
@@ -43,6 +46,14 @@ from .superres import extract_mmv  # noqa: F401
 
 METHODS = ("fsram", "ram", "music")
 
+# the trial scene: K targets drawn in a two-cell window from 165 m, all at
+# the velocity of the paper's experiment tables; a cell whose spacing cannot
+# be drawn within _MAX_DRAWS tries is infeasible
+_WINDOW_START_M = 165.0
+_WINDOW_CELLS = 2.0
+_VELOCITY_MPS = 44.07
+_MAX_DRAWS = 10_000
+
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -55,11 +66,7 @@ class GridSpec:
     seed_base: int = 0
     n_ex: int = 32
     n_slow: int = 128
-    window_start_m: float = 165.0
-    window_cells: float = 2.0
-    velocity_mps: float = 44.07
     sample_rate_hz: float = 5.12e6
-    max_draws: int = 10_000
 
     def __post_init__(self) -> None:
         if self.trials < 1:
@@ -155,10 +162,10 @@ def assignment_rms(truth: np.ndarray, recovered: np.ndarray) -> float:
 
 def _draw_ranges(rng, spec: GridSpec, k: int, delta_ratio: float):
     cfg = table_radar_config(spec.sample_rate_hz)
-    width = spec.window_cells * cfg.range_res_m
+    width = _WINDOW_CELLS * cfg.range_res_m
     min_sep = delta_ratio * cfg.range_res_m
-    for _ in range(spec.max_draws):
-        cand = spec.window_start_m + width * rng.random(k)
+    for _ in range(_MAX_DRAWS):
+        cand = _WINDOW_START_M + width * rng.random(k)
         if k == 1:
             return np.sort(cand)
         cand = np.sort(cand)
@@ -196,7 +203,7 @@ def _prepare_trial(spec: GridSpec, k: int, delta_ratio: float, trial: int):
     truths = tuple(
         UavTruth(
             range0_m=float(r),
-            velocity_mps=spec.velocity_mps,
+            velocity_mps=_VELOCITY_MPS,
             angle_rad=0.0,
             amplitude=complex(np.exp(1j * ph)),
         )
@@ -237,16 +244,27 @@ def run_trial_method(spec: GridSpec, data: _TrialData, snr_db: float, method: st
 
 
 def run_success_grid(spec: GridSpec, method: str = "fsram") -> SuccessGrid:
-    if method not in METHODS:
-        raise ValueError(f"method must be one of {METHODS}")
+    return compare_methods(spec, (method,))[method]
+
+
+def compare_methods(
+    spec: GridSpec, methods: tuple[str, ...] = METHODS
+) -> dict[str, SuccessGrid]:
+    """Every method's grid from one pass over the trials: each trial is drawn
+    once, then run at each SNR by each method."""
+    unknown = [m for m in methods if m not in METHODS]
+    if unknown:
+        raise ConfigError(
+            f"unknown method(s) {','.join(unknown)}; choose from {','.join(METHODS)}"
+        )
     cfg = table_radar_config(spec.sample_rate_hz)
     ok_limit = 0.1 * cfg.range_res_m
-    nk, nd, ns = len(spec.k_values), len(spec.delta_ratios), len(spec.snr_values_db)
-    successes = np.zeros((nk, nd, ns), dtype=np.int64)
-    trials_run = np.zeros((nk, nd, ns), dtype=np.int64)
-    rms_sums = np.zeros((nk, nd, ns))
-    rms_counts = np.zeros((nk, nd, ns), dtype=np.int64)
-    infeasible = np.zeros((nk, nd), dtype=bool)
+    shape = (len(methods), len(spec.k_values), len(spec.delta_ratios), len(spec.snr_values_db))
+    successes = np.zeros(shape, dtype=np.int64)
+    trials_run = np.zeros(shape, dtype=np.int64)
+    rms_sums = np.zeros(shape)
+    rms_counts = np.zeros(shape, dtype=np.int64)
+    infeasible = np.zeros(shape[1:3], dtype=bool)
     hasher = hashlib.sha256()
 
     for ik, k in enumerate(spec.k_values):
@@ -258,31 +276,27 @@ def run_success_grid(spec: GridSpec, method: str = "fsram") -> SuccessGrid:
                     break
                 hasher.update(np.ascontiguousarray(data.truth_ranges).tobytes())
                 for js, snr in enumerate(spec.snr_values_db):
-                    rms = run_trial_method(spec, data, snr, method)
-                    trials_run[ik, idx, js] += 1
-                    if rms < ok_limit:
-                        successes[ik, idx, js] += 1
-                    if math.isfinite(rms):
-                        rms_sums[ik, idx, js] += rms
-                        rms_counts[ik, idx, js] += 1
+                    for im, method in enumerate(methods):
+                        rms = run_trial_method(spec, data, snr, method)
+                        cell = (im, ik, idx, js)
+                        trials_run[cell] += 1
+                        if rms < ok_limit:
+                            successes[cell] += 1
+                        if math.isfinite(rms):
+                            rms_sums[cell] += rms
+                            rms_counts[cell] += 1
     with np.errstate(invalid="ignore"):
         mean_rms = np.where(rms_counts > 0, rms_sums / np.maximum(rms_counts, 1), np.nan)
-    return SuccessGrid(
-        spec=spec,
-        method=method,
-        successes=successes,
-        trials_run=trials_run,
-        mean_rms_m=mean_rms,
-        infeasible=infeasible,
-        truth_hash=hasher.hexdigest(),
-    )
-
-
-def compare_methods(
-    spec: GridSpec, methods: tuple[str, ...] = METHODS
-) -> dict[str, SuccessGrid]:
-    grids = {m: run_success_grid(spec, m) for m in methods}
-    hashes = {g.truth_hash for g in grids.values()}
-    if len(hashes) != 1:
-        raise RuntimeError("common-random-number violation: truth draws differ")
-    return grids
+    truth_hash = hasher.hexdigest()
+    return {
+        method: SuccessGrid(
+            spec=spec,
+            method=method,
+            successes=successes[im],
+            trials_run=trials_run[im],
+            mean_rms_m=mean_rms[im],
+            infeasible=infeasible,
+            truth_hash=truth_hash,
+        )
+        for im, method in enumerate(methods)
+    }

@@ -1,10 +1,10 @@
-"""Command-line front end: `superres`, `pipeline`, `bench` and `compare`.
+"""Command-line front end: `superres`, `pipeline` and `compare`.
 
 Each command reads JSON configuration, writes JSON/CSV artifacts into --out-dir
 and exits 0, or 2 on a problem without an answer (a band too wide for the
 decimation stride or a failed solve) or an `n_atoms` key given to fsram or
 ram, which find their own order (`superres`), no estimate (`pipeline`), an
-infeasible cell (`bench`, `compare`) or an unknown method (`compare`). Any
+infeasible cell or an unknown method (`compare`). Any
 command also exits 2 on an input that violates a configuration contract
 (`ConfigError`: an unknown JSON key, a missing required key such as a
 scene's "radar" or a UAV's "range0_m", a null in a field that is not
@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bench import METHODS, GridSpec, compare_methods, run_success_grid
+from .bench import METHODS, GridSpec, compare_methods
 from .config import ConfigError, RadarConfig, UavTruth, dump_json, from_json, load_json, to_json
 from .pipeline import run_full, scene_from_dict, table_radar_config
 from .superres import ExtractionRows, FreqBand, SuperResError, extract_mmv, solve_by_name
@@ -123,32 +123,14 @@ def _cmd_pipeline(args) -> int:
     return 0
 
 
-def _cmd_bench(args) -> int:
-    spec = _load_spec(args)
-    out = _out_dir(args)
-    grid = run_success_grid(spec, method=args.method)
-    grid.write_csv(out / f"bench_{args.method}.csv")
-    dump_json(grid.to_dict(), out / f"bench_{args.method}.json")
-    print(f"wrote {out / f'bench_{args.method}.csv'}")
-    return 2 if grid.infeasible.any() else 0
-
-
 def _cmd_compare(args) -> int:
-    methods = tuple(args.methods.split(","))
-    unknown = [m for m in methods if m not in METHODS]
-    if unknown:
-        print(
-            f"rangesr compare: unknown method(s) {','.join(unknown)};"
-            f" choose from {','.join(METHODS)}",
-            file=sys.stderr,
-        )
-        return 2
     spec = _load_spec(args)
     out = _out_dir(args)
-    grids = compare_methods(spec, methods=methods)
+    grids = compare_methods(spec, methods=tuple(args.methods.split(",")))
     summary = {"spec": to_json(spec), "methods": {}}
     for name, grid in grids.items():
         grid.write_csv(out / f"bench_{name}.csv")
+        dump_json(grid.to_dict(), out / f"bench_{name}.json")
         summary["methods"][name] = {
             # -1.0 marks an SNR without a feasible cell, as in `SuccessGrid.to_dict`
             "mean_rates_by_snr": {
@@ -188,14 +170,9 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, method=True)
     p.set_defaults(func=_cmd_pipeline)
 
-    p = sub.add_parser("bench", help="Monte Carlo success-rate grid")
+    p = sub.add_parser("compare", help="Monte Carlo success-rate grids on identical draws")
     p.add_argument("--spec", required=True)
-    common(p, method=True)
-    p.set_defaults(func=_cmd_bench)
-
-    p = sub.add_parser("compare", help="run all methods on identical draws")
-    p.add_argument("--spec", required=True)
-    p.add_argument("--methods", default="fsram,ram,music")
+    p.add_argument("--methods", default=",".join(METHODS), help="comma-separated solvers")
     common(p)
     p.set_defaults(func=_cmd_compare)
 

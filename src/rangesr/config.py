@@ -82,6 +82,11 @@ class RadarConfig:
         """Normalized fast-time beat frequency of a target at `range_m`."""
         return 2.0 * self.chirp_rate_hz_per_s * range_m / C_LIGHT * self.dt
 
+    def keystone_scale(self, n: np.ndarray) -> np.ndarray:
+        """Keystone scale alpha_n = 1 + gamma n dt / f_c of the fast-time
+        index n (centred, as `axis_values` gives it)."""
+        return 1.0 + self.chirp_rate_hz_per_s * n * self.dt / self.carrier_hz
+
     def range_of_freq(self, freq: float) -> float:
         """Inverse of :meth:`beat_freq`: range (m) of a normalized frequency."""
         return freq * C_LIGHT / (2.0 * self.chirp_rate_hz_per_s * self.dt)

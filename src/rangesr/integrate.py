@@ -80,12 +80,6 @@ def _symmetric(
     return out
 
 
-def _alphas(cube: DataCube) -> np.ndarray:
-    cfg = cube.config
-    n = cube.fast_index().astype(np.float64)
-    return 1.0 + cfg.chirp_rate_hz_per_s * n * cfg.dt / cfg.carrier_hz
-
-
 def _require_channels(cube: DataCube) -> None:
     """An element cube must hold the config's elements, which its beams are
     later formed from; a beam cube may hold any beams."""
@@ -150,7 +144,9 @@ def scaled_slow_time_ft_fast(cube: DataCube, overwrite_x: bool = False) -> DataC
     With `overwrite_x`, a complex128 `cube.data` is overwritten by the result.
     """
     _require_channels(cube)
-    out = _scaled_dft(cube.data, _alphas(cube), overwrite=overwrite_x)
+    out = _scaled_dft(
+        cube.data, cube.config.keystone_scale(cube.fast_index()), overwrite=overwrite_x
+    )
     return DataCube(data=out, axis2_kind=cube.axis2_kind, config=cube.config)
 
 

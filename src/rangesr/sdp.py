@@ -27,8 +27,8 @@ the ball (sum_{i>=r} s_i^2 >= eta^2); at r = min(N, L) the problem is the
 original one up to a unitary rotation of the snapshots. Every synthetic
 scene puts its same-cell UAVs at one angle, so r = 1 there, and the ADMM
 block shrinks from (N+L)x(N+L) to (N+r)x(N+r): 33x33 instead of 48x48 at
-N=32, L=16. The audits below (the data fit's misfit, the final misfit,
-`SdpDiagnostics.data_misfit`) measure ||S - Y||_F on the full S.
+N=32, L=16. The data fit's misfit (`SdpDiagnostics.data_misfit`, the
+returned Y's misfit too) is measured as ||S - Y||_F on the full S.
 
 The answer path has four steps:
 1. Data atoms. Forward selection on the kept data S V_r picks the
@@ -55,9 +55,10 @@ The answer path has four steps:
    data fit's amplitudes C, the returned certificate is the Gram-form
    [[C^H P^-1 C, C^H A^H], [A C, A P A^H]], which is PSD by construction
    with Tb PSD because in-band atoms have nonnegative transform weights.
-   It must still pass the feasibility audit (ball within
-   eta(1+1e-6)+1e-9, block matrix and Tb eigenvalues above -1e-6
-   relative), or the solve raises AdmmError.
+   Its Y = A C is step 1's fit, which already lies in the ball (within
+   eta(1+1e-6)+1e-9); it must still pass the eigenvalue audit (block
+   matrix and Tb eigenvalues above -1e-6 relative), or the solve raises
+   AdmmError.
 
 So the data choose the frequencies, and the SDP only weighs them: T(u) =
 A(f) P A(f)^H, and `SdpDiagnostics.atom_freqs` and `atom_powers` carry
@@ -569,17 +570,15 @@ def solve_weighted_toeplitz_sdp(
     eta_s = eta / scale
     eta_r_s = np.sqrt(max(eta**2 - tail, 0.0)) / scale
 
-    def full_misfit(y_r: np.ndarray) -> float:
-        """||S - Y_r V_r^H||_F in scaled units: the caller's misfit."""
-        return float(np.linalg.norm(s_full - y_r @ vr_h))
-
     hcoefs = band_coefficients(*band) if band is not None else None
-    # the data choose the atoms; the ADMM passes below only weigh them
+    # the data choose the atoms; the ADMM passes below only weigh them, and
+    # the certificate returns their fit Y_r = atoms @ coef, so this misfit
+    # ||S - Y_r V_r^H||_F (in scaled units) is also the answer's
     freqs, atoms, coef = _data_atoms(ss, band, eta_r_s)
-    misfit = full_misfit(atoms @ coef)
+    misfit = float(np.linalg.norm(s_full - (atoms @ coef) @ vr_h))
+    diag.data_misfit = misfit * scale
     if misfit > _fit_tol(eta_s):
         diag.stop_reason = "misfit_over_eta"
-        diag.data_misfit = misfit * scale
         diag.feasible = False
         raise AdmmError(
             f"no in-band atomic fit reaches the noise ball: data misfit "
@@ -678,9 +677,7 @@ def solve_weighted_toeplitz_sdp(
     if hcoefs is not None:
         vals_b = np.linalg.eigvalsh(band_matrix_from_u(u_c, *hcoefs))
         ok = ok and vals_b[0] >= -1e-6 * max(vals_b[-1], 1e-12)
-    misfit = full_misfit(y_c)
-    diag.data_misfit = misfit * scale
-    diag.feasible = ok and misfit <= _fit_tol(eta_s)
+    diag.feasible = bool(ok)
     if not diag.feasible:
         raise AdmmError(
             "the atomic certificate fails its feasibility audit (data misfit "

@@ -36,7 +36,6 @@ from .sdp import (
     solve_weighted_toeplitz_sdp,
 )
 
-_CHUNK_N = 64
 _ETA_MODEL_REL = 5e-4   # eta floor, as a fraction of the data norm
 _BAND_PAD_CELLS = 1.0   # prior band reaches this many range cells past the group
 _MUSIC_GRID = 8192      # MUSIC pseudo-spectrum points per cycle
@@ -163,7 +162,7 @@ def extract_mmv(rows: ExtractionRows, doppler_bin: float, band: FreqBand) -> Mmv
     has no answer (`SuperResError`); its local band then lies in [0, 0.5].
     """
     n_fast = rows.n_fast
-    n_ex, n_slow, n_channels = rows.data.shape
+    n_ex, n_slow, _ = rows.data.shape
     step = n_fast // n_ex
     if step * band.width > 0.5:
         raise SuperResError("band too wide for the decimation stride")
@@ -172,18 +171,13 @@ def extract_mmv(rows: ExtractionRows, doppler_bin: float, band: FreqBand) -> Mmv
 
     n_vals = (decimation_rows(n_fast, n_ex) - n_fast // 2).astype(np.float64)
     m_vals = axis_values(n_slow).astype(np.float64)
-    alphas = 1.0 + cfg.chirp_rate_hz_per_s * n_vals * cfg.dt / cfg.carrier_hz
-    out = np.empty((n_ex, n_channels), dtype=np.complex128)
-    for j0 in range(0, n_ex, _CHUNK_N):
-        j1 = min(j0 + _CHUNK_N, n_ex)
-        phase = np.exp(
-            (-2j * np.pi * doppler_bin / n_slow) * np.outer(alphas[j0:j1], m_vals)
-        )
-        filtered = np.einsum("nm,nml->nl", phase, rows.data[j0:j1])
-        demod = np.exp(-2j * np.pi * f_shift * n_vals[j0:j1])
-        out[j0:j1] = filtered * demod[:, None]
+    phase = np.exp(
+        (-2j * np.pi * doppler_bin / n_slow) * np.outer(cfg.keystone_scale(n_vals), m_vals)
+    )
+    filtered = np.einsum("nm,nml->nl", phase, rows.data)
+    demod = np.exp(-2j * np.pi * f_shift * n_vals)
     return MmvMatrix(
-        data=out,
+        data=filtered * demod[:, None],
         f_shift=float(f_shift),
         step=int(step),
         band=band,

@@ -12,7 +12,7 @@ from rangesr.beamform import steering_vector
 from rangesr.cfar import DetectionGroup
 from rangesr.cube import CubeError, DataCube, axis_values
 from rangesr.config import C_LIGHT
-from rangesr.integrate import _alphas, _require_channels, _scaled_dft, _symmetric
+from rangesr.integrate import _require_channels, _scaled_dft, _symmetric
 from rangesr.pipeline import dwell_chirps, dwell_chunks
 from rangesr.sdp import hermitize
 from rangesr.synth import array_phase
@@ -62,11 +62,11 @@ def scaled_slow_time_ft_direct(cube: DataCube) -> DataCube:
     """O(M^2) direct evaluation of the scaled slow-time DFT.
 
     Independent of the chirp-z core: it shares only the package's scale
-    factors (`integrate._alphas`) and channel check.
+    factors (`RadarConfig.keystone_scale`) and channel check.
     """
     _require_channels(cube)
     m = axis_values(cube.n_slow).astype(np.float64)
-    alphas = _alphas(cube)
+    alphas = cube.config.keystone_scale(cube.fast_index())
     out = np.empty_like(cube.data, dtype=np.complex128)
     km = np.outer(m, m)  # k and m share the same symmetric index set
     for i, alpha in enumerate(alphas):
@@ -100,7 +100,7 @@ def keystone_explicit(cube: DataCube) -> DataCube:
     """
     _require_channels(cube)
     spec = symmetric_fft(cube.data, axis=1)
-    inv_scales = 1.0 / _alphas(cube)
+    inv_scales = 1.0 / cube.config.keystone_scale(cube.fast_index())
     out = np.conj(_scaled_dft(np.conj(spec), inv_scales)) / cube.n_slow
     return DataCube(data=out, axis2_kind=cube.axis2_kind, config=cube.config)
 

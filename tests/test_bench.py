@@ -60,7 +60,6 @@ def test_grid_spec_dict_round_trip():
         seed_base=42,
         n_ex=16,
         n_slow=64,
-        window_start_m=150.0,
     )
     assert from_json(GridSpec, to_json(spec)) == spec
     assert from_json(GridSpec, {}) == GridSpec()
@@ -152,6 +151,23 @@ def test_grid_shape_covers_every_cell(admm_budget):
 def test_unknown_method_rejected():
     with pytest.raises(ValueError, match="method"):
         run_success_grid(GridSpec(k_values=(1,), delta_ratios=(1.0,)), "esprit")
+
+
+def test_one_pass_draws_each_trial_once_whatever_the_method_count(monkeypatch, admm_budget):
+    calls = []
+
+    def counting_prepare(spec, k, delta, trial):
+        calls.append((k, delta, trial))
+        return _prepare_trial(spec, k, delta, trial)
+
+    monkeypatch.setattr(bench, "_prepare_trial", counting_prepare)
+    spec = GridSpec(k_values=(1,), delta_ratios=(0.5,), snr_values_db=(0.0, 10.0),
+                    trials=2, n_slow=64, seed_base=5)
+    admm_budget(**LIGHT)
+    grids = compare_methods(spec, METHODS)
+    assert calls == [(1, 0.5, 0), (1, 0.5, 1)]
+    for g in grids.values():
+        assert g.trials_run.tolist() == [[[2, 2]]]
 
 
 def test_success_rate_improves_with_snr_under_common_random_numbers(admm_budget):
@@ -266,6 +282,20 @@ def test_methods_share_identical_truth_draws(admm_budget):
     assert len({g.truth_hash for g in grids.values()}) == 1
     for name, g in grids.items():
         assert g.method == name
+
+
+def test_one_pass_repeats_each_method_grid(admm_budget):
+    """Each method's grid from the shared pass is the grid that method's own
+    run gives, byte for byte, over two SNRs and an infeasible cell (four
+    targets cannot keep 0.9-cell spacing inside the two-cell window)."""
+    spec = GridSpec(k_values=(1, 4), delta_ratios=(0.9,), snr_values_db=(0.0, 10.0),
+                    trials=1, n_slow=64, seed_base=3)
+    admm_budget(**LIGHT)
+    grids = compare_methods(spec, METHODS)
+    assert list(grids) == list(METHODS)
+    assert grids["fsram"].infeasible.tolist() == [[False], [True]]
+    for name, g in grids.items():
+        assert json.dumps(g.to_dict()) == json.dumps(run_success_grid(spec, name).to_dict())
 
 
 def test_csv_export_lists_every_cell(tmp_path, admm_budget):

@@ -294,25 +294,27 @@ def test_pipeline_rejects_a_negative_seed_with_exit_2(tmp_path, scene_path, caps
         ({"trials": 0}, None, "trials must be >= 1"),
         ({}, "-1", "seed_base must be >= 0, got -1"),
         ({"k_value": [2]}, None, "unknown GridSpec key(s): k_value"),
+        # the trial window, velocity and draw budget are fixed, not spec fields
+        ({"max_draws": 50}, None, "unknown GridSpec key(s): max_draws"),
     ],
-    ids=["no_trials", "negative_seed", "misspelled_key"],
+    ids=["no_trials", "negative_seed", "misspelled_key", "fixed_trial_scene_key"],
 )
 def test_bench_rejects_an_invalid_spec_with_exit_2(tmp_path, capsys, spec, seed, message):
     path = tmp_path / "spec.json"
     dump_json(spec, path)
-    argv = ["bench", "--spec", str(path), "--out-dir", str(tmp_path)]
+    argv = ["compare", "--spec", str(path), "--methods", "fsram", "--out-dir", str(tmp_path)]
     assert main(argv + (["--seed", seed] if seed else [])) == 2
-    assert capsys.readouterr().err == f"rangesr bench: {message}\n"
+    assert capsys.readouterr().err == f"rangesr compare: {message}\n"
     assert not (tmp_path / "bench_fsram.json").exists()
 
 
 def test_compare_rejects_an_unknown_method_before_any_grid_runs(
     tmp_path, monkeypatch, capsys
 ):
-    def no_grid(*args, **kwargs):
-        raise AssertionError("a grid ran")
+    def no_trial(*args, **kwargs):
+        raise AssertionError("a trial ran")
 
-    monkeypatch.setattr(bench, "run_success_grid", no_grid)
+    monkeypatch.setattr(bench, "_prepare_trial", no_trial)
     spec = tmp_path / "spec.json"
     dump_json(to_json(GridSpec(k_values=(1,), delta_ratios=(0.5,), trials=1)), spec)
     code = main(["compare", "--spec", str(spec), "--methods", "fsram,esprit",
@@ -338,18 +340,25 @@ def test_bench_and_compare_write_their_grids(tmp_path, admm_budget):
     spec = tmp_path / "spec.json"
     dump_json(to_json(GridSpec(k_values=(1,), delta_ratios=(0.5,), snr_values_db=(10.0,),
                                trials=1, n_slow=64, seed_base=5)), spec)
-    out = tmp_path / "out"
-    assert main(["bench", "--spec", str(spec), "--out-dir", str(out)]) == 0
+    out = tmp_path / "fsram"
+    assert main(["compare", "--spec", str(spec), "--methods", "fsram", "--out-dir", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == [
+        "bench_fsram.csv", "bench_fsram.json", "compare.json"]
     grid = _strict_json(out / "bench_fsram.json")
     assert grid["method"] == "fsram" and grid["trials_run"] == [[[1]]]
     assert (out / "bench_fsram.csv").read_text().splitlines()[1].startswith("fsram,1,0.500,10.0,1,")
+    assert list(_strict_json(out / "compare.json")["methods"]) == ["fsram"]
 
+    out = tmp_path / "all"
     assert main(["compare", "--spec", str(spec), "--out-dir", str(out)]) == 0
     summary = _strict_json(out / "compare.json")["methods"]
     assert set(summary) == set(bench.METHODS)
     assert {m["truth_hash"] for m in summary.values()} == {grid["truth_hash"]}
+    # the shared pass gives fsram the grid its own run gave
+    assert _strict_json(out / "bench_fsram.json") == grid
     for name, method in summary.items():
         assert 0.0 <= method["mean_rates_by_snr"]["10"] <= 1.0
+        assert _strict_json(out / f"bench_{name}.json")["truth_hash"] == grid["truth_hash"]
         rows = (out / f"bench_{name}.csv").read_text().splitlines()
         assert len(rows) == 2 and rows[1].startswith(f"{name},1,0.500,10.0,1,")
 
@@ -358,7 +367,7 @@ def test_compare_without_a_feasible_cell_writes_valid_json(tmp_path):
     # four targets cannot keep a one-cell spacing inside the two-cell window
     spec = tmp_path / "spec.json"
     dump_json({"k_values": [4], "delta_ratios": [1.0], "snr_values_db": [10.0],
-               "trials": 1, "n_slow": 64, "max_draws": 50}, spec)
+               "trials": 1, "n_slow": 64}, spec)
     assert main(["compare", "--spec", str(spec), "--out-dir", str(tmp_path)]) == 2
     summary = _strict_json(tmp_path / "compare.json")
     for method in summary["methods"].values():
