@@ -257,6 +257,9 @@ def compare_methods(
         raise ConfigError(
             f"unknown method(s) {','.join(unknown)}; choose from {','.join(METHODS)}"
         )
+    repeated = sorted({m for m in methods if methods.count(m) > 1})
+    if repeated:
+        raise ConfigError(f"method(s) {','.join(repeated)} given more than once")
     cfg = table_radar_config(spec.sample_rate_hz)
     ok_limit = 0.1 * cfg.range_res_m
     shape = (len(methods), len(spec.k_values), len(spec.delta_ratios), len(spec.snr_values_db))

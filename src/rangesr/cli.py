@@ -4,11 +4,12 @@ Each command reads JSON configuration, writes JSON/CSV artifacts into --out-dir
 and exits 0, or 2 on a problem without an answer (a band too wide for the
 decimation stride or a failed solve) or an `n_atoms` key given to fsram or
 ram, which find their own order (`superres`), no estimate (`pipeline`), an
-infeasible cell or an unknown method (`compare`). Any
+infeasible cell or an unknown or repeated method (`compare`). Any
 command also exits 2 on an input that violates a configuration contract
 (`ConfigError`: an unknown JSON key, a missing required key such as a
 scene's "radar" or a UAV's "range0_m", a null in a field that is not
-optional, a value its field's type cannot take, an empty "ranges_m", a
+optional, a value its field's type cannot take, a NaN or infinity in a
+number field (a null "snr_db" is noise-free), an empty "ranges_m", a
 "band_m" that is not two ranges or a negative seed among them), printing
 `rangesr <command>: <message>` on stderr.
 """

@@ -148,8 +148,9 @@ def from_json(cls, raw: dict):
     field (so a misspelled key is not read as its field's default), a
     missing key whose field has no default, a record that is not a JSON
     object, a null in a field that is not optional, a fractional number or a
-    bool in an int field (so 2.5 is not truncated to 2) and a value its
-    field's type cannot take.
+    bool in an int field (so 2.5 is not truncated to 2), a NaN or infinity
+    in a float or complex field (`json.load` reads both; null is the
+    noise-free SNR) and a value its field's type cannot take.
     """
     if not isinstance(raw, dict):
         raise ConfigError(f"{cls.__name__} must be a JSON object, got {raw!r}")
@@ -195,11 +196,12 @@ def _decode(tp, value, key: str):
     ):
         raise ConfigError(f"{key} must be an integer, got {value!r}")
     try:
-        if tp is complex and isinstance(value, (list, tuple)):
-            return complex(*value)
-        return tp(value)
+        out = complex(*value) if tp is complex and isinstance(value, (list, tuple)) else tp(value)
     except (TypeError, ValueError):
         raise ConfigError(f"{key} cannot be read as {tp.__name__}: {value!r}") from None
+    if tp in (float, complex) and not np.isfinite(out):
+        raise ConfigError(f"{key} must be finite, got {value!r}")
+    return out
 
 
 def load_json(path) -> dict:

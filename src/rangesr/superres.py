@@ -11,12 +11,14 @@ feeds one entry, `solve_by_name`, which picks the method by name: "fsram"
 (the band-constrained reweighted Toeplitz SDP), "ram" (the same SDP without
 the band) or "music". fsram's band is the MMV's local band
 (`MmvMatrix.local_band`), which extraction confines to [0, 0.5]; recovered
-local frequencies map affinely back to absolute range. The noise level comes
-from S itself, not the scene. The SDP methods find their own model order:
-their atoms are those of the audited certificate
-(`SdpDiagnostics.atom_freqs`). Only MUSIC takes a source count K, and
-estimates it by MDL when none is given. Every failure of a group, from its
-band to its solve, raises `SuperResError`.
+local frequencies map affinely back to absolute range. A solve's record
+(`SuperResResult`) stores what the solver chose (its MMV, local frequencies,
+powers, amplitudes and eta) and derives the global frequencies, ranges and
+band membership from that MMV. The noise level comes from S itself, not the
+scene. The SDP methods find their own model order: their atoms are those of
+the audited certificate (`SdpDiagnostics.atom_freqs`). Only MUSIC takes a
+source count K, and estimates it by MDL when none is given. Every failure of
+a group, from its band to its solve, raises `SuperResError`.
 """
 
 from __future__ import annotations
@@ -221,6 +223,10 @@ def mdl_order(eigvals: np.ndarray, n_obs: int) -> int:
 class SuperResResult:
     """One solve's line spectrum, as `solve_by_name` returns it.
 
+    It stores what the solver chose; `freqs_global`, `ranges_m` and
+    `in_band` (the local band widened by 1/(2 n_samples) on each side) are
+    derived from `mmv`.
+
     fsram solves on the MMV's local band and ram without one; both choose
     their own number of atoms (the audited certificate's), and only music
     is handed a source count K. For fsram and ram, `powers` are the weights
@@ -236,18 +242,30 @@ class SuperResResult:
     """
 
     method: str
+    mmv: MmvMatrix
     freqs_local: np.ndarray
-    freqs_global: np.ndarray
-    ranges_m: np.ndarray
     powers: np.ndarray
     amplitudes: np.ndarray            # atoms x snapshots
     eta: float
-    in_band: np.ndarray
     diagnostics: SdpDiagnostics | None = None
 
     @property
     def n_atoms(self) -> int:
         return int(self.freqs_local.shape[0])
+
+    @property
+    def freqs_global(self) -> np.ndarray:
+        return self.mmv.global_freq(self.freqs_local)
+
+    @property
+    def ranges_m(self) -> np.ndarray:
+        return self.mmv.config.range_of_freq(self.freqs_global)
+
+    @property
+    def in_band(self) -> np.ndarray:
+        lo, hi = self.mmv.local_band()
+        guard = 1.0 / (2.0 * self.mmv.n_samples)
+        return (self.freqs_local >= lo - guard) & (self.freqs_local <= hi + guard)
 
     def top_ranges(self, k: int) -> np.ndarray:
         order = np.argsort(self.powers)[::-1][:k]
@@ -286,35 +304,6 @@ def _amplitudes(freqs_local: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.linalg.pinv(atom_matrix(freqs_local, y.shape[0])) @ y
 
 
-def _finalize(
-    method: str,
-    mmv: MmvMatrix,
-    freqs_local: np.ndarray,
-    powers: np.ndarray,
-    amps: np.ndarray,
-    eta: float,
-    diagnostics: SdpDiagnostics | None,
-) -> SuperResResult:
-    freqs_local = np.asarray(freqs_local, dtype=np.float64)
-    powers = np.asarray(powers, dtype=np.float64)
-    f_global = mmv.global_freq(freqs_local)
-    ranges = np.array([mmv.config.range_of_freq(f) for f in f_global])
-    lo, hi = mmv.local_band()
-    guard = 1.0 / (2.0 * mmv.n_samples)
-    in_band = (freqs_local >= lo - guard) & (freqs_local <= hi + guard)
-    return SuperResResult(
-        method=method,
-        freqs_local=freqs_local,
-        freqs_global=np.asarray(f_global, dtype=np.float64),
-        ranges_m=ranges,
-        powers=powers,
-        amplitudes=amps,
-        eta=eta,
-        in_band=in_band,
-        diagnostics=diagnostics,
-    )
-
-
 def _music(mmv: MmvMatrix, n_sources: int | None) -> SuperResResult:
     """Classic subspace baseline; degrades on coherent snapshots by design.
     One covariance eigendecomposition gives both the MDL order and the noise
@@ -326,9 +315,6 @@ def _music(mmv: MmvMatrix, n_sources: int | None) -> SuperResResult:
     if n_sources is None:
         n_sources = mdl_order(vals, l)
     n_sources = int(min(max(n_sources, 0), n - 1))
-    if n_sources == 0:
-        none = np.empty(0)
-        return _finalize("music", mmv, none, none, _amplitudes(none, data), 0.0, None)
     grid = np.linspace(0.0, 1.0, _MUSIC_GRID, endpoint=False)
     noise = vecs[:, : n - n_sources]
     denom = np.sum(np.abs(noise.conj().T @ atom_matrix(grid, n)) ** 2, axis=0)
@@ -354,7 +340,7 @@ def _music(mmv: MmvMatrix, n_sources: int | None) -> SuperResResult:
     freqs = np.mod((sel + np.asarray(offsets)) / _MUSIC_GRID, 1.0)
     amps = _amplitudes(freqs, data)
     powers = np.mean(np.abs(amps) ** 2, axis=1)
-    return _finalize("music", mmv, freqs, powers, amps, 0.0, None)
+    return SuperResResult("music", mmv, freqs, powers, amps, 0.0)
 
 
 # what a failed solve of each method calls itself
@@ -376,6 +362,8 @@ def solve_by_name(method: str, mmv: MmvMatrix, n_sources: int | None = None) -> 
         band = mmv.local_band() if method == "fsram" else None
         _, y, diag = solve_weighted_toeplitz_sdp(mmv.data, eta, band)
         freqs = diag.atom_freqs
-        return _finalize(method, mmv, freqs, diag.atom_powers, _amplitudes(freqs, y), eta, diag)
+        return SuperResResult(
+            method, mmv, freqs, diag.atom_powers, _amplitudes(freqs, y), eta, diag
+        )
     except (AdmmError, np.linalg.LinAlgError) as exc:
         raise SuperResError(f"{_SOLVE_KIND[method]} solve failed: {exc}") from exc

@@ -122,7 +122,10 @@ def synth_beat_cube(
 
 
 def noise_sigma(snr_db: float) -> float:
-    """Per-sample complex noise std for a unit-amplitude target at `snr_db`."""
+    """Per-sample complex noise std for a unit-amplitude target at `snr_db`:
+    0 at +inf (no noise); NaN and -inf have none and raise ConfigError."""
+    if not snr_db > -np.inf:
+        raise ConfigError(f"snr_db must be a number above -inf, got {snr_db!r}")
     return 10.0 ** (-snr_db / 20.0)
 
 
@@ -133,11 +136,12 @@ def add_noise(
 
     SNR reference: a unit-amplitude target, per element, per fast-time sample,
     before any integration. The noise is added to `cube.data` in place, and
-    `cube` itself is returned. `snr_db=None` (or +inf) disables noise.
+    `cube` itself is returned. `snr_db=None` (or +inf) disables noise; NaN
+    and -inf raise ConfigError (`noise_sigma`).
     `rng_seed` may be a generator, which is then drawn from (and advanced)
     as it is: a dwell synthesised in windows passes one generator to each.
     """
-    if snr_db is None or np.isinf(snr_db):
+    if snr_db is None or snr_db == np.inf:
         return cube
     sigma = noise_sigma(float(snr_db))
     rng = np.random.default_rng(rng_seed)

@@ -51,6 +51,15 @@ def test_grid_spec_rejects_bad_fields():
         GridSpec(seed_base=-1)
 
 
+def test_a_repeated_method_is_rejected_before_any_trial(monkeypatch):
+    prepared = []
+    monkeypatch.setattr(bench, "_prepare_trial", lambda *args: prepared.append(args))
+    spec = GridSpec(k_values=(1,), delta_ratios=(0.5,), trials=1)
+    with pytest.raises(ConfigError, match=r"^method\(s\) fsram given more than once$"):
+        compare_methods(spec, ("fsram", "ram", "fsram"))
+    assert prepared == []
+
+
 def test_grid_spec_dict_round_trip():
     spec = GridSpec(
         k_values=(1, 3),

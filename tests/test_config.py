@@ -1,5 +1,7 @@
 """Waveform configuration: derived fields, validation, serialization."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -198,6 +200,22 @@ def test_from_json_reads_an_int_field_only_from_an_integral_number():
         from_json(GridSpec, {"k_values": [False]})
     with pytest.raises(ConfigError, match=r"^GridSpec\.trials must be an integer, got inf$"):
         from_json(GridSpec, {"trials": float("inf")})
+
+
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+def test_from_json_rejects_a_non_finite_number(token):
+    # json.load reads these tokens; no float or complex field takes them, in a
+    # tuple or as either part of a complex number alike
+    def raw(text):
+        return json.loads(text.replace("X", token))
+
+    with pytest.raises(ConfigError, match=r"^UavTruth\.velocity_mps must be finite, got "):
+        from_json(UavTruth, raw('{"range0_m": 5.0, "velocity_mps": X}'))
+    with pytest.raises(ConfigError, match=r"^GridSpec\.snr_values_db must be finite, got "):
+        from_json(GridSpec, raw('{"snr_values_db": [10.0, X]}'))
+    for amplitude in ("[X, 0.0]", "[1.0, X]", "X"):
+        with pytest.raises(ConfigError, match=r"^UavTruth\.amplitude must be finite, got "):
+            from_json(UavTruth, raw(f'{{"range0_m": 5.0, "amplitude": {amplitude}}}'))
 
 
 def test_from_json_names_the_key_of_a_malformed_value():

@@ -13,6 +13,7 @@ truth by velocity gate and range window instead of counting raw detections.
 
 import json
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -42,7 +43,7 @@ from rangesr.pipeline import (
     scene_to_dict,
     table_radar_config,
 )
-from rangesr.superres import ExtractionRows, SuperResResult
+from rangesr.superres import ExtractionRows
 from rangesr.synth import add_noise, synth_beat_cube
 from spectral_oracles import dedup_all_pairs
 
@@ -456,17 +457,16 @@ def hand_step3(cfg, monkeypatch, answers):
     calls = iter(zip(groups, answers))
 
     def solve(method, mmv, n_sources=None):
+        # the fields of a solve's record that run_step3 reads
         group, atoms = next(calls)
-        k = len(atoms)
-        return SuperResResult(
+        return SimpleNamespace(
             method=method,
-            freqs_local=np.zeros(k),
-            freqs_global=np.zeros(k),
+            n_atoms=len(atoms),
             ranges_m=np.array([group.strongest.refined_range_m + dr for dr, _ in atoms]),
             powers=np.array([p for _, p in atoms]),
-            amplitudes=np.zeros((k, 1), dtype=complex),
+            in_band=np.ones(len(atoms), dtype=bool),
             eta=1.0,
-            in_band=np.ones(k, dtype=bool),
+            solver_summary=lambda: {},
         )
 
     monkeypatch.setattr(pipeline, "solve_by_name", solve)

@@ -9,6 +9,7 @@ bookkeeping end to end).
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -500,6 +501,31 @@ def test_extract_then_solve_recovers_ranges(cfg):
     assert np.all(res.freqs_local >= lo - 1e-3)
     assert np.all(res.freqs_local <= hi + 1e-3)
     assert res.diagnostics.data_misfit <= res.eta * (1.0 + 1e-6)
+
+
+def test_result_maps_each_atom_through_its_mmv(cfg):
+    """A solve's global frequencies, ranges and band flags are its MMV's
+    per-atom mapping of its local frequencies, for every method; shifted a
+    quarter cycle, each atom leaves the band."""
+    cell = cfg.range_of_freq(1.0 / cfg.n_fast)
+    r1, r2 = 20.0 * cell, 22.0 * cell
+    cube = synth_beat_cube(
+        cfg, [static_target(r1), static_target(r2, amplitude=0.7)], 64
+    )
+    mm = extract(cube, 0.0, FreqBand(cfg.beat_freq(r1 - cell), cfg.beat_freq(r2 + cell)))
+    assert mm.step == 2 and mm.f_shift != 0.0
+    lo, hi = mm.local_band()
+    guard = 1.0 / (2.0 * mm.n_samples)
+    for name in ("fsram", "ram", "music"):
+        solved = solve_by_name(name, mm, n_sources=2)
+        assert solved.n_atoms >= 2
+        shifted = replace(solved, freqs_local=solved.freqs_local + 0.25)
+        for res, in_band in ((solved, True), (shifted, False)):
+            f_global = [mm.f_shift + f / mm.step for f in res.freqs_local]
+            assert res.freqs_global.tolist() == f_global
+            assert res.ranges_m.tolist() == [cfg.range_of_freq(f) for f in f_global]
+            assert res.in_band.tolist() == [lo - guard <= f <= hi + guard for f in res.freqs_local]
+            assert res.in_band.tolist() == [in_band] * res.n_atoms
 
 
 def test_range_frequency_map_round_trip():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from spectral_oracles import dft_peak_freq, dft_peak_resolution, synth_per_target
-from rangesr.config import UavTruth
+from rangesr.config import ConfigError, UavTruth
 from rangesr.synth import OutOfBandError, add_noise, array_phase, noise_sigma, synth_beat_cube
 
 
@@ -100,6 +100,19 @@ def test_noise_sigma_values():
     assert noise_sigma(0.0) == 1.0
     assert noise_sigma(-20.0) == pytest.approx(10.0)
     assert noise_sigma(20.0) == pytest.approx(0.1)
+
+
+def test_nan_and_minus_inf_snr_are_rejected_and_plus_inf_adds_nothing(tiny_cfg):
+    cube = synth_beat_cube(tiny_cfg, [UavTruth(30.0, 10.0)], 8)
+    clean = cube.data.copy()
+    for snr_db in (np.nan, -np.inf):
+        with pytest.raises(ConfigError, match="snr_db"):
+            noise_sigma(snr_db)
+        with pytest.raises(ConfigError, match="snr_db"):
+            add_noise(cube, snr_db, rng_seed=1)
+    assert noise_sigma(np.inf) == 0.0
+    assert add_noise(cube, np.inf, rng_seed=1) is cube
+    assert np.array_equal(cube.data, clean)
 
 
 def test_add_noise_passthrough_and_determinism(tiny_cfg):
