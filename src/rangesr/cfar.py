@@ -7,7 +7,9 @@ training cells. For exponentially distributed cell powers the scale factor
 alpha = N_t (pfa^(-1/N_t) - 1) makes the false-alarm probability exact.
 Detections are additionally required to be 3x3 local maxima so one target
 yields one hit, and are refined to sub-bin accuracy by a three-point
-parabolic fit on log power.
+parabolic fit on log power. Hits whose cells touch, in any beam, form one
+group: the groups are the labelled 8-connected components of the hits'
+range-Doppler cells.
 
 The detector runs at fixed settings, module constants read at call time:
 t = `_TRAIN_CELLS` = 8 and g = `_GUARD_CELLS` = 2 cells per axis, pfa =
@@ -44,7 +46,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.ndimage import uniform_filter1d
+from scipy.ndimage import label, uniform_filter1d
 
 from . import spans
 from .config import ConfigError
@@ -288,31 +290,21 @@ class DetectionGroup:
 
 
 def cluster_detections(detections: list[Detection]) -> list[DetectionGroup]:
-    """Union-find grouping of detections at most one range and one Doppler
-    bin apart (any beam): each joins the first detection of every cell of
-    its 3x3 neighbourhood, found in a dict keyed by cell. Members keep the
-    input order; groups come sorted by falling strongest power."""
-    n = len(detections)
-    parent = list(range(n))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    first: dict[tuple[int, int], int] = {}
-    for i, det in enumerate(detections):
-        first.setdefault((det.range_bin, det.doppler_bin), i)
-    for i, det in enumerate(detections):
-        for dr in (-1, 0, 1):
-            for dd in (-1, 0, 1):
-                j = first.get((det.range_bin + dr, det.doppler_bin + dd))
-                if j is not None:
-                    parent[find(i)] = find(j)
+    """Group detections at most one range and one Doppler bin apart (any
+    beam), chained: the groups are the 8-connected components of the
+    detections' cells, labelled by `scipy.ndimage.label` on a map over their
+    bounding box. Members keep the input order; groups come sorted by
+    falling strongest power."""
+    if not detections:
+        return []
+    cells = np.array([(d.range_bin, d.doppler_bin) for d in detections])
+    rows, cols = (cells - cells.min(axis=0)).T
+    occupied = np.zeros((rows.max() + 1, cols.max() + 1), dtype=bool)
+    occupied[rows, cols] = True
+    labels = label(occupied, structure=np.ones((3, 3)))[0]
     buckets: dict[int, list[Detection]] = {}
-    for i in range(n):
-        buckets.setdefault(find(i), []).append(detections[i])
+    for lab, det in zip(labels[rows, cols], detections):
+        buckets.setdefault(lab, []).append(det)
     groups = [DetectionGroup(members=tuple(v)) for v in buckets.values()]
     groups.sort(key=lambda g: -g.strongest.power)
     return groups

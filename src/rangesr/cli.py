@@ -1,16 +1,17 @@
 """Command-line front end: `superres`, `pipeline` and `compare`.
 
 Each command reads JSON configuration, writes JSON/CSV artifacts into --out-dir
-and exits 0, or 2 on a problem without an answer (a band too wide for the
-decimation stride or a failed solve) or an `n_atoms` key given to fsram or
-ram, which find their own order (`superres`), no estimate (`pipeline`), an
-infeasible cell or an unknown or repeated method (`compare`). Any
-command also exits 2 on an input that violates a configuration contract
-(`ConfigError`: an unknown JSON key, a missing required key such as a
-scene's "radar" or a UAV's "range0_m", a null in a field that is not
-optional, a value its field's type cannot take, a NaN or infinity in a
-number field (a null "snr_db" is noise-free), an empty "ranges_m", a
-"band_m" that is not two ranges or a negative seed among them), printing
+(made just before the first write, so a command refused or failed before it
+leaves no directory) and exits 0, or 2 on a problem without an answer (a band
+too wide for the decimation stride or a failed solve; `superres`), no
+estimate (`pipeline`), an infeasible cell (`compare`). Any command also exits
+2 on an input that violates a configuration contract (`ConfigError`: an
+unknown JSON key, a missing required key such as a scene's "radar" or a UAV's
+"range0_m", a null in a field that is not optional, a value its field's type
+cannot take, a NaN or infinity in a number field (a null "snr_db" is
+noise-free), an empty "ranges_m", a "band_m" that is not two ranges, a
+negative seed among them, an `n_atoms` key given to fsram or ram, which find
+their own order, or an unknown or repeated method), printing
 `rangesr <command>: <message>` on stderr.
 """
 
@@ -79,13 +80,10 @@ def _cmd_superres(args) -> int:
     if args.seed is not None:
         problem = dataclasses.replace(problem, seed=args.seed)
     if problem.n_atoms is not None and args.method != "music":
-        print(
-            f"rangesr superres: n_atoms is MUSIC's model order; {args.method} "
-            "finds its own, so drop the key or use --method music",
-            file=sys.stderr,
+        raise ConfigError(
+            f"n_atoms is MUSIC's model order; {args.method} finds its own, "
+            "so drop the key or use --method music"
         )
-        return 2
-    out = _out_dir(args)
     cfg = problem.radar or table_radar_config()
     rng = np.random.default_rng(problem.seed)
     truths = tuple(
@@ -104,6 +102,7 @@ def _cmd_superres(args) -> int:
     except SuperResError as err:
         print(f"rangesr superres: {err}", file=sys.stderr)
         return 2
+    out = _out_dir(args)
     dump_json(result.to_dict(), out / "superres.json")
     print(f"wrote {out / 'superres.json'} atoms={result.n_atoms}")
     return 0
@@ -111,8 +110,8 @@ def _cmd_superres(args) -> int:
 
 def _cmd_pipeline(args) -> int:
     scene = _load_scene(args)
-    out = _out_dir(args)
     result = run_full(scene, method=args.method)
+    out = _out_dir(args)
     dump_json(result.to_dict(), out / "pipeline.json")
     if result.step2 is not None:
         with open(out / "detections.jsonl", "w", encoding="utf-8") as fh:
@@ -126,8 +125,8 @@ def _cmd_pipeline(args) -> int:
 
 def _cmd_compare(args) -> int:
     spec = _load_spec(args)
-    out = _out_dir(args)
     grids = compare_methods(spec, methods=tuple(args.methods.split(",")))
+    out = _out_dir(args)
     summary = {"spec": to_json(spec), "methods": {}}
     for name, grid in grids.items():
         grid.write_csv(out / f"bench_{name}.csv")

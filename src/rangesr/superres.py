@@ -307,7 +307,11 @@ def _amplitudes(freqs_local: np.ndarray, y: np.ndarray) -> np.ndarray:
 def _music(mmv: MmvMatrix, n_sources: int | None) -> SuperResResult:
     """Classic subspace baseline; degrades on coherent snapshots by design.
     One covariance eigendecomposition gives both the MDL order and the noise
-    subspace of the pseudo-spectrum."""
+    subspace of the pseudo-spectrum. The spectrum is circular: a peak is a
+    grid point strictly above both of its neighbours modulo the grid, so
+    local frequency 0 (index 0, next to the last point) is a peak like any
+    other; with no such point, the spectrum's maximum is the one peak. The
+    n_sources highest peaks are refined by a log-power parabola."""
     data = mmv.data
     n, l = data.shape
     cov = data @ data.conj().T / max(l, 1)
@@ -319,19 +323,11 @@ def _music(mmv: MmvMatrix, n_sources: int | None) -> SuperResResult:
     noise = vecs[:, : n - n_sources]
     denom = np.sum(np.abs(noise.conj().T @ atom_matrix(grid, n)) ** 2, axis=0)
     spec = 1.0 / np.maximum(denom, 1e-300)
-    # imported here: scipy.signal is about half of `import rangesr` otherwise
-    from scipy.signal import find_peaks
-
-    wrapped = np.concatenate([spec, spec[:1]])
-    peaks, props = find_peaks(wrapped, height=0.0)
-    peaks = peaks % _MUSIC_GRID
+    peaks = np.flatnonzero((spec > np.roll(spec, 1)) & (spec > np.roll(spec, -1)))
     if peaks.size == 0:
         peaks = np.array([int(np.argmax(spec))])
-        heights = spec[peaks]
-    else:
-        heights = props["peak_heights"]
-    order = np.argsort(heights)[::-1][:n_sources]
-    sel = np.sort(np.unique(peaks[order]))
+    order = np.argsort(spec[peaks])[::-1][:n_sources]
+    sel = np.sort(peaks[order])
     logspec = np.log(spec)
     offsets = [
         parabolic_offset(logspec[pk - 1], logspec[pk], logspec[(pk + 1) % _MUSIC_GRID])

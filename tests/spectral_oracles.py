@@ -150,10 +150,10 @@ def synth_per_target(cfg, targets, n_slow):
 def cluster_all_pairs(detections):
     """Detection groups by testing every pair of detections.
 
-    The package looks up each detection's 3x3 neighbouring cells in a dict;
-    this oracle shares only `DetectionGroup` with it: union-find over all
-    pairs at most one range and one Doppler bin apart, members in input
-    order, groups sorted by falling strongest power.
+    The package labels the connected components of the detections' cells
+    on a map; this oracle shares only `DetectionGroup` with it: union-find
+    over all pairs at most one range and one Doppler bin apart, members in
+    input order, groups sorted by falling strongest power.
     """
     n = len(detections)
     parent = list(range(n))
@@ -212,3 +212,28 @@ def dedup_all_pairs(estimates, cfg, n_slow):
             kept.append(est)
     kept.sort(key=lambda e: e.range_m)
     return kept
+
+
+def range_crb(mmv, freqs_local, amplitudes, sigma2):
+    """Cramer-Rao bound (m^2, K x K) on the ranges of K tones in `mmv`.
+
+    The deterministic multi-snapshot bound of Stoica & Nehorai (IEEE TASSP
+    1989): for data A X + noise of complex variance `sigma2` per entry, where
+    A's columns are exp(j 2 pi f k), k = 0..N-1, at the local frequencies f
+    and X (K x L) holds the `amplitudes`, any unbiased estimate of f (cycles
+    per sample) has covariance at least
+    sigma2 / 2 {Re[(D^H P D) * (X X^H)^T]}^-1, with D the columns'
+    derivatives in f and P the projection off A's range. A local frequency
+    maps affinely to range through the MMV (`step`, then
+    `config.range_of_freq`), so the bound scales by that map's slope
+    squared. Shares only the MMV's frequency map with the package.
+    """
+    f = np.asarray(freqs_local, dtype=np.float64)
+    k = np.arange(mmv.n_samples, dtype=np.float64)[:, None]
+    a = np.exp(2j * np.pi * k * f[None, :])
+    d = 2j * np.pi * k * a
+    proj = np.eye(mmv.n_samples) - a @ np.linalg.pinv(a)
+    x = np.asarray(amplitudes)
+    fisher = np.real((d.conj().T @ proj @ d) * (x @ x.conj().T).T)
+    slope = mmv.config.range_of_freq(1.0 / mmv.step)
+    return slope**2 * 0.5 * sigma2 * np.linalg.inv(fisher)

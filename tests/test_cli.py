@@ -325,6 +325,33 @@ def test_compare_rejects_an_unknown_method_before_any_grid_runs(
     assert not (tmp_path / "compare.json").exists()
 
 
+@pytest.mark.parametrize(
+    "case",
+    ["compare_twice", "compare_unknown", "superres_off_band", "pipeline_far_uav"],
+)
+def test_a_refused_or_failed_command_leaves_no_out_dir(tmp_path, scene_path, capsys, case):
+    # each fails after its input decodes: a repeated or unknown method, a
+    # solve whose band misses both targets, a UAV whose beat frequency (46.9
+    # cycles per sample at 9 km) the synthesis refuses
+    spec, problem = tmp_path / "spec.json", tmp_path / "problem.json"
+    dump_json(to_json(GridSpec(k_values=(1,), delta_ratios=(0.5,), trials=1)), spec)
+    dump_json({"ranges_m": [165.0, 166.8], "band_m": [150.0, 155.0], "snr_db": 30.0,
+               "seed": 2}, problem)
+    scene = load_json(scene_path)
+    scene["uavs"][0]["range0_m"] = 9000.0
+    dump_json(scene, scene_path)
+    argv = {
+        "compare_twice": ["compare", "--spec", str(spec), "--methods", "fsram,fsram"],
+        "compare_unknown": ["compare", "--spec", str(spec), "--methods", "esprit"],
+        "superres_off_band": ["superres", "--problem", str(problem)],
+        "pipeline_far_uav": ["pipeline", "--scene", str(scene_path)],
+    }[case]
+    out = tmp_path / "out"
+    assert main(argv + ["--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"rangesr {argv[0]}: ")
+    assert not out.exists()
+
+
 def _strict_json(path):
     """The file's JSON, which may not hold NaN or infinity."""
 

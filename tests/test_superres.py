@@ -582,6 +582,20 @@ def test_music_single_tone_peak(cfg):
     assert abs(res.freqs_local[0] - 0.2) < MUSIC_GRID_STEP
 
 
+def test_music_finds_a_tone_at_local_frequency_zero(cfg):
+    # the pseudo-spectrum is circular: grid index 0 is a peak when it
+    # stands above index 1 and the last index
+    rng = np.random.default_rng(0)
+    f_true = np.array([0.0, 0.3])
+    x = rng.standard_normal((2, 16)) + 1j * rng.standard_normal((2, 16))
+    noise = rng.standard_normal((32, 16)) + 1j * rng.standard_normal((32, 16))
+    data = atom_matrix(f_true, 32) @ x + 0.01 * noise
+    res = solve_by_name("music", hand_mmv(data, FreqBand(0.01, 0.49), cfg), n_sources=2)
+    assert res.n_atoms == 2
+    wrapped = (res.freqs_local[:, None] - f_true[None, :] + 0.5) % 1.0 - 0.5
+    assert np.abs(wrapped).min(axis=0).max() < 1e-4
+
+
 # ---------------------------------------------------------------- dispatch
 
 
@@ -615,13 +629,24 @@ def test_result_serialization_and_top_ranges(cfg, fixed_eta):
 
 
 def test_package_import_leaves_scipy_signal_unloaded():
-    # scipy.signal is only for MUSIC's peak picking and costs most of the
-    # package import time, so it loads on first use
+    # scipy.signal costs most of the package import time and the package
+    # uses none of it, not even MUSIC's peak picking, so neither the import
+    # nor a MUSIC solve loads it
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    script = (
+        "import sys\n"
+        "from rangesr.config import make_radar_config\n"
+        "from rangesr.superres import FreqBand, MmvMatrix, atom_matrix, solve_by_name\n"
+        "cfg = make_radar_config(10e9, 50e6, 12.8e-6, 5e6, 4)\n"
+        "data = atom_matrix([0.2, 0.3], 32) @ [[1.0, 1j], [1.0, -1j]]\n"
+        "mmv = MmvMatrix(data, 0.0, 1, FreqBand(0.1, 0.4), cfg)\n"
+        "solve_by_name('music', mmv, n_sources=2)\n"
+        "print('scipy.signal' in sys.modules)\n"
+    )
     out = subprocess.run(
-        [sys.executable, "-c", "import sys, rangesr; print('scipy.signal' in sys.modules)"],
+        [sys.executable, "-c", script],
         capture_output=True, text=True, env=env, timeout=120, check=True,
     )
     assert out.stdout.strip() == "False"
