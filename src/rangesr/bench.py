@@ -175,9 +175,13 @@ def _draw_ranges(rng, spec: GridSpec, k: int, delta_ratio: float):
 
 
 def _unit_noise(rng, shape) -> np.ndarray:
-    return (
-        rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    ) / np.sqrt(2.0)
+    """Unit-power complex normal draws: the real parts, then the imaginary
+    parts, each scaled by 1/sqrt(2) straight into its view of the result."""
+    out = np.empty(shape, dtype=np.complex128)
+    scale = 1.0 / np.sqrt(2.0)
+    np.multiply(rng.standard_normal(shape), scale, out=out.real)
+    np.multiply(rng.standard_normal(shape), scale, out=out.imag)
+    return out
 
 
 @dataclass

@@ -22,7 +22,8 @@ threshold before the local-maximum gate (ROADMAP item 4).
 The cube's channels are beams, or elements with the steering weights that
 form the beams (`RdaCube.weights`). Either way the beams' power maps are
 formed a group at a time into contiguous (beams, N, M) buffers, as many
-beams as `spans._CHUNK_BUDGET` map entries hold. A beam cube's maps are read
+beams as `_GROUP_ENTRIES` (4,000,000) map entries hold: seven of step 1's
+512 x 1000 maps per read of its element RDA. A beam cube's maps are read
 straight from it. An element cube is read once per group, a block of rows
 at a time, and each block is beamformed by one matrix product, so the beam
 cube is never built: integrating the elements and forming the beams after
@@ -55,6 +56,10 @@ from .cube import RdaCube
 # channel entries per block of rows whose beams are formed at once (1 MB of
 # complex128, so a block stays in cache while its group's maps are written)
 _BLOCK_ENTRIES = 1 << 16
+
+# power-map entries of one group of beams (32 MB of float64); an element
+# RDA is read once per group
+_GROUP_ENTRIES = 4_000_000
 
 
 # training and guard half-widths per axis, false-alarm probability per
@@ -256,9 +261,9 @@ def ca_cfar(rda: RdaCube) -> list[Detection]:
     """Run per-beam 2-D CA-CFAR; returns detections sorted by falling power.
 
     The beams' power maps are formed a group at a time, as many as
-    `spans._CHUNK_BUDGET` map entries hold (at least one beam).
+    `_GROUP_ENTRIES` map entries hold (at least one beam).
     """
-    group = max(1, min(rda.n_beams, spans._CHUNK_BUDGET // (rda.n_range * rda.n_doppler)))
+    group = max(1, min(rda.n_beams, _GROUP_ENTRIES // (rda.n_range * rda.n_doppler)))
     maps = np.empty((group, rda.n_range, rda.n_doppler))
     detections = []
     for b0 in range(0, rda.n_beams, group):

@@ -11,10 +11,12 @@ evaluated here by the chirp-z (Bluestein) factorization:
 k m = (k^2 + m^2 - (k-m)^2)/2 turns the scaled DFT into a pre-chirp multiply,
 a cyclic convolution of length >= 2M-1 done with FFTs, and a post-chirp
 multiply. The chirp kernels are computed once per chunk of fast-time rows and
-shared by every channel of the chunk; the convolution runs in one reused
-workspace with in-place FFTs. The test suite checks it against a direct
-O(M^2) summation and an explicit interpolating keystone transform
-(`tests/spectral_oracles.py`).
+shared by every channel of the chunk, and the pre/post chirp is the kernel's
+conjugate at lag |m|, so a chunk takes one set of complex exponentials. The
+convolution runs in one reused workspace with in-place FFTs, capped at
+`_CHUNK_BUDGET` entries (8 MB) across spans whatever the cube's size. The
+test suite checks it against a direct O(M^2) summation and an explicit
+interpolating keystone transform (`tests/spectral_oracles.py`).
 
 The symmetric DFT (time and frequency both indexed about zero) of an
 even-length axis is a sign-modulated FFT, (-1)^(k + N/2) FFT((-1)^n x)[k],
@@ -48,9 +50,10 @@ from . import spans
 from .cube import CubeError, DataCube, RdaCube, axis_values
 
 # cap on the convolution workspace of the Bluestein chunks, in complex
-# entries (chunk rows x FFT length x channels, summed over spans); the chirp
-# kernels add 1/channels of that. The same figure is the spans' inline gate.
-_CHUNK_BUDGET = spans._CHUNK_BUDGET
+# entries (chunk rows x FFT length x channels, summed over spans): 8 MB of
+# complex128 whatever the cube's size. The chirp kernels add 1/channels of
+# that.
+_CHUNK_BUDGET = 1 << 19
 
 
 def _symmetric(
@@ -102,7 +105,6 @@ def _scaled_dft(
     it writes them, and spans are disjoint.
     """
     n_rows, n_slow, n_ch = rows.shape
-    m_vals = axis_values(n_slow).astype(np.float64)
     l_fft = sfft.next_fast_len(2 * n_slow - 1)
     bounds = spans.split(n_rows, rows.size)
     chunk = max(1, min(n_rows, _CHUNK_BUDGET // len(bounds) // (l_fft * n_ch)))
@@ -110,9 +112,10 @@ def _scaled_dft(
         out = rows
     else:
         out = np.empty((n_rows, n_slow, n_ch), dtype=np.complex128)
-    m_sq = m_vals * m_vals
-    # the kernel is even in the lag: lags 0..M-1, mirrored to -(M-1)..-1
+    # the kernel is even in the lag: lags 0..M-1, mirrored to -(M-1)..-1;
+    # the pre/post chirp exp(-j w m^2) is its conjugate at lag |m|
     lag_sq = np.arange(n_slow, dtype=np.float64) ** 2
+    abs_m = np.abs(axis_values(n_slow))
 
     def transform(r0: int, r1: int) -> None:
         work = np.empty((min(chunk, r1 - r0), l_fft, n_ch), dtype=np.complex128)
@@ -121,10 +124,10 @@ def _scaled_dft(
             i1 = min(i0 + chunk, r1)
             a, b = work[: i1 - i0], kernel[: i1 - i0]
             w = (np.pi / n_slow) * scales[i0:i1]          # (nc,)
-            q = np.exp(-1j * np.outer(w, m_sq))           # pre/post chirp, (nc, M)
+            half = np.exp(1j * np.outer(w, lag_sq))
+            q = half[:, abs_m].conj()                     # pre/post chirp, (nc, M)
             np.multiply(rows[i0:i1], q[:, :, None], out=a[:, :n_slow, :])
             a[:, n_slow:, :] = 0.0
-            half = np.exp(1j * np.outer(w, lag_sq))
             b[:, :n_slow] = half
             b[:, n_slow : l_fft - n_slow + 1] = 0.0
             b[:, l_fft - n_slow + 1 :] = half[:, :0:-1]

@@ -26,10 +26,12 @@ from one generator carried across the windows. `stare` copies each window
 into its slice of the element cube, or beamforms it into its slice of the
 beam cube, and keeps only the fast-time rows that step 3 extracts from
 (`run_step2` returns them beside its report); so step 2 never holds its
-element cube. A window is the smallest multiple of
-`synth._CHUNK_M` chirps that holds at least `spans._CHUNK_BUDGET` entries:
-the multiple keeps the noise draws those of the whole dwell, and the size
-keeps synthesis and beamforming threaded.
+element cube. A window is the smallest multiple of `synth._CHUNK_M` chirps
+that holds at least `spans._CHUNK_BUDGET` entries: the multiple keeps the
+noise draws those of the whole dwell, and the size keeps synthesis and
+beamforming threaded. At the table radar's 16 elements one noise block
+already holds that many at 5.12 and at 50 MHz, so a window is 256 chirps
+(32 MB of complex128 at 5.12 MHz).
 
 Scenes are JSON-serializable truth sets. The two dwells observe the scene at
 different times; the long-dwell truth can be given explicitly (as the
@@ -83,8 +85,8 @@ def table_radar_config(sample_rate_hz: float = 5.12e6) -> RadarConfig:
     here keeps every derived quantity that matters to the method (range cell
     size, cell index per meter, keystone warp, Doppler axis) identical while
     shrinking the fast-time grid tenfold; pass 50e6 to reproduce the
-    full-rate grid. Noise-free exp1 runs end to end in 38 s at a 2.65 GB
-    peak RSS at 50e6, and in 4.1 s at 0.42 GB by default (2 cores, BLAS on
+    full-rate grid. Noise-free exp1 runs end to end in 27 s at a 2.65 GB
+    peak RSS at 50e6, and in 3.1 s at 0.39 GB by default (2 cores, BLAS on
     one thread). At 50e6 step 2's five-beam cube (2.0 GB) sets the peak;
     step 1, which integrates its 16 elements (1.28 GB) instead of 32 beams,
     peaks at 1.6 GB.

@@ -11,11 +11,15 @@ run on. The rule:
 - span bounds depend only on the row count and the worker count, and every
   output element is computed by the same code whatever span it falls in, so
   outputs are bit-identical for any worker count;
-- inputs below `_CHUNK_BUDGET` complex entries run inline on the calling
-  thread, so small cubes (the Monte Carlo grid's) never start a thread;
+- inputs below `_CHUNK_BUDGET` (2^20) complex entries run inline on the
+  calling thread, so small cubes (the Monte Carlo grid's 512 x 64 x 16
+  trial cube, 2^19 entries) never start a thread;
 - the pipeline cuts a dwell into chirp windows of at least `_CHUNK_BUDGET`
   entries, so each window's synthesis and beamforming still use every
   worker.
+
+No workspace is sized from the gate: the chirp-z workspace (`integrate`) and
+the CFAR's group of beam maps (`cfar`) have budgets of their own.
 
 The first span runs on the calling thread and the others on the pool; every
 span finishes before `run` returns or raises. Span functions call numpy,
@@ -30,10 +34,9 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor, wait
 
-# cap on the convolution workspace of the chirp-z transform, in complex
-# entries (~64 MB complex128), and the input size below which a pass runs
-# inline
-_CHUNK_BUDGET = 4_000_000
+# the input size, in entries, below which a pass runs inline, and the least
+# size of a dwell window (16 MB of complex128)
+_CHUNK_BUDGET = 1 << 20
 
 _affinity = getattr(os, "sched_getaffinity", None)   # absent on macOS and Windows
 WORKERS = len(_affinity(0)) if _affinity else os.cpu_count() or 1

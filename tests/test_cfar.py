@@ -320,7 +320,7 @@ def detection_cells(detections):
 def test_element_cube_detections_are_the_beam_cube_detections(monkeypatch, budget):
     if budget is not None:
         # groups of three maps, the last of the 16 beams a group of one
-        monkeypatch.setattr(spans, "_CHUNK_BUDGET", budget)
+        monkeypatch.setattr(cfar, "_GROUP_ENTRIES", budget)
     elements, beams = element_and_beam_rda()
     assert elements.n_beams == beams.n_beams == 16
     got, want = ca_cfar(elements), ca_cfar(beams)
@@ -335,6 +335,7 @@ def test_element_cube_detections_are_the_beam_cube_detections(monkeypatch, budge
 def test_element_cube_cfar_is_bit_identical_for_any_worker_count(monkeypatch):
     elements, _ = element_and_beam_rda()
     # groups of three maps, and the 64 x 48 x 8 cube counts as large
+    monkeypatch.setattr(cfar, "_GROUP_ENTRIES", 3 * 64 * 48)
     monkeypatch.setattr(spans, "_CHUNK_BUDGET", 3 * 64 * 48)
     monkeypatch.setattr(cfar, "_BLOCK_ENTRIES", 5 * 48 * 8)   # 13 blocks, the last short
     runs = []

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.fft as sfft
 
-from rangesr import integrate
+from rangesr import integrate, spans
 from rangesr.beamform import beamform_cube, default_grid, steering_weights
 from rangesr.config import UavTruth, make_radar_config
 from rangesr.cube import CubeError, DataCube, axis_values
@@ -293,3 +293,15 @@ def test_scaled_dft_workspace_is_bounded_by_the_chunk_budget(monkeypatch, n_rows
     # the convolution workspace holds at most `budget` entries and the chirp
     # kernels a fraction of that; nothing grows with the row count
     assert peak - out.nbytes <= 2 * budget * out.itemsize
+
+
+def test_scaled_dft_workspace_is_cache_sized_on_a_stare_sized_cube(monkeypatch):
+    # the default budget on 64 fast-time rows of step 2's five-beam,
+    # 5000-chirp stare: workspace, kernels and chirps take 12.9 MB, where a
+    # 4e6-entry budget took 77 MB
+    monkeypatch.setattr(spans, "WORKERS", 2)
+    rng = np.random.default_rng(3)
+    shape = (64, 5000, 5)
+    rows = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    peak, out = traced_peak_bytes(integrate._scaled_dft, rows, np.ones(shape[0]))
+    assert peak - out.nbytes <= 16e6, f"workspace {(peak - out.nbytes) / 1e6:.1f} MB"

@@ -20,7 +20,7 @@ from rangesr.cfar import ca_cfar
 from rangesr.config import UavTruth, make_radar_config
 from rangesr.cube import DataCube
 from rangesr.integrate import _scaled_dft, integrate_cube, range_ft
-from rangesr.pipeline import Scene, run_step2
+from rangesr.pipeline import Scene, dwell_chunks, make_exp1_scene, run_step2
 
 
 @pytest.fixture
@@ -232,6 +232,20 @@ def test_step2_is_bit_identical_for_any_worker_count(threaded, cfg8):
     assert np.array_equal(one_rows.data, three_rows.data)
 
 
+def test_a_table_dwell_window_splits_across_every_worker(monkeypatch):
+    # a 256-chirp window of the table radar's 16 elements at 5.12 MHz holds
+    # 2^21 entries, twice the inline gate
+    monkeypatch.setattr(spans, "WORKERS", 3)
+    seen = []
+    run = spans.run
+    monkeypatch.setattr(spans, "run", lambda fn, bounds: (seen.append(len(bounds)), run(fn, bounds))[1])
+    scene = make_exp1_scene(snr_db=0.0)
+    m0, m1, window = next(dwell_chunks(scene, 2))
+    assert (m0, m1) == (0, 256) and window.data.shape == (512, 256, 16)
+    beamform_cube(window, FIVE_BEAMS)
+    assert seen == [3, 3]
+
+
 def test_a_grid_sized_trial_never_starts_a_thread(monkeypatch):
     def no_pool():
         raise AssertionError("the pool was asked for")
@@ -240,4 +254,6 @@ def test_a_grid_sized_trial_never_starts_a_thread(monkeypatch):
     monkeypatch.setattr(spans, "_executor", no_pool)
     spec = bench.GridSpec(k_values=(2,), delta_ratios=(0.5,), trials=1, n_slow=64)
     data = bench._prepare_trial(spec, 2, 0.5, 0)
+    # 2^19 entries, half the inline gate
+    assert data.clean.shape == (512, 64, 16)
     bench.run_trial_method(spec, data, 10.0, "music")

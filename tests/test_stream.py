@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 import scipy.fft as sfft
 
-from rangesr import integrate, pipeline, spans, synth
+from rangesr import cfar, integrate, pipeline, spans, synth
 from rangesr.beamform import BeamGrid, beamform_cube, default_grid
 from rangesr.cfar import ca_cfar, cluster_detections, merge_beam_duplicates
 from rangesr.config import ConfigError, UavTruth, make_radar_config
@@ -64,8 +64,13 @@ def test_windows_are_noise_blocks_with_a_ragged_last_one(windows, cfg):
     assert got == [(0, 256, (64, 256, 8)), (256, 512, (64, 256, 8)), (512, 600, (64, 88, 8))]
 
 
-def test_the_window_rule_at_the_table_rates():
-    # smallest multiple of 256 chirps holding 4e6 entries
+def test_the_window_rule_at_the_table_rates(monkeypatch):
+    # smallest multiple of 256 chirps holding spans._CHUNK_BUDGET entries: at
+    # 16 elements one block holds 2^21 at 5.12 MHz and 2.048e7 at 50 MHz
+    assert pipeline._chunk_chirps(pipeline.table_radar_config()) == 256
+    assert pipeline._chunk_chirps(pipeline.table_radar_config(50e6)) == 256
+    # a budget over one block rounds up to the next block
+    monkeypatch.setattr(spans, "_CHUNK_BUDGET", 4_000_000)
     assert pipeline._chunk_chirps(pipeline.table_radar_config()) == 512
     assert pipeline._chunk_chirps(pipeline.table_radar_config(50e6)) == 256
 
@@ -236,11 +241,13 @@ def test_step1_never_holds_the_beam_fan(monkeypatch):
     workspace = 16 * 16 * sfft.next_fast_len(2 * n_slow - 1) * n_el
     monkeypatch.setattr(integrate, "_CHUNK_BUDGET", workspace // 16)
     workspace += workspace // n_el
+    # groups of two beam maps
+    monkeypatch.setattr(cfar, "_GROUP_ENTRIES", 2 * n_fast * n_slow)
     scene = replace(scene_of(cfg, 64, 10.0), dwell1_s=n_slow * cfg.chirp_s)
     element_rda = 16 * n_fast * n_slow * n_el
     beam_fan = 16 * n_fast * n_slow * 32
     chunk = 16 * n_fast * synth._CHUNK_M * n_el
-    group = spans._CHUNK_BUDGET // (n_fast * n_slow)     # two maps
+    group = cfar._GROUP_ENTRIES // (n_fast * n_slow)     # two maps
     maps = 8 * group * n_fast * n_slow
     bound = element_rda + chunk + workspace + maps
     # the 32-beam cube alone would break the bound
