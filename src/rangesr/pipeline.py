@@ -346,6 +346,12 @@ def stare(
     where it reads them. Either cube is then overwritten by the integration.
     With `n_ex`, the rows that extraction reads (`decimation_rows`) are kept
     as the last result; otherwise it is None.
+
+    The windows come from one of two sources: `dwell_chunks`, which
+    synthesises a scene's dwell window by window with its noise, and a grid
+    trial (`bench.run_trial_method`), which forms each window from the
+    trial's clean cube and unit noise. Neither builds the whole noisy cube,
+    and each window may go once it is copied or beamformed.
     """
     channels = kept = pick = None
     for m0, m1, chunk in chunks:

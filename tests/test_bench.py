@@ -45,6 +45,10 @@ def test_grid_spec_rejects_bad_fields():
         GridSpec(trials=0)
     with pytest.raises(ValueError, match="delta"):
         GridSpec(delta_ratios=(0.5, 0.0))
+    # a NaN or infinite spacing is refused here, not in the first trial's draw
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ConfigError, match="finite"):
+            GridSpec(k_values=(2,), delta_ratios=(0.5, bad))
     with pytest.raises(ValueError, match="K"):
         GridSpec(k_values=(1, 0))
     with pytest.raises(ConfigError, match="seed_base"):
@@ -379,6 +383,57 @@ def test_stare_on_one_beam_is_cfar_and_grouping_of_the_integrated_beam(trial_cub
     reference = ca_cfar(integrate_cube(beamform_cube(trial_cube, grid)))
     assert detections and detections == reference
     assert groups == cluster_detections(reference)
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_trial_windows_move_no_sample(monkeypatch, admm_budget, method):
+    """The stare reads a trial's noisy dwell in chirp windows. The windows
+    tile the cube `clean + sigma * unit_noise` bit for bit, and the trial
+    gives the same RMS and the same solves as with one window of the whole
+    dwell."""
+    spec = GridSpec(k_values=(2,), delta_ratios=(0.5,), snr_values_db=(10.0,),
+                    trials=1, n_slow=64)
+    data = _prepare_trial(spec, 2, 0.5, 0)
+    cfg = table_radar_config()
+    sigma = noise_sigma(10.0)
+    windows = list(bench._trial_windows(data, sigma, cfg))
+    assert [(m0, m1) for m0, m1, _ in windows] == [(m, m + 8) for m in range(0, 64, 8)]
+    noisy = np.concatenate([w.data for _, _, w in windows], axis=1)
+    assert noisy.tobytes() == (data.clean + sigma * data.unit_noise).tobytes()
+    del windows, noisy
+
+    admm_budget(**LIGHT)
+    solves = []
+
+    def recording_solve(*args, **kwargs):
+        solves.append(solve_by_name(*args, **kwargs))
+        return solves[-1]
+
+    monkeypatch.setattr(bench, "solve_by_name", recording_solve)
+    windowed = run_trial_method(spec, data, 10.0, method)
+    monkeypatch.setattr(bench, "_WINDOW_ENTRIES", data.clean.size)
+    assert len(list(bench._trial_windows(data, sigma, cfg))) == 1
+    whole = run_trial_method(spec, data, 10.0, method)
+    assert windowed == whole and math.isfinite(whole)
+    a, b = solves
+    assert np.array_equal(a.freqs_global, b.freqs_global)
+    assert np.array_equal(a.powers, b.powers)
+    if method == "music":
+        assert a.diagnostics is b.diagnostics is None
+    else:
+        assert a.diagnostics.inner_iters == b.diagnostics.inner_iters
+
+
+@pytest.mark.parametrize("shape", [(512, 64, 16), (100, 64, 16)])
+def test_unit_noise_is_the_one_shot_draw(shape):
+    """Drawn a block of rows at a time, the noise is the one-shot draw bit
+    for bit: the real parts, then the imaginary parts, each scaled by
+    1/sqrt(2). The second shape's 100 rows leave a 36-row last block."""
+    got = bench._unit_noise(np.random.default_rng(11), shape)
+    rng = np.random.default_rng(11)
+    scale = 1.0 / np.sqrt(2.0)
+    assert got.real.tobytes() == (rng.standard_normal(shape) * scale).tobytes()
+    assert got.imag.tobytes() == (rng.standard_normal(shape) * scale).tobytes()
 
 
 def test_one_chirp_extraction_ignores_the_doppler_bin(trial_cube):
