@@ -72,8 +72,6 @@ def beamform_cube(
     `out`, when given, receives the beams (shape (N, M, G), the element
     cube's dtype) and becomes the returned cube's data.
     """
-    if cube.axis2_kind != "element":
-        raise CubeError(f"beamforming expects an element cube, got {cube.axis2_kind!r}")
     if cube.data.shape[2] != cube.config.n_elements:
         raise CubeError(
             f"cube has {cube.data.shape[2]} channels, config says {cube.config.n_elements}"
@@ -90,4 +88,4 @@ def beamform_cube(
         np.matmul(data[a:b], weights, out=out[a:b])
 
     spans.run(form, spans.split(data.shape[0], data.size))
-    return DataCube(data=out, axis2_kind="beam", config=cube.config)
+    return DataCube(data=out, config=cube.config)

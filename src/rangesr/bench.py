@@ -26,7 +26,7 @@ What a trial holds: its clean element cube and its unit-power noise
 radar and 64 chirps), and `compare_methods` lets them go before it draws
 the next trial. No noisy cube is built: `run_trial_method` hands
 `pipeline.stare` the dwell `clean + sigma * unit_noise` as chirp windows of
-about `_WINDOW_ENTRIES` samples (1 MB, 8 chirps), each formed from its
+about `spans._BLOCK_ENTRIES` samples (1 MB, 8 chirps), each formed from its
 chirps of the two arrays, as `pipeline.dwell_chunks` hands it a scene's
 dwell. Every sample is the same two operations whatever window holds it,
 so the windows change no output. The benchmark's `grid_fsram` workload
@@ -44,12 +44,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
+from . import spans
 from .beamform import BeamGrid
 from .config import ConfigError, RadarConfig, UavTruth, to_json
 from .cube import DataCube
 from .pipeline import group_mmv, stare, table_radar_config
 from .superres import SuperResError, solve_by_name
-from .synth import _BLOCK_ENTRIES, noise_sigma, synth_beat_cube
+from .synth import noise_sigma, synth_beat_cube
 
 # Not called here: perfbench/layers.py patches these names in this module; the
 # trial reaches them through `pipeline.stare` and `pipeline.group_mmv`.
@@ -66,10 +67,6 @@ _WINDOW_START_M = 165.0
 _WINDOW_CELLS = 2.0
 _VELOCITY_MPS = 44.07
 _MAX_DRAWS = 10_000
-
-# samples per chirp window in which a trial's noisy dwell reaches the stare
-# (1 MB of complex128: 8 chirps of the 512 x 64 x 16 trial cube)
-_WINDOW_ENTRIES = _BLOCK_ENTRIES
 
 
 @dataclass(frozen=True)
@@ -88,6 +85,10 @@ class GridSpec:
     def __post_init__(self) -> None:
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
+        empty = [name for name in ("k_values", "delta_ratios", "snr_values_db")
+                 if not getattr(self, name)]
+        if empty:
+            raise ConfigError(f"{', '.join(empty)} must not be empty")
         if not all(0 < d < math.inf for d in self.delta_ratios):
             raise ConfigError(
                 f"delta ratios must be positive and finite, got {self.delta_ratios}"
@@ -199,7 +200,7 @@ def _unit_noise(rng, shape) -> np.ndarray:
     imaginary parts.
 
     Each part is drawn a block of rows (axis 0) at a time into one buffer of
-    at most `synth._BLOCK_ENTRIES` samples (512 KB) and scaled into its view
+    at most `spans._BLOCK_ENTRIES` samples (512 KB) and scaled into its view
     of the result. The generator fills a draw in order, so the blocks take
     the one-shot draws' values bit for bit, and no draw as large as the cube
     is ever alive beside it.
@@ -207,7 +208,7 @@ def _unit_noise(rng, shape) -> np.ndarray:
     out = np.empty(shape, dtype=np.complex128)
     scale = 1.0 / np.sqrt(2.0)
     n_rows = out.shape[0]
-    rows = max(1, _BLOCK_ENTRIES // max(1, math.prod(out.shape[1:])))
+    rows = max(1, spans._BLOCK_ENTRIES // max(1, math.prod(out.shape[1:])))
     buf = np.empty((min(rows, n_rows),) + out.shape[1:])
     for part in (out.real, out.imag):
         for n0 in range(0, n_rows, rows):
@@ -259,17 +260,17 @@ def _prepare_trial(spec: GridSpec, k: int, delta_ratio: float, trial: int):
 
 def _trial_windows(data: _TrialData, sigma: float, cfg: RadarConfig):
     """The noisy dwell as `(m0, m1, chirps [m0, m1))` windows of about
-    `_WINDOW_ENTRIES` samples, each formed as `clean + sigma * unit_noise`
-    over its chirps: every sample is the same two operations whatever
-    window holds it, so the windows equal the whole cube's chirps bit for
-    bit."""
+    `spans._BLOCK_ENTRIES` samples, each formed as `clean + sigma *
+    unit_noise` over its chirps: every sample is the same two operations
+    whatever window holds it, so the windows equal the whole cube's chirps
+    bit for bit."""
     n_fast, n_slow, n_elements = data.clean.shape
-    width = max(1, _WINDOW_ENTRIES // (n_fast * n_elements))
+    width = max(1, spans._BLOCK_ENTRIES // (n_fast * n_elements))
     for m0 in range(0, n_slow, width):
         m1 = min(m0 + width, n_slow)
         window = sigma * data.unit_noise[:, m0:m1]
         window += data.clean[:, m0:m1]
-        yield m0, m1, DataCube(data=window, axis2_kind="element", config=cfg)
+        yield m0, m1, DataCube(data=window, config=cfg)
         del window   # only the stare may hold this window while the next is formed
 
 
@@ -318,6 +319,8 @@ def compare_methods(
     before the next trial is drawn, so the pass holds two 8 MB arrays at the
     grid's trial cube, and a 1 MB window of them while the stare runs
     (`run_trial_method`), whatever the trial count."""
+    if not methods:
+        raise ConfigError(f"no method given; choose from {','.join(METHODS)}")
     unknown = [m for m in methods if m not in METHODS]
     if unknown:
         raise ConfigError(

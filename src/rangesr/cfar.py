@@ -66,10 +66,6 @@ from . import spans
 from .config import ConfigError
 from .cube import RdaCube
 
-# channel entries per block of rows whose beams are formed at once (1 MB of
-# complex128, so a block stays in cache while its group's maps are written)
-_BLOCK_ENTRIES = 1 << 16
-
 # power-map entries of one group of beams (32 MB of float64); an element
 # RDA is read once per group
 _GROUP_ENTRIES = 4_000_000
@@ -201,9 +197,9 @@ def _power_maps(rda: RdaCube, b0: int, maps: np.ndarray) -> None:
 
     A beam cube's maps are read straight from it, beam by beam on row spans.
     An element cube is read once for the whole group, in blocks of rows of
-    about `_BLOCK_ENTRIES` entries, each beamformed by one matrix product;
-    spans of whole blocks run on threads, so every block is the same
-    product for any worker count.
+    about `spans._BLOCK_ENTRIES` entries, each beamformed by one matrix
+    product; spans of whole blocks run on threads, so every block is the
+    same product for any worker count.
     """
     data = rda.data
     n_range, n_doppler, n_ch = data.shape
@@ -216,7 +212,7 @@ def _power_maps(rda: RdaCube, b0: int, maps: np.ndarray) -> None:
             spans.run(power, spans.split(n_range, data.size))
         return
     w_t = np.ascontiguousarray(rda.weights[:, b0 : b0 + len(maps)].T)   # (beams, L)
-    rows = max(1, _BLOCK_ENTRIES // (n_doppler * n_ch))
+    rows = max(1, spans._BLOCK_ENTRIES // (n_doppler * n_ch))
 
     def form(k0: int, k1: int) -> None:
         for i0 in range(k0 * rows, min(k1 * rows, n_range), rows):

@@ -53,6 +53,11 @@ class Problem:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.band_m is not None and len(self.band_m) != 2:
             raise ConfigError(f"band_m must be two ranges [lo, hi], got {list(self.band_m)}")
+        if self.n_atoms is not None and not 0 <= self.n_atoms < self.n_ex:
+            raise ConfigError(
+                f"n_atoms must be in [0, {self.n_ex - 1}] for {self.n_ex} rows, "
+                f"got {self.n_atoms}"
+            )
 
 
 def _out_dir(args) -> Path:

@@ -5,10 +5,14 @@ Fast-time and slow-time (or their transformed bins) are indexed symmetrically
 about zero, matching the signal model: index axis value = storage index -
 size//2.
 
-A data cube carries no beam angles: `pipeline.stare` names the beams once,
-on the RDA it integrates (and gives an element RDA the steering weights that
-form them). An RDA's Doppler axis is as long as its dwell has chirps, so its
-velocity bins are read from `n_doppler`.
+A data cube is its samples and its radar: it carries no channel kind and
+no beam angles. Only the package builds cubes (synthesis, beamforming, the
+stare and the grid trial), and each knows what its channels are:
+`beamform_cube` checks that a cube holds the radar's elements, and
+`pipeline.stare` names the beams once, on the RDA it integrates (and gives
+an element RDA the steering weights that form them). Integration consumes
+the cube it is given (`integrate`). An RDA's Doppler axis is as long as its
+dwell has chirps, so its velocity bins are read from `n_doppler`.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from .config import C_LIGHT, RadarConfig
 
 
 class CubeError(ValueError):
-    """Raised on cube contract violations (axis kinds, shapes)."""
+    """Raised on cube contract violations (shapes, channel counts)."""
 
 
 def axis_values(size: int) -> np.ndarray:
@@ -34,7 +38,6 @@ class DataCube:
     """Time-domain cube over (n, m, l-or-g)."""
 
     data: np.ndarray           # complex, shape (N, M, n_channels)
-    axis2_kind: str            # "element" | "beam"
     config: RadarConfig
 
     def __post_init__(self) -> None:
@@ -42,8 +45,6 @@ class DataCube:
             raise CubeError(f"cube must be 3-D, got shape {self.data.shape}")
         if min(self.data.shape) < 1:
             raise CubeError(f"cube dimensions must be positive, got {self.data.shape}")
-        if self.axis2_kind not in ("element", "beam"):
-            raise CubeError(f"axis2_kind must be 'element' or 'beam', got {self.axis2_kind!r}")
 
     @property
     def n_fast(self) -> int:

@@ -20,18 +20,22 @@ interpolating keystone transform (`tests/spectral_oracles.py`).
 
 The symmetric DFT (time and frequency both indexed about zero) of an
 even-length axis is a sign-modulated FFT, (-1)^(k + N/2) FFT((-1)^n x)[k],
-which needs one output array where the shift-based form needs four. The
-range DFT goes one step further and overwrites the intermediate that
-`integrate_cube` owns. With `overwrite_x=True` (scipy's sense: the input's
-contents are then lost), the chirp-z transform is written over the input
-cube too, so the whole integration runs in the input's buffer; the stare,
-which owns its channel cube, integrates that way.
+which needs one output array where the shift-based form needs four.
+
+Integration consumes its input: the chirp-z transform is written over a
+complex128 cube (each chunk reads its rows into the workspace before it
+writes them) and the range DFT over that, so a complex128 cube of even
+fast-time length integrates in its own buffer and the returned RDA shares
+it. Input of another dtype is read into a new complex128 array first. The
+stare builds the channel cube it integrates and never reads it again; a
+caller that needs its input afterwards passes a copy.
 
 Both transforms act on each channel alone, so they commute with
 beamforming, which mixes channels at each (n, m): an element cube
-integrates to the element RDA whose beams are the beam cube's RDA. The
-stare integrates whichever of its element and beam sets is smaller
-(`pipeline.stare`), and the transforms take either kind of cube.
+integrates to the element RDA whose beams are the beam cube's RDA. A cube
+carries no channel kind, so the transforms take any channel count; the
+stare integrates whichever of its element and beam sets is smaller and
+names the domain on the RDA (`pipeline.stare`, `RdaCube.weights`).
 
 Threading (`spans`): the chirp-z transform runs spans of fast-time rows on
 threads, each span with its own 1/workers share of the workspace budget,
@@ -47,7 +51,7 @@ import numpy as np
 import scipy.fft as sfft
 
 from . import spans
-from .cube import CubeError, DataCube, RdaCube, axis_values
+from .cube import DataCube, RdaCube, axis_values
 
 # cap on the convolution workspace of the Bluestein chunks, in complex
 # entries (chunk rows x FFT length x channels, summed over spans): 8 MB of
@@ -56,13 +60,11 @@ from .cube import CubeError, DataCube, RdaCube, axis_values
 _CHUNK_BUDGET = 1 << 19
 
 
-def _symmetric(
-    x: np.ndarray, axis: int, overwrite: bool = False, workers: int = 1
-) -> np.ndarray:
+def _symmetric(x: np.ndarray, axis: int, workers: int = 1) -> np.ndarray:
     """DFT along `axis` with both indices centred on zero.
 
-    With `overwrite`, an even-length complex `x` is transformed in place and
-    the result shares its buffer.
+    An even-length complex `x` is transformed in place and the result shares
+    its buffer.
     """
     x = np.asarray(x)
     n = x.shape[axis]
@@ -74,7 +76,7 @@ def _symmetric(
     sign = np.ones(n, dtype=np.result_type(x.real.dtype, np.float32))
     sign[1::2] = -1.0
     sign = sign.reshape(shape)
-    if overwrite and np.iscomplexobj(x):
+    if np.iscomplexobj(x):
         x *= sign
     else:
         x = x * sign
@@ -83,32 +85,20 @@ def _symmetric(
     return out
 
 
-def _require_channels(cube: DataCube) -> None:
-    """An element cube must hold the config's elements, which its beams are
-    later formed from; a beam cube may hold any beams."""
-    if cube.axis2_kind == "element" and cube.data.shape[2] != cube.config.n_elements:
-        raise CubeError(
-            f"element cube has {cube.data.shape[2]} channels, "
-            f"config says {cube.config.n_elements}"
-        )
-
-
-def _scaled_dft(
-    rows: np.ndarray, scales: np.ndarray, overwrite: bool = False
-) -> np.ndarray:
+def _scaled_dft(rows: np.ndarray, scales: np.ndarray) -> np.ndarray:
     """Per-row scaled DFT out[i,k,:] = sum_m rows[i,m,:] e^{-j2pi scales[i] k m / M}.
 
     Both k and m run over the symmetric index set of length M. Evaluated by the
     Bluestein factorization on spans of rows, each chunked over rows within
-    its share of the workspace budget. With `overwrite`, a complex128 `rows`
-    receives the result: each chunk reads its rows into the workspace before
-    it writes them, and spans are disjoint.
+    its share of the workspace budget. A complex128 `rows` receives the
+    result: each chunk reads its rows into the workspace before it writes
+    them, and spans are disjoint.
     """
     n_rows, n_slow, n_ch = rows.shape
     l_fft = sfft.next_fast_len(2 * n_slow - 1)
     bounds = spans.split(n_rows, rows.size)
     chunk = max(1, min(n_rows, _CHUNK_BUDGET // len(bounds) // (l_fft * n_ch)))
-    if overwrite and rows.dtype == np.complex128:
+    if rows.dtype == np.complex128:
         out = rows
     else:
         out = np.empty((n_rows, n_slow, n_ch), dtype=np.complex128)
@@ -141,16 +131,13 @@ def _scaled_dft(
     return out
 
 
-def scaled_slow_time_ft_fast(cube: DataCube, overwrite_x: bool = False) -> DataCube:
+def scaled_slow_time_ft_fast(cube: DataCube) -> DataCube:
     """Chirp-z evaluation of the scaled slow-time DFT, chunked over fast time.
 
-    With `overwrite_x`, a complex128 `cube.data` is overwritten by the result.
+    A complex128 `cube.data` is overwritten by the result.
     """
-    _require_channels(cube)
-    out = _scaled_dft(
-        cube.data, cube.config.keystone_scale(cube.fast_index()), overwrite=overwrite_x
-    )
-    return DataCube(data=out, axis2_kind=cube.axis2_kind, config=cube.config)
+    out = _scaled_dft(cube.data, cube.config.keystone_scale(cube.fast_index()))
+    return DataCube(data=out, config=cube.config)
 
 
 def range_ft(inter: DataCube) -> RdaCube:
@@ -159,14 +146,14 @@ def range_ft(inter: DataCube) -> RdaCube:
     The transform is written over `inter.data` when it is complex of even
     length; the returned cube then shares that buffer.
     """
-    data = _symmetric(inter.data, 0, overwrite=True, workers=spans.workers(inter.data.size))
+    data = _symmetric(inter.data, 0, workers=spans.workers(inter.data.size))
     return RdaCube(data=data, config=inter.config)
 
 
-def integrate_cube(cube: DataCube, overwrite_x: bool = False) -> RdaCube:
+def integrate_cube(cube: DataCube) -> RdaCube:
     """Scaled slow-time FT, then the range DFT in place on its output.
 
-    With `overwrite_x`, `cube.data` may be overwritten; for a complex128 cube
-    of even length the result then shares its buffer.
+    `cube.data` is consumed; for a complex128 cube of even length the result
+    shares its buffer.
     """
-    return range_ft(scaled_slow_time_ft_fast(cube, overwrite_x=overwrite_x))
+    return range_ft(scaled_slow_time_ft_fast(cube))

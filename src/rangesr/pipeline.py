@@ -343,9 +343,11 @@ def stare(
     beams than elements, each window is beamformed into its slice of one
     beam cube; otherwise it is copied into its slice of one element cube,
     and the RDA carries the steering weights, so the CFAR forms the beams
-    where it reads them. Either cube is then overwritten by the integration.
-    With `n_ex`, the rows that extraction reads (`decimation_rows`) are kept
-    as the last result; otherwise it is None.
+    where it reads them. The cube carries no channel kind; the RDA carries
+    the weights exactly when its channels are elements. The stare owns the
+    cube and never reads it again, so the integration consumes it and the
+    RDA shares its buffer. With `n_ex`, the rows that extraction reads
+    (`decimation_rows`) are kept as the last result; otherwise it is None.
 
     The windows come from one of two sources: `dwell_chunks`, which
     synthesises a scene's dwell window by window with its noise, and a grid
@@ -370,9 +372,8 @@ def stare(
         if kept is not None:
             kept[:, m0:m1] = chunk.data[pick]
         del chunk   # the element window goes before the next one is built
-    cube = DataCube(channels, "beam" if in_beams else "element", cfg)
-    rda = integrate_cube(cube, overwrite_x=True)
-    del cube, channels
+    rda = integrate_cube(DataCube(channels, cfg))
+    del channels
     weights = None if in_beams else steering_weights(cfg, grid)
     rda = replace(rda, beam_angles=tuple(grid.angles_rad), weights=weights)
     detections = merge_beam_duplicates(ca_cfar(rda))

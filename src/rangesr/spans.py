@@ -19,7 +19,11 @@ run on. The rule:
   worker.
 
 No workspace is sized from the gate: the chirp-z workspace (`integrate`) and
-the CFAR's group of beam maps (`cfar`) have budgets of their own.
+the CFAR's group of beam maps (`cfar`) have budgets of their own. The
+smaller working blocks share one size, `_BLOCK_ENTRIES` (2^16 entries, 1 MB
+of complex128): the row blocks of the synthesis product (`synth`) and of
+the CFAR's beam forming (`cfar`), and a grid trial's noise draws and chirp
+windows (`bench`).
 
 The first span runs on the calling thread and the others on the pool; every
 span finishes before `run` returns or raises. Span functions call numpy,
@@ -37,6 +41,9 @@ from concurrent.futures import ThreadPoolExecutor, wait
 # the input size, in entries, below which a pass runs inline, and the least
 # size of a dwell window (16 MB of complex128)
 _CHUNK_BUDGET = 1 << 20
+# entries per working block (1 MB of complex128, so a block stays in cache
+# while it is written)
+_BLOCK_ENTRIES = 1 << 16
 
 _affinity = getattr(os, "sched_getaffinity", None)   # absent on macOS and Windows
 WORKERS = len(_affinity(0)) if _affinity else os.cpu_count() or 1

@@ -151,8 +151,6 @@ class ExtractionRows:
 
     @classmethod
     def of(cls, cube: DataCube, n_ex: int) -> "ExtractionRows":
-        if cube.axis2_kind != "element":
-            raise ConfigError("extraction wants the raw element cube")
         return cls(cube.data[decimation_rows(cube.n_fast, n_ex)], cube.n_fast, cube.config)
 
 

@@ -43,8 +43,6 @@ from .cube import DataCube, axis_values
 
 # slow-time block size of the noise draws
 _CHUNK_M = 256
-# output samples per fast-time row block of the synthesis product
-_BLOCK_ENTRIES = 1 << 16
 
 
 class OutOfBandError(ConfigError):
@@ -78,7 +76,7 @@ def synth_beat_cube(
     n_chirps = m1 - m0
     data = np.zeros((n_fast, n_chirps, cfg.n_elements), dtype=np.complex128)
     if not targets:
-        return DataCube(data=data, axis2_kind="element", config=cfg)
+        return DataCube(data=data, config=cfg)
 
     n = axis_values(n_fast).astype(np.float64)
     dt = cfg.dt
@@ -102,7 +100,7 @@ def synth_beat_cube(
     # fills one row of a (K, rows * M) block, and one matrix product with
     # the (K, L) element phases writes the block's (rows * M, L) samples;
     # spans of whole blocks run on threads, each with its own signal buffer
-    rows = max(1, _BLOCK_ENTRIES // (n_chirps * cfg.n_elements))
+    rows = max(1, spans._BLOCK_ENTRIES // (n_chirps * cfg.n_elements))
     n_blocks = -(-n_fast // rows)
 
     def fill(b0: int, b1: int) -> None:
@@ -118,7 +116,7 @@ def synth_beat_cube(
             np.matmul(flat.T, phases, out=data[n0:n1].reshape(-1, cfg.n_elements))
 
     spans.run(fill, spans.split(n_blocks, data.size))
-    return DataCube(data=data, axis2_kind="element", config=cfg)
+    return DataCube(data=data, config=cfg)
 
 
 def noise_sigma(snr_db: float) -> float:

@@ -12,7 +12,7 @@ from rangesr.beamform import steering_vector
 from rangesr.cfar import DetectionGroup
 from rangesr.cube import CubeError, DataCube, axis_values
 from rangesr.config import C_LIGHT
-from rangesr.integrate import _require_channels, _scaled_dft, _symmetric
+from rangesr.integrate import _scaled_dft, _symmetric
 from rangesr.pipeline import dwell_chirps, dwell_chunks
 from rangesr.sdp import hermitize
 from rangesr.synth import array_phase
@@ -21,10 +21,11 @@ from rangesr.synth import array_phase
 def symmetric_fft(x, axis=0):
     """DFT with both time and frequency indexed symmetrically about zero.
 
-    Shares code with the package: it is `integrate._symmetric`, which the
-    range DFT runs in place, here on a copy.
+    Shares code with the package: it is `integrate._symmetric`, which runs
+    in place on complex input and so consumes the range DFT's input; the
+    oracle runs it on a copy and leaves `x` as it was.
     """
-    return _symmetric(x, axis)
+    return _symmetric(np.array(x), axis)
 
 
 def dwell_cube(scene, step):
@@ -36,7 +37,7 @@ def dwell_cube(scene, step):
     data = np.empty((cfg.n_fast, dwell_chirps(scene, step), cfg.n_elements), np.complex128)
     for m0, m1, chunk in dwell_chunks(scene, step):
         data[:, m0:m1] = chunk.data
-    return DataCube(data=data, axis2_kind="element", config=cfg)
+    return DataCube(data=data, config=cfg)
 
 
 def dft_peak_freq(x, pad=64):
@@ -62,9 +63,9 @@ def scaled_slow_time_ft_direct(cube: DataCube) -> DataCube:
     """O(M^2) direct evaluation of the scaled slow-time DFT.
 
     Independent of the chirp-z core: it shares only the package's scale
-    factors (`RadarConfig.keystone_scale`) and channel check.
+    factors (`RadarConfig.keystone_scale`). It reads `cube` and writes a new
+    cube, where the package's transform consumes its input.
     """
-    _require_channels(cube)
     m = axis_values(cube.n_slow).astype(np.float64)
     alphas = cube.config.keystone_scale(cube.fast_index())
     out = np.empty_like(cube.data, dtype=np.complex128)
@@ -72,13 +73,14 @@ def scaled_slow_time_ft_direct(cube: DataCube) -> DataCube:
     for i, alpha in enumerate(alphas):
         kernel = np.exp(-2j * np.pi * alpha / cube.n_slow * km)
         out[i] = kernel @ cube.data[i]
-    return DataCube(data=out, axis2_kind=cube.axis2_kind, config=cube.config)
+    return DataCube(data=out, config=cube.config)
 
 
 def range_profile_ft(cube: DataCube) -> np.ndarray:
     """Per-chirp range profiles: DFT along fast time only (no slow-time work).
 
-    Shares code with the package: it is `symmetric_fft` on axis 0.
+    Shares code with the package: it is `symmetric_fft` on axis 0, so it
+    leaves `cube` as it was.
     """
     return symmetric_fft(cube.data, axis=0)
 
@@ -96,13 +98,14 @@ def keystone_explicit(cube: DataCube) -> DataCube:
     and symmetric DFT (`integrate._symmetric`), so it checks the keystone's
     geometry, not the transform's arithmetic. Truncated finite-support
     kernels hop a range cell on the first/last few chirps (one-sided
-    windows); the full interpolant has no such edge.
+    windows); the full interpolant has no such edge. It reads `cube` and
+    writes a new cube: the chirp-z core runs on the conjugated spectrum, a
+    copy.
     """
-    _require_channels(cube)
     spec = symmetric_fft(cube.data, axis=1)
     inv_scales = 1.0 / cube.config.keystone_scale(cube.fast_index())
     out = np.conj(_scaled_dft(np.conj(spec), inv_scales)) / cube.n_slow
-    return DataCube(data=out, axis2_kind=cube.axis2_kind, config=cube.config)
+    return DataCube(data=out, config=cube.config)
 
 
 def beams_to_elements(cube: DataCube, grid) -> DataCube:
@@ -111,19 +114,21 @@ def beams_to_elements(cube: DataCube, grid) -> DataCube:
     With G >= L beams placed by `default_grid`, beamforming is an
     oversampled discrete Fourier transform along the element axis; the
     adjoint sum divided by G restores the element-domain samples exactly.
-    `grid` is the `BeamGrid` that formed the beam cube. Shares the
-    package's `steering_vector`, not its beamformer.
+    `grid` is the `BeamGrid` that formed the beam cube, whose channels are
+    its beams (a cube carries no kind). Shares the package's
+    `steering_vector`, not its beamformer.
     """
-    if cube.axis2_kind != "beam":
-        raise CubeError("beams_to_elements expects a beam cube")
     g = len(grid)
-    if g < cube.config.n_elements:
-        raise CubeError(f"need at least L={cube.config.n_elements} beams, got {g}")
+    if g < cube.config.n_elements or cube.data.shape[2] != g:
+        raise CubeError(
+            f"need the cube's beams, at least L={cube.config.n_elements} of them; "
+            f"the grid has {g}, the cube {cube.data.shape[2]}"
+        )
     weights = np.stack(
         [steering_vector(cube.config, a) for a in grid.angles_rad], axis=1
     )  # (L, G)
     data = cube.data @ weights.conj().T.astype(cube.data.dtype) / g
-    return DataCube(data=data, axis2_kind="element", config=cube.config)
+    return DataCube(data=data, config=cube.config)
 
 
 def synth_per_target(cfg, targets, n_slow):

@@ -29,7 +29,7 @@ from rangesr.config import ConfigError, UavTruth, from_json, to_json
 from rangesr.cube import DataCube
 from rangesr.integrate import integrate_cube
 from rangesr.pipeline import stare, table_radar_config
-from rangesr import bench, sdp
+from rangesr import bench, sdp, spans
 from rangesr.superres import ExtractionRows, FreqBand, extract_mmv, solve_by_name
 from rangesr.synth import noise_sigma, synth_beat_cube
 
@@ -53,6 +53,11 @@ def test_grid_spec_rejects_bad_fields():
         GridSpec(k_values=(1, 0))
     with pytest.raises(ConfigError, match="seed_base"):
         GridSpec(seed_base=-1)
+    # an empty axis leaves no cell to run, so the grid is refused before any
+    # trial is drawn
+    for axis in ("k_values", "delta_ratios", "snr_values_db"):
+        with pytest.raises(ConfigError, match=f"^{axis} must not be empty$"):
+            GridSpec(**{axis: ()})
 
 
 def test_a_repeated_method_is_rejected_before_any_trial(monkeypatch):
@@ -61,6 +66,15 @@ def test_a_repeated_method_is_rejected_before_any_trial(monkeypatch):
     spec = GridSpec(k_values=(1,), delta_ratios=(0.5,), trials=1)
     with pytest.raises(ConfigError, match=r"^method\(s\) fsram given more than once$"):
         compare_methods(spec, ("fsram", "ram", "fsram"))
+    assert prepared == []
+
+
+def test_an_empty_method_tuple_is_rejected_before_any_trial(monkeypatch):
+    prepared = []
+    monkeypatch.setattr(bench, "_prepare_trial", lambda *args: prepared.append(args))
+    spec = GridSpec(k_values=(1,), delta_ratios=(0.5,), trials=1)
+    with pytest.raises(ConfigError, match="^no method given"):
+        compare_methods(spec, ())
     assert prepared == []
 
 
@@ -350,7 +364,6 @@ def test_single_period_baseline_merges_equal_range_targets():
     mid = 64
     single = DataCube(
         data=np.ascontiguousarray(cube.data[:, mid : mid + 1, :]),
-        axis2_kind="element",
         config=cfg,
     )
     band = FreqBand(cfg.beat_freq(166.0), cfg.beat_freq(172.0))
@@ -371,7 +384,7 @@ def trial_cube():
                     trials=1, n_slow=64)
     data = _prepare_trial(spec, 2, 0.5, 0)
     noisy = data.clean + noise_sigma(10.0) * data.unit_noise
-    return DataCube(data=noisy, axis2_kind="element", config=table_radar_config())
+    return DataCube(data=noisy, config=table_radar_config())
 
 
 def test_stare_on_one_beam_is_cfar_and_grouping_of_the_integrated_beam(trial_cube):
@@ -411,7 +424,7 @@ def test_trial_windows_move_no_sample(monkeypatch, admm_budget, method):
 
     monkeypatch.setattr(bench, "solve_by_name", recording_solve)
     windowed = run_trial_method(spec, data, 10.0, method)
-    monkeypatch.setattr(bench, "_WINDOW_ENTRIES", data.clean.size)
+    monkeypatch.setattr(spans, "_BLOCK_ENTRIES", data.clean.size)
     assert len(list(bench._trial_windows(data, sigma, cfg))) == 1
     whole = run_trial_method(spec, data, 10.0, method)
     assert windowed == whole and math.isfinite(whole)
@@ -440,7 +453,6 @@ def test_one_chirp_extraction_ignores_the_doppler_bin(trial_cube):
     cfg = trial_cube.config
     single = DataCube(
         data=np.ascontiguousarray(trial_cube.data[:, 32:33, :]),
-        axis2_kind="element",
         config=cfg,
     )
     band = FreqBand(cfg.beat_freq(164.0), cfg.beat_freq(172.0))

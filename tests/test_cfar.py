@@ -32,11 +32,11 @@ def cfg():
 
 def rda_for(cfg, targets, n_slow=64):
     cube = synth_beat_cube(cfg, targets, n_slow)
-    return integrate_cube(DataCube(cube.data, "beam", cfg))
+    return integrate_cube(DataCube(cube.data, cfg))
 
 
 def blank_rda(cfg, n_slow=64):
-    return integrate_cube(DataCube(np.zeros((cfg.n_fast, n_slow, 1), complex), "beam", cfg))
+    return integrate_cube(DataCube(np.zeros((cfg.n_fast, n_slow, 1), complex), cfg))
 
 
 @pytest.fixture()
@@ -175,7 +175,7 @@ def test_lower_pfa_never_detects_more(cfar_constants):
     rng = np.random.default_rng(7)
     cfg1 = make_radar_config(10e9, 50e6, 12.8e-6, 5e6, 1)
     noise = rng.standard_normal((64, 64, 1)) + 1j * rng.standard_normal((64, 64, 1))
-    rda = integrate_cube(DataCube(noise.astype(complex), "beam", cfg1))
+    rda = integrate_cube(DataCube(noise.astype(complex), cfg1))
     counts = []
     for pfa in (1e-1, 1e-2, 1e-3, 1e-4):
         cfar_constants(_TRAIN_CELLS=4, _GUARD_CELLS=1, _PFA=pfa)
@@ -337,7 +337,7 @@ def test_element_cube_cfar_is_bit_identical_for_any_worker_count(monkeypatch):
     # groups of three maps, and the 64 x 48 x 8 cube counts as large
     monkeypatch.setattr(cfar, "_GROUP_ENTRIES", 3 * 64 * 48)
     monkeypatch.setattr(spans, "_CHUNK_BUDGET", 3 * 64 * 48)
-    monkeypatch.setattr(cfar, "_BLOCK_ENTRIES", 5 * 48 * 8)   # 13 blocks, the last short
+    monkeypatch.setattr(spans, "_BLOCK_ENTRIES", 5 * 48 * 8)   # 13 blocks, the last short
     runs = []
     for n in (1, 3):
         monkeypatch.setattr(spans, "WORKERS", n)

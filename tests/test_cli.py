@@ -180,9 +180,13 @@ def test_superres_failed_solve_exits_2_with_one_line(tmp_path, monkeypatch, caps
         ({"snr_dB": 0.0, "nex": 16}, "unknown Problem key(s): nex, snr_dB"),
         ({"ranges_m": None}, 'problem needs a non-empty "ranges_m" list'),
         ({"ranges_m": []}, 'problem needs a non-empty "ranges_m" list'),
+        # MUSIC's order must leave a noise subspace of the 32 extracted rows;
+        # -3 ran with no atoms and 40 was clamped to 31
+        ({"n_atoms": -3}, "n_atoms must be in [0, 31] for 32 rows, got -3"),
+        ({"n_atoms": 40}, "n_atoms must be in [0, 31] for 32 rows, got 40"),
     ],
     ids=["band_too_wide", "one_row", "negative_seed", "misspelled_keys", "no_ranges",
-         "empty_ranges"],
+         "empty_ranges", "negative_order", "order_over_the_rows"],
 )
 def test_superres_rejects_an_invalid_problem_with_exit_2(tmp_path, capsys, key, message):
     # a key set to None is left out of the problem
@@ -296,8 +300,13 @@ def test_pipeline_rejects_a_negative_seed_with_exit_2(tmp_path, scene_path, caps
         ({"k_value": [2]}, None, "unknown GridSpec key(s): k_value"),
         # the trial window, velocity and draw budget are fixed, not spec fields
         ({"max_draws": 50}, None, "unknown GridSpec key(s): max_draws"),
+        # an empty axis leaves no cell: it ran every trial and exited 0
+        ({"k_values": []}, None, "k_values must not be empty"),
+        ({"delta_ratios": []}, None, "delta_ratios must not be empty"),
+        ({"snr_values_db": []}, None, "snr_values_db must not be empty"),
     ],
-    ids=["no_trials", "negative_seed", "misspelled_key", "fixed_trial_scene_key"],
+    ids=["no_trials", "negative_seed", "misspelled_key", "fixed_trial_scene_key",
+         "no_k", "no_spacing", "no_snr"],
 )
 def test_bench_rejects_an_invalid_spec_with_exit_2(tmp_path, capsys, spec, seed, message):
     path = tmp_path / "spec.json"

@@ -52,7 +52,7 @@ def test_fsram_successes_on_the_grid_sit_near_the_bound(monkeypatch):
         return solved[-1][1]
 
     def extract(cube, group):
-        rows = ExtractionRows.of(DataCube(cube, "element", cfg), spec.n_ex)
+        rows = ExtractionRows.of(DataCube(cube, cfg), spec.n_ex)
         return group_mmv(rows, group).data
 
     monkeypatch.setattr(bench, "group_mmv", keep_group)

@@ -1,5 +1,7 @@
 """Cube containers and bin maps."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -13,10 +15,12 @@ def test_axis_values_are_symmetric():
 
 
 def test_data_cube_validation(tiny_cfg):
-    with pytest.raises(CubeError):
-        DataCube(data=np.zeros((4, 4)), axis2_kind="element", config=tiny_cfg)
-    with pytest.raises(CubeError):
-        DataCube(data=np.zeros((4, 4, 2), complex), axis2_kind="spam", config=tiny_cfg)
+    with pytest.raises(CubeError, match="3-D"):
+        DataCube(data=np.zeros((4, 4)), config=tiny_cfg)
+    with pytest.raises(CubeError, match="positive"):
+        DataCube(data=np.zeros((4, 4, 0), complex), config=tiny_cfg)
+    # a cube is its samples and its radar, with no channel kind
+    assert [f.name for f in fields(DataCube)] == ["data", "config"]
 
 
 def test_rda_bin_maps_round_trip(tiny_cfg):

@@ -9,7 +9,7 @@ import scipy.fft as sfft
 from rangesr import integrate, spans
 from rangesr.beamform import beamform_cube, default_grid, steering_weights
 from rangesr.config import UavTruth, make_radar_config
-from rangesr.cube import CubeError, DataCube, axis_values
+from rangesr.cube import DataCube, axis_values
 from rangesr.integrate import integrate_cube, range_ft, scaled_slow_time_ft_fast
 from rangesr.synth import synth_beat_cube
 from spectral_oracles import (
@@ -24,7 +24,7 @@ def random_beam_cube(cfg, n, m, g, seed):
     rng = np.random.default_rng(seed)
     data = rng.standard_normal((n, m, g)) + 1j * rng.standard_normal((n, m, g))
     # fast-time length is decoupled from cfg.n_fast for transform-only tests
-    return DataCube(data=data, axis2_kind="beam", config=cfg)
+    return DataCube(data=data, config=cfg)
 
 
 def rel_err(a, b):
@@ -60,27 +60,34 @@ def test_fast_path_matches_direct_oracle(tiny_cfg):
 
 def test_single_chirp_is_identity(tiny_cfg):
     cube = random_beam_cube(tiny_cfg, 8, 1, 2, seed=5)
-    assert np.allclose(scaled_slow_time_ft_fast(cube).data, cube.data, rtol=1e-12)
-    assert np.allclose(scaled_slow_time_ft_direct(cube).data, cube.data, rtol=1e-12)
+    data = cube.data.copy()   # the fast transform writes over the cube
+    assert np.allclose(scaled_slow_time_ft_direct(cube).data, data, rtol=1e-12)
+    assert np.allclose(scaled_slow_time_ft_fast(cube).data, data, rtol=1e-12)
 
 
 def test_zero_cube_stays_zero(tiny_cfg):
-    cube = DataCube(np.zeros((16, 8, 2), complex), "beam", tiny_cfg)
-    assert not scaled_slow_time_ft_fast(cube).data.any()
-    assert not integrate_cube(cube).data.any()
-
-
-def test_transforms_take_element_cubes_of_the_configs_elements(tiny_cfg):
-    # the transforms act per channel, so an element cube integrates as the
-    # same data read as beams would; its channels must be the config's elements
-    data = random_beam_cube(tiny_cfg, 16, 12, tiny_cfg.n_elements, seed=3).data
-    elements = integrate_cube(DataCube(data.copy(), "element", tiny_cfg))
-    assert np.array_equal(elements.data, integrate_cube(DataCube(data, "beam", tiny_cfg)).data)
-    assert scaled_slow_time_ft_fast(DataCube(data, "element", tiny_cfg)).axis2_kind == "element"
-    wrong = DataCube(np.zeros((8, 4, 3), complex), "element", tiny_cfg)
     for fn in (scaled_slow_time_ft_fast, integrate_cube):
-        with pytest.raises(CubeError, match="config says 4"):
-            fn(wrong)
+        assert not fn(DataCube(np.zeros((16, 8, 2), complex), tiny_cfg)).data.any()
+
+
+def test_transforms_act_on_each_channel_alone(tiny_cfg):
+    # a cube carries no kind, so any channel count integrates (three here,
+    # where the radar has four elements), each channel as it would alone
+    data = random_beam_cube(tiny_cfg, 16, 12, 3, seed=3).data
+    alone = [integrate_cube(DataCube(data[:, :, [c]], tiny_cfg)).data for c in range(3)]
+    rda = integrate_cube(DataCube(data, tiny_cfg))
+    for c in range(3):
+        assert rel_err(rda.data[:, :, [c]], alone[c]) < 1e-12
+
+
+def test_integration_reads_other_dtypes_into_a_new_cube(tiny_cfg):
+    # integration consumes a complex128 cube (`test_stream`); a cube of
+    # another dtype is read into a new complex128 array and left as it was
+    single = random_beam_cube(tiny_cfg, 16, 12, 2, seed=8).data.astype(np.complex64)
+    before = single.copy()
+    rda = integrate_cube(DataCube(single, tiny_cfg))
+    assert rda.data.dtype == np.complex128 and not np.shares_memory(rda.data, single)
+    assert np.array_equal(single, before)
 
 
 def test_beamformed_element_rda_is_the_beam_rda(tiny_cfg):
@@ -99,7 +106,7 @@ def test_beamformed_element_rda_is_the_beam_rda(tiny_cfg):
 
 
 def on_grid_truth(cfg, n_slow, range_bin, doppler_bin):
-    rda = integrate_cube(DataCube(np.zeros((cfg.n_fast, n_slow, 1), complex), "beam", cfg))
+    rda = integrate_cube(DataCube(np.zeros((cfg.n_fast, n_slow, 1), complex), cfg))
     return float(rda.range_of_bin(range_bin)), float(rda.velocity_of_bin(doppler_bin))
 
 
@@ -108,7 +115,7 @@ def test_on_grid_target_peaks_at_truth_bins(tiny_cfg_1ch):
     m = 64
     r0, v0 = on_grid_truth(cfg, m, 10, 7)
     cube = synth_beat_cube(cfg, [UavTruth(r0, v0)], m)
-    rda = integrate_cube(DataCube(cube.data, "beam", cfg))
+    rda = integrate_cube(DataCube(cube.data, cfg))
     i, j, _ = np.unravel_index(np.argmax(np.abs(rda.data)), rda.data.shape)
     rbin, dbin = i - cfg.n_fast // 2, j - m // 2
     assert (rbin, dbin) == (10, 7)
@@ -123,7 +130,7 @@ def test_doppler_ambiguity_wraps(tiny_cfg_1ch):
     v_alias = 299792458.0 / (4.0 * cfg.carrier_hz * cfg.chirp_s) * (2.0 + delta)
     r0, _ = on_grid_truth(cfg, m, 10, 0)
     cube = synth_beat_cube(cfg, [UavTruth(r0, v_alias)], m)
-    rda = integrate_cube(DataCube(cube.data, "beam", cfg))
+    rda = integrate_cube(DataCube(cube.data, cfg))
     _, j, _ = np.unravel_index(np.argmax(np.abs(rda.data)), rda.data.shape)
     # normalized Doppler (2 + delta)/2 wraps to delta/2
     assert j - m // 2 == round(m * delta / 2.0)
@@ -131,7 +138,7 @@ def test_doppler_ambiguity_wraps(tiny_cfg_1ch):
 
 def test_keystone_identity_for_stationary_target(tiny_cfg_1ch):
     cube = synth_beat_cube(tiny_cfg_1ch, [UavTruth(30.0, 0.0)], 32)
-    beam = DataCube(cube.data, "beam", tiny_cfg_1ch)
+    beam = DataCube(cube.data, tiny_cfg_1ch)
     kt = keystone_explicit(beam)
     assert rel_err(kt.data, beam.data) < 1e-9
 
@@ -145,7 +152,7 @@ def test_keystone_removes_range_walk():
     cfg = walk_cfg()
     v, m = 44.07, 2000
     cube = synth_beat_cube(cfg, [UavTruth(165.0, v)], m)
-    beam = DataCube(cube.data, "beam", cfg)
+    beam = DataCube(cube.data, cfg)
 
     def drift(bc):
         profiles = range_profile_ft(bc)
@@ -164,9 +171,9 @@ def test_keystone_then_plain_dft_matches_scaled_transform():
     m = 256
     r0, v0 = on_grid_truth(cfg, m, 10, 7)
     cube = synth_beat_cube(cfg, [UavTruth(r0, v0)], m)
-    beam = DataCube(cube.data, "beam", cfg)
+    beam = DataCube(cube.data, cfg)
     inter = symmetric_fft(keystone_explicit(beam).data, axis=1)
-    via_kt = range_ft(DataCube(inter, "beam", cfg))
+    via_kt = range_ft(DataCube(inter, cfg))
     via_czt = integrate_cube(beam)
     peak_kt = np.unravel_index(np.argmax(np.abs(via_kt.data)), via_kt.data.shape)
     peak_czt = np.unravel_index(np.argmax(np.abs(via_czt.data)), via_czt.data.shape)
@@ -177,9 +184,9 @@ def test_keystone_then_plain_dft_matches_scaled_transform():
 def test_keystone_and_scaled_transform_agree_on_migrating_peak():
     cfg = walk_cfg()
     cube = synth_beat_cube(cfg, [UavTruth(165.0, 44.07)], 256)
-    beam = DataCube(cube.data, "beam", cfg)
+    beam = DataCube(cube.data, cfg)
     inter = symmetric_fft(keystone_explicit(beam).data, axis=1)
-    via_kt = range_ft(DataCube(inter, "beam", cfg)).data
+    via_kt = range_ft(DataCube(inter, cfg)).data
     via_czt = integrate_cube(beam).data
     assert np.unravel_index(np.argmax(np.abs(via_kt)), via_kt.shape) == np.unravel_index(
         np.argmax(np.abs(via_czt)), via_czt.shape
@@ -188,11 +195,10 @@ def test_keystone_and_scaled_transform_agree_on_migrating_peak():
 
 def test_integrate_cube_is_slow_time_ft_then_range_ft(tiny_cfg):
     cube = random_beam_cube(tiny_cfg, 16, 12, 2, seed=9)
+    want = range_ft(scaled_slow_time_ft_fast(DataCube(cube.data.copy(), tiny_cfg))).data
     rda = integrate_cube(cube)
     assert rda.n_doppler == 12
-    assert np.allclose(
-        rda.data, range_ft(scaled_slow_time_ft_fast(cube)).data, rtol=1e-12, atol=1e-9
-    )
+    assert np.allclose(rda.data, want, rtol=1e-12, atol=1e-9)
 
 
 # ------------------------------------------------ transform oracles
@@ -234,7 +240,8 @@ def test_scaled_dft_matches_out_of_place_loop_bit_for_bit(monkeypatch, n_beams, 
     shape = (11, n_slow, n_beams)
     rows = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     scales = 1.0 + 1e-3 * rng.random(shape[0])
-    assert np.array_equal(integrate._scaled_dft(rows, scales), scaled_dft_reference(rows, scales))
+    want = scaled_dft_reference(rows, scales)
+    assert np.array_equal(integrate._scaled_dft(rows, scales), want)
 
 
 def shift_fft_reference(x, axis, inverse=False):
@@ -290,18 +297,21 @@ def test_scaled_dft_workspace_is_bounded_by_the_chunk_budget(monkeypatch, n_rows
     rng = np.random.default_rng(n_rows)
     rows = rng.standard_normal((n_rows, n_slow, n_beams)) + 0j
     peak, out = traced_peak_bytes(integrate._scaled_dft, rows, np.ones(n_rows))
-    # the convolution workspace holds at most `budget` entries and the chirp
-    # kernels a fraction of that; nothing grows with the row count
-    assert peak - out.nbytes <= 2 * budget * out.itemsize
+    # the result is written over the rows; the convolution workspace holds
+    # at most `budget` entries and the chirp kernels a fraction of that, so
+    # nothing grows with the row count
+    assert np.shares_memory(out, rows)
+    assert peak <= 2 * budget * out.itemsize
 
 
 def test_scaled_dft_workspace_is_cache_sized_on_a_stare_sized_cube(monkeypatch):
     # the default budget on 64 fast-time rows of step 2's five-beam,
-    # 5000-chirp stare: workspace, kernels and chirps take 12.9 MB, where a
-    # 4e6-entry budget took 77 MB
+    # 5000-chirp stare, written over the rows: workspace, kernels and chirps
+    # take 12.2 MB, where a 4e6-entry budget took 77 MB beyond the output
     monkeypatch.setattr(spans, "WORKERS", 2)
     rng = np.random.default_rng(3)
     shape = (64, 5000, 5)
     rows = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     peak, out = traced_peak_bytes(integrate._scaled_dft, rows, np.ones(shape[0]))
-    assert peak - out.nbytes <= 16e6, f"workspace {(peak - out.nbytes) / 1e6:.1f} MB"
+    assert np.shares_memory(out, rows)
+    assert peak <= 16e6, f"workspace {peak / 1e6:.1f} MB"

@@ -271,7 +271,7 @@ def per_beam_step2_reference(scene, angle_prior_rad, half_window=2):
     detections = []
     for slot, g in enumerate(window):
         w = steering_vector(cfg, angles[g])
-        beam = DataCube((cube.data @ w)[:, :, None], "beam", cfg)
+        beam = DataCube((cube.data @ w)[:, :, None], cfg)
         rda = replace(integrate_cube(beam), beam_angles=(angles[g],))
         detections += [replace(d, beam=slot) for d in ca_cfar(rda)]
     return merge_beam_duplicates(detections)

@@ -128,14 +128,14 @@ def test_an_error_in_any_span_reaches_the_caller_after_all_spans(monkeypatch, ba
 def test_synthesis_is_bit_identical_for_any_worker_count(threaded, monkeypatch):
     cfg = make_radar_config(10e9, 50e6, 12.8e-6, 5e6, 3)
     # 64 fast-time rows in blocks of 3: 22 blocks, the last one short
-    monkeypatch.setattr(synth, "_BLOCK_ENTRIES", 3 * 9 * 3)
+    monkeypatch.setattr(spans, "_BLOCK_ENTRIES", 3 * 9 * 3)
     targets = [UavTruth(30.0, 10.0, 0.1), UavTruth(41.3, -4.0, -0.3, amplitude=0.5j)]
     one, three = with_workers(threaded, lambda: synth.synth_beat_cube(cfg, targets, 9).data)
     assert np.array_equal(one, three)
 
 
 def test_beamforming_is_bit_identical_for_any_worker_count(threaded, tiny_cfg):
-    cube = DataCube(random_cube((37, 9, 4), 1), "element", tiny_cfg)
+    cube = DataCube(random_cube((37, 9, 4), 1), tiny_cfg)
     grid = FIVE_BEAMS
     one, three = with_workers(threaded, lambda: beamform_cube(cube, grid).data)
     assert np.array_equal(one, three)
@@ -147,7 +147,8 @@ def test_beamforming_is_bit_identical_for_any_worker_count(threaded, tiny_cfg):
 def test_chirp_z_is_bit_identical_for_any_worker_count(threaded, n_slow):
     rows = random_cube((37, n_slow, 5), n_slow)
     scales = 1.0 + 1e-3 * np.random.default_rng(0).random(37)
-    one, three = with_workers(threaded, lambda: _scaled_dft(rows, scales))
+    # the transform writes over its rows, so each run gets its own copy
+    one, three = with_workers(threaded, lambda: _scaled_dft(rows.copy(), scales))
     assert np.array_equal(one, three)
 
 
@@ -156,7 +157,7 @@ def test_range_ft_is_bit_identical_for_any_worker_count(threaded, tiny_cfg, n_fa
     data = random_cube((n_fast, 9, 5), n_fast)
 
     def run():
-        return range_ft(DataCube(data.copy(), "beam", tiny_cfg)).data
+        return range_ft(DataCube(data.copy(), tiny_cfg)).data
 
     one, three = with_workers(threaded, run)
     assert np.array_equal(one, three)
@@ -175,18 +176,20 @@ def test_threaded_chirp_z_shares_one_workspace_budget(threaded, monkeypatch):
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    # as on one thread: the spans' workspaces add up to the budget
-    assert peak - out.nbytes <= 2 * budget * out.itemsize
+    # as on one thread: the result is written over the rows, and the spans'
+    # workspaces add up to the budget
+    assert np.shares_memory(out, rows)
+    assert peak <= 2 * budget * out.itemsize
 
 
 def test_range_ft_overwrites_its_even_length_input(tiny_cfg):
-    inter = DataCube(random_cube((36, 9, 5), 3), "beam", tiny_cfg)
+    inter = DataCube(random_cube((36, 9, 5), 3), tiny_cfg)
     rda = range_ft(inter)
     assert np.shares_memory(rda.data, inter.data)
 
 
 def test_cfar_is_bit_identical_for_any_worker_count(threaded, tiny_cfg):
-    cube = DataCube(random_cube((64, 33, 4), 2), "element", tiny_cfg)
+    cube = DataCube(random_cube((64, 33, 4), 2), tiny_cfg)
     # a strong on-grid tone in every beam, over the random floor
     cube.data[:] += 30.0 * synth.synth_beat_cube(tiny_cfg, [UavTruth(30.0, 0.0)], 33).data
     rda = integrate_cube(beamform_cube(cube, FIVE_BEAMS))
@@ -199,7 +202,7 @@ def test_cfar_spans_carry_equal_work(threaded, tiny_cfg, monkeypatch):
     # five beams on two workers: every pass splits lines of one beam, not
     # beams, so no worker gets a beam more than the other
     rda = integrate_cube(
-        beamform_cube(DataCube(random_cube((64, 33, 4), 2), "element", tiny_cfg), FIVE_BEAMS)
+        beamform_cube(DataCube(random_cube((64, 33, 4), 2), tiny_cfg), FIVE_BEAMS)
     )
     seen = []
     run = spans.run

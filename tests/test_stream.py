@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 import scipy.fft as sfft
 
-from rangesr import cfar, integrate, pipeline, spans, synth
-from rangesr.beamform import BeamGrid, beamform_cube, default_grid
+from rangesr import bench, cfar, integrate, pipeline, spans, synth
+from rangesr.beamform import BeamGrid, beamform_cube, default_grid, steering_weights
 from rangesr.cfar import ca_cfar, cluster_detections, merge_beam_duplicates
 from rangesr.config import ConfigError, UavTruth, make_radar_config
 from rangesr.cube import DataCube
@@ -98,22 +98,21 @@ def test_streamed_stare_matches_the_whole_cube_chain(windows, cfg, monkeypatch, 
     scene = scene_of(cfg, 600, snr_db)
     grid = stare_window(cfg)
     cube = dwell_cube(scene, 2)
-    beams = beamform_cube(cube, grid)
-    rda = replace(integrate_cube(beams), beam_angles=grid.angles_rad)
+    beams = beamform_cube(cube, grid).data
+    rda = replace(integrate_cube(DataCube(beams.copy(), cfg)), beam_angles=grid.angles_rad)
     detections = merge_beam_duplicates(ca_cfar(rda))
 
     integrated = []
     real_integrate = pipeline.integrate_cube
 
-    def spy(cube, **kwargs):
-        integrated.append((cube.data.copy(), kwargs))
-        return real_integrate(cube, **kwargs)
+    def spy(cube):
+        integrated.append(cube.data.copy())
+        return real_integrate(cube)
 
     monkeypatch.setattr(pipeline, "integrate_cube", spy)
     got_rda, got_dets, got_groups, rows = stare(dwell_chunks(scene, 2), 600, grid, N_EX)
-    ((got_beams, kwargs),) = integrated
-    assert kwargs == {"overwrite_x": True}
-    assert np.array_equal(got_beams, beams.data)
+    (got_beams,) = integrated
+    assert np.array_equal(got_beams, beams)
     assert np.array_equal(got_rda.data, rda.data)
     assert got_dets == detections and len(detections) > 2
     assert got_groups == cluster_detections(detections)
@@ -123,23 +122,59 @@ def test_streamed_stare_matches_the_whole_cube_chain(windows, cfg, monkeypatch, 
 @pytest.mark.parametrize("n_beams, kind", [(32, "element"), (5, "beam"), (1, "beam")])
 def test_stare_integrates_the_smaller_channel_set(windows, monkeypatch, n_beams, kind):
     # 16 elements: the default grid's 32 beams integrate as the elements,
-    # a five-beam window and a single beam as the beams
+    # a five-beam window and a single beam as the beams. A cube carries no
+    # kind, so the channel count names the domain, and the RDA carries the
+    # steering weights exactly when its channels are the elements
     cfg = make_radar_config(10e9, 50e6, 12.8e-6, 5e6, 16)
     fan = default_grid(cfg)
     grid = fan if n_beams == 32 else BeamGrid(fan.angles_rad[14 : 14 + n_beams])
     integrated = []
     real_integrate = pipeline.integrate_cube
 
-    def spy(cube, **kwargs):
-        integrated.append((cube.axis2_kind, cube.data.shape[2]))
-        return real_integrate(cube, **kwargs)
+    def spy(cube):
+        integrated.append(cube.data.shape[2])
+        return real_integrate(cube)
 
     monkeypatch.setattr(pipeline, "integrate_cube", spy)
     scene = scene_of(cfg, 600, 0.0)
     rda, detections, _, _ = stare(dwell_chunks(scene, 2), 600, grid)
-    assert integrated == [(kind, min(n_beams, 16))]
+    assert integrated == [16 if kind == "element" else n_beams]
+    if kind == "element":
+        assert np.array_equal(rda.weights, steering_weights(cfg, grid))
+    else:
+        assert rda.weights is None
     assert rda.n_beams == n_beams and rda.beam_angles == grid.angles_rad
     assert detections and {d.beam for d in detections} <= set(range(n_beams))
+
+
+@pytest.mark.parametrize("stage", ["step1", "step2", "grid_trial"])
+def test_every_stare_integrates_in_its_own_channel_buffer(windows, monkeypatch, stage):
+    # the stare builds its channel cube and hands it over: step 1's 16
+    # elements, step 2's five beams and a grid trial's one beam are each
+    # integrated in place, so the RDA shares the cube's buffer
+    integrated = []
+    real_integrate = pipeline.integrate_cube
+
+    def spy(cube):
+        rda = real_integrate(cube)
+        integrated.append((cube.data.shape[2], np.shares_memory(cube.data, rda.data)))
+        return rda
+
+    monkeypatch.setattr(pipeline, "integrate_cube", spy)
+    if stage == "grid_trial":
+        spec = bench.GridSpec(k_values=(1,), delta_ratios=(0.5,), snr_values_db=(10.0,),
+                              trials=1, n_slow=64)
+        bench.run_trial_method(spec, bench._prepare_trial(spec, 1, 0.5, 0), 10.0, "music")
+        assert integrated == [(1, True)]
+        return
+    cfg = make_radar_config(10e9, 50e6, 12.8e-6, 5e6, 16)
+    scene = scene_of(cfg, 600, 0.0)
+    if stage == "step1":
+        run_step1(scene)
+        assert integrated == [(16, True)]
+    else:
+        run_step2(scene, 0.15, n_ex=N_EX)
+        assert integrated == [(5, True)]
 
 
 def test_step1_keeps_no_rows(windows, cfg):
@@ -184,16 +219,16 @@ def test_extraction_rows_must_match_n_ex(cfg):
 def test_integrate_in_place_equals_the_default_and_shares_the_buffer(
     cfg, monkeypatch, budget
 ):
+    # the default: one inline span, the integration run on a copy
+    rng = np.random.default_rng(7)
+    shape = (64, 45, 5)
+    x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    want = integrate_cube(DataCube(x.copy(), cfg))
     if budget is not None:
         # threaded spans of one-row chunks
         monkeypatch.setattr(spans, "_CHUNK_BUDGET", budget)
         monkeypatch.setattr(spans, "WORKERS", 3)
-    rng = np.random.default_rng(7)
-    shape = (64, 45, 5)
-    x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    beams = DataCube(x, "beam", cfg)
-    want = integrate_cube(DataCube(x.copy(), "beam", cfg))
-    got = integrate_cube(beams, overwrite_x=True)
+    got = integrate_cube(DataCube(x, cfg))
     assert np.array_equal(got.data, want.data)
     assert np.shares_memory(got.data, x)
 

@@ -117,13 +117,6 @@ def test_band_validation_and_properties():
 # -------------------------------------------------------------- extraction
 
 
-def test_extract_rejects_beamformed_cube(cfg):
-    cube = synth_beat_cube(cfg, [static_target(60.0)], 8)
-    beamish = DataCube(data=cube.data, axis2_kind="beam", config=cfg)
-    with pytest.raises(ConfigError, match="element"):
-        extract(beamish, 0.0, FreqBand(0.2, 0.3))
-
-
 def test_extract_rejects_full_band(cfg):
     # n_ex=32 -> step=2; 2 * 0.5 = 1 exceeds the half cycle a band may span
     cube = synth_beat_cube(cfg, [static_target(60.0)], 8)
@@ -216,7 +209,7 @@ def test_extract_noise_and_signal_gain_bookkeeping(cfg):
         rng.standard_normal((cfg.n_fast, n_slow, cfg.n_elements))
         + 1j * rng.standard_normal((cfg.n_fast, n_slow, cfg.n_elements))
     ) * (sigma / np.sqrt(2.0))
-    noise_cube = DataCube(data=noise, axis2_kind="element", config=cfg)
+    noise_cube = DataCube(data=noise, config=cfg)
     band = FreqBand(0.25, 0.40)
     mm_noise = extract(noise_cube, 0.0, band, n_ex=32)
     assert mm_noise.sigma == pytest.approx(sigma * np.sqrt(n_slow), rel=0.1)
