@@ -161,20 +161,17 @@ def test_every_stare_integrates_in_its_own_channel_buffer(windows, monkeypatch, 
         return rda
 
     monkeypatch.setattr(pipeline, "integrate_cube", spy)
-    if stage == "grid_trial":
-        spec = bench.GridSpec(k_values=(1,), delta_ratios=(0.5,), snr_values_db=(10.0,),
-                              trials=1, n_slow=64)
-        bench.run_trial_method(spec, bench._prepare_trial(spec, 1, 0.5, 0), 10.0, "music")
-        assert integrated == [(1, True)]
-        return
-    cfg = make_radar_config(10e9, 50e6, 12.8e-6, 5e6, 16)
-    scene = scene_of(cfg, 600, 0.0)
-    if stage == "step1":
-        run_step1(scene)
-        assert integrated == [(16, True)]
-    else:
-        run_step2(scene, 0.15, n_ex=N_EX)
-        assert integrated == [(5, True)]
+    scene = scene_of(make_radar_config(10e9, 50e6, 12.8e-6, 5e6, 16), 600, 0.0)
+    spec = bench.GridSpec(k_values=(1,), delta_ratios=(0.5,), snr_values_db=(10.0,),
+                          trials=1, n_slow=64)
+    run, width = {
+        "step1": (lambda: run_step1(scene), 16),
+        "step2": (lambda: run_step2(scene, 0.15, n_ex=N_EX), 5),
+        "grid_trial": (lambda: bench.run_trial_method(
+            spec, bench._prepare_trial(spec, 1, 0.5, 0), 10.0, "music"), 1),
+    }[stage]
+    run()
+    assert integrated == [(width, True)]
 
 
 def test_step1_keeps_no_rows(windows, cfg):
