@@ -10,9 +10,10 @@ no beam angles. Only the package builds cubes (synthesis, beamforming, the
 stare and the grid trial), and each knows what its channels are:
 `beamform_cube` checks that a cube holds the radar's elements, and
 `pipeline.stare` names the beams once, on the RDA it integrates (and gives
-an element RDA the steering weights that form them). Integration consumes
-the cube it is given (`integrate`). An RDA's Doppler axis is as long as its
-dwell has chirps, so its velocity bins are read from `n_doppler`.
+an element RDA the steering weights that form them). The stare's
+integration overwrites the cube it builds (`integrate`). An RDA's Doppler
+axis is as long as its dwell has chirps, so its velocity bins are read from
+`n_doppler`.
 """
 
 from __future__ import annotations

@@ -22,13 +22,14 @@ The symmetric DFT (time and frequency both indexed about zero) of an
 even-length axis is a sign-modulated FFT, (-1)^(k + N/2) FFT((-1)^n x)[k],
 which needs one output array where the shift-based form needs four.
 
-Integration consumes its input: the chirp-z transform is written over a
-complex128 cube (each chunk reads its rows into the workspace before it
-writes them) and the range DFT over that, so a complex128 cube of even
-fast-time length integrates in its own buffer and the returned RDA shares
-it. Input of another dtype is read into a new complex128 array first. The
-stare builds the channel cube it integrates and never reads it again; a
-caller that needs its input afterwards passes a copy.
+The transforms consume their input: the chirp-z transform is written over
+a complex128 cube (each chunk reads its rows into the workspace before it
+writes them) and the range DFT over that. Input of another dtype is read
+into a new complex128 array first. `integrate_cube` leaves its input as it
+was unless `overwrite_x` (scipy's sense: the input's contents are then
+lost); the stare, which builds its channel cube and never reads it again,
+passes it, so a complex128 cube of even fast-time length integrates in its
+own buffer and the returned RDA shares it.
 
 Both transforms act on each channel alone, so they commute with
 beamforming, which mixes channels at each (n, m): an element cube
@@ -150,10 +151,13 @@ def range_ft(inter: DataCube) -> RdaCube:
     return RdaCube(data=data, config=inter.config)
 
 
-def integrate_cube(cube: DataCube) -> RdaCube:
+def integrate_cube(cube: DataCube, overwrite_x: bool = False) -> RdaCube:
     """Scaled slow-time FT, then the range DFT in place on its output.
 
-    `cube.data` is consumed; for a complex128 cube of even length the result
-    shares its buffer.
+    The transforms run on a complex128 copy of `cube.data`; with
+    `overwrite_x` they run on `cube.data` itself, and for a complex128 cube
+    of even length the result shares its buffer.
     """
+    if not overwrite_x:
+        cube = DataCube(np.array(cube.data, dtype=np.complex128), cube.config)
     return range_ft(scaled_slow_time_ft_fast(cube))

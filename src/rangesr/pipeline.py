@@ -345,8 +345,8 @@ def stare(
     and the RDA carries the steering weights, so the CFAR forms the beams
     where it reads them. The cube carries no channel kind; the RDA carries
     the weights exactly when its channels are elements. The stare owns the
-    cube and never reads it again, so the integration consumes it and the
-    RDA shares its buffer. With `n_ex`, the rows that extraction reads
+    cube and never reads it again, so the integration overwrites it and
+    the RDA shares its buffer. With `n_ex`, the rows that extraction reads
     (`decimation_rows`) are kept as the last result; otherwise it is None.
 
     The windows come from one of two sources: `dwell_chunks`, which
@@ -372,7 +372,7 @@ def stare(
         if kept is not None:
             kept[:, m0:m1] = chunk.data[pick]
         del chunk   # the element window goes before the next one is built
-    rda = integrate_cube(DataCube(channels, cfg))
+    rda = integrate_cube(DataCube(channels, cfg), overwrite_x=True)
     del channels
     weights = None if in_beams else steering_weights(cfg, grid)
     rda = replace(rda, beam_angles=tuple(grid.angles_rad), weights=weights)

@@ -80,14 +80,19 @@ def test_transforms_act_on_each_channel_alone(tiny_cfg):
         assert rel_err(rda.data[:, :, [c]], alone[c]) < 1e-12
 
 
-def test_integration_reads_other_dtypes_into_a_new_cube(tiny_cfg):
-    # integration consumes a complex128 cube (`test_stream`); a cube of
-    # another dtype is read into a new complex128 array and left as it was
-    single = random_beam_cube(tiny_cfg, 16, 12, 2, seed=8).data.astype(np.complex64)
-    before = single.copy()
-    rda = integrate_cube(DataCube(single, tiny_cfg))
-    assert rda.data.dtype == np.complex128 and not np.shares_memory(rda.data, single)
-    assert np.array_equal(single, before)
+@pytest.mark.parametrize("dtype", [np.complex128, np.complex64])
+def test_integration_overwrites_its_input_only_when_asked(tiny_cfg, dtype):
+    # by default the cube is left as it was; with overwrite_x a complex128
+    # cube is integrated in its own buffer (as the stare's is, `test_stream`)
+    # and a cube of another dtype is read into a new complex128 array
+    data = random_beam_cube(tiny_cfg, 16, 12, 2, seed=8).data.astype(dtype)
+    before = data.copy()
+    want = integrate_cube(DataCube(data, tiny_cfg))
+    assert want.data.dtype == np.complex128 and not np.shares_memory(want.data, data)
+    assert np.array_equal(data, before)
+    got = integrate_cube(DataCube(data, tiny_cfg), overwrite_x=True)
+    assert np.array_equal(got.data, want.data)
+    assert np.shares_memory(got.data, data) == (dtype == np.complex128)
 
 
 def test_beamformed_element_rda_is_the_beam_rda(tiny_cfg):
@@ -195,10 +200,11 @@ def test_keystone_and_scaled_transform_agree_on_migrating_peak():
 
 def test_integrate_cube_is_slow_time_ft_then_range_ft(tiny_cfg):
     cube = random_beam_cube(tiny_cfg, 16, 12, 2, seed=9)
-    want = range_ft(scaled_slow_time_ft_fast(DataCube(cube.data.copy(), tiny_cfg))).data
     rda = integrate_cube(cube)
     assert rda.n_doppler == 12
-    assert np.allclose(rda.data, want, rtol=1e-12, atol=1e-9)
+    assert np.allclose(
+        rda.data, range_ft(scaled_slow_time_ft_fast(cube)).data, rtol=1e-12, atol=1e-9
+    )
 
 
 # ------------------------------------------------ transform oracles

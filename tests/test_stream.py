@@ -98,21 +98,21 @@ def test_streamed_stare_matches_the_whole_cube_chain(windows, cfg, monkeypatch, 
     scene = scene_of(cfg, 600, snr_db)
     grid = stare_window(cfg)
     cube = dwell_cube(scene, 2)
-    beams = beamform_cube(cube, grid).data
-    rda = replace(integrate_cube(DataCube(beams.copy(), cfg)), beam_angles=grid.angles_rad)
+    beams = beamform_cube(cube, grid)
+    rda = replace(integrate_cube(beams), beam_angles=grid.angles_rad)
     detections = merge_beam_duplicates(ca_cfar(rda))
 
     integrated = []
     real_integrate = pipeline.integrate_cube
 
-    def spy(cube):
+    def spy(cube, **kwargs):
         integrated.append(cube.data.copy())
-        return real_integrate(cube)
+        return real_integrate(cube, **kwargs)
 
     monkeypatch.setattr(pipeline, "integrate_cube", spy)
     got_rda, got_dets, got_groups, rows = stare(dwell_chunks(scene, 2), 600, grid, N_EX)
     (got_beams,) = integrated
-    assert np.array_equal(got_beams, beams)
+    assert np.array_equal(got_beams, beams.data)
     assert np.array_equal(got_rda.data, rda.data)
     assert got_dets == detections and len(detections) > 2
     assert got_groups == cluster_detections(detections)
@@ -131,9 +131,9 @@ def test_stare_integrates_the_smaller_channel_set(windows, monkeypatch, n_beams,
     integrated = []
     real_integrate = pipeline.integrate_cube
 
-    def spy(cube):
+    def spy(cube, **kwargs):
         integrated.append(cube.data.shape[2])
-        return real_integrate(cube)
+        return real_integrate(cube, **kwargs)
 
     monkeypatch.setattr(pipeline, "integrate_cube", spy)
     scene = scene_of(cfg, 600, 0.0)
@@ -155,8 +155,8 @@ def test_every_stare_integrates_in_its_own_channel_buffer(windows, monkeypatch, 
     integrated = []
     real_integrate = pipeline.integrate_cube
 
-    def spy(cube):
-        rda = real_integrate(cube)
+    def spy(cube, **kwargs):
+        rda = real_integrate(cube, **kwargs)
         integrated.append((cube.data.shape[2], np.shares_memory(cube.data, rda.data)))
         return rda
 
@@ -220,12 +220,12 @@ def test_integrate_in_place_equals_the_default_and_shares_the_buffer(
     rng = np.random.default_rng(7)
     shape = (64, 45, 5)
     x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    want = integrate_cube(DataCube(x.copy(), cfg))
+    want = integrate_cube(DataCube(x, cfg))
     if budget is not None:
         # threaded spans of one-row chunks
         monkeypatch.setattr(spans, "_CHUNK_BUDGET", budget)
         monkeypatch.setattr(spans, "WORKERS", 3)
-    got = integrate_cube(DataCube(x, cfg))
+    got = integrate_cube(DataCube(x, cfg), overwrite_x=True)
     assert np.array_equal(got.data, want.data)
     assert np.shares_memory(got.data, x)
 
