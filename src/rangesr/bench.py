@@ -49,7 +49,7 @@ from .beamform import BeamGrid
 from .config import ConfigError, RadarConfig, UavTruth, to_json
 from .cube import DataCube
 from .pipeline import group_mmv, stare, table_radar_config
-from .superres import SuperResError, solve_by_name
+from .superres import METHODS, SuperResError, solve_by_name
 from .synth import noise_sigma, synth_beat_cube
 
 # Not called here: perfbench/layers.py patches these names in this module; the
@@ -58,7 +58,6 @@ from .cfar import ca_cfar, cluster_detections  # noqa: F401
 from .integrate import integrate_cube  # noqa: F401
 from .superres import extract_mmv  # noqa: F401
 
-METHODS = ("fsram", "ram", "music")
 
 # the trial scene: K targets drawn in a two-cell window from 165 m, all at
 # the velocity of the paper's experiment tables; a cell whose spacing cannot

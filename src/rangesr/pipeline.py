@@ -26,12 +26,11 @@ from one generator carried across the windows. `stare` copies each window
 into its slice of the element cube, or beamforms it into its slice of the
 beam cube, and keeps only the fast-time rows that step 3 extracts from
 (`run_step2` returns them beside its report); so step 2 never holds its
-element cube. A window is the smallest multiple of `synth._CHUNK_M` chirps
-that holds at least `spans._CHUNK_BUDGET` entries: the multiple keeps the
-noise draws those of the whole dwell, and the size keeps synthesis and
-beamforming threaded. At the table radar's 16 elements one noise block
-already holds that many at 5.12 and at 50 MHz, so a window is 256 chirps
-(32 MB of complex128 at 5.12 MHz).
+element cube. A window is one noise block, `synth._CHUNK_M` (256) chirps,
+so the windows draw the noise of the whole dwell. At the table radar's 16
+elements a window holds 2^21 entries at 5.12 MHz (32 MB of complex128) and
+2.048e7 at 50 MHz, over the `spans._CHUNK_BUDGET` gate, so synthesis and
+beamforming of each window still use every worker.
 
 Scenes are JSON-serializable truth sets. The two dwells observe the scene at
 different times; the long-dwell truth can be given explicitly (as the
@@ -41,14 +40,12 @@ gap.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, replace
-from itertools import groupby
 
 import numpy as np
 
-from . import spans, synth
+from . import synth
 from .beamform import BeamGrid, beamform_cube, default_grid, steering_weights
 from .cfar import (
     Detection,
@@ -57,7 +54,7 @@ from .cfar import (
     cluster_detections,
     merge_beam_duplicates,
 )
-from .config import C_LIGHT, ConfigError, RadarConfig, UavTruth, from_json, to_json
+from .config import ConfigError, RadarConfig, UavTruth, from_json, to_json
 from .cube import DataCube, RdaCube
 from .integrate import integrate_cube
 from .superres import (
@@ -67,6 +64,7 @@ from .superres import (
     decimation_rows,
     extract_mmv,
     prior_band,
+    require_method,
     solve_by_name,
 )
 from .synth import add_noise, synth_beat_cube
@@ -209,15 +207,9 @@ def dwell_chirps(scene: Scene, step: int) -> int:
     return _n_chirps(dwell, scene.config.chirp_s)
 
 
-def _chunk_chirps(cfg: RadarConfig) -> int:
-    """Chirps per dwell window: the smallest multiple of the noise block whose
-    window holds at least `spans._CHUNK_BUDGET` entries."""
-    block = synth._CHUNK_M * cfg.n_fast * cfg.n_elements
-    return synth._CHUNK_M * max(1, -(-spans._CHUNK_BUDGET // block))
-
-
 def dwell_chunks(scene: Scene, step: int) -> Iterator[tuple[int, int, DataCube]]:
-    """The noisy element cube of a dwell as `(m0, m1, chirps [m0, m1))`.
+    """The noisy element cube of a dwell as `(m0, m1, chirps [m0, m1))`,
+    one noise block (`synth._CHUNK_M` chirps) a window.
 
     Step 1 observes `uavs` for `dwell1_s`, step 2 the step-2 truths for
     `dwell2_s`; the noise generator is seeded with `seed * 10 + step`.
@@ -225,10 +217,9 @@ def dwell_chunks(scene: Scene, step: int) -> Iterator[tuple[int, int, DataCube]]
     cfg = scene.config
     truths = scene.uavs if step == 1 else scene.step2_truths()
     n_slow = dwell_chirps(scene, step)
-    width = _chunk_chirps(cfg)
     rng = np.random.default_rng(scene.seed * 10 + step)
-    for m0 in range(0, n_slow, width):
-        m1 = min(m0 + width, n_slow)
+    for m0 in range(0, n_slow, synth._CHUNK_M):
+        m1 = min(m0 + synth._CHUNK_M, n_slow)
         chunk = synth_beat_cube(cfg, truths, n_slow, m0, m1)
         yield m0, m1, add_noise(chunk, scene.snr_db, rng_seed=rng)
         del chunk   # only the consumer may hold this window while the next is built
@@ -285,7 +276,7 @@ class UavEstimate:
     atom's weight in T(u) for a step-3 one: a reweighted value that depends
     on the SDP's fixed pass count and inner tolerance
     (`SuperResResult.powers`), so it is for relative use only (the 10%
-    leakage test and the dedup order)."""
+    leakage test)."""
 
     range_m: float
     velocity_mps: float
@@ -433,31 +424,6 @@ def run_step2(
     return report, rows
 
 
-def _dedup(estimates: list[UavEstimate], cfg: RadarConfig, n_slow: int) -> list[UavEstimate]:
-    """The estimates by rising range, less each one within range_tol and
-    vel_tol of a stronger one kept before it (ties in power keep input
-    order). A kept estimate is filed under its (range_tol, vel_tol) cell, so
-    a duplicate can only sit in the 3x3 cells around an estimate's own."""
-    range_tol = 1e-3 * cfg.range_res_m
-    vel_tol = 1e-3 * C_LIGHT / (2.0 * n_slow * cfg.chirp_s * cfg.carrier_hz)
-    kept: list[UavEstimate] = []
-    cells: dict[tuple[int, int], list[UavEstimate]] = {}
-    for est in sorted(estimates, key=lambda e: -e.power):
-        i, j = math.floor(est.range_m / range_tol), math.floor(est.velocity_mps / vel_tol)
-        dup = any(
-            abs(est.range_m - k.range_m) < range_tol
-            and abs(est.velocity_mps - k.velocity_mps) < vel_tol
-            for di in (-1, 0, 1)
-            for dj in (-1, 0, 1)
-            for k in cells.get((i + di, j + dj), ())
-        )
-        if not dup:
-            kept.append(est)
-            cells.setdefault((i, j), []).append(est)
-    kept.sort(key=lambda e: e.range_m)
-    return kept
-
-
 def _strip_leakage(
     atoms: list[UavEstimate], cfg: RadarConfig
 ) -> tuple[list[UavEstimate], dict[int, int]]:
@@ -505,13 +471,15 @@ def run_step3(
     bug and propagates. Solved: its in-band atoms within 20 dB of its
     strongest atom. `_strip_leakage` then drops, across groups, the atoms
     that echo a much stronger atom of another group (`leakage_atoms` in the
-    group's report), and the groups' answers, in group order, are
-    deduplicated and sorted by range.
+    group's report). The estimates are the kept atoms and the CFAR estimate
+    of each group that kept none, sorted by range; exact range ties keep
+    that order (atoms in group order, then CFAR estimates in group order).
 
     Single-cell groups are solved too: several targets in one range-Doppler
     cell look exactly like one, so cell count cannot identify the
     multi-target suspects; the leakage filter is the cost of that.
     """
+    require_method(method)
     cfg = rows.config
     power_top = max((g.strongest.power for g in step2.groups), default=0.0)
     atoms: list[UavEstimate] = []
@@ -549,12 +517,10 @@ def run_step3(
     kept, dropped = _strip_leakage(atoms, cfg)
     for gi, n in dropped.items():
         group_reports[gi]["leakage_atoms"] = n
-    # the atoms come group by group, and the filter keeps their order
-    answers = {gi: list(own) for gi, own in groupby(kept, key=lambda a: a.group_index)}
-    estimates: list[UavEstimate] = []
-    for gi, fallback in enumerate(fallbacks):
-        estimates += answers.get(gi, [fallback])
-    return LocalizationResult(_dedup(estimates, cfg, step2.n_chirps), group_reports, method)
+    answered = {atom.group_index for atom in kept}
+    estimates = kept + [f for f in fallbacks if f.group_index not in answered]
+    estimates.sort(key=lambda e: e.range_m)
+    return LocalizationResult(estimates, group_reports, method)
 
 
 @dataclass
@@ -582,6 +548,10 @@ class FullRunResult:
 
 
 def run_full(scene: Scene, method: str = "fsram", n_ex: int = 32) -> FullRunResult:
+    """Steps 1 to 3 on `scene`. The method and `n_ex` are checked before
+    step 1 runs, so a bad one raises `ConfigError` at once."""
+    require_method(method)
+    decimation_rows(scene.config.n_fast, n_ex)
     step1 = run_step1(scene)
     if not step1.detections:
         return FullRunResult(scene, step1, None, None, method)

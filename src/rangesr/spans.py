@@ -13,10 +13,9 @@ run on. The rule:
   outputs are bit-identical for any worker count;
 - inputs below `_CHUNK_BUDGET` (2^20) complex entries run inline on the
   calling thread, so small cubes (the Monte Carlo grid's 512 x 64 x 16
-  trial cube, 2^19 entries) never start a thread;
-- the pipeline cuts a dwell into chirp windows of at least `_CHUNK_BUDGET`
-  entries, so each window's synthesis and beamforming still use every
-  worker.
+  trial cube, 2^19 entries) never start a thread, while a dwell window of
+  the table radar (256 chirps, 2^21 entries at 5.12 MHz; `pipeline`) uses
+  every worker.
 
 No workspace is sized from the gate: the chirp-z workspace (`integrate`) and
 the CFAR's group of beam maps (`cfar`) have budgets of their own. The
@@ -38,8 +37,8 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor, wait
 
-# the input size, in entries, below which a pass runs inline, and the least
-# size of a dwell window (16 MB of complex128)
+# the input size, in entries, below which a pass runs inline (16 MB of
+# complex128)
 _CHUNK_BUDGET = 1 << 20
 # entries per working block (1 MB of complex128, so a block stays in cache
 # while it is written)

@@ -235,8 +235,8 @@ class SuperResResult:
     where the inner residual test (`sdp._TOL_REL`) stops each pass: at 1e-3
     they read 0.90-1.58x (fsram) and 0.80-1.20x (ram) of their 1e-6 values
     on those solves. Use them only relative to each other, as the step-3
-    gates do (the 1% keep gate, the 10% leakage test, the dedup order and
-    `top_ranges`). For music they are mean squared amplitudes.
+    gates (the 1% keep gate, the 10% leakage test) and `top_ranges` do.
+    For music they are mean squared amplitudes.
     """
 
     method: str
@@ -339,6 +339,13 @@ def _music(mmv: MmvMatrix, n_sources: int | None) -> SuperResResult:
 
 # what a failed solve of each method calls itself
 _SOLVE_KIND = {"fsram": "band-constrained", "ram": "unconstrained", "music": "music"}
+METHODS = tuple(_SOLVE_KIND)
+
+
+def require_method(method: str) -> None:
+    """Raise ConfigError unless `solve_by_name` runs `method`."""
+    if method not in METHODS:
+        raise ConfigError(f"unknown method {method!r}; choose from {','.join(METHODS)}")
 
 
 def solve_by_name(method: str, mmv: MmvMatrix, n_sources: int | None = None) -> SuperResResult:
@@ -347,8 +354,7 @@ def solve_by_name(method: str, mmv: MmvMatrix, n_sources: int | None = None) -> 
     MUSIC's model order (MDL when None); fsram and ram find their own order.
     The SDP's noise budget is `mmv.default_eta()`. A solve that fails, in
     the SDP's audit or in a linear-algebra routine, raises SuperResError."""
-    if method not in _SOLVE_KIND:
-        raise ConfigError(f"unknown method {method!r}")
+    require_method(method)
     try:
         if method == "music":
             return _music(mmv, n_sources)

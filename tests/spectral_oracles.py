@@ -196,29 +196,6 @@ def psd_project_eigh(a):
     return (vecs * vals) @ vecs.conj().T
 
 
-def dedup_all_pairs(estimates, cfg, n_slow):
-    """Estimates without duplicates, by testing each against every kept one.
-
-    The package files kept estimates by cell and tests only the 3x3
-    neighbouring cells; this oracle shares nothing with it: in falling
-    power (stable), an estimate within range_tol and vel_tol of any kept
-    estimate is dropped, and the kept ones are sorted by range.
-    """
-    range_tol = 1e-3 * cfg.range_res_m
-    vel_tol = 1e-3 * C_LIGHT / (2.0 * n_slow * cfg.chirp_s * cfg.carrier_hz)
-    kept = []
-    for est in sorted(estimates, key=lambda e: -e.power):
-        dup = any(
-            abs(est.range_m - k.range_m) < range_tol
-            and abs(est.velocity_mps - k.velocity_mps) < vel_tol
-            for k in kept
-        )
-        if not dup:
-            kept.append(est)
-    kept.sort(key=lambda e: e.range_m)
-    return kept
-
-
 def range_crb(mmv, freqs_local, amplitudes, sigma2):
     """Cramer-Rao bound (m^2, K x K) on the ranges of K tones in `mmv`.
 

@@ -17,8 +17,6 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from rangesr import pipeline
 from rangesr.beamform import default_grid, steering_vector
@@ -29,8 +27,6 @@ from rangesr.integrate import integrate_cube
 from rangesr.pipeline import (
     Scene,
     Step2Report,
-    UavEstimate,
-    _dedup,
     _n_chirps,
     make_exp1_scene,
     make_exp2_scene,
@@ -45,7 +41,6 @@ from rangesr.pipeline import (
 )
 from rangesr.superres import ExtractionRows
 from rangesr.synth import add_noise, synth_beat_cube
-from spectral_oracles import dedup_all_pairs
 
 VEL_GATE = 0.045   # 1.5 long-dwell Doppler cells around a truth velocity
 
@@ -333,7 +328,8 @@ def test_step3_splits_a_shared_range_cell(cfg8):
     hi_m = scene.config.range_of_freq(report["band"][1])
     for est in matched:
         assert lo_m <= est.range_m <= hi_m
-    # the estimate list is sorted and deduplicated
+    # the estimate list is sorted, and no two estimates share a range and a
+    # velocity: the stare's traffic yields no duplicate for step 3 to drop
     ranges = [e.range_m for e in loc.estimates]
     assert ranges == sorted(ranges)
     vres = vbin_mps(cfg8, s2.n_chirps)
@@ -418,6 +414,30 @@ def test_a_linalg_failure_in_a_music_group_is_its_fallback(cfg8, monkeypatch):
         assert report["error"] == "music solve failed: Eigenvalues did not converge"
     assert {e.step for e in loc.estimates} <= {"step2", "step3-fallback"}
     assert any(e.step == "step3-fallback" for e in loc.estimates)
+
+
+@pytest.mark.parametrize("scene, kwargs, match", [
+    ("empty", {"method": "bogus"}, "unknown method 'bogus'"),
+    ("exp1", {"method": "bogus"}, "unknown method 'bogus'"),
+    ("exp1", {"n_ex": 1}, "n_ex=1"),
+])
+def test_run_full_checks_its_method_and_n_ex_before_step1(
+    cfg8, monkeypatch, scene, kwargs, match
+):
+    def spy(scene):
+        raise AssertionError("step 1 ran")
+
+    monkeypatch.setattr(pipeline, "run_step1", spy)
+    scene = tiny_scene(cfg8, []) if scene == "empty" else make_exp1_scene()
+    with pytest.raises(ConfigError, match=match):
+        run_full(scene, **kwargs)
+
+
+def test_step3_checks_its_method_with_every_group_gated(cfg8, monkeypatch):
+    # no group reaches a solve, so the check cannot be left to solve_by_name
+    monkeypatch.setattr(pipeline, "_REL_GROUP_POWER_MIN", 2.0)
+    with pytest.raises(ConfigError, match="unknown method 'bogus'"):
+        run_step3(*run_step2(one_uav_scene(cfg8), 0.15), method="bogus")
 
 
 def test_a_band_too_wide_for_the_stride_is_the_groups_fallback(cfg8):
@@ -522,37 +542,22 @@ def test_a_group_keeping_one_atom_reports_no_fallback(cfg8, monkeypatch):
 
 
 def test_a_group_of_leakage_atoms_answers_in_its_place(cfg8, monkeypatch):
-    # before dedup sorts by range, the estimates run group by group, and a
-    # group whose atoms were all leakage keeps its place with its CFAR estimate
-    monkeypatch.setattr(pipeline, "_dedup", lambda estimates, cfg, n_slow: estimates)
-    loc = hand_step3(cfg8, monkeypatch, [[(0.0, 1.0)], [(0.3, 0.05)], [(0.0, 1.0)]])
-    assert [(e.group_index, e.step) for e in loc.estimates] == [
-        (0, "step3"), (1, "step3-fallback"), (2, "step3"),
+    # group 0's atom sits on group 1's CFAR hit, and group 1's one atom is
+    # its leakage (0.02 under a tenth of 0.3), so group 1 answers with its
+    # CFAR estimate at exactly group 0's range; group 2's two atoms lie nearest
+    loc = hand_step3(cfg8, monkeypatch, [
+        [(0.0, 0.3)], [(0.3, 0.02)], [(1.0, 1.0), (2.0, 0.5)],
+    ])
+    ranges = [e.range_m for e in loc.estimates]
+    assert ranges == sorted(ranges)
+    # each group answers once: by its atoms or by its CFAR estimate
+    for gi in range(3):
+        steps = [e.step for e in group_estimates(loc, gi)]
+        assert steps == ["step3-fallback"] or steps and set(steps) == {"step3"}
+    # the tie keeps the atom first, though the CFAR estimate is stronger
+    assert [(e.group_index, e.step, e.power) for e in loc.estimates] == [
+        (2, "step3", 1.0), (2, "step3", 0.5), (0, "step3", 0.3), (1, "step3-fallback", 0.5),
     ]
-
-
-# estimates on a 4 x 4 patch of (range_tol, vel_tol) cells at tenths of a
-# cell, so cells repeat and near pairs straddle cell edges, and three power
-# levels, so powers tie
-DEDUP_N_SLOW = 512
-dedup_hits = st.lists(
-    st.tuples(st.integers(0, 40), st.integers(-20, 20), st.sampled_from((0.5, 1.0, 2.0))),
-    max_size=40,
-)
-
-
-@given(dedup_hits)
-@settings(max_examples=200, deadline=None)
-def test_dedup_matches_the_all_pairs_oracle(hits):
-    cfg = table_radar_config()
-    range_tol = 1e-3 * cfg.range_res_m
-    vel_tol = 1e-3 * vbin_mps(cfg, DEDUP_N_SLOW)
-    estimates = [
-        UavEstimate(165.0 + 0.1 * r * range_tol, 44.0 + 0.1 * v * vel_tol, 0.2, p, "step3", i)
-        for i, (r, v, p) in enumerate(hits)
-    ]
-    # each estimate has its own group index, so equal estimates are the same one
-    assert _dedup(estimates, cfg, DEDUP_N_SLOW) == dedup_all_pairs(estimates, cfg, DEDUP_N_SLOW)
 
 
 def test_noisy_run_is_deterministic(cfg8):

@@ -1,12 +1,13 @@
 """The dwell as a stream of chirp windows: same cubes, beams and detections as
 the whole-cube chain, and no element cube held by the stare.
 
-The window budget is lowered so that the small test dwells split into
-several 256-chirp windows and a ragged last one.
+A window is one 256-chirp noise block, so the 600-chirp test dwells split
+into two full windows and a ragged last one.
 """
 
 import tracemalloc
 from dataclasses import replace
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -31,12 +32,6 @@ def cfg():
     return make_radar_config(10e9, 50e6, 12.8e-6, 5e6, 8)
 
 
-@pytest.fixture
-def windows(monkeypatch, cfg):
-    """One noise block of chirps per window."""
-    monkeypatch.setattr(spans, "_CHUNK_BUDGET", synth._CHUNK_M * cfg.n_fast * cfg.n_elements)
-
-
 def scene_of(cfg, n_slow, snr_db):
     return Scene(
         name="stream",
@@ -58,25 +53,21 @@ def stare_window(cfg):
     return BeamGrid(default_grid(cfg).angles_rad[8:13])
 
 
-def test_windows_are_noise_blocks_with_a_ragged_last_one(windows, cfg):
+def test_windows_are_noise_blocks_with_a_ragged_last_one(cfg):
     scene = scene_of(cfg, 600, 0.0)
     got = [(m0, m1, chunk.data.shape) for m0, m1, chunk in dwell_chunks(scene, 2)]
     assert got == [(0, 256, (64, 256, 8)), (256, 512, (64, 256, 8)), (512, 600, (64, 88, 8))]
 
 
-def test_the_window_rule_at_the_table_rates(monkeypatch):
-    # smallest multiple of 256 chirps holding spans._CHUNK_BUDGET entries: at
-    # 16 elements one block holds 2^21 at 5.12 MHz and 2.048e7 at 50 MHz
-    assert pipeline._chunk_chirps(pipeline.table_radar_config()) == 256
-    assert pipeline._chunk_chirps(pipeline.table_radar_config(50e6)) == 256
-    # a budget over one block rounds up to the next block
-    monkeypatch.setattr(spans, "_CHUNK_BUDGET", 4_000_000)
-    assert pipeline._chunk_chirps(pipeline.table_radar_config()) == 512
-    assert pipeline._chunk_chirps(pipeline.table_radar_config(50e6)) == 256
+def test_a_table_radar_dwell_streams_in_noise_blocks():
+    # only the first two of step 1's windows (512 x 256 x 16, 32 MB each) are built
+    scene = pipeline.make_exp1_scene()
+    got = [(m0, m1, chunk.data.shape) for m0, m1, chunk in islice(dwell_chunks(scene, 1), 2)]
+    assert got == [(0, 256, (512, 256, 16)), (256, 512, (512, 256, 16))]
 
 
 @pytest.mark.parametrize("snr_db", [None, 0.0])
-def test_dwell_cube_is_the_windows_and_the_one_shot_dwell(windows, cfg, snr_db):
+def test_dwell_cube_is_the_windows_and_the_one_shot_dwell(cfg, snr_db):
     scene = scene_of(cfg, 600, snr_db)
     cube = dwell_cube(scene, 2)
     chunks = [chunk.data for _, _, chunk in dwell_chunks(scene, 2)]
@@ -94,7 +85,7 @@ def test_a_window_must_lie_in_the_dwell(cfg):
 
 
 @pytest.mark.parametrize("snr_db", [None, 0.0])
-def test_streamed_stare_matches_the_whole_cube_chain(windows, cfg, monkeypatch, snr_db):
+def test_streamed_stare_matches_the_whole_cube_chain(cfg, monkeypatch, snr_db):
     scene = scene_of(cfg, 600, snr_db)
     grid = stare_window(cfg)
     cube = dwell_cube(scene, 2)
@@ -120,7 +111,7 @@ def test_streamed_stare_matches_the_whole_cube_chain(windows, cfg, monkeypatch, 
 
 
 @pytest.mark.parametrize("n_beams, kind", [(32, "element"), (5, "beam"), (1, "beam")])
-def test_stare_integrates_the_smaller_channel_set(windows, monkeypatch, n_beams, kind):
+def test_stare_integrates_the_smaller_channel_set(monkeypatch, n_beams, kind):
     # 16 elements: the default grid's 32 beams integrate as the elements,
     # a five-beam window and a single beam as the beams. A cube carries no
     # kind, so the channel count names the domain, and the RDA carries the
@@ -148,7 +139,7 @@ def test_stare_integrates_the_smaller_channel_set(windows, monkeypatch, n_beams,
 
 
 @pytest.mark.parametrize("stage", ["step1", "step2", "grid_trial"])
-def test_every_stare_integrates_in_its_own_channel_buffer(windows, monkeypatch, stage):
+def test_every_stare_integrates_in_its_own_channel_buffer(monkeypatch, stage):
     # the stare builds its channel cube and hands it over: step 1's 16
     # elements, step 2's five beams and a grid trial's one beam are each
     # integrated in place, so the RDA shares the cube's buffer
@@ -174,13 +165,13 @@ def test_every_stare_integrates_in_its_own_channel_buffer(windows, monkeypatch, 
     assert integrated == [(width, True)]
 
 
-def test_step1_keeps_no_rows(windows, cfg):
+def test_step1_keeps_no_rows(cfg):
     scene = scene_of(cfg, 600, None)
     *_, rows = stare(dwell_chunks(scene, 1), dwell_chirps(scene, 1), default_grid(cfg))
     assert rows is None
 
 
-def test_group_mmv_on_kept_rows_is_extract_mmv_on_the_cube(windows, cfg):
+def test_group_mmv_on_kept_rows_is_extract_mmv_on_the_cube(cfg):
     scene = scene_of(cfg, 600, 0.0)
     cube = dwell_cube(scene, 2)
     _, _, groups, rows = stare(dwell_chunks(scene, 2), 600, stare_window(cfg), N_EX)
@@ -234,6 +225,8 @@ def test_step2_never_holds_the_element_cube(monkeypatch):
     # 16 elements: the element cube is 3.2 times the five-beam cube
     cfg = make_radar_config(10e9, 50e6, 12.8e-6, 5e6, 16)
     n_fast, n_el, n_slow = cfg.n_fast, cfg.n_elements, 2048
+    # two workers, and a gate low enough that each window's synthesis and
+    # the stare's passes run on both
     monkeypatch.setattr(spans, "_CHUNK_BUDGET", synth._CHUNK_M * n_fast * n_el)
     monkeypatch.setattr(spans, "WORKERS", 2)
     # the chirp-z workspace: 16 rows of five beams, split over the two spans,
@@ -266,6 +259,8 @@ def test_step1_never_holds_the_beam_fan(monkeypatch):
     # its CFAR forms one group of beam maps at a time from the element RDA
     cfg = make_radar_config(10e9, 50e6, 12.8e-6, 5e6, 16)
     n_fast, n_el, n_slow = cfg.n_fast, cfg.n_elements, 2048
+    # two workers, and a gate low enough that each window's synthesis and
+    # the stare's passes run on both
     monkeypatch.setattr(spans, "_CHUNK_BUDGET", synth._CHUNK_M * n_fast * n_el)
     monkeypatch.setattr(spans, "WORKERS", 2)
     # the chirp-z workspace: 16 rows of 16 elements, split over the two
