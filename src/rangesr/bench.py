@@ -49,7 +49,7 @@ from .beamform import BeamGrid
 from .config import ConfigError, RadarConfig, UavTruth, to_json
 from .cube import DataCube
 from .pipeline import group_mmv, stare, table_radar_config
-from .superres import METHODS, SuperResError, solve_by_name
+from .superres import METHODS, SuperResError, require_method, solve_by_name
 from .synth import noise_sigma, synth_beat_cube
 
 # Not called here: perfbench/layers.py patches these names in this module; the
@@ -320,11 +320,8 @@ def compare_methods(
     (`run_trial_method`), whatever the trial count."""
     if not methods:
         raise ConfigError(f"no method given; choose from {','.join(METHODS)}")
-    unknown = [m for m in methods if m not in METHODS]
-    if unknown:
-        raise ConfigError(
-            f"unknown method(s) {','.join(unknown)}; choose from {','.join(METHODS)}"
-        )
+    for m in methods:
+        require_method(m)
     repeated = sorted({m for m in methods if methods.count(m) > 1})
     if repeated:
         raise ConfigError(f"method(s) {','.join(repeated)} given more than once")

@@ -20,26 +20,50 @@ tests 12.8 million cells, so it expects about 1,300 noise cells over the
 threshold before the local-maximum gate (ROADMAP item 4).
 
 The cube's channels are beams, or elements with the steering weights that
-form the beams (`RdaCube.weights`). Either way the beams' power maps are
-formed a group at a time into contiguous (beams, N, M) buffers, as many
-beams as `_GROUP_ENTRIES` (4,000,000) map entries hold: seven of step 1's
-512 x 1000 maps per read of its element RDA. A beam cube's maps are read
-straight from it. An element cube is read once per group, a block of rows
-at a time, and each block is beamformed by one matrix product, so the beam
-cube is never built: integrating the elements and forming the beams after
-commute (`integrate`).
+form the beams (`RdaCube.weights`). The detector streams over tiles of
+range rows, every beam of a tile at once, and holds no whole power, noise
+or guard-sum map. A power row is the row of every beam, beams * Doppler
+entries, and a tile is as many rows as `_TILE_ENTRIES` (2^20) entries hold:
+32 of step 1's 32 x 1000 rows, 41 of step 2's 5 x 5000. Power rows sit in a
+ring that holds the tile and the training window's halo, t + g + 1 rows
+before it and t + g after; each tile reads its new rows once from the RDA.
+A beam cube's rows are read as stored. An element cube's are beamformed a
+block of rows at a time, all beams by one matrix product, so the beam cube
+is never built: integrating the elements and forming the beams after
+commute (`integrate`). The ring and two box sums of tile rows come to about
+30 MB at step 1's and step 2's shapes, whatever the range extent. Smaller
+tiles run slower and raise the peak RSS: with glibc's malloc, 2^17 to 2^19
+entries took a benchmark `scene_clean` run's peak from 364 to 390 MB,
+because the heap that step 1's CFAR grows is then too small to hold step
+2's 32 MB chirp windows, which get mappings of their own beside it.
+
+Per tile, the range-axis box sums of every beam run down the rows as
+running sums: s(i) = s(i - 1) + (p(i + h) - p(i - h - 1)), indices wrapped,
+started at the in-order sum of the first box, and each row emits s / size,
+for the 21-cell training box and the 5-cell guard box. That is the
+arithmetic `uniform_filter1d(mode="wrap")` does along a line, cell for
+cell, so the sums equal the filter bit for bit, rounding residue included;
+the sums carry from tile to tile, so the tile size changes no bit. A map
+that fits one tile (the grid trial's 512 x 64 beam) is filtered whole along
+the range axis by `uniform_filter1d` itself, which skips a Python loop over
+its narrow rows. The Doppler-axis pass is `uniform_filter1d` along the
+tile's rows, and the ring arithmetic, threshold and local-maximum tests
+follow on the same rows. The element product gives each beam the bits that
+a product over any other block of rows, with any other group of two or more
+beams, gives (measured with OpenBLAS; a one-beam product goes through gemv
+and may round differently). Hits are sorted by falling power, ties in
+(beam, range, Doppler) order. So the detections equal those of whole-map
+filtering a group of beams at a time (`tests/spectral_oracles.py`).
 
 The work is split into spans of lines, not of beams, so every worker gets
 an equal share whatever the beam count (`spans`: workers come from the CPU
 affinity, span bounds depend only on the shape and the worker count, small
-cubes run inline). A beam cube's maps are formed on row spans and an
-element cube's on spans of row blocks; beam by beam, the training-ring box
-sums run as two 1-D passes (range axis on column spans, Doppler axis on row
-spans) and the hits are found on row spans. Each block and line is computed
-by the same code whatever span holds it, so the box sums equal the one-call
-2-D filter bit for bit; hits come out in row-major order per beam and beams
-in order before the sort, so the result is identical for any worker count.
-One group's power maps and one beam's noise maps are alive at a time.
+cubes run inline). Per tile, the new power rows are formed on row spans,
+the range sums run on column spans of the beams' rows laid end to end, and
+the Doppler pass and hit tests run on row spans. Each row operation covers
+every beam of a worker's span, 16,000 entries at step 1 on two workers, so
+numpy runs it without the GIL. Each line is computed by the same code
+whatever span holds it, so the result is identical for any worker count.
 
 Why the stare's cube stays complex128 and the power maps float64: on a
 noise-free scene the cells away from the targets hold only rounding, and
@@ -66,9 +90,8 @@ from . import spans
 from .config import ConfigError
 from .cube import RdaCube
 
-# power-map entries of one group of beams (32 MB of float64); an element
-# RDA is read once per group
-_GROUP_ENTRIES = 4_000_000
+# power entries of one tile's range rows, every beam (8 MB of float64)
+_TILE_ENTRIES = 1 << 20
 
 
 # training and guard half-widths per axis, false-alarm probability per
@@ -112,45 +135,119 @@ class Detection:
     at_edge: bool
 
 
-def _box_filter(lines: np.ndarray, size: int, axis: int, out: np.ndarray) -> None:
-    """Wrapped running mean of `size` cells along one axis, into `out` (which
-    may be `lines`, as inside `uniform_filter`); an axis of size 1 is copied,
-    not filtered, as `uniform_filter` does."""
-    if size > 1:
-        uniform_filter1d(lines, size, axis=axis, output=out, mode="wrap")
-    elif out is not lines:
-        out[...] = lines
+def _stream(shape: tuple[int, int, int], form, visit, gate: int) -> list:
+    """Run the CA-CFAR noise map over (range, beams, Doppler) power a tile of
+    range rows at a time, and return what `visit` finds, in row order.
 
-
-def noise_level_map(power: np.ndarray, entries: int | None = None) -> np.ndarray:
-    """Mean training-ring power per cell, with wraparound at the edges.
-
-    `entries` sizes the pass for `spans` (default: the map's size).
+    Power row v (wrapped at the range extent) sits in slot v % len(ring) of
+    a ring of rows, each the row of every beam (beams * Doppler entries).
+    `form(parts)` writes each part (p0, p1, out) of stored rows [p0, p1)
+    into its slots `out`. `visit(i0, ring, s0, noise)` gets the noise rows
+    [i0, i0 + len(noise)), whose power rows are ring[s0 : s0 + len(noise)],
+    and returns a list. `gate` is the input size that decides, through
+    `spans`, whether the passes run on every worker.
     """
+    n_range, n_beams, n_doppler = shape
     outer, inner, n_train = _window()
-    if outer > min(power.shape):
+    if outer > min(n_range, n_doppler):
         raise ConfigError(
-            f"CFAR window {outer} exceeds map extent {min(power.shape)}"
+            f"CFAR window {outer} exceeds map extent {min(n_range, n_doppler)}"
         )
-    entries = power.size if entries is None else entries
+    width = n_beams * n_doppler
+    rows = max(1, min(n_range, _TILE_ENTRIES // width))
+    halo = outer // 2
+    # a tile [r0, r0 + n) reads power rows [r0 - halo - 1, r0 + n + halo)
+    ring = np.empty((rows + 2 * halo + 1, width))
+    slots = len(ring)
+    # row 0 of a box's sums carries the running sum of the row before the tile
+    boxes = [(size, np.empty((rows + 1, width))) for size in (outer, inner)]
+    columns = spans.split(width, gate)
+
+    def fill(v0: int, v1: int) -> None:
+        parts = []
+        while v0 < v1:
+            p0, s0 = v0 % n_range, v0 % slots
+            k = min(v1 - v0, n_range - p0, slots - s0)
+            parts.append((p0, p0 + k, ring[s0 : s0 + k]))
+            v0 += k
+        form(parts)
+
+    found = []
+    fill(-halo - 1, rows + halo)
+    for r0 in range(0, n_range, rows):
+        n = min(rows, n_range - r0)
+        if r0:
+            fill(r0 + halo, r0 + n + halo)
+
+        def down(a: int, b: int, r0: int = r0, n: int = n) -> None:
+            for size, sums in boxes:
+                h = size // 2
+                if size == 1:
+                    for k in range(n):
+                        sums[1 + k, a:b] = ring[(r0 + k) % slots, a:b]
+                    continue
+                if n == n_range:   # one tile holds the map, in slots [0, n)
+                    uniform_filter1d(
+                        ring[:n, a:b], size, axis=0, output=sums[1:, a:b], mode="wrap"
+                    )
+                    continue
+                k0 = 0
+                if r0 == 0:   # the first row's sum, in `uniform_filter1d`'s order
+                    k0 = 1
+                    first = sums[1, a:b]
+                    first[...] = 0.0
+                    for v in range(-h, h + 1):
+                        first += ring[v % slots, a:b]
+                for k in range(k0, n):   # sum(i) = sum(i - 1) + (p[i + h] - p[i - h - 1])
+                    row = sums[1 + k, a:b]
+                    np.subtract(
+                        ring[(r0 + k + h) % slots, a:b],
+                        ring[(r0 + k - h - 1) % slots, a:b],
+                        out=row,
+                    )
+                    np.add(sums[k, a:b], row, out=row)
+                sums[0, a:b] = sums[n, a:b]
+                sums[1 : n + 1, a:b] /= size
+
+        def across(k0: int, k1: int, r0: int = r0) -> list:
+            (_, box_sum), (_, guard_sum) = boxes
+            noise, guard = box_sum[1 + k0 : 1 + k1], guard_sum[1 + k0 : 1 + k1]
+            for size, sums in ((outer, noise), (inner, guard)):
+                if size > 1:   # a box of one cell is the cell, as in `uniform_filter`
+                    lines = sums.reshape(k1 - k0, n_beams, n_doppler)
+                    uniform_filter1d(lines, size, axis=2, output=lines, mode="wrap")
+            noise *= outer * outer
+            guard *= inner * inner
+            noise -= guard
+            noise /= n_train
+            # visited in pieces whose power rows do not wrap round the ring
+            wrap = slots - r0 % slots
+            cuts = [k0] + [wrap] * (k0 < wrap < k1) + [k1]
+            return [
+                hit
+                for a, b in zip(cuts[:-1], cuts[1:])
+                for hit in visit(r0 + a, ring, (r0 + a) % slots, noise[a - k0 : b - k0])
+            ]
+
+        spans.run(down, columns)
+        for part in spans.run(across, spans.split(n, gate)):
+            found += part
+    return found
+
+
+def noise_level_map(power: np.ndarray) -> np.ndarray:
+    """Mean training-ring power per cell, with wraparound at the edges."""
     noise = np.empty_like(power)
-    inner_sum = np.empty_like(power)
 
-    def down(a: int, b: int) -> None:
-        _box_filter(power[:, a:b], outer, 0, noise[:, a:b])
-        _box_filter(power[:, a:b], inner, 0, inner_sum[:, a:b])
+    def form(parts: list) -> None:
+        for p0, p1, out in parts:
+            out[...] = power[p0:p1]
 
-    def across(a: int, b: int) -> None:
-        rows, inner_rows = noise[a:b], inner_sum[a:b]
-        _box_filter(rows, outer, 1, rows)
-        _box_filter(inner_rows, inner, 1, inner_rows)
-        rows *= outer * outer
-        inner_rows *= inner * inner
-        rows -= inner_rows
-        rows /= n_train
+    def keep(i0: int, ring: np.ndarray, s0: int, rows: np.ndarray) -> list:
+        noise[i0 : i0 + len(rows)] = rows
+        return []
 
-    spans.run(down, spans.split(power.shape[1], entries))
-    spans.run(across, spans.split(power.shape[0], entries))
+    _stream((power.shape[0], 1, power.shape[1]), form, keep, power.size)
     return noise
 
 
@@ -179,81 +276,94 @@ def refine_peak(power: np.ndarray, i: int, j: int) -> tuple[float, float, bool]:
     return di, dj, False
 
 
-def _is_local_max(pmap: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Whether each cell (rows[k], cols[k]) is >= its 8 wrapped neighbours."""
-    n_i, n_j = pmap.shape
-    peak = pmap[rows, cols]
-    keep = np.ones(rows.shape, dtype=bool)
+def _is_local_max(
+    ring: np.ndarray, slots: np.ndarray, cols: np.ndarray, n_j: int
+) -> np.ndarray:
+    """Whether each cell (slots[k], cols[k]) of the power ring is >= its 8
+    neighbours: the ring's rows are wrapped range rows, and the columns wrap
+    within each beam's n_j."""
+    n_i = len(ring)
+    base = cols - cols % n_j
+    peak = ring[slots, cols]
+    keep = np.ones(slots.shape, dtype=bool)
     for di in (-1, 0, 1):
-        ni = (rows + di) % n_i
+        ni = (slots + di) % n_i
         for dj in (-1, 0, 1):
             if di or dj:
-                keep &= peak >= pmap[ni, (cols + dj) % n_j]
+                keep &= peak >= ring[ni, base + (cols + dj) % n_j]
     return keep
 
 
-def _power_maps(rda: RdaCube, b0: int, maps: np.ndarray) -> None:
-    """|beam|^2 of beams [b0, b0 + len(maps)) into `maps` (beams, N, M).
+def _former(rda: RdaCube):
+    """`form` for `_stream`: the power rows of every beam of `rda`.
 
-    A beam cube's maps are read straight from it, beam by beam on row spans.
-    An element cube is read once for the whole group, in blocks of rows of
-    about `spans._BLOCK_ENTRIES` entries, each beamformed by one matrix
-    product; spans of whole blocks run on threads, so every block is the
-    same product for any worker count.
+    The rows are split into equal spans, one per worker, and each span is
+    formed in blocks of about `spans._BLOCK_ENTRIES` entries of the cube. A
+    beam cube's block is read as it is stored. An element cube's block is
+    beamformed by one matrix product, all beams at once, which gives every
+    beam the bits a product of any other group of two or more beams gives.
     """
     data = rda.data
     n_range, n_doppler, n_ch = data.shape
-    if rda.weights is None:
-        for k, pmap in enumerate(maps):
-            def power(r0: int, r1: int, b: int = b0 + k, pmap: np.ndarray = pmap) -> None:
-                np.abs(data[r0:r1, :, b], out=pmap[r0:r1])
-                np.square(pmap[r0:r1], out=pmap[r0:r1])
+    n_beams = rda.n_beams
+    block = max(1, spans._BLOCK_ENTRIES // (n_doppler * n_ch))
+    w_t = None if rda.weights is None else np.ascontiguousarray(rda.weights.T)
 
-            spans.run(power, spans.split(n_range, data.size))
-        return
-    w_t = np.ascontiguousarray(rda.weights[:, b0 : b0 + len(maps)].T)   # (beams, L)
-    rows = max(1, spans._BLOCK_ENTRIES // (n_doppler * n_ch))
+    def form(parts: list) -> None:
+        def run(a: int, b: int) -> None:
+            for p0, p1, out in parts:   # rows [a, b) of the parts laid end to end
+                for i in range(max(a, 0), min(b, p1 - p0), block):
+                    i0, i1 = p0 + i, p0 + min(i + block, b, p1 - p0)
+                    rows = out[i : i + i1 - i0].reshape(i1 - i0, n_beams, n_doppler)
+                    if w_t is None:
+                        dst = rows.transpose(0, 2, 1)   # (rows, Doppler, beams), as stored
+                        np.abs(data[i0:i1], out=dst)
+                    else:
+                        dst = rows.transpose(1, 0, 2)   # (beams, rows, Doppler)
+                        beams = w_t @ data[i0:i1].reshape(-1, n_ch).T
+                        np.abs(beams.reshape(dst.shape), out=dst)
+                    np.square(dst, out=dst)
+                a, b = a - (p1 - p0), b - (p1 - p0)
 
-    def form(k0: int, k1: int) -> None:
-        for i0 in range(k0 * rows, min(k1 * rows, n_range), rows):
-            i1 = min(i0 + rows, n_range)
-            beams = w_t @ data[i0:i1].reshape(-1, n_ch).T   # (beams, rows * M)
-            block = maps[:, i0:i1]
-            np.abs(beams.reshape(block.shape), out=block)
-            np.square(block, out=block)
+        spans.run(run, spans.split(sum(p1 - p0 for p0, p1, _ in parts), data.size))
 
-    spans.run(form, spans.split(-(-n_range // rows), data.size))
+    return form
 
 
-def _beam_detections(rda: RdaCube, b: int, pmap: np.ndarray) -> list[Detection]:
-    """CA-CFAR hits of beam `b`, whose power map is `pmap`, in row-major cell order."""
+def ca_cfar(rda: RdaCube) -> list[Detection]:
+    """Run per-beam 2-D CA-CFAR; returns detections sorted by falling power,
+    ties in (beam, range, Doppler) order."""
     alpha, min_power = _alpha(), _MIN_POWER
-    rows = spans.split(rda.n_range, rda.data.size)
-    noise = noise_level_map(pmap, rda.data.size)
-    angle = rda.beam_angles[b] if rda.beam_angles is not None else 0.0
+    n_range, n_doppler = rda.n_range, rda.n_doppler
+    angles = rda.beam_angles
 
-    def detect(r0: int, r1: int) -> list[Detection]:
-        block = pmap[r0:r1]
-        hit = (block > alpha * noise[r0:r1]) & (block > min_power)
-        hit_rows, hit_cols = np.nonzero(hit)
-        hit_rows += r0
-        keep = _is_local_max(pmap, hit_rows, hit_cols)
+    def detect(i0: int, ring: np.ndarray, s0: int, noise: np.ndarray) -> list[Detection]:
+        power = ring[s0 : s0 + len(noise)]
+        hit = (power > alpha * noise) & (power > min_power)
+        rows, cols = np.nonzero(hit)
+        keep = _is_local_max(ring, rows + s0, cols, n_doppler)
         detections = []
-        for i, j in zip(hit_rows[keep], hit_cols[keep]):
-            di, dj, at_edge = refine_peak(pmap, int(i), int(j))
-            rbin = int(i) - rda.n_range // 2
-            dbin = int(j) - rda.n_doppler // 2
+        for k, c in zip(rows[keep].tolist(), cols[keep].tolist()):
+            b, j = divmod(c, n_doppler)
+            i = i0 + k
+            if 0 < i < n_range - 1:   # beam b's rows i - 1 to i + 1
+                around = [(s0 + k + di) % len(ring) for di in (-1, 0, 1)]
+                di, dj, at_edge = refine_peak(ring[around, c - j : c - j + n_doppler], 1, j)
+            else:
+                di, dj, at_edge = 0.0, 0.0, True
+            rbin = i - n_range // 2
+            dbin = j - n_doppler // 2
             detections.append(
                 Detection(
                     range_bin=rbin,
                     doppler_bin=dbin,
                     beam=b,
-                    power=float(pmap[i, j]),
-                    noise_power=float(noise[i, j]),
-                    threshold=float(alpha * noise[i, j]),
+                    power=float(power[k, c]),
+                    noise_power=float(noise[k, c]),
+                    threshold=float(alpha * noise[k, c]),
                     range_m=float(rda.range_of_bin(rbin)),
                     velocity_mps=float(rda.velocity_of_bin(dbin)),
-                    angle_rad=float(angle),
+                    angle_rad=float(angles[b]) if angles is not None else 0.0,
                     refined_range_bin=rbin + di,
                     refined_doppler_bin=dbin + dj,
                     refined_range_m=float(rda.range_of_bin(rbin + di)),
@@ -263,24 +373,9 @@ def _beam_detections(rda: RdaCube, b: int, pmap: np.ndarray) -> list[Detection]:
             )
         return detections
 
-    return [d for hits in spans.run(detect, rows) for d in hits]
-
-
-def ca_cfar(rda: RdaCube) -> list[Detection]:
-    """Run per-beam 2-D CA-CFAR; returns detections sorted by falling power.
-
-    The beams' power maps are formed a group at a time, as many as
-    `_GROUP_ENTRIES` map entries hold (at least one beam).
-    """
-    group = max(1, min(rda.n_beams, _GROUP_ENTRIES // (rda.n_range * rda.n_doppler)))
-    maps = np.empty((group, rda.n_range, rda.n_doppler))
-    detections = []
-    for b0 in range(0, rda.n_beams, group):
-        pmaps = maps[: min(group, rda.n_beams - b0)]
-        _power_maps(rda, b0, pmaps)
-        for k, pmap in enumerate(pmaps):
-            detections += _beam_detections(rda, b0 + k, pmap)
-    detections.sort(key=lambda d: -d.power)
+    shape = (n_range, rda.n_beams, n_doppler)
+    detections = _stream(shape, _former(rda), detect, rda.data.size)
+    detections.sort(key=lambda d: (-d.power, d.beam, d.range_bin, d.doppler_bin))
     return detections
 
 

@@ -17,8 +17,8 @@ The channel-domain rule: `stare` integrates whichever channel set is
 smaller. Beamforming mixes the channels of each sample and the keystone
 chirp-z and range DFT transform each channel alone, so the two commute.
 Step 1's 32-beam fan is integrated as its 16 elements, and the CFAR forms
-the beams from the element RDA a group of maps at a time (`cfar`), so the
-32-beam cube is never built. Step 2's five beams and the grid trial's one
+the beams from the element RDA a tile of range rows at a time (`cfar`), so
+the 32-beam cube is never built. Step 2's five beams and the grid trial's one
 beam are fewer than the elements, so they are formed first and integrated.
 
 `dwell_chunks` synthesises a dwell a window of chirps at a time, with noise
@@ -83,11 +83,12 @@ def table_radar_config(sample_rate_hz: float = 5.12e6) -> RadarConfig:
     here keeps every derived quantity that matters to the method (range cell
     size, cell index per meter, keystone warp, Doppler axis) identical while
     shrinking the fast-time grid tenfold; pass 50e6 to reproduce the
-    full-rate grid. Noise-free exp1 runs end to end in 27 s at a 2.65 GB
-    peak RSS at 50e6, and in 3.1 s at 0.39 GB by default (2 cores, BLAS on
-    one thread). At 50e6 step 2's five-beam cube (2.0 GB) sets the peak;
-    step 1, which integrates its 16 elements (1.28 GB) instead of 32 beams,
-    peaks at 1.6 GB.
+    full-rate grid. Noise-free exp1 runs end to end in 27 s at a 2.35 GB
+    peak RSS at 50e6, and in 3.2 s at 0.36 GB by default (2 cores, BLAS on
+    one thread). At 50e6 step 2's window loop sets the peak, its five-beam
+    cube (2.0 GB) beside a 330 MB chirp window of the elements, and its
+    CFAR reads 2.07 GB; step 1, which integrates its 16 elements (1.28 GB)
+    instead of 32 beams, peaks at 1.6 GB.
     """
     return RadarConfig(
         carrier_hz=10e9,

@@ -18,7 +18,7 @@ run on. The rule:
   every worker.
 
 No workspace is sized from the gate: the chirp-z workspace (`integrate`) and
-the CFAR's group of beam maps (`cfar`) have budgets of their own. The
+the CFAR's tile of range rows (`cfar`) have budgets of their own. The
 smaller working blocks share one size, `_BLOCK_ENTRIES` (2^16 entries, 1 MB
 of complex128): the row blocks of the synthesis product (`synth`) and of
 the CFAR's beam forming (`cfar`), and a grid trial's noise draws and chirp

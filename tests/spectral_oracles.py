@@ -7,9 +7,11 @@ docstring says whether the oracle shares code with the package.
 """
 
 import numpy as np
+from scipy.ndimage import uniform_filter1d
 
+from rangesr import cfar, spans
 from rangesr.beamform import steering_vector
-from rangesr.cfar import DetectionGroup
+from rangesr.cfar import Detection, DetectionGroup, refine_peak
 from rangesr.cube import CubeError, DataCube, axis_values
 from rangesr.config import C_LIGHT
 from rangesr.integrate import _scaled_dft, _symmetric
@@ -183,6 +185,149 @@ def cluster_all_pairs(detections):
     groups = [DetectionGroup(members=tuple(v)) for v in buckets.values()]
     groups.sort(key=lambda g: -g.strongest.power)
     return groups
+
+
+# power-map entries of one group of beams in the group-at-a-time CFAR
+GROUP_ENTRIES = 4_000_000
+
+
+def _box_filter(lines, size, axis, out):
+    if size > 1:
+        uniform_filter1d(lines, size, axis=axis, output=out, mode="wrap")
+    elif out is not lines:
+        out[...] = lines
+
+
+def noise_level_map_by_columns(power, entries=None):
+    """The CA-CFAR noise map of one whole power map, as 1-D box filters.
+
+    The range-axis pass runs `uniform_filter1d` on column spans of the map
+    and the Doppler-axis pass on row spans, with whole-map buffers for the
+    ring and guard sums. Shares the package's window constants (`cfar._window`).
+    """
+    outer, inner, n_train = cfar._window()
+    entries = power.size if entries is None else entries
+    noise = np.empty_like(power)
+    inner_sum = np.empty_like(power)
+
+    def down(a, b):
+        _box_filter(power[:, a:b], outer, 0, noise[:, a:b])
+        _box_filter(power[:, a:b], inner, 0, inner_sum[:, a:b])
+
+    def across(a, b):
+        rows, inner_rows = noise[a:b], inner_sum[a:b]
+        _box_filter(rows, outer, 1, rows)
+        _box_filter(inner_rows, inner, 1, inner_rows)
+        rows *= outer * outer
+        inner_rows *= inner * inner
+        rows -= inner_rows
+        rows /= n_train
+
+    spans.run(down, spans.split(power.shape[1], entries))
+    spans.run(across, spans.split(power.shape[0], entries))
+    return noise
+
+
+def _group_power_maps(rda, b0, maps):
+    """|beam|^2 of beams [b0, b0 + len(maps)) into whole (beams, N, M) maps."""
+    data = rda.data
+    n_range, n_doppler, n_ch = data.shape
+    if rda.weights is None:
+        for k, pmap in enumerate(maps):
+            def power(r0, r1, b=b0 + k, pmap=pmap):
+                np.abs(data[r0:r1, :, b], out=pmap[r0:r1])
+                np.square(pmap[r0:r1], out=pmap[r0:r1])
+
+            spans.run(power, spans.split(n_range, data.size))
+        return
+    w_t = np.ascontiguousarray(rda.weights[:, b0 : b0 + len(maps)].T)
+    rows = max(1, spans._BLOCK_ENTRIES // (n_doppler * n_ch))
+
+    def form(k0, k1):
+        for i0 in range(k0 * rows, min(k1 * rows, n_range), rows):
+            i1 = min(i0 + rows, n_range)
+            beams = w_t @ data[i0:i1].reshape(-1, n_ch).T
+            block = maps[:, i0:i1]
+            np.abs(beams.reshape(block.shape), out=block)
+            np.square(block, out=block)
+
+    spans.run(form, spans.split(-(-n_range // rows), data.size))
+
+
+def _wrapped_local_max(pmap, rows, cols):
+    n_i, n_j = pmap.shape
+    peak = pmap[rows, cols]
+    keep = np.ones(rows.shape, dtype=bool)
+    for di in (-1, 0, 1):
+        ni = (rows + di) % n_i
+        for dj in (-1, 0, 1):
+            if di or dj:
+                keep &= peak >= pmap[ni, (cols + dj) % n_j]
+    return keep
+
+
+def _beam_detections(rda, b, pmap):
+    alpha, min_power = cfar._alpha(), cfar._MIN_POWER
+    rows = spans.split(rda.n_range, rda.data.size)
+    noise = noise_level_map_by_columns(pmap, rda.data.size)
+    angle = rda.beam_angles[b] if rda.beam_angles is not None else 0.0
+
+    def detect(r0, r1):
+        block = pmap[r0:r1]
+        hit = (block > alpha * noise[r0:r1]) & (block > min_power)
+        hit_rows, hit_cols = np.nonzero(hit)
+        hit_rows += r0
+        keep = _wrapped_local_max(pmap, hit_rows, hit_cols)
+        detections = []
+        for i, j in zip(hit_rows[keep], hit_cols[keep]):
+            di, dj, at_edge = refine_peak(pmap, int(i), int(j))
+            rbin = int(i) - rda.n_range // 2
+            dbin = int(j) - rda.n_doppler // 2
+            detections.append(
+                Detection(
+                    range_bin=rbin,
+                    doppler_bin=dbin,
+                    beam=b,
+                    power=float(pmap[i, j]),
+                    noise_power=float(noise[i, j]),
+                    threshold=float(alpha * noise[i, j]),
+                    range_m=float(rda.range_of_bin(rbin)),
+                    velocity_mps=float(rda.velocity_of_bin(dbin)),
+                    angle_rad=float(angle),
+                    refined_range_bin=rbin + di,
+                    refined_doppler_bin=dbin + dj,
+                    refined_range_m=float(rda.range_of_bin(rbin + di)),
+                    refined_velocity_mps=float(rda.velocity_of_bin(dbin + dj)),
+                    at_edge=at_edge,
+                )
+            )
+        return detections
+
+    return [d for hits in spans.run(detect, rows) for d in hits]
+
+
+def ca_cfar_by_groups(rda):
+    """CA-CFAR over whole power maps, a group of beams at a time.
+
+    Forms as many beams' (N, M) power maps as `GROUP_ENTRIES` entries hold
+    (an element RDA is read once per group and beamformed block by block,
+    one matrix product of the group's weights each), filters each map with
+    `noise_level_map_by_columns`, and finds each beam's hits on row spans
+    with a wrapped 3 x 3 local-maximum test over the whole map; beams in
+    order, hits in row-major order, then a stable sort by falling power.
+    Shares the package's settings, `Detection` and `refine_peak`, not its
+    tile stream or running sums.
+    """
+    group = max(1, min(rda.n_beams, GROUP_ENTRIES // (rda.n_range * rda.n_doppler)))
+    maps = np.empty((group, rda.n_range, rda.n_doppler))
+    detections = []
+    for b0 in range(0, rda.n_beams, group):
+        pmaps = maps[: min(group, rda.n_beams - b0)]
+        _group_power_maps(rda, b0, pmaps)
+        for k, pmap in enumerate(pmaps):
+            detections += _beam_detections(rda, b0 + k, pmap)
+    detections.sort(key=lambda d: -d.power)
+    return detections
 
 
 def psd_project_eigh(a):

@@ -22,7 +22,7 @@ from rangesr.config import ConfigError, UavTruth, from_json, make_radar_config, 
 from rangesr.cube import CubeError, DataCube, RdaCube
 from rangesr.integrate import integrate_cube
 from rangesr.synth import add_noise, synth_beat_cube
-from spectral_oracles import cluster_all_pairs
+from spectral_oracles import ca_cfar_by_groups, cluster_all_pairs
 
 
 @pytest.fixture(scope="module")
@@ -79,10 +79,10 @@ def test_noise_level_map_constant_field(cfar_constants):
 def test_noise_level_map_equals_the_two_dimensional_filter(
     monkeypatch, cfar_constants, guard, workers
 ):
-    # the map runs as 1-D passes on line spans; it must equal the one-call
-    # wrapped box filter bit for bit, including a 1-cell guard box
-    from rangesr import spans
-
+    # the map runs as running sums down tiles of rows (one, five with a
+    # short last tile, the whole map) and 1-D passes along them; it must
+    # equal the one-call wrapped box filter bit for bit, including a 1-cell
+    # guard box
     monkeypatch.setattr(spans, "_CHUNK_BUDGET", 1)
     monkeypatch.setattr(spans, "WORKERS", workers)
     rng = np.random.default_rng(guard)
@@ -93,7 +93,9 @@ def test_noise_level_map_equals_the_two_dimensional_filter(
         uniform_filter(power, size=outer, mode="wrap") * (outer * outer)
         - uniform_filter(power, size=inner, mode="wrap") * (inner * inner)
     ) / (outer * outer - inner * inner)
-    assert np.array_equal(noise_level_map(power), expected)
+    for rows in (1, 5, 37):
+        monkeypatch.setattr(cfar, "_TILE_ENTRIES", rows * power.shape[1])
+        assert np.array_equal(noise_level_map(power), expected)
 
 
 def test_noise_level_map_rejects_oversized_window():
@@ -316,11 +318,12 @@ def detection_cells(detections):
     return [(d.range_bin, d.doppler_bin, d.beam, d.angle_rad, d.at_edge) for d in detections]
 
 
-@pytest.mark.parametrize("budget", [None, 3 * 64 * 48])
+@pytest.mark.parametrize("budget", [None, 12 * 16 * 48])
 def test_element_cube_detections_are_the_beam_cube_detections(monkeypatch, budget):
     if budget is not None:
-        # groups of three maps, the last of the 16 beams a group of one
-        monkeypatch.setattr(cfar, "_GROUP_ENTRIES", budget)
+        # tiles of twelve range rows of the 16 beams, the last of the 64
+        # rows a tile of four
+        monkeypatch.setattr(cfar, "_TILE_ENTRIES", budget)
     elements, beams = element_and_beam_rda()
     assert elements.n_beams == beams.n_beams == 16
     got, want = ca_cfar(elements), ca_cfar(beams)
@@ -334,8 +337,8 @@ def test_element_cube_detections_are_the_beam_cube_detections(monkeypatch, budge
 
 def test_element_cube_cfar_is_bit_identical_for_any_worker_count(monkeypatch):
     elements, _ = element_and_beam_rda()
-    # groups of three maps, and the 64 x 48 x 8 cube counts as large
-    monkeypatch.setattr(cfar, "_GROUP_ENTRIES", 3 * 64 * 48)
+    # tiles of five range rows, and the 64 x 48 x 8 cube counts as large
+    monkeypatch.setattr(cfar, "_TILE_ENTRIES", 5 * 16 * 48)
     monkeypatch.setattr(spans, "_CHUNK_BUDGET", 3 * 64 * 48)
     monkeypatch.setattr(spans, "_BLOCK_ENTRIES", 5 * 48 * 8)   # 13 blocks, the last short
     runs = []
@@ -348,3 +351,84 @@ def test_element_cube_cfar_is_bit_identical_for_any_worker_count(monkeypatch):
 def test_beam_weights_must_take_the_cubes_channels(cfg):
     with pytest.raises(CubeError, match="take 4 channels"):
         RdaCube(np.zeros((8, 8, 3), complex), cfg, weights=np.ones((4, 2), complex))
+
+
+# ------------------------------------------------ the tile stream against the oracle
+
+
+@pytest.fixture(scope="module")
+def element_and_beam():
+    return element_and_beam_rda()
+
+
+def edge_hit_rda(cfg):
+    """Three beams of exponential noise with spikes on rows 0, 1, N-2 and
+    N-1 and on columns 0 and M-1, whose training rings wrap round the map."""
+    rng = np.random.default_rng(11)
+    n, m = 42, 36
+    power = rng.exponential(size=(n, m, 3))
+    for i, j, b in [(0, 9, 0), (1, 20, 1), (n - 2, 30, 2), (n - 1, 14, 0),
+                    (17, 0, 1), (25, m - 1, 2), (0, 0, 2), (n - 1, m - 1, 1)]:
+        power[i, j, b] = 1e3
+    return RdaCube(data=np.sqrt(power) + 0j, config=cfg, beam_angles=(-0.2, 0.0, 0.2))
+
+
+def floor_rda(cfg):
+    """A noise-free beam: one 1e14 peak on cells that hold only rounding,
+    1e-20 of power. Past the peak, the range sums' (s + 1e14) - 1e14 has
+    lost the floor's power, so cancellation sets the noise level there."""
+    rng = np.random.default_rng(5)
+    power = 1e-20 * rng.exponential(size=(64, 48, 1))
+    power[10, 7] = 1e14
+    return RdaCube(data=np.sqrt(power) + 0j, config=cfg)
+
+
+def dense_hit_rda(cfg, levels):
+    """Two beams of 23 x 17 power, a few integer levels (equal-valued
+    plateaus) or exponential noise, for a detector whose 3 x 3 training box
+    passes a third of the cells: hits on every row, so the local-maximum
+    test and the refinement read neighbours across the wrap of the ring."""
+    rng = np.random.default_rng(levels)
+    shape = (23, 17, 2)
+    power = rng.integers(0, levels + 1, shape) + 0.0 if levels else rng.exponential(size=shape)
+    return RdaCube(data=np.sqrt(power) + 0j, config=cfg)
+
+
+@pytest.mark.parametrize("rows", [1, 5, None])
+@pytest.mark.parametrize("workers", [1, 3])
+@pytest.mark.parametrize("case", ["elements", "beams", "edges", "floor", "plateaus", "dense"])
+def test_cfar_equals_the_group_at_a_time_oracle(
+    monkeypatch, cfg, cfar_constants, element_and_beam, case, workers, rows
+):
+    # every Detection field, in order, for tiles of one row, of five rows
+    # (a short last tile on each of these maps) and of the whole map, inline
+    # and on three workers
+    if case in ("plateaus", "dense"):
+        cfar_constants(_TRAIN_CELLS=1, _GUARD_CELLS=0, _PFA=0.3, _MIN_POWER=0.5)
+    rda = {
+        "elements": element_and_beam[0],
+        "beams": element_and_beam[1],
+        "edges": edge_hit_rda(cfg),
+        "floor": floor_rda(cfg),
+        "plateaus": dense_hit_rda(cfg, 3),
+        "dense": dense_hit_rda(cfg, 0),
+    }[case]
+    width = rda.n_beams * rda.n_doppler
+    monkeypatch.setattr(cfar, "_TILE_ENTRIES", (rows or rda.n_range) * width)
+    monkeypatch.setattr(spans, "_CHUNK_BUDGET", 1)
+    monkeypatch.setattr(spans, "WORKERS", workers)
+    got = ca_cfar(rda)
+    assert got == ca_cfar_by_groups(rda)
+    cells = {(d.range_bin + rda.n_range // 2, d.doppler_bin + rda.n_doppler // 2, d.beam)
+             for d in got}
+    if case == "edges":
+        n, m = rda.n_range - 1, rda.n_doppler - 1
+        assert {(0, 9, 0), (1, 20, 1), (n - 1, 30, 2), (n, 14, 0), (17, 0, 1),
+                (25, m, 2), (0, 0, 2), (n, m, 1)} <= cells
+    if case == "floor":
+        # the peak, then floor cells that pass a noise level the
+        # cancellation left negative
+        assert got[0].power == 1e14
+        assert sum(d.noise_power < 0.0 for d in got[1:]) > 10
+    if case in ("plateaus", "dense"):
+        assert {d.range_bin for d in got} == set(range(-11, 12))

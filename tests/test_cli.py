@@ -330,7 +330,7 @@ def test_compare_rejects_an_unknown_method_before_any_grid_runs(
                  "--out-dir", str(tmp_path)])
     assert code == 2
     err = capsys.readouterr().err
-    assert err == "rangesr compare: unknown method(s) esprit; choose from fsram,ram,music\n"
+    assert err == "rangesr compare: unknown method 'esprit'; choose from fsram,ram,music\n"
     assert not (tmp_path / "compare.json").exists()
 
 

@@ -14,7 +14,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from rangesr import bench, integrate, spans, synth
+from rangesr import bench, cfar, integrate, spans, synth
 from rangesr.beamform import BeamGrid, beamform_cube
 from rangesr.cfar import ca_cfar
 from rangesr.config import UavTruth, make_radar_config
@@ -199,17 +199,20 @@ def test_cfar_is_bit_identical_for_any_worker_count(threaded, tiny_cfg):
 
 
 def test_cfar_spans_carry_equal_work(threaded, tiny_cfg, monkeypatch):
-    # five beams on two workers: every pass splits lines of one beam, not
-    # beams, so no worker gets a beam more than the other
+    # five beams on two workers: every pass splits lines of all five beams,
+    # not beams, so no worker gets a beam more than the other. Each of the
+    # four 16-row tiles takes three passes: its power rows, the range sums
+    # on column spans and the Doppler pass and hit test on row spans
     rda = integrate_cube(
         beamform_cube(DataCube(random_cube((64, 33, 4), 2), tiny_cfg), FIVE_BEAMS)
     )
+    monkeypatch.setattr(cfar, "_TILE_ENTRIES", 16 * rda.n_beams * rda.n_doppler)
     seen = []
     run = spans.run
     monkeypatch.setattr(spans, "run", lambda fn, bounds: (seen.append(bounds), run(fn, bounds))[1])
     threaded(2)
     ca_cfar(rda)
-    assert len(seen) == 4 * rda.n_beams
+    assert len(seen) == 3 * 4
     for bounds in seen:
         sizes = [b - a for a, b in bounds]
         assert len(sizes) == 2 and max(sizes) - min(sizes) <= 1

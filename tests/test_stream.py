@@ -234,12 +234,18 @@ def test_step2_never_holds_the_element_cube(monkeypatch):
     workspace = 16 * 16 * sfft.next_fast_len(2 * n_slow - 1) * 5
     monkeypatch.setattr(integrate, "_CHUNK_BUDGET", workspace // 16)
     workspace += workspace // 5
+    # tiles of one range row of the five beams, held as in the step-1 test
+    # below once the window loop and the workspace have ended
+    width = 5 * n_slow
+    monkeypatch.setattr(cfar, "_TILE_ENTRIES", width)
+    halo = cfar._window()[0] // 2
+    tile = 2 * 8 * (1 + 2 * halo + 1 + 2 * 2) * width
     scene = scene_of(cfg, n_slow, 10.0)
     element_cube = 16 * n_fast * n_slow * n_el
     beams = 16 * n_fast * n_slow * 5
     kept = 16 * N_EX * n_slow * n_el
     chunk = 16 * n_fast * synth._CHUNK_M * n_el
-    bound = beams + kept + chunk + workspace
+    bound = beams + kept + max(chunk + workspace, tile)
     # an element cube alone would break the bound
     assert bound < element_cube
 
@@ -256,7 +262,8 @@ def test_step2_never_holds_the_element_cube(monkeypatch):
 
 def test_step1_never_holds_the_beam_fan(monkeypatch):
     # 16 elements under 32 beams: step 1 integrates the element cube, and
-    # its CFAR forms one group of beam maps at a time from the element RDA
+    # its CFAR forms a tile of range rows of the beams at a time from the
+    # element RDA
     cfg = make_radar_config(10e9, 50e6, 12.8e-6, 5e6, 16)
     n_fast, n_el, n_slow = cfg.n_fast, cfg.n_elements, 2048
     # two workers, and a gate low enough that each window's synthesis and
@@ -268,15 +275,19 @@ def test_step1_never_holds_the_beam_fan(monkeypatch):
     workspace = 16 * 16 * sfft.next_fast_len(2 * n_slow - 1) * n_el
     monkeypatch.setattr(integrate, "_CHUNK_BUDGET", workspace // 16)
     workspace += workspace // n_el
-    # groups of two beam maps
-    monkeypatch.setattr(cfar, "_GROUP_ENTRIES", 2 * n_fast * n_slow)
+    # tiles of one range row of the 32 beams: the CFAR holds the tile's ring
+    # of power rows with the training window's halo and two rows of box
+    # sums per box, and as much again in the workers' blocks of beams and
+    # filter buffers; the window loop and the chirp-z workspace have ended
+    width = 32 * n_slow
+    monkeypatch.setattr(cfar, "_TILE_ENTRIES", width)
+    halo = cfar._window()[0] // 2
+    tile = 2 * 8 * (1 + 2 * halo + 1 + 2 * 2) * width
     scene = replace(scene_of(cfg, 64, 10.0), dwell1_s=n_slow * cfg.chirp_s)
     element_rda = 16 * n_fast * n_slow * n_el
     beam_fan = 16 * n_fast * n_slow * 32
     chunk = 16 * n_fast * synth._CHUNK_M * n_el
-    group = cfar._GROUP_ENTRIES // (n_fast * n_slow)     # two maps
-    maps = 8 * group * n_fast * n_slow
-    bound = element_rda + chunk + workspace + maps
+    bound = element_rda + max(chunk + workspace, tile)
     # the 32-beam cube alone would break the bound
     assert bound < beam_fan
 
