@@ -24,7 +24,11 @@ dwell.
 What a trial holds: its clean element cube and its unit-power noise
 (`_TrialData`, 8 MB each at the 512 x 64 x 16 cube of the default 5.12 MHz
 radar and 64 chirps), and `compare_methods` lets them go before it draws
-the next trial. No noisy cube is built: `run_trial_method` hands
+the next trial. The unit noise is `synth.add_noise` at 0 dB on a zero cube
+of the trial's shape (`_unit_noise`), the scenes' one noise rule: a trial
+of at most `synth._CHUNK_M` (256) chirps is one noise block, so its noise
+is one draw of the whole cube's real parts, then one of its imaginary
+parts, scaled by 1/sqrt(2). No noisy cube is built: `run_trial_method` hands
 `pipeline.stare` the dwell `clean + sigma * unit_noise` as chirp windows of
 about `spans._BLOCK_ENTRIES` samples (1 MB, 8 chirps), each formed from its
 chirps of the two arrays, as `pipeline.dwell_chunks` hands it a scene's
@@ -49,8 +53,8 @@ from .beamform import BeamGrid
 from .config import ConfigError, RadarConfig, UavTruth, to_json
 from .cube import DataCube
 from .pipeline import group_mmv, stare, table_radar_config
-from .superres import METHODS, SuperResError, require_method, solve_by_name
-from .synth import noise_sigma, synth_beat_cube
+from .superres import METHODS, SuperResError, decimation_rows, require_method, solve_by_name
+from .synth import add_noise, noise_sigma, synth_beat_cube
 
 # Not called here: perfbench/layers.py patches these names in this module; the
 # trial reaches them through `pipeline.stare` and `pipeline.group_mmv`.
@@ -96,6 +100,9 @@ class GridSpec:
             raise ConfigError("K values must be >= 1")
         if self.seed_base < 0:
             raise ConfigError(f"seed_base must be >= 0, got {self.seed_base}")
+        if self.n_slow < 1:
+            raise ConfigError(f"n_slow must be >= 1, got {self.n_slow}")
+        decimation_rows(table_radar_config(self.sample_rate_hz).n_fast, self.n_ex)
 
 
 @dataclass
@@ -193,36 +200,20 @@ def _draw_ranges(rng, spec: GridSpec, k: int, delta_ratio: float):
     return None
 
 
-def _unit_noise(rng, shape) -> np.ndarray:
-    """Unit-power complex normal draws: `rng.standard_normal(shape)` scaled
-    by 1/sqrt(2) as the real parts, then a second such draw as the
-    imaginary parts.
-
-    Each part is drawn a block of rows (axis 0) at a time into one buffer of
-    at most `spans._BLOCK_ENTRIES` samples (512 KB) and scaled into its view
-    of the result. The generator fills a draw in order, so the blocks take
-    the one-shot draws' values bit for bit, and no draw as large as the cube
-    is ever alive beside it.
-    """
-    out = np.empty(shape, dtype=np.complex128)
-    scale = 1.0 / np.sqrt(2.0)
-    n_rows = out.shape[0]
-    rows = max(1, spans._BLOCK_ENTRIES // max(1, math.prod(out.shape[1:])))
-    buf = np.empty((min(rows, n_rows),) + out.shape[1:])
-    for part in (out.real, out.imag):
-        for n0 in range(0, n_rows, rows):
-            draw = buf[: min(rows, n_rows - n0)]
-            rng.standard_normal(out=draw)
-            np.multiply(draw, scale, out=part[n0 : n0 + len(draw)])
-    return out
+def _unit_noise(rng, clean: DataCube) -> np.ndarray:
+    """The unit-power noise of a trial whose clean cube is `clean`:
+    `add_noise` at 0 dB (sigma 1) on a zero cube of its shape, so a trial
+    draws its noise by the scenes' rule (`synth`)."""
+    return add_noise(DataCube(np.zeros(clean.data.shape, complex), clean.config), 0.0, rng).data
 
 
 @dataclass
 class _TrialData:
     """One trial's draws, all that the trial holds while its methods and
     SNRs run: 8 MB per array at the grid's 512 x 64 x 16 trial cube. The
-    noisy dwell `clean + sigma * unit_noise` is never built whole; the
-    stare reads it a chirp window at a time (`_trial_windows`)."""
+    unit noise is `add_noise` at 0 dB on zeros (`_unit_noise`). The noisy
+    dwell `clean + sigma * unit_noise` is never built whole; the stare
+    reads it a chirp window at a time (`_trial_windows`)."""
 
     truth_ranges: np.ndarray
     clean: np.ndarray          # element cube, full dwell
@@ -251,25 +242,24 @@ def _prepare_trial(spec: GridSpec, k: int, delta_ratio: float, trial: int):
         )
         for r, ph in zip(ranges, phases)
     )
-    clean = synth_beat_cube(cfg, truths, spec.n_slow).data
+    clean = synth_beat_cube(cfg, truths, spec.n_slow)
     noise_rng = np.random.default_rng(np.random.SeedSequence(entropy + (999,)))
-    unit = _unit_noise(noise_rng, clean.shape)
-    return _TrialData(truth_ranges=ranges, clean=clean, unit_noise=unit)
+    unit = _unit_noise(noise_rng, clean)
+    return _TrialData(truth_ranges=ranges, clean=clean.data, unit_noise=unit)
 
 
 def _trial_windows(data: _TrialData, sigma: float, cfg: RadarConfig):
-    """The noisy dwell as `(m0, m1, chirps [m0, m1))` windows of about
-    `spans._BLOCK_ENTRIES` samples, each formed as `clean + sigma *
+    """The noisy dwell as `(m0, window)` pairs, each window the chirps from
+    `m0` on, about `spans._BLOCK_ENTRIES` samples, formed as `clean + sigma *
     unit_noise` over its chirps: every sample is the same two operations
     whatever window holds it, so the windows equal the whole cube's chirps
     bit for bit."""
     n_fast, n_slow, n_elements = data.clean.shape
     width = max(1, spans._BLOCK_ENTRIES // (n_fast * n_elements))
     for m0 in range(0, n_slow, width):
-        m1 = min(m0 + width, n_slow)
-        window = sigma * data.unit_noise[:, m0:m1]
-        window += data.clean[:, m0:m1]
-        yield m0, m1, DataCube(data=window, config=cfg)
+        window = sigma * data.unit_noise[:, m0:m0 + width]
+        window += data.clean[:, m0:m0 + width]
+        yield m0, DataCube(data=window, config=cfg)
         del window   # only the stare may hold this window while the next is formed
 
 

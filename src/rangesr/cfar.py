@@ -13,11 +13,12 @@ range-Doppler cells.
 
 The detector runs at fixed settings, module constants read at call time:
 t = `_TRAIN_CELLS` = 8 and g = `_GUARD_CELLS` = 2 cells per axis, pfa =
-`_PFA` = 1e-4 per tested cell, and no hit below `_MIN_POWER` = 1e-24. The
-ring then holds N_t = 21^2 - 5^2 = 416 training cells (alpha = 9.31, a
-threshold 9.7 dB over the local mean), and a 512 x 5000 x 5 step-2 stare
-tests 12.8 million cells, so it expects about 1,300 noise cells over the
-threshold before the local-maximum gate (ROADMAP item 4).
+`_PFA` = 1e-4 per tested cell, and no hit below `_MIN_POWER` = 1e-24 or
+on a noise level of zero or below. The ring then holds N_t = 21^2 - 5^2 =
+416 training cells (alpha = 9.31, a threshold 9.7 dB over the local mean),
+and a 512 x 5000 x 5 step-2 stare tests 12.8 million cells, so it expects
+about 1,300 noise cells over the threshold before the local-maximum gate
+(ROADMAP item 4).
 
 The cube's channels are beams, or elements with the steering weights that
 form the beams (`RdaCube.weights`). The detector streams over tiles of
@@ -53,7 +54,12 @@ a product over any other block of rows, with any other group of two or more
 beams, gives (measured with OpenBLAS; a one-beam product goes through gemv
 and may round differently). Hits are sorted by falling power, ties in
 (beam, range, Doppler) order. So the detections equal those of whole-map
-filtering a group of beams at a time (`tests/spectral_oracles.py`).
+filtering a group of beams at a time (`tests/spectral_oracles.py`), less
+the oracle's hits on a noise level of zero or below: past a peak 1e34 over
+its neighbours, (s + peak) - peak loses the floor's power, the training
+mean goes negative, and any positive cell there would pass the threshold.
+Such a cell is no hit, and neither is the peak when its own level cancels
+below zero.
 
 The work is split into spans of lines, not of beams, so every worker gets
 an equal share whatever the beam count (`spans`: workers come from the CPU
@@ -339,7 +345,7 @@ def ca_cfar(rda: RdaCube) -> list[Detection]:
 
     def detect(i0: int, ring: np.ndarray, s0: int, noise: np.ndarray) -> list[Detection]:
         power = ring[s0 : s0 + len(noise)]
-        hit = (power > alpha * noise) & (power > min_power)
+        hit = (power > alpha * noise) & (power > min_power) & (noise > 0.0)
         rows, cols = np.nonzero(hit)
         keep = _is_local_max(ring, rows + s0, cols, n_doppler)
         detections = []

@@ -208,9 +208,9 @@ def dwell_chirps(scene: Scene, step: int) -> int:
     return _n_chirps(dwell, scene.config.chirp_s)
 
 
-def dwell_chunks(scene: Scene, step: int) -> Iterator[tuple[int, int, DataCube]]:
-    """The noisy element cube of a dwell as `(m0, m1, chirps [m0, m1))`,
-    one noise block (`synth._CHUNK_M` chirps) a window.
+def dwell_chunks(scene: Scene, step: int) -> Iterator[tuple[int, DataCube]]:
+    """The noisy element cube of a dwell as `(m0, window)` pairs, each
+    window one noise block (`synth._CHUNK_M` chirps) from chirp `m0` on.
 
     Step 1 observes `uavs` for `dwell1_s`, step 2 the step-2 truths for
     `dwell2_s`; the noise generator is seeded with `seed * 10 + step`.
@@ -222,7 +222,7 @@ def dwell_chunks(scene: Scene, step: int) -> Iterator[tuple[int, int, DataCube]]
     for m0 in range(0, n_slow, synth._CHUNK_M):
         m1 = min(m0 + synth._CHUNK_M, n_slow)
         chunk = synth_beat_cube(cfg, truths, n_slow, m0, m1)
-        yield m0, m1, add_noise(chunk, scene.snr_db, rng_seed=rng)
+        yield m0, add_noise(chunk, scene.snr_db, rng_seed=rng)
         del chunk   # only the consumer may hold this window while the next is built
 
 
@@ -320,16 +320,16 @@ def _angle_centroid(rda: RdaCube, det: Detection) -> float:
 
 
 def stare(
-    chunks: Iterable[tuple[int, int, DataCube]],
+    chunks: Iterable[tuple[int, DataCube]],
     n_slow: int,
     grid: BeamGrid,
     n_ex: int | None = None,
 ) -> tuple[RdaCube, list[Detection], list[DetectionGroup], ExtractionRows | None]:
-    """Integrate an `n_slow`-chirp element cube, given as windows
-    `(m0, m1, chirps [m0, m1))`, and CFAR-test `grid`'s beams together; a
-    detection's `beam` is its slot in `grid`, and a cell hit in several beams
-    keeps its strongest hit. Detections and groups come sorted by falling
-    power.
+    """Integrate an `n_slow`-chirp element cube, given as `(m0, window)`
+    pairs, each window the cube's chirps from `m0` on, and CFAR-test
+    `grid`'s beams together; a detection's `beam` is its slot in `grid`,
+    and a cell hit in several beams keeps its strongest hit. Detections and
+    groups come sorted by falling power.
 
     The integration runs on whichever channel set is smaller. With fewer
     beams than elements, each window is beamformed into its slice of one
@@ -348,7 +348,8 @@ def stare(
     and each window may go once it is copied or beamformed.
     """
     channels = kept = pick = None
-    for m0, m1, chunk in chunks:
+    for m0, chunk in chunks:
+        m1 = m0 + chunk.n_slow
         if channels is None:
             cfg, dtype = chunk.config, chunk.data.dtype
             in_beams = len(grid) < cfg.n_elements

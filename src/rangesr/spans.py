@@ -20,9 +20,10 @@ run on. The rule:
 No workspace is sized from the gate: the chirp-z workspace (`integrate`) and
 the CFAR's tile of range rows (`cfar`) have budgets of their own. The
 smaller working blocks share one size, `_BLOCK_ENTRIES` (2^16 entries, 1 MB
-of complex128): the row blocks of the synthesis product (`synth`) and of
-the CFAR's beam forming (`cfar`), and a grid trial's noise draws and chirp
-windows (`bench`).
+of complex128): the row blocks of the synthesis product and of the noise
+draws (`synth`, 512 KB of float64, which a grid trial's unit noise also
+goes through), the row blocks of the CFAR's beam forming (`cfar`), and a
+grid trial's chirp windows (`bench`).
 
 The first span runs on the calling thread and the others on the pool; every
 span finishes before `run` returns or raises. Span functions call numpy,

@@ -31,6 +31,15 @@ dwell bit for bit (the tests check both). `add_noise` draws in blocks of
 `_CHUNK_M` chirps from a generator that may be carried across windows;
 windows that start on a multiple of `_CHUNK_M` then draw exactly the noise
 of the whole dwell.
+
+`add_noise` is the package's one noise drawer: a grid trial's unit noise is
+`add_noise` at 0 dB on a zero cube (`bench._unit_noise`). Within a block it
+draws the real parts, then the imaginary parts, a block of rows at a time
+into one buffer of at most `spans._BLOCK_ENTRIES` float64 entries (512 KB),
+which it scales and adds in place. The generator fills a draw in C order,
+so the row blocks take the values of the block's parts drawn whole, and no
+draw as large as a block (16 MB per part at 5.12 MHz, 164 MB at 50 MHz) is
+ever alive beside the cube.
 """
 
 from __future__ import annotations
@@ -138,20 +147,29 @@ def add_noise(
     and -inf raise ConfigError (`noise_sigma`).
     `rng_seed` may be a generator, which is then drawn from (and advanced)
     as it is: a dwell synthesised in windows passes one generator to each.
+
+    Each `_CHUNK_M`-chirp block takes `standard_normal(block.shape) * sigma
+    / sqrt(2)` as its real parts, then a second such draw as its imaginary
+    parts, each drawn a block of rows at a time into one buffer of at most
+    `spans._BLOCK_ENTRIES` float64 entries and added in place.
     """
     if snr_db is None or snr_db == np.inf:
         return cube
     sigma = noise_sigma(float(snr_db))
     rng = np.random.default_rng(rng_seed)
     data = cube.data
+    n_rows = data.shape[0]
     scale = sigma / np.sqrt(2.0)
     for m0 in range(0, data.shape[1], _CHUNK_M):
         block = data[:, m0:m0 + _CHUNK_M, :]
-        # the real parts' draw, then the imaginary parts', each scaled and
-        # added in place: the sums of adding scale * (re + 1j * im)
+        # the generator fills a draw in C order, so row blocks of a part's
+        # draw take the values of the part drawn whole
+        rows = max(1, spans._BLOCK_ENTRIES // block[0].size)
+        buf = np.empty((min(rows, n_rows),) + block.shape[1:])
         for part in (block.real, block.imag):
-            draw = rng.standard_normal(block.shape)
-            draw *= scale
-            part += draw.astype(part.dtype, copy=False)
-            del draw
+            for n0 in range(0, n_rows, rows):
+                draw = buf[: min(rows, n_rows - n0)]
+                rng.standard_normal(out=draw)
+                draw *= scale
+                part[n0 : n0 + len(draw)] += draw.astype(part.dtype, copy=False)
     return cube

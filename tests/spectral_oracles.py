@@ -37,8 +37,8 @@ def dwell_cube(scene, step):
     """
     cfg = scene.config
     data = np.empty((cfg.n_fast, dwell_chirps(scene, step), cfg.n_elements), np.complex128)
-    for m0, m1, chunk in dwell_chunks(scene, step):
-        data[:, m0:m1] = chunk.data
+    for m0, chunk in dwell_chunks(scene, step):
+        data[:, m0:m0 + chunk.n_slow] = chunk.data
     return DataCube(data=data, config=cfg)
 
 

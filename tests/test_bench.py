@@ -31,7 +31,7 @@ from rangesr.integrate import integrate_cube
 from rangesr.pipeline import stare, table_radar_config
 from rangesr import bench, sdp, spans
 from rangesr.superres import ExtractionRows, FreqBand, extract_mmv, solve_by_name
-from rangesr.synth import noise_sigma, synth_beat_cube
+from rangesr.synth import add_noise, noise_sigma, synth_beat_cube
 
 # the light budget, as values of the SDP's budget constants
 LIGHT = {"_MAX_OUTER": 2, "_INNER_ITERS_FIRST": 150, "_INNER_ITERS": 100}
@@ -53,6 +53,13 @@ def test_grid_spec_rejects_bad_fields():
         GridSpec(k_values=(1, 0))
     with pytest.raises(ConfigError, match="seed_base"):
         GridSpec(seed_base=-1)
+    # extraction's rows and the dwell are checked here, not in the first
+    # trial's stare: the default radar has 512 fast-time rows
+    for n_ex in (1, 513):
+        with pytest.raises(ConfigError, match=rf"^n_ex={n_ex} must be in \[2, 512\]$"):
+            GridSpec(n_ex=n_ex)
+    with pytest.raises(ConfigError, match="^n_slow must be >= 1, got 0$"):
+        GridSpec(n_slow=0)
     # an empty axis leaves no cell to run, so the grid is refused before any
     # trial is drawn
     for axis in ("k_values", "delta_ratios", "snr_values_db"):
@@ -66,6 +73,14 @@ def test_a_repeated_method_is_rejected_before_any_trial(monkeypatch):
     spec = GridSpec(k_values=(1,), delta_ratios=(0.5,), trials=1)
     with pytest.raises(ConfigError, match=r"^method\(s\) fsram given more than once$"):
         compare_methods(spec, ("fsram", "ram", "fsram"))
+    assert prepared == []
+
+
+def test_a_bad_n_ex_is_rejected_before_any_trial(monkeypatch):
+    prepared = []
+    monkeypatch.setattr(bench, "_prepare_trial", lambda *args: prepared.append(args))
+    with pytest.raises(ConfigError, match=r"^n_ex=1 must be in \[2, 512\]$"):
+        compare_methods(GridSpec(k_values=(1,), delta_ratios=(0.5,), trials=1, n_ex=1))
     assert prepared == []
 
 
@@ -390,7 +405,7 @@ def trial_cube():
 def test_stare_on_one_beam_is_cfar_and_grouping_of_the_integrated_beam(trial_cube):
     # merging duplicates across beams does nothing on a single beam
     grid = BeamGrid((0.0,))
-    _, detections, groups, rows = stare([(0, trial_cube.n_slow, trial_cube)],
+    _, detections, groups, rows = stare([(0, trial_cube)],
                                         trial_cube.n_slow, grid)
     assert rows is None
     reference = ca_cfar(integrate_cube(beamform_cube(trial_cube, grid)))
@@ -410,8 +425,8 @@ def test_trial_windows_move_no_sample(monkeypatch, admm_budget, method):
     cfg = table_radar_config()
     sigma = noise_sigma(10.0)
     windows = list(bench._trial_windows(data, sigma, cfg))
-    assert [(m0, m1) for m0, m1, _ in windows] == [(m, m + 8) for m in range(0, 64, 8)]
-    noisy = np.concatenate([w.data for _, _, w in windows], axis=1)
+    assert [(m0, w.n_slow) for m0, w in windows] == [(m, 8) for m in range(0, 64, 8)]
+    noisy = np.concatenate([w.data for _, w in windows], axis=1)
     assert noisy.tobytes() == (data.clean + sigma * data.unit_noise).tobytes()
     del windows, noisy
 
@@ -442,11 +457,25 @@ def test_unit_noise_is_the_one_shot_draw(shape):
     """Drawn a block of rows at a time, the noise is the one-shot draw bit
     for bit: the real parts, then the imaginary parts, each scaled by
     1/sqrt(2). The second shape's 100 rows leave a 36-row last block."""
-    got = bench._unit_noise(np.random.default_rng(11), shape)
+    zeros = DataCube(np.zeros(shape, complex), table_radar_config())
+    got = bench._unit_noise(np.random.default_rng(11), zeros)
     rng = np.random.default_rng(11)
     scale = 1.0 / np.sqrt(2.0)
     assert got.real.tobytes() == (rng.standard_normal(shape) * scale).tobytes()
     assert got.imag.tobytes() == (rng.standard_normal(shape) * scale).tobytes()
+
+
+@pytest.mark.parametrize("n_slow", [64, 256, 300])
+def test_unit_noise_is_add_noise_at_0_db(n_slow):
+    """One noise rule: a trial's unit noise is `add_noise` at 0 dB on a zero
+    cube, bit for bit. Past 256 chirps both draw in 256-chirp blocks, not
+    the whole cube at once."""
+    cfg = table_radar_config()
+    clean = synth_beat_cube(cfg, [UavTruth(range0_m=166.0, velocity_mps=44.07)], n_slow)
+    got = bench._unit_noise(np.random.default_rng(5), clean)
+    zeros = DataCube(np.zeros(clean.data.shape, complex), cfg)
+    want = add_noise(zeros, 0.0, rng_seed=np.random.default_rng(5)).data
+    assert got.dtype == np.complex128 and got.tobytes() == want.tobytes()
 
 
 def test_one_chirp_extraction_ignores_the_doppler_bin(trial_cube):

@@ -304,17 +304,21 @@ def test_pipeline_rejects_a_negative_seed_with_exit_2(tmp_path, scene_path, caps
         ({"k_values": []}, None, "k_values must not be empty"),
         ({"delta_ratios": []}, None, "delta_ratios must not be empty"),
         ({"snr_values_db": []}, None, "snr_values_db must not be empty"),
+        # extraction reads 2 to 512 rows of the default radar's 512: refused
+        # with the spec, not in the first trial's stare
+        ({"n_ex": 1}, None, "n_ex=1 must be in [2, 512]"),
     ],
     ids=["no_trials", "negative_seed", "misspelled_key", "fixed_trial_scene_key",
-         "no_k", "no_spacing", "no_snr"],
+         "no_k", "no_spacing", "no_snr", "bad_n_ex"],
 )
 def test_bench_rejects_an_invalid_spec_with_exit_2(tmp_path, capsys, spec, seed, message):
     path = tmp_path / "spec.json"
     dump_json(spec, path)
-    argv = ["compare", "--spec", str(path), "--methods", "fsram", "--out-dir", str(tmp_path)]
+    out = tmp_path / "out"
+    argv = ["compare", "--spec", str(path), "--methods", "fsram", "--out-dir", str(out)]
     assert main(argv + (["--seed", seed] if seed else [])) == 2
     assert capsys.readouterr().err == f"rangesr compare: {message}\n"
-    assert not (tmp_path / "bench_fsram.json").exists()
+    assert not out.exists()
 
 
 def test_compare_rejects_an_unknown_method_before_any_grid_runs(

@@ -246,8 +246,8 @@ def test_a_table_dwell_window_splits_across_every_worker(monkeypatch):
     run = spans.run
     monkeypatch.setattr(spans, "run", lambda fn, bounds: (seen.append(len(bounds)), run(fn, bounds))[1])
     scene = make_exp1_scene(snr_db=0.0)
-    m0, m1, window = next(dwell_chunks(scene, 2))
-    assert (m0, m1) == (0, 256) and window.data.shape == (512, 256, 16)
+    m0, window = next(dwell_chunks(scene, 2))
+    assert (m0, window.n_slow) == (0, 256) and window.data.shape == (512, 256, 16)
     beamform_cube(window, FIVE_BEAMS)
     assert seen == [3, 3]
 

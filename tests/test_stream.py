@@ -55,22 +55,22 @@ def stare_window(cfg):
 
 def test_windows_are_noise_blocks_with_a_ragged_last_one(cfg):
     scene = scene_of(cfg, 600, 0.0)
-    got = [(m0, m1, chunk.data.shape) for m0, m1, chunk in dwell_chunks(scene, 2)]
-    assert got == [(0, 256, (64, 256, 8)), (256, 512, (64, 256, 8)), (512, 600, (64, 88, 8))]
+    got = [(m0, chunk.n_slow, chunk.data.shape) for m0, chunk in dwell_chunks(scene, 2)]
+    assert got == [(0, 256, (64, 256, 8)), (256, 256, (64, 256, 8)), (512, 88, (64, 88, 8))]
 
 
 def test_a_table_radar_dwell_streams_in_noise_blocks():
     # only the first two of step 1's windows (512 x 256 x 16, 32 MB each) are built
     scene = pipeline.make_exp1_scene()
-    got = [(m0, m1, chunk.data.shape) for m0, m1, chunk in islice(dwell_chunks(scene, 1), 2)]
-    assert got == [(0, 256, (512, 256, 16)), (256, 512, (512, 256, 16))]
+    got = [(m0, chunk.n_slow, chunk.data.shape) for m0, chunk in islice(dwell_chunks(scene, 1), 2)]
+    assert got == [(0, 256, (512, 256, 16)), (256, 256, (512, 256, 16))]
 
 
 @pytest.mark.parametrize("snr_db", [None, 0.0])
 def test_dwell_cube_is_the_windows_and_the_one_shot_dwell(cfg, snr_db):
     scene = scene_of(cfg, 600, snr_db)
     cube = dwell_cube(scene, 2)
-    chunks = [chunk.data for _, _, chunk in dwell_chunks(scene, 2)]
+    chunks = [chunk.data for _, chunk in dwell_chunks(scene, 2)]
     assert np.array_equal(cube.data, np.concatenate(chunks, axis=1))
     # synthesised and noised in one go, as one cube
     whole = synth.synth_beat_cube(cfg, scene.step2_truths(), 600)

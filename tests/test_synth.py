@@ -1,10 +1,15 @@
 """Beat-signal synthesis against independent DFT oracles."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from spectral_oracles import dft_peak_freq, dft_peak_resolution, synth_per_target
+from rangesr import spans
 from rangesr.config import ConfigError, UavTruth
+from rangesr.cube import DataCube
+from rangesr.pipeline import table_radar_config
 from rangesr.synth import OutOfBandError, add_noise, array_phase, noise_sigma, synth_beat_cube
 
 
@@ -144,6 +149,39 @@ def test_add_noise_in_place_keeps_the_draw_order(tiny_cfg):
         draw = rng.standard_normal(block.shape) + 1j * rng.standard_normal(block.shape)
         block += scale * draw
     assert np.array_equal(noisy.data, want)
+
+
+@pytest.mark.parametrize("dtype", [np.complex128, np.complex64])
+@pytest.mark.parametrize("rows", [1, 5, 64])
+def test_add_noise_row_blocks_are_the_block_draws(tiny_cfg, monkeypatch, dtype, rows):
+    # each part of a block is drawn `rows` fast-time rows at a time (5 leave
+    # a short last block of the 64); any row count gives the values of the
+    # part drawn whole, scaled, then cast to the cube's precision
+    monkeypatch.setattr(spans, "_BLOCK_ENTRIES", rows * 256 * 4)
+    data = synth_beat_cube(tiny_cfg, [UavTruth(30.0, 10.0)], 300).data.astype(dtype)
+    want = data.copy()
+    add_noise(DataCube(data, tiny_cfg), 3.0, rng_seed=5)
+    rng = np.random.default_rng(5)
+    scale = noise_sigma(3.0) / np.sqrt(2.0)
+    for m0 in (0, 256):
+        block = want[:, m0 : m0 + 256, :]
+        for part in (block.real, block.imag):
+            part += (rng.standard_normal(part.shape) * scale).astype(part.dtype)
+    assert data.dtype == dtype and data.tobytes() == want.tobytes()
+
+
+def test_add_noise_holds_no_block_sized_draw():
+    # a 256-chirp window of the table radar's 16 elements at 5.12 MHz
+    # (32 MB): each part is drawn through one 512 KB buffer of rows, where a
+    # draw of the whole block would hold 16 MB
+    cube = DataCube(np.zeros((512, 256, 16), complex), table_radar_config())
+    tracemalloc.start()
+    try:
+        add_noise(cube, 0.0, rng_seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert cube.data.all() and peak <= 1 << 20, peak
 
 
 def test_add_noise_variance_calibration(tiny_cfg):
