@@ -50,6 +50,7 @@ from scipy.optimize import linear_sum_assignment
 
 from . import spans
 from .beamform import BeamGrid
+from .cfar import check_map_extent
 from .config import ConfigError, RadarConfig, UavTruth, to_json
 from .cube import DataCube
 from .pipeline import group_mmv, stare, table_radar_config
@@ -103,6 +104,8 @@ class GridSpec:
         if self.n_slow < 1:
             raise ConfigError(f"n_slow must be >= 1, got {self.n_slow}")
         decimation_rows(table_radar_config(self.sample_rate_hz).n_fast, self.n_ex)
+        for snr_db in self.snr_values_db:
+            noise_sigma(snr_db)
 
 
 @dataclass
@@ -307,7 +310,8 @@ def compare_methods(
     One trial's data is alive at a time: its clean cube and unit noise go
     before the next trial is drawn, so the pass holds two 8 MB arrays at the
     grid's trial cube, and a 1 MB window of them while the stare runs
-    (`run_trial_method`), whatever the trial count."""
+    (`run_trial_method`), whatever the trial count. The methods and the
+    dwell's CFAR map extent are checked before any trial is drawn."""
     if not methods:
         raise ConfigError(f"no method given; choose from {','.join(METHODS)}")
     for m in methods:
@@ -316,6 +320,7 @@ def compare_methods(
     if repeated:
         raise ConfigError(f"method(s) {','.join(repeated)} given more than once")
     cfg = table_radar_config(spec.sample_rate_hz)
+    check_map_extent(cfg.n_fast, spec.n_slow)
     ok_limit = 0.1 * cfg.range_res_m
     shape = (len(methods), len(spec.k_values), len(spec.delta_ratios), len(spec.snr_values_db))
     successes = np.zeros(shape, dtype=np.int64)

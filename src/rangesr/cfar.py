@@ -26,12 +26,14 @@ range rows, every beam of a tile at once, and holds no whole power, noise
 or guard-sum map. A power row is the row of every beam, beams * Doppler
 entries, and a tile is as many rows as `_TILE_ENTRIES` (2^20) entries hold:
 32 of step 1's 32 x 1000 rows, 41 of step 2's 5 x 5000. Power rows sit in a
-ring that holds the tile and the training window's halo, t + g + 1 rows
-before it and t + g after; each tile reads its new rows once from the RDA.
+window that holds the tile and the training box's halo, t + g + 1 rows
+before it and t + g after, in row order. Between tiles the window's last
+2 (t + g) + 1 rows move to its front, where they are the next tile's
+halo, and the tile's new rows are read once from the RDA behind them.
 A beam cube's rows are read as stored. An element cube's are beamformed a
 block of rows at a time, all beams by one matrix product, so the beam cube
 is never built: integrating the elements and forming the beams after
-commute (`integrate`). The ring and two box sums of tile rows come to about
+commute (`integrate`). The window and two box sums of tile rows come to about
 30 MB at step 1's and step 2's shapes, whatever the range extent. Smaller
 tiles run slower and raise the peak RSS: with glibc's malloc, 2^17 to 2^19
 entries took a benchmark `scene_clean` run's peak from 364 to 390 MB,
@@ -48,11 +50,11 @@ the sums carry from tile to tile, so the tile size changes no bit. A map
 that fits one tile (the grid trial's 512 x 64 beam) is filtered whole along
 the range axis by `uniform_filter1d` itself, which skips a Python loop over
 its narrow rows. The Doppler-axis pass is `uniform_filter1d` along the
-tile's rows, and the ring arithmetic, threshold and local-maximum tests
-follow on the same rows. The element product gives each beam the bits that
-a product over any other block of rows, with any other group of two or more
-beams, gives (measured with OpenBLAS; a one-beam product goes through gemv
-and may round differently). Hits are sorted by falling power, ties in
+tile's rows, and the training-ring arithmetic, threshold and local-maximum
+tests follow on the same rows. The element product gives each beam the bits
+that a product over any other block of rows, with any other group of two or
+more beams, gives (measured with OpenBLAS; a one-beam product goes through
+gemv and may round differently). Hits are sorted by falling power, ties in
 (beam, range, Doppler) order. So the detections equal those of whole-map
 filtering a group of beams at a time (`tests/spectral_oracles.py`), less
 the oracle's hits on a noise level of zero or below: past a peak 1e34 over
@@ -65,10 +67,11 @@ The work is split into spans of lines, not of beams, so every worker gets
 an equal share whatever the beam count (`spans`: workers come from the CPU
 affinity, span bounds depend only on the shape and the worker count, small
 cubes run inline). Per tile, the new power rows are formed on row spans,
-the range sums run on column spans of the beams' rows laid end to end, and
-the Doppler pass and hit tests run on row spans. Each row operation covers
-every beam of a worker's span, 16,000 entries at step 1 on two workers, so
-numpy runs it without the GIL. Each line is computed by the same code
+in two parts where they wrap round the range extent, the range sums run on
+column spans of the beams' rows laid end to end, and the Doppler pass and
+hit tests run on row spans. Each row operation covers every beam of a
+worker's span, 16,000 entries at step 1 on two workers, so numpy runs it
+without the GIL. Each line is computed by the same code
 whatever span holds it, so the result is identical for any worker count.
 
 Why the stare's cube stays complex128 and the power maps float64: on a
@@ -141,75 +144,78 @@ class Detection:
     at_edge: bool
 
 
-def _stream(shape: tuple[int, int, int], form, visit, gate: int) -> list:
-    """Run the CA-CFAR noise map over (range, beams, Doppler) power a tile of
-    range rows at a time, and return what `visit` finds, in row order.
-
-    Power row v (wrapped at the range extent) sits in slot v % len(ring) of
-    a ring of rows, each the row of every beam (beams * Doppler entries).
-    `form(parts)` writes each part (p0, p1, out) of stored rows [p0, p1)
-    into its slots `out`. `visit(i0, ring, s0, noise)` gets the noise rows
-    [i0, i0 + len(noise)), whose power rows are ring[s0 : s0 + len(noise)],
-    and returns a list. `gate` is the input size that decides, through
-    `spans`, whether the passes run on every worker.
-    """
-    n_range, n_beams, n_doppler = shape
-    outer, inner, n_train = _window()
+def check_map_extent(n_range: int, n_doppler: int) -> None:
+    """Raise ConfigError unless the training box fits an n_range x n_doppler map."""
+    outer = _window()[0]
     if outer > min(n_range, n_doppler):
         raise ConfigError(
             f"CFAR window {outer} exceeds map extent {min(n_range, n_doppler)}"
         )
+
+
+def _stream(shape: tuple[int, int, int], form, visit, gate: int) -> list:
+    """Run the CA-CFAR noise map over (range, beams, Doppler) power a tile of
+    range rows at a time, and return what `visit` finds, in row order.
+
+    A tile [r0, r0 + n) reads power rows [r0 - halo - 1, r0 + n + halo),
+    wrapped at the range extent, from a window of rows, each the row of
+    every beam (beams * Doppler entries): slot k holds power row
+    r0 - halo - 1 + k, so row r0 + k is slot k + halo + 1. Between tiles the
+    window's last 2 halo + 1 rows move to its front and only the tile's new
+    rows are formed. `form(p0, p1, out)` writes stored rows [p0, p1) into
+    the slots `out`. `visit(i0, window, s0, noise)` gets the noise rows
+    [i0, i0 + len(noise)), whose power rows are window[s0 : s0 + len(noise)],
+    and returns a list. `gate` is the input size that decides, through
+    `spans`, whether the passes run on every worker.
+    """
+    n_range, n_beams, n_doppler = shape
+    check_map_extent(n_range, n_doppler)
+    outer, inner, n_train = _window()
     width = n_beams * n_doppler
     rows = max(1, min(n_range, _TILE_ENTRIES // width))
     halo = outer // 2
-    # a tile [r0, r0 + n) reads power rows [r0 - halo - 1, r0 + n + halo)
-    ring = np.empty((rows + 2 * halo + 1, width))
-    slots = len(ring)
+    keep = 2 * halo + 1
+    window = np.empty((rows + keep, width))
     # row 0 of a box's sums carries the running sum of the row before the tile
     boxes = [(size, np.empty((rows + 1, width))) for size in (outer, inner)]
     columns = spans.split(width, gate)
 
-    def fill(v0: int, v1: int) -> None:
-        parts = []
-        while v0 < v1:
-            p0, s0 = v0 % n_range, v0 % slots
-            k = min(v1 - v0, n_range - p0, slots - s0)
-            parts.append((p0, p0 + k, ring[s0 : s0 + k]))
-            v0 += k
-        form(parts)
+    def fill(v0: int, out: np.ndarray) -> None:
+        while len(out):   # power rows [v0, v0 + len(out)), cut at the wrap
+            p0 = v0 % n_range
+            k = min(len(out), n_range - p0)
+            form(p0, p0 + k, out[:k])
+            v0, out = v0 + k, out[k:]
 
     found = []
-    fill(-halo - 1, rows + halo)
+    fill(-halo - 1, window)
     for r0 in range(0, n_range, rows):
         n = min(rows, n_range - r0)
         if r0:
-            fill(r0 + halo, r0 + n + halo)
+            window[:keep] = window[rows : rows + keep]
+            fill(r0 + halo, window[keep : keep + n])
 
         def down(a: int, b: int, r0: int = r0, n: int = n) -> None:
             for size, sums in boxes:
                 h = size // 2
                 if size == 1:
-                    for k in range(n):
-                        sums[1 + k, a:b] = ring[(r0 + k) % slots, a:b]
+                    sums[1 : n + 1, a:b] = window[halo + 1 : halo + 1 + n, a:b]
                     continue
-                if n == n_range:   # one tile holds the map, in slots [0, n)
-                    uniform_filter1d(
-                        ring[:n, a:b], size, axis=0, output=sums[1:, a:b], mode="wrap"
-                    )
+                if n == n_range:   # one tile holds the map
+                    tile = window[halo + 1 : halo + 1 + n, a:b]
+                    uniform_filter1d(tile, size, axis=0, output=sums[1:, a:b], mode="wrap")
                     continue
                 k0 = 0
                 if r0 == 0:   # the first row's sum, in `uniform_filter1d`'s order
                     k0 = 1
                     first = sums[1, a:b]
                     first[...] = 0.0
-                    for v in range(-h, h + 1):
-                        first += ring[v % slots, a:b]
+                    for s in range(halo + 1 - h, halo + 2 + h):
+                        first += window[s, a:b]
                 for k in range(k0, n):   # sum(i) = sum(i - 1) + (p[i + h] - p[i - h - 1])
                     row = sums[1 + k, a:b]
                     np.subtract(
-                        ring[(r0 + k + h) % slots, a:b],
-                        ring[(r0 + k - h - 1) % slots, a:b],
-                        out=row,
+                        window[halo + 1 + k + h, a:b], window[halo + k - h, a:b], out=row
                     )
                     np.add(sums[k, a:b], row, out=row)
                 sums[0, a:b] = sums[n, a:b]
@@ -226,14 +232,7 @@ def _stream(shape: tuple[int, int, int], form, visit, gate: int) -> list:
             guard *= inner * inner
             noise -= guard
             noise /= n_train
-            # visited in pieces whose power rows do not wrap round the ring
-            wrap = slots - r0 % slots
-            cuts = [k0] + [wrap] * (k0 < wrap < k1) + [k1]
-            return [
-                hit
-                for a, b in zip(cuts[:-1], cuts[1:])
-                for hit in visit(r0 + a, ring, (r0 + a) % slots, noise[a - k0 : b - k0])
-            ]
+            return visit(r0 + k0, window, halo + 1 + k0, noise)
 
         spans.run(down, columns)
         for part in spans.run(across, spans.split(n, gate)):
@@ -245,11 +244,10 @@ def noise_level_map(power: np.ndarray) -> np.ndarray:
     """Mean training-ring power per cell, with wraparound at the edges."""
     noise = np.empty_like(power)
 
-    def form(parts: list) -> None:
-        for p0, p1, out in parts:
-            out[...] = power[p0:p1]
+    def form(p0: int, p1: int, out: np.ndarray) -> None:
+        out[...] = power[p0:p1]
 
-    def keep(i0: int, ring: np.ndarray, s0: int, rows: np.ndarray) -> list:
+    def keep(i0: int, window: np.ndarray, s0: int, rows: np.ndarray) -> list:
         noise[i0 : i0 + len(rows)] = rows
         return []
 
@@ -283,20 +281,18 @@ def refine_peak(power: np.ndarray, i: int, j: int) -> tuple[float, float, bool]:
 
 
 def _is_local_max(
-    ring: np.ndarray, slots: np.ndarray, cols: np.ndarray, n_j: int
+    window: np.ndarray, slots: np.ndarray, cols: np.ndarray, n_j: int
 ) -> np.ndarray:
-    """Whether each cell (slots[k], cols[k]) of the power ring is >= its 8
-    neighbours: the ring's rows are wrapped range rows, and the columns wrap
-    within each beam's n_j."""
-    n_i = len(ring)
+    """Whether each cell (slots[k], cols[k]) of the power window is >= its 8
+    neighbours: the rows slots[k] - 1 and slots[k] + 1 are in the window, and
+    the columns wrap within each beam's n_j."""
     base = cols - cols % n_j
-    peak = ring[slots, cols]
+    peak = window[slots, cols]
     keep = np.ones(slots.shape, dtype=bool)
     for di in (-1, 0, 1):
-        ni = (slots + di) % n_i
         for dj in (-1, 0, 1):
             if di or dj:
-                keep &= peak >= ring[ni, base + (cols + dj) % n_j]
+                keep &= peak >= window[slots + di, base + (cols + dj) % n_j]
     return keep
 
 
@@ -315,23 +311,21 @@ def _former(rda: RdaCube):
     block = max(1, spans._BLOCK_ENTRIES // (n_doppler * n_ch))
     w_t = None if rda.weights is None else np.ascontiguousarray(rda.weights.T)
 
-    def form(parts: list) -> None:
+    def form(p0: int, p1: int, out: np.ndarray) -> None:
         def run(a: int, b: int) -> None:
-            for p0, p1, out in parts:   # rows [a, b) of the parts laid end to end
-                for i in range(max(a, 0), min(b, p1 - p0), block):
-                    i0, i1 = p0 + i, p0 + min(i + block, b, p1 - p0)
-                    rows = out[i : i + i1 - i0].reshape(i1 - i0, n_beams, n_doppler)
-                    if w_t is None:
-                        dst = rows.transpose(0, 2, 1)   # (rows, Doppler, beams), as stored
-                        np.abs(data[i0:i1], out=dst)
-                    else:
-                        dst = rows.transpose(1, 0, 2)   # (beams, rows, Doppler)
-                        beams = w_t @ data[i0:i1].reshape(-1, n_ch).T
-                        np.abs(beams.reshape(dst.shape), out=dst)
-                    np.square(dst, out=dst)
-                a, b = a - (p1 - p0), b - (p1 - p0)
+            for i0 in range(p0 + a, p0 + b, block):
+                i1 = min(i0 + block, p0 + b)
+                rows = out[i0 - p0 : i1 - p0].reshape(i1 - i0, n_beams, n_doppler)
+                if w_t is None:
+                    dst = rows.transpose(0, 2, 1)   # (rows, Doppler, beams), as stored
+                    np.abs(data[i0:i1], out=dst)
+                else:
+                    dst = rows.transpose(1, 0, 2)   # (beams, rows, Doppler)
+                    beams = w_t @ data[i0:i1].reshape(-1, n_ch).T
+                    np.abs(beams.reshape(dst.shape), out=dst)
+                np.square(dst, out=dst)
 
-        spans.run(run, spans.split(sum(p1 - p0 for p0, p1, _ in parts), data.size))
+        spans.run(run, spans.split(p1 - p0, data.size))
 
     return form
 
@@ -343,18 +337,18 @@ def ca_cfar(rda: RdaCube) -> list[Detection]:
     n_range, n_doppler = rda.n_range, rda.n_doppler
     angles = rda.beam_angles
 
-    def detect(i0: int, ring: np.ndarray, s0: int, noise: np.ndarray) -> list[Detection]:
-        power = ring[s0 : s0 + len(noise)]
+    def detect(i0: int, window: np.ndarray, s0: int, noise: np.ndarray) -> list[Detection]:
+        power = window[s0 : s0 + len(noise)]
         hit = (power > alpha * noise) & (power > min_power) & (noise > 0.0)
         rows, cols = np.nonzero(hit)
-        keep = _is_local_max(ring, rows + s0, cols, n_doppler)
+        keep = _is_local_max(window, rows + s0, cols, n_doppler)
         detections = []
         for k, c in zip(rows[keep].tolist(), cols[keep].tolist()):
             b, j = divmod(c, n_doppler)
             i = i0 + k
             if 0 < i < n_range - 1:   # beam b's rows i - 1 to i + 1
-                around = [(s0 + k + di) % len(ring) for di in (-1, 0, 1)]
-                di, dj, at_edge = refine_peak(ring[around, c - j : c - j + n_doppler], 1, j)
+                around = window[s0 + k - 1 : s0 + k + 2, c - j : c - j + n_doppler]
+                di, dj, at_edge = refine_peak(around, 1, j)
             else:
                 di, dj, at_edge = 0.0, 0.0, True
             rbin = i - n_range // 2

@@ -51,6 +51,7 @@ from .cfar import (
     Detection,
     DetectionGroup,
     ca_cfar,
+    check_map_extent,
     cluster_detections,
     merge_beam_duplicates,
 )
@@ -302,12 +303,12 @@ class LocalizationResult:
 
 
 def _angle_centroid(rda: RdaCube, det: Detection) -> float:
+    """Power-weighted sine centroid of `det`'s cell over the beams around its
+    strongest. Step 1's RDA holds elements, since `default_grid` has 2L
+    beams for L elements, so its weights form the cell's beams."""
     i = det.range_bin + rda.n_range // 2
     j = det.doppler_bin + rda.n_doppler // 2
-    cell = rda.data[i, j, :]
-    if rda.weights is not None:
-        cell = cell @ rda.weights   # the one cell's beams
-    pw = np.abs(cell) ** 2
+    pw = np.abs(rda.data[i, j, :] @ rda.weights) ** 2   # the one cell's beams
     g0 = int(np.argmax(pw))
     half = _CENTROID_HALF_WINDOW
     sel = slice(max(0, g0 - half), min(pw.shape[0], g0 + half + 1))
@@ -550,10 +551,13 @@ class FullRunResult:
 
 
 def run_full(scene: Scene, method: str = "fsram", n_ex: int = 32) -> FullRunResult:
-    """Steps 1 to 3 on `scene`. The method and `n_ex` are checked before
-    step 1 runs, so a bad one raises `ConfigError` at once."""
+    """Steps 1 to 3 on `scene`. The method, `n_ex` and both dwells' CFAR
+    map extents are checked before step 1 runs, so a bad one raises
+    `ConfigError` at once."""
     require_method(method)
     decimation_rows(scene.config.n_fast, n_ex)
+    for n_slow in [dwell_chirps(scene, 1), dwell_chirps(scene, 2)]:
+        check_map_extent(scene.config.n_fast, n_slow)
     step1 = run_step1(scene)
     if not step1.detections:
         return FullRunResult(scene, step1, None, None, method)

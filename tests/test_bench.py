@@ -10,6 +10,7 @@ suite.
 import itertools
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -60,6 +61,10 @@ def test_grid_spec_rejects_bad_fields():
             GridSpec(n_ex=n_ex)
     with pytest.raises(ConfigError, match="^n_slow must be >= 1, got 0$"):
         GridSpec(n_slow=0)
+    # so is an SNR that sets no noise level
+    for snr_db in (math.nan, -math.inf):
+        with pytest.raises(ConfigError, match="^snr_db must be a number above -inf"):
+            GridSpec(snr_values_db=(0.0, snr_db))
     # an empty axis leaves no cell to run, so the grid is refused before any
     # trial is drawn
     for axis in ("k_values", "delta_ratios", "snr_values_db"):
@@ -82,6 +87,18 @@ def test_a_bad_n_ex_is_rejected_before_any_trial(monkeypatch):
     with pytest.raises(ConfigError, match=r"^n_ex=1 must be in \[2, 512\]$"):
         compare_methods(GridSpec(k_values=(1,), delta_ratios=(0.5,), trials=1, n_ex=1))
     assert prepared == []
+
+
+def test_a_dwell_narrower_than_the_cfar_window_is_rejected_before_any_trial(monkeypatch):
+    prepared = []
+    monkeypatch.setattr(bench, "_prepare_trial", lambda *args: prepared.append(args))
+    spec = GridSpec(k_values=(1,), delta_ratios=(0.5,), trials=1, n_slow=20)
+    with pytest.raises(ConfigError, match="^CFAR window 21 exceeds map extent 20$"):
+        compare_methods(spec)
+    assert prepared == []
+    # 21 chirps fill the training box: the trial is drawn (here, as infeasible)
+    compare_methods(replace(spec, n_slow=21))
+    assert len(prepared) == 1
 
 
 def test_an_empty_method_tuple_is_rejected_before_any_trial(monkeypatch):

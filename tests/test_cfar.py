@@ -387,16 +387,31 @@ def dense_hit_rda(cfg, levels):
     """Two beams of 23 x 17 power, a few integer levels (equal-valued
     plateaus) or exponential noise, for a detector whose 3 x 3 training box
     passes a third of the cells: hits on every row, so the local-maximum
-    test and the refinement read neighbours across the wrap of the ring."""
+    test and the refinement read neighbours in the window's halo rows."""
     rng = np.random.default_rng(levels)
     shape = (23, 17, 2)
     power = rng.integers(0, levels + 1, shape) + 0.0 if levels else rng.exponential(size=shape)
     return RdaCube(data=np.sqrt(power) + 0j, config=cfg)
 
 
+def smallest_rda(cfg):
+    """Two beams of 21 x 21 exponential noise: the map extent equals the
+    default training box, so the one-tile window's first fill wraps round
+    both ends of the range axis. Each beam has a spike on the first or last
+    row beside a stronger one across the wrap, which only the halo rows
+    show to the local-maximum test."""
+    rng = np.random.default_rng(21)
+    power = rng.exponential(size=(21, 21, 2))
+    power[0, 4, 0] = power[20, 15, 1] = 1e3
+    power[20, 5, 0] = power[0, 14, 1] = 2e3
+    return RdaCube(data=np.sqrt(power) + 0j, config=cfg)
+
+
 @pytest.mark.parametrize("rows", [1, 5, None])
 @pytest.mark.parametrize("workers", [1, 3])
-@pytest.mark.parametrize("case", ["elements", "beams", "edges", "floor", "plateaus", "dense"])
+@pytest.mark.parametrize(
+    "case", ["elements", "beams", "edges", "floor", "plateaus", "dense", "smallest"]
+)
 def test_cfar_equals_the_group_at_a_time_oracle(
     monkeypatch, cfg, cfar_constants, element_and_beam, case, workers, rows
 ):
@@ -413,6 +428,7 @@ def test_cfar_equals_the_group_at_a_time_oracle(
         "floor": floor_rda(cfg),
         "plateaus": dense_hit_rda(cfg, 3),
         "dense": dense_hit_rda(cfg, 0),
+        "smallest": smallest_rda(cfg),
     }[case]
     width = rda.n_beams * rda.n_doppler
     monkeypatch.setattr(cfar, "_TILE_ENTRIES", (rows or rda.n_range) * width)
@@ -435,3 +451,6 @@ def test_cfar_equals_the_group_at_a_time_oracle(
         assert not any(d.noise_power <= 0.0 for d in got)
     if case in ("plateaus", "dense"):
         assert {d.range_bin for d in got} == set(range(-11, 12))
+    if case == "smallest":
+        assert {(20, 5, 0), (0, 14, 1)} <= cells
+        assert not {(0, 4, 0), (20, 15, 1)} & cells

@@ -433,6 +433,23 @@ def test_run_full_checks_its_method_and_n_ex_before_step1(
         run_full(scene, **kwargs)
 
 
+@pytest.mark.parametrize("step", [1, 2])
+def test_run_full_refuses_a_dwell_narrower_than_the_cfar_window_before_step1(
+    cfg8, monkeypatch, step
+):
+    # a 16-chirp dwell makes a 64 x 16 map, narrower than the 21-cell
+    # training box, so the run stops before any chirp window is synthesised
+    synthesised = []
+    monkeypatch.setattr(pipeline, "synth_beat_cube", lambda *args: synthesised.append(args))
+    scene = tiny_scene(cfg8, [], **{f"dwell{step}_s": 16 * cfg8.chirp_s})
+    with pytest.raises(ConfigError, match="^CFAR window 21 exceeds map extent 16$"):
+        run_full(scene)
+    # a dwell under one chirp keeps its own error
+    with pytest.raises(ConfigError, match="^dwell shorter than one chirp$"):
+        run_full(replace(scene, **{f"dwell{3 - step}_s": 0.0}))
+    assert synthesised == []
+
+
 def test_step3_checks_its_method_with_every_group_gated(cfg8, monkeypatch):
     # no group reaches a solve, so the check cannot be left to solve_by_name
     monkeypatch.setattr(pipeline, "_REL_GROUP_POWER_MIN", 2.0)

@@ -202,7 +202,9 @@ def test_cfar_spans_carry_equal_work(threaded, tiny_cfg, monkeypatch):
     # five beams on two workers: every pass splits lines of all five beams,
     # not beams, so no worker gets a beam more than the other. Each of the
     # four 16-row tiles takes three passes: its power rows, the range sums
-    # on column spans and the Doppler pass and hit test on row spans
+    # on column spans and the Doppler pass and hit test on row spans. The
+    # first and last tiles' power rows wrap round the range extent, so each
+    # forms them in two passes, one per side of the wrap
     rda = integrate_cube(
         beamform_cube(DataCube(random_cube((64, 33, 4), 2), tiny_cfg), FIVE_BEAMS)
     )
@@ -212,7 +214,7 @@ def test_cfar_spans_carry_equal_work(threaded, tiny_cfg, monkeypatch):
     monkeypatch.setattr(spans, "run", lambda fn, bounds: (seen.append(bounds), run(fn, bounds))[1])
     threaded(2)
     ca_cfar(rda)
-    assert len(seen) == 3 * 4
+    assert len(seen) == 3 * 4 + 2
     for bounds in seen:
         sizes = [b - a for a, b in bounds]
         assert len(sizes) == 2 and max(sizes) - min(sizes) <= 1

@@ -275,7 +275,7 @@ def test_step1_never_holds_the_beam_fan(monkeypatch):
     workspace = 16 * 16 * sfft.next_fast_len(2 * n_slow - 1) * n_el
     monkeypatch.setattr(integrate, "_CHUNK_BUDGET", workspace // 16)
     workspace += workspace // n_el
-    # tiles of one range row of the 32 beams: the CFAR holds the tile's ring
+    # tiles of one range row of the 32 beams: the CFAR holds the tile's window
     # of power rows with the training window's halo and two rows of box
     # sums per box, and as much again in the workers' blocks of beams and
     # filter buffers; the window loop and the chirp-z workspace have ended
