@@ -68,7 +68,7 @@ from .superres import (
     require_method,
     solve_by_name,
 )
-from .synth import add_noise, synth_beat_cube
+from .synth import add_noise, check_nyquist, synth_beat_cube
 
 DEFAULT_GAP_S = 6.0 / 44.01   # the table offsets: 6 m advance at swarm speed
 _STARE_HALF_WINDOW = 2        # step 2 stares on the prior beam and 2 either side
@@ -196,17 +196,13 @@ def make_exp3_scene(seed: int = 0, sample_rate_hz: float = 5.12e6) -> Scene:
                    name="exp3", snr_db=-13.0)
 
 
-def _n_chirps(dwell_s: float, chirp_s: float) -> int:
-    m = int(round(dwell_s / chirp_s))
-    if m < 1:
-        raise ConfigError("dwell shorter than one chirp")
-    return m - (m % 2) if m >= 2 else m
-
-
 def dwell_chirps(scene: Scene, step: int) -> int:
     """Chirp count of step 1's search or step 2's stare dwell."""
     dwell = scene.dwell1_s if step == 1 else scene.dwell2_s
-    return _n_chirps(dwell, scene.config.chirp_s)
+    m = int(round(dwell / scene.config.chirp_s))
+    if m < 1:
+        raise ConfigError("dwell shorter than one chirp")
+    return m - (m % 2) if m >= 2 else m
 
 
 def dwell_chunks(scene: Scene, step: int) -> Iterator[tuple[int, DataCube]]:
@@ -230,7 +226,6 @@ def dwell_chunks(scene: Scene, step: int) -> Iterator[tuple[int, DataCube]]:
 @dataclass
 class Step1Report:
     detections: list[Detection]
-    groups: list[DetectionGroup]
     angle_est_rad: float | None
     sin_est: float | None
     n_chirps: int
@@ -389,14 +384,13 @@ def group_mmv(rows: ExtractionRows, group: DetectionGroup) -> MmvMatrix:
 def run_step1(scene: Scene) -> Step1Report:
     grid = default_grid(scene.config)
     n_chirps = dwell_chirps(scene, 1)
-    rda, detections, groups, _ = stare(dwell_chunks(scene, 1), n_chirps, grid)
+    rda, detections, _, _ = stare(dwell_chunks(scene, 1), n_chirps, grid)
     angle = sin_est = None
     if detections:
         angle = _angle_centroid(rda, detections[0])
         sin_est = float(np.sin(angle))
     return Step1Report(
         detections=detections,
-        groups=groups,
         angle_est_rad=angle,
         sin_est=sin_est,
         n_chirps=n_chirps,
@@ -551,13 +545,17 @@ class FullRunResult:
 
 
 def run_full(scene: Scene, method: str = "fsram", n_ex: int = 32) -> FullRunResult:
-    """Steps 1 to 3 on `scene`. The method, `n_ex` and both dwells' CFAR
-    map extents are checked before step 1 runs, so a bad one raises
-    `ConfigError` at once."""
+    """Steps 1 to 3 on `scene`. The method, `n_ex`, both dwells' CFAR map
+    extents and both steps' truths are checked before step 1 runs, so a bad
+    one raises `ConfigError` at once: a truth past the fast-time Nyquist
+    limit raises `OutOfBandError`, and a step-2 truth that the gap moves to
+    a non-positive range fails as it is built."""
     require_method(method)
     decimation_rows(scene.config.n_fast, n_ex)
     for n_slow in [dwell_chirps(scene, 1), dwell_chirps(scene, 2)]:
         check_map_extent(scene.config.n_fast, n_slow)
+    for truths in [scene.uavs, scene.step2_truths()]:
+        check_nyquist(scene.config, truths)
     step1 = run_step1(scene)
     if not step1.detections:
         return FullRunResult(scene, step1, None, None, method)

@@ -57,8 +57,8 @@ The answer path has four steps:
    with Tb PSD because in-band atoms have nonnegative transform weights.
    Its Y = A C is step 1's fit, which already lies in the ball (within
    eta(1+1e-6)+1e-9); it must still pass the eigenvalue audit (block
-   matrix and Tb eigenvalues above -1e-6 relative), or the solve raises
-   AdmmError.
+   matrix and Tb eigenvalues above -1e-6 relative, one test per
+   constraint), or the solve raises AdmmError.
 
 So the data choose the frequencies, and the SDP only weighs them: T(u) =
 A(f) P A(f)^H, and `SdpDiagnostics.atom_freqs` and `atom_powers` carry
@@ -68,8 +68,12 @@ min(N-1, 16) atoms, so T(u) is never full rank. Data already inside the
 noise ball (||S||_F <= eta) never reaches step 1; u = 0 and Y = 0 are
 optimal there, and the solve returns that empty spectrum.
 
-ADMM splitting: consensus copies Q (of the big block matrix) and P (of Tb)
-carry the PSD constraints; Z, Y, u have closed-form updates. A projection
+ADMM splitting: the PSD constraints are one list, the block matrix and,
+with a band, Tb(u), each with one consensus copy (Q, P) and one scaled
+dual (Lambda, Gamma). Z, Y, u have closed-form updates; then each
+constraint is relaxed, projected and its dual updated. The residuals add
+over the constraints in quadrature, and the stop scale is the largest
+norm of any constraint's new matrix or projected copy. A projection
 onto the PSD cone (`psd_project`) computes only the eigenpairs with
 positive eigenvalues, through LAPACK's subset eigensolver zheevr. The iterates
 are low rank: on the benchmark grid's solves (N = 32, r = 1) the 33x33
@@ -340,7 +344,7 @@ def _ball_project(a: np.ndarray, s: np.ndarray, eta: float) -> np.ndarray:
     diff = a - s
     nrm = np.linalg.norm(diff)
     if nrm <= eta:
-        return a.copy()
+        return a
     return s + diff * (eta / nrm)
 
 
@@ -588,18 +592,21 @@ def solve_weighted_toeplitz_sdp(
     upd = _UUpdate(n, hcoefs)
     root = np.sqrt(n)
 
+    def constraints(z, y, u):
+        """The matrices held PSD: the block matrix, then Tb(u) with a band."""
+        mats = [_assemble(z, y, u)]
+        if hcoefs is not None:
+            mats.append(band_matrix_from_u(u, *hcoefs))
+        return mats
+
     # cold start from the sample covariance of the kept data
     t0 = hermitize(ss @ ss.conj().T) / l
     u = _diag_means(t0)
     u[0] = u[0].real
     y = ss.copy()
     z = hermitize(y.conj().T @ y) / root
-    q = psd_project(_assemble(z, y, u))
-    lam = np.zeros_like(q)
-    p = gam = None
-    if hcoefs is not None:
-        p = psd_project(band_matrix_from_u(u, *hcoefs))
-        gam = np.zeros_like(p)
+    copies = [psd_project(c) for c in constraints(z, y, u)]
+    duals = [np.zeros_like(c) for c in copies]
     rho = _RHO_INIT
 
     w = np.eye(n, dtype=np.complex128)
@@ -616,51 +623,35 @@ def solve_weighted_toeplitz_sdp(
             w = (vecs * (1.0 / (np.clip(vals, 0.0, None) + eps))) @ vecs.conj().T
         g_step = upd.gradient_step(_objective_gradient(w))
         max_inner = _INNER_ITERS_FIRST if outer == 0 else _INNER_ITERS
-        inner_done = 0
         for it in range(max_inner):
-            # A = Q - Lambda and B = P - Gamma are Hermitian up to rounding;
-            # each update reads one triangle of them
-            a = q - lam
-            z = a[:l, :l] - (1.0 / (2.0 * root * rho)) * np.eye(l)
-            y = _ball_project(a[l:, :l], ss, eta_r_s)
-            sums = _diag_sums(a[l:, l:])
-            if hcoefs is not None:
-                sums = np.concatenate((sums, _diag_sums(p - gam)))
+            # each copy - dual is Hermitian up to rounding; each update reads
+            # one triangle of it
+            a = [c - d for c, d in zip(copies, duals)]
+            z = a[0][:l, :l] - (1.0 / (2.0 * root * rho)) * np.eye(l)
+            y = _ball_project(a[0][l:, :l], ss, eta_r_s)
+            sums = np.concatenate([_diag_sums(a[0][l:, l:])] + [_diag_sums(b) for b in a[1:]])
             u = (upd.gain @ sums.view(np.float64) - g_step / rho).view(np.complex128)
 
-            m_new = _assemble(z, y, u)
-            q_prev = q
-            m_relax = _OVER_RELAX * m_new + (1.0 - _OVER_RELAX) * q_prev
-            q = psd_project(m_relax + lam)
-            lam = lam + m_relax - q
-            r_norm = _norm(m_new - q)
-            s_norm = rho * _norm(q - q_prev)
-            m_scale = max(_norm(m_new), _norm(q))
-            if hcoefs is not None:
-                tb_new = band_matrix_from_u(u, *hcoefs)
-                p_prev = p
-                tb_relax = _OVER_RELAX * tb_new + (1.0 - _OVER_RELAX) * p_prev
-                p = psd_project(tb_relax + gam)
-                gam = gam + tb_relax - p
-                r_norm = np.hypot(r_norm, _norm(tb_new - p))
-                s_norm = np.hypot(s_norm, rho * _norm(p - p_prev))
-                m_scale = max(m_scale, _norm(tb_new))
-            inner_done = it + 1
+            r_norm = s_norm = m_scale = 0.0
+            for k, new in enumerate(constraints(z, y, u)):
+                prev = copies[k]
+                relax = _OVER_RELAX * new + (1.0 - _OVER_RELAX) * prev
+                copies[k] = psd_project(relax + duals[k])
+                duals[k] = duals[k] + relax - copies[k]
+                r_norm = np.hypot(r_norm, _norm(new - copies[k]))
+                s_norm = np.hypot(s_norm, rho * _norm(copies[k] - prev))
+                m_scale = max(m_scale, _norm(new), _norm(copies[k]))
 
             if r_norm < _TOL_REL * m_scale and s_norm < _TOL_REL * rho * m_scale:
                 break
             if (it + 1) % _ADAPT_EVERY == 0:
                 if r_norm > _ADAPT_RATIO * s_norm and rho < _RHO_MAX:
                     rho *= _ADAPT_FACTOR
-                    lam /= _ADAPT_FACTOR
-                    if gam is not None:
-                        gam /= _ADAPT_FACTOR
+                    duals = [d / _ADAPT_FACTOR for d in duals]
                 elif s_norm > _ADAPT_RATIO * r_norm and rho > _RHO_MIN:
                     rho /= _ADAPT_FACTOR
-                    lam *= _ADAPT_FACTOR
-                    if gam is not None:
-                        gam *= _ADAPT_FACTOR
-        diag.inner_iters.append(inner_done)
+                    duals = [d * _ADAPT_FACTOR for d in duals]
+        diag.inner_iters.append(it + 1)
 
     diag.stop_reason = "max_outer"
     cert = _atomic_certificate(u, freqs, atoms, coef)
@@ -672,12 +663,8 @@ def solve_weighted_toeplitz_sdp(
             diag,
         )
     z_c, y_c, u_c, powers = cert
-    vals_m = np.linalg.eigvalsh(_assemble(z_c, y_c, u_c))
-    ok = vals_m[0] >= -1e-6 * max(vals_m[-1], 1e-12)
-    if hcoefs is not None:
-        vals_b = np.linalg.eigvalsh(band_matrix_from_u(u_c, *hcoefs))
-        ok = ok and vals_b[0] >= -1e-6 * max(vals_b[-1], 1e-12)
-    diag.feasible = bool(ok)
+    extremes = [np.linalg.eigvalsh(c)[[0, -1]] for c in constraints(z_c, y_c, u_c)]
+    diag.feasible = all(lo >= -1e-6 * max(hi, 1e-12) for lo, hi in extremes)
     if not diag.feasible:
         raise AdmmError(
             "the atomic certificate fails its feasibility audit (data misfit "

@@ -63,6 +63,19 @@ def array_phase(cfg: RadarConfig, angle_rad: float) -> np.ndarray:
     l = np.arange(1, cfg.n_elements + 1)
     return 2.0 * np.pi * cfg.carrier_hz * l * cfg.element_spacing_m * np.sin(angle_rad) / C_LIGHT
 
+
+def check_nyquist(cfg: RadarConfig, targets: list[UavTruth]) -> None:
+    """Raises OutOfBandError for the first target whose beat frequency is at
+    or above the fast-time Nyquist limit."""
+    for t in targets:
+        f_beat = cfg.beat_freq(t.range0_m)
+        if f_beat >= 0.5:
+            raise OutOfBandError(
+                f"target at {t.range0_m} m maps to normalized beat frequency "
+                f"{f_beat:.4f} >= 0.5 (fast-time Nyquist)"
+            )
+
+
 def synth_beat_cube(
     cfg: RadarConfig,
     targets: list[UavTruth],
@@ -80,6 +93,7 @@ def synth_beat_cube(
     m1 = n_slow if m1 is None else m1
     if not 0 <= m0 < m1 <= n_slow:
         raise ConfigError(f"chirps [{m0}, {m1}) are not a window of {n_slow}")
+    check_nyquist(cfg, targets)
     n_fast = cfg.n_fast
     m = axis_values(n_slow)[m0:m1].astype(np.float64)
     n_chirps = m1 - m0
@@ -94,11 +108,6 @@ def synth_beat_cube(
     phases = np.empty((len(targets), cfg.n_elements), dtype=np.complex128)
     for k, t in enumerate(targets):
         f_beat = cfg.beat_freq(t.range0_m)
-        if f_beat >= 0.5:
-            raise OutOfBandError(
-                f"target at {t.range0_m} m maps to normalized beat frequency "
-                f"{f_beat:.4f} >= 0.5 (fast-time Nyquist)"
-            )
         c_amp = t.amplitude * np.exp(2j * np.pi * cfg.carrier_hz * 2.0 * t.range0_m / C_LIGHT)
         f_dop = cfg.doppler_freq(t.velocity_mps)
         walk = 2.0 * np.pi * (2.0 * gamma * t.velocity_mps / C_LIGHT) * cfg.chirp_s * dt

@@ -20,14 +20,20 @@ import pytest
 
 from rangesr import pipeline
 from rangesr.beamform import default_grid, steering_vector
-from rangesr.cfar import Detection, DetectionGroup, ca_cfar, merge_beam_duplicates
+from rangesr.cfar import (
+    Detection,
+    DetectionGroup,
+    ca_cfar,
+    cluster_detections,
+    merge_beam_duplicates,
+)
 from rangesr.config import C_LIGHT, ConfigError, UavTruth, make_radar_config
 from rangesr.cube import DataCube
 from rangesr.integrate import integrate_cube
 from rangesr.pipeline import (
     Scene,
     Step2Report,
-    _n_chirps,
+    dwell_chirps,
     make_exp1_scene,
     make_exp2_scene,
     make_exp3_scene,
@@ -40,7 +46,7 @@ from rangesr.pipeline import (
     table_radar_config,
 )
 from rangesr.superres import ExtractionRows
-from rangesr.synth import add_noise, synth_beat_cube
+from rangesr.synth import OutOfBandError, add_noise, synth_beat_cube
 
 VEL_GATE = 0.045   # 1.5 long-dwell Doppler cells around a truth velocity
 
@@ -257,7 +263,7 @@ def test_step2_separates_distinct_velocities(cfg8):
 def per_beam_step2_reference(scene, angle_prior_rad, half_window=2):
     """Step 2 as a loop: beamform, integrate and detect one beam at a time."""
     cfg = scene.config
-    m2 = _n_chirps(scene.dwell2_s, cfg.chirp_s)
+    m2 = dwell_chirps(scene, 2)
     cube = synth_beat_cube(cfg, scene.step2_truths(), m2)
     cube = add_noise(cube, scene.snr_db, rng_seed=scene.seed * 10 + 2)
     angles = default_grid(cfg).angles_rad
@@ -450,6 +456,28 @@ def test_run_full_refuses_a_dwell_narrower_than_the_cfar_window_before_step1(
     assert synthesised == []
 
 
+@pytest.mark.parametrize(
+    "change, error, match",
+    [
+        ({"step2_uavs": (UavTruth(range0_m=800.0, velocity_mps=44.0),)},
+         OutOfBandError, "fast-time Nyquist"),
+        ({"step2_uavs": None, "gap_s": -10.0}, ConfigError, "range0_m must be positive"),
+    ],
+    ids=["beyond_nyquist", "behind_the_radar"],
+)
+def test_run_full_refuses_step2_truths_it_cannot_synthesise_before_step1(
+    monkeypatch, change, error, match
+):
+    # a step-2 truth at 800 m beats at 0.52 cycles per sample, and exp1's
+    # UAVs advanced by a gap of -10 s sit behind the radar: both are refused
+    # before any chirp window of step 1 is synthesised
+    synthesised = []
+    monkeypatch.setattr(pipeline, "synth_beat_cube", lambda *args: synthesised.append(args))
+    with pytest.raises(error, match=match):
+        run_full(replace(make_exp1_scene(), **change))
+    assert synthesised == []
+
+
 def test_step3_checks_its_method_with_every_group_gated(cfg8, monkeypatch):
     # no group reaches a solve, so the check cannot be left to solve_by_name
     monkeypatch.setattr(pipeline, "_REL_GROUP_POWER_MIN", 2.0)
@@ -606,7 +634,10 @@ def exp2_run():
 
 def test_exp1_short_dwell_cannot_separate_the_swarm(exp1_run):
     s1 = exp1_run.step1
-    assert len(strong_groups(s1)) == 1
+    # step 1 keeps no groups: its stare clusters the same detections
+    top = max(d.power for d in s1.detections)
+    groups = cluster_detections(s1.detections)
+    assert len([g for g in groups if g.strongest.power >= 1e-3 * top]) == 1
     best = s1.detections[0]
     assert abs(best.refined_range_m - 166.2) < 2.0 * 2.99792458
     assert abs(best.refined_velocity_mps - 44.07) < 0.2

@@ -336,6 +336,62 @@ def test_default_budget_matches_eight_passes_on_the_banded_fixture(admm_budget):
     np.testing.assert_allclose(found[0], found[1], rtol=0.0, atol=1e-9)
 
 
+def test_a_large_initial_rho_is_lowered_and_the_atoms_hold(admm_budget):
+    # at _RHO_INIT 10 the dual residual outweighs the primal one, so residual
+    # balancing lowers rho: holding rho at 10 (_RHO_MIN 10) runs another
+    # path. The solve stays audited and weighs the default run's atoms
+    s = atom_mmv([0.21, 0.29], 8, 2, seed=4)
+    eta = 1e-3 * np.linalg.norm(s)
+    band = (0.15, 0.35)
+    _, _, default = solve_weighted_toeplitz_sdp(s, eta, band=band)
+    admm_budget(_RHO_INIT=10.0)
+    u, y, diag = solve_weighted_toeplitz_sdp(s, eta, band=band)
+    admm_budget(_RHO_MIN=10.0)
+    _, _, held = solve_weighted_toeplitz_sdp(s, eta, band=band)
+    assert diag.inner_iters != held.inner_iters
+    assert diag.inner_iters != default.inner_iters
+    assert diag.feasible and diag.stop_reason == "max_outer"
+    audit(s, eta, u, y, band=band)
+    assert diag.atom_freqs.size == default.atom_freqs.size == 2
+    np.testing.assert_allclose(diag.atom_freqs, default.atom_freqs, rtol=0.0, atol=1e-9)
+
+
+def spoil_certificate(monkeypatch, spoil):
+    """Makes the solve audit spoil(z, y, u, powers) of its real certificate."""
+    import rangesr.sdp as sdp
+
+    certificate = sdp._atomic_certificate
+    monkeypatch.setattr(sdp, "_atomic_certificate", lambda *args: spoil(*certificate(*args)))
+
+
+def assert_audit_fails(s, band):
+    with pytest.raises(AdmmError, match="fails its feasibility audit") as info:
+        solve_weighted_toeplitz_sdp(s, 1e-3 * np.linalg.norm(s), band=band)
+    diag = info.value.diagnostics
+    assert not diag.feasible and diag.stop_reason == "max_outer"
+
+
+def test_a_certificate_whose_block_matrix_is_indefinite_fails_its_audit(monkeypatch, admm_budget):
+    # Z below Y^H T(u)^+ Y breaks the block matrix
+    spoil_certificate(monkeypatch, lambda z, y, u, powers: (0.5 * z, y, u, powers))
+    admm_budget(_MAX_OUTER=1, _INNER_ITERS_FIRST=20)
+    assert_audit_fails(atom_mmv([0.21, 0.29], 8, 2, seed=4), None)
+
+
+def test_a_certificate_with_an_out_of_band_atom_fails_its_audit(monkeypatch, admm_budget):
+    # an atom at 0.45 adds a PSD term to T(u), so the block matrix stays PSD
+    # and the unbanded solve passes; only Tb(u) of the banded solve fails
+    def spoil(z, y, u, powers):
+        return z, y, u + powers.max() * atoms([0.45], u.shape[0])[:, 0], powers
+
+    spoil_certificate(monkeypatch, spoil)
+    admm_budget(_MAX_OUTER=1, _INNER_ITERS_FIRST=20)
+    s = atom_mmv([0.21, 0.29], 8, 2, seed=4)
+    _, _, diag = solve_weighted_toeplitz_sdp(s, 1e-3 * np.linalg.norm(s))
+    assert diag.feasible
+    assert_audit_fails(s, (0.15, 0.35))
+
+
 def noisy(s, rel, seed):
     """s plus white noise of total norm rel * ||s||."""
     rng = np.random.default_rng(seed)
