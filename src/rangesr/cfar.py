@@ -47,9 +47,8 @@ for the 21-cell training box and the 5-cell guard box. That is the
 arithmetic `uniform_filter1d(mode="wrap")` does along a line, cell for
 cell, so the sums equal the filter bit for bit, rounding residue included;
 the sums carry from tile to tile, so the tile size changes no bit. A map
-that fits one tile (the grid trial's 512 x 64 beam) is filtered whole along
-the range axis by `uniform_filter1d` itself, which skips a Python loop over
-its narrow rows. The Doppler-axis pass is `uniform_filter1d` along the
+that fits one tile (the grid trial's 512 x 64 beam) runs the same sums
+down its rows. The Doppler-axis pass is `uniform_filter1d` along the
 tile's rows, and the training-ring arithmetic, threshold and local-maximum
 tests follow on the same rows. The element product gives each beam the bits
 that a product over any other block of rows, with any other group of two or
@@ -200,10 +199,6 @@ def _stream(shape: tuple[int, int, int], form, visit, gate: int) -> list:
                 h = size // 2
                 if size == 1:
                     sums[1 : n + 1, a:b] = window[halo + 1 : halo + 1 + n, a:b]
-                    continue
-                if n == n_range:   # one tile holds the map
-                    tile = window[halo + 1 : halo + 1 + n, a:b]
-                    uniform_filter1d(tile, size, axis=0, output=sums[1:, a:b], mode="wrap")
                     continue
                 k0 = 0
                 if r0 == 0:   # the first row's sum, in `uniform_filter1d`'s order

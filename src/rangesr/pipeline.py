@@ -230,15 +230,6 @@ class Step1Report:
     sin_est: float | None
     n_chirps: int
 
-    def to_dict(self) -> dict:
-        return {
-            "step": 1,
-            "n_chirps": self.n_chirps,
-            "angle_est_rad": self.angle_est_rad,
-            "sin_est": self.sin_est,
-            "detections": to_json(self.detections),
-        }
-
 
 @dataclass
 class Step2Report:
@@ -251,16 +242,6 @@ class Step2Report:
     angle_prior_rad: float
     beam_angles: tuple[float, ...]
     n_chirps: int
-
-    def to_dict(self) -> dict:
-        return {
-            "step": 2,
-            "n_chirps": self.n_chirps,
-            "angle_prior_rad": self.angle_prior_rad,
-            "beam_angles": list(self.beam_angles),
-            "detections": to_json(self.detections),
-            "n_groups": len(self.groups),
-        }
 
 
 @dataclass(frozen=True)
@@ -289,18 +270,13 @@ class LocalizationResult:
     group_reports: list[dict]
     method: str
 
-    def to_dict(self) -> dict:
-        return {
-            "method": self.method,
-            "estimates": to_json(self.estimates),
-            "groups": self.group_reports,
-        }
-
 
 def _angle_centroid(rda: RdaCube, det: Detection) -> float:
     """Power-weighted sine centroid of `det`'s cell over the beams around its
     strongest. Step 1's RDA holds elements, since `default_grid` has 2L
-    beams for L elements, so its weights form the cell's beams."""
+    beams for L elements, so its weights form the cell's beams. The weights
+    sum to more than zero: the strongest beam is in the window, and a hit's
+    own beam holds at least `cfar._MIN_POWER`."""
     i = det.range_bin + rda.n_range // 2
     j = det.doppler_bin + rda.n_doppler // 2
     pw = np.abs(rda.data[i, j, :] @ rda.weights) ** 2   # the one cell's beams
@@ -309,8 +285,6 @@ def _angle_centroid(rda: RdaCube, det: Detection) -> float:
     sel = slice(max(0, g0 - half), min(pw.shape[0], g0 + half + 1))
     sines = np.sin(np.asarray(rda.beam_angles[sel]))
     weights = pw[sel]
-    if weights.sum() <= 0.0:
-        return float(rda.beam_angles[g0])
     centroid = float(np.sum(weights * sines) / np.sum(weights))
     return float(np.arcsin(np.clip(centroid, -1.0, 1.0)))
 
@@ -522,6 +496,18 @@ def run_step3(
 
 @dataclass
 class FullRunResult:
+    """Steps 1 to 3 of one scene, as `run_full` returns them; a step that did
+    not run is None.
+
+    Its JSON form (`to_dict`, written as `pipeline.json`) holds the scene
+    (`scene_to_dict`), the method, and each step that ran as its record's
+    `to_json` form, plus what the record does not hold: "step1" and "step2"
+    carry their step number under "step", "step2" the count of its groups
+    under "n_groups" in place of the groups, and "localization" its
+    `group_reports` under "groups". "estimates" repeats the localization's
+    estimates, or is empty when step 3 did not run.
+    """
+
     scene: Scene
     step1: Step1Report
     step2: Step2Report | None
@@ -532,15 +518,18 @@ class FullRunResult:
         out = {
             "scene": scene_to_dict(self.scene),
             "method": self.method,
-            "step1": self.step1.to_dict(),
+            "step1": {"step": 1, **to_json(self.step1)},
+            "estimates": [],
         }
         if self.step2 is not None:
-            out["step2"] = self.step2.to_dict()
+            step2 = to_json(replace(self.step2, groups=[]))
+            del step2["groups"]
+            out["step2"] = {"step": 2, **step2, "n_groups": len(self.step2.groups)}
         if self.localization is not None:
-            out["localization"] = self.localization.to_dict()
-            out["estimates"] = to_json(self.localization.estimates)
-        else:
-            out["estimates"] = []
+            loc = to_json(self.localization)
+            loc["groups"] = loc.pop("group_reports")
+            out["localization"] = loc
+            out["estimates"] = loc["estimates"]
         return out
 
 

@@ -76,11 +76,10 @@ def _executor() -> ThreadPoolExecutor:
 def run(fn, bounds: list[tuple[int, int]]) -> list:
     """`fn(a, b)` for each span, results in span order.
 
-    A lone span runs inline. Otherwise the spans after the first go to the
-    pool; an exception from any span reaches the caller once all have ended.
+    The spans after the first go to the pool, so a lone span runs inline
+    and starts no thread; an exception from any span reaches the caller
+    once all have ended.
     """
-    if len(bounds) == 1:
-        return [fn(*bounds[0])]
     futures = [_executor().submit(fn, a, b) for a, b in bounds[1:]]
     try:
         first = fn(*bounds[0])

@@ -30,7 +30,7 @@ from rangesr.config import ConfigError, UavTruth, from_json, to_json
 from rangesr.cube import DataCube
 from rangesr.integrate import integrate_cube
 from rangesr.pipeline import stare, table_radar_config
-from rangesr import bench, sdp, spans
+from rangesr import bench, cfar, sdp, spans
 from rangesr.superres import ExtractionRows, FreqBand, extract_mmv, solve_by_name
 from rangesr.synth import add_noise, noise_sigma, synth_beat_cube
 
@@ -205,6 +205,18 @@ def test_grid_shape_covers_every_cell(admm_budget):
     g = run_success_grid(spec, "fsram")
     assert g.rates.shape == (2, 3, 2)
     assert g.trials_run.sum() == 2 * 3 * 2 * spec.trials
+
+
+def test_a_trial_whose_stare_finds_no_group_fails(monkeypatch):
+    # no cell clears an infinite power floor, so the CFAR finds no group and
+    # no solve runs
+    monkeypatch.setattr(cfar, "_MIN_POWER", math.inf)
+    spec = GridSpec(k_values=(1,), delta_ratios=(0.5,), snr_values_db=(10.0,), trials=1)
+    assert bench.run_trial_method(spec, bench._prepare_trial(spec, 1, 0.5, 0), 10.0,
+                                  "fsram") == math.inf
+    g = run_success_grid(spec, "fsram")
+    assert (g.trials_run.item(), g.successes.item()) == (1, 0)
+    assert math.isnan(g.mean_rms_m.item())
 
 
 def test_unknown_method_rejected():

@@ -51,6 +51,18 @@ def test_pipeline_on_an_empty_scene_exits_2(tmp_path, scene_path):
     assert load_json(tmp_path / "pipeline.json")["estimates"] == []
 
 
+def test_pipeline_whose_stare_finds_no_group_exits_2(tmp_path, scene_path):
+    # the search dwell sees the UAV and the noise-free stare sees nothing
+    scene = load_json(scene_path)
+    scene.update(step2_uavs=[], snr_db=None)
+    dump_json(scene, scene_path)
+    assert main(["pipeline", "--scene", str(scene_path), "--out-dir", str(tmp_path)]) == 2
+    run = load_json(tmp_path / "pipeline.json")
+    assert run["step1"]["detections"] and run["step2"]["n_groups"] == 0
+    assert "localization" not in run and run["estimates"] == []
+    assert (tmp_path / "detections.jsonl").read_text() == ""
+
+
 def test_pipeline_rejects_a_dwell_shorter_than_half_a_chirp(tmp_path, scene_path, capsys):
     scene = load_json(scene_path)
     scene["dwell1_s"] = 0.4 * scene["radar"]["chirp_s"]

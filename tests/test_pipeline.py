@@ -27,12 +27,13 @@ from rangesr.cfar import (
     cluster_detections,
     merge_beam_duplicates,
 )
-from rangesr.config import C_LIGHT, ConfigError, UavTruth, make_radar_config
+from rangesr.config import C_LIGHT, ConfigError, UavTruth, from_json, make_radar_config
 from rangesr.cube import DataCube
 from rangesr.integrate import integrate_cube
 from rangesr.pipeline import (
     Scene,
     Step2Report,
+    UavEstimate,
     dwell_chirps,
     make_exp1_scene,
     make_exp2_scene,
@@ -617,6 +618,49 @@ def test_noisy_run_is_deterministic(cfg8):
     first = json.dumps(run_full(scene).to_dict(), sort_keys=True)
     second = json.dumps(run_full(scene).to_dict(), sort_keys=True)
     assert first == second
+
+
+def no_group_scene(cfg):
+    """One UAV in the search dwell and none in the noise-free stare, so step
+    2 finds no group and step 3 does not run."""
+    return replace(one_uav_scene(cfg), step2_uavs=())
+
+
+@pytest.mark.parametrize("last_step", [3, 2, 1])
+def test_pipeline_json_holds_a_section_per_step_that_ran(cfg8, last_step):
+    scene = {3: one_uav_scene(cfg8), 2: no_group_scene(cfg8), 1: tiny_scene(cfg8, [])}[last_step]
+    res = run_full(scene)
+    out = json.loads(json.dumps(res.to_dict()))
+    step1 = out["step1"]
+    assert set(step1) == {"step", "n_chirps", "angle_est_rad", "sin_est", "detections"}
+    assert [step1[k] for k in ("step", "n_chirps", "angle_est_rad", "sin_est")] == [
+        1, res.step1.n_chirps, res.step1.angle_est_rad, res.step1.sin_est
+    ]
+    assert [from_json(Detection, d) for d in step1["detections"]] == res.step1.detections
+    assert bool(res.step1.detections) == (last_step > 1)
+    if last_step < 2:
+        assert res.step2 is None and "step2" not in out
+    else:
+        step2 = out["step2"]
+        assert set(step2) == {
+            "step", "n_chirps", "angle_prior_rad", "beam_angles", "detections", "n_groups"
+        }
+        assert [step2[k] for k in ("step", "n_chirps", "angle_prior_rad", "n_groups")] == [
+            2, res.step2.n_chirps, res.step2.angle_prior_rad, len(res.step2.groups)
+        ]
+        assert step2["beam_angles"] == list(res.step2.beam_angles)
+        assert [from_json(Detection, d) for d in step2["detections"]] == res.step2.detections
+        assert bool(res.step2.groups) == (last_step > 2)
+    if last_step < 3:
+        assert res.localization is None and "localization" not in out
+        assert out["estimates"] == []
+    else:
+        loc = out["localization"]
+        assert set(loc) == {"method", "estimates", "groups"}
+        assert loc["method"] == res.localization.method == "fsram"
+        assert loc["groups"] == res.localization.group_reports
+        assert out["estimates"] == loc["estimates"]
+        assert [from_json(UavEstimate, e) for e in loc["estimates"]] == res.localization.estimates
 
 
 # ------------------------------------------------------ experiment scenes

@@ -549,6 +549,17 @@ def test_music_resolves_separated_uncorrelated_tones(cfg):
     assert np.abs(np.sort(res.freqs_local) - f_true).max() < MUSIC_GRID_STEP
 
 
+def test_music_without_a_source_count_takes_the_mdl_order(cfg):
+    rng = np.random.default_rng(3)
+    f_true = np.array([0.15, 0.15 + 4.0 / 32])
+    x = rng.standard_normal((2, 64)) + 1j * rng.standard_normal((2, 64))
+    noise = 1e-3 * (rng.standard_normal((32, 64)) + 1j * rng.standard_normal((32, 64)))
+    mm = hand_mmv(atom_matrix(f_true, 32) @ x + noise, FreqBand(0.01, 0.49), cfg)
+    res = solve_by_name("music", mm)
+    assert res.n_atoms == 2
+    assert np.array_equal(res.freqs_local, solve_by_name("music", mm, n_sources=2).freqs_local)
+
+
 def test_music_collapses_on_coherent_snapshots(cfg):
     """Fully correlated returns collapse the covariance to rank one, so the
     subspace baseline cannot see two sources."""

@@ -94,6 +94,12 @@ def test_envelope_range_walk(tiny_cfg):
     assert abs(walk_m - expected) < tol
 
 
+@pytest.mark.parametrize("n_slow", [0, -1])
+def test_a_dwell_of_no_chirp_is_refused(tiny_cfg, n_slow):
+    with pytest.raises(ConfigError, match=f"n_slow must be >= 1, got {n_slow}"):
+        synth_beat_cube(tiny_cfg, [UavTruth(range0_m=10.0)], n_slow)
+
+
 def test_out_of_band_target_rejected(tiny_cfg):
     r_max = tiny_cfg.range_of_freq(0.5)
     with pytest.raises(OutOfBandError):
