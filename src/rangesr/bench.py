@@ -21,22 +21,28 @@ all. Baselines ("ram", "music") receive a single modulation period,
 as the comparison prescribes; the band-constrained solver gets the full
 dwell.
 
-What a trial holds: its clean element cube and its unit-power noise
-(`_TrialData`, 8 MB each at the 512 x 64 x 16 cube of the default 5.12 MHz
-radar and 64 chirps), and `compare_methods` lets them go before it draws
-the next trial. The unit noise is `synth.add_noise` at 0 dB on a zero cube
-of the trial's shape (`_unit_noise`), the scenes' one noise rule: a trial
-of at most `synth._CHUNK_M` (256) chirps is one noise block, so its noise
-is one draw of the whole cube's real parts, then one of its imaginary
-parts, scaled by 1/sqrt(2). No noisy cube is built: `run_trial_method` hands
-`pipeline.stare` the dwell `clean + sigma * unit_noise` as chirp windows of
-about `spans._BLOCK_ENTRIES` samples (1 MB, 8 chirps), each formed from its
-chirps of the two arrays, as `pipeline.dwell_chunks` hands it a scene's
-dwell. Every sample is the same two operations whatever window holds it,
-so the windows change no output. The benchmark's `grid_fsram` workload
-peaks at 110.1 MB RSS over 20 s runs and 108.4 MB after one round, where
-forming each trial's noisy cube whole peaked at 128.6 and 124.2 MB
-(medians, 2 cores, numpy 2.4; about 80 MB of that is the imports).
+What a trial holds: its targets (`UavTruth`) and their unit-power noise
+(`_TrialData`), one element cube of noise, 8 MB at the 512 x 64 x 16 cube
+of the default 5.12 MHz radar and 64 chirps and 82 MB at 50 MHz, and
+`compare_methods` lets them go before it draws the next trial. The noise
+is kept because every SNR must see the same draw. It is `synth.add_noise`
+at 0 dB on a zero cube of the trial's shape (`_unit_noise`), the scenes'
+one noise rule: a trial of at most `synth._CHUNK_M` (256) chirps is one
+noise block, so its noise is one draw of the whole cube's real parts, then
+one of its imaginary parts, scaled by 1/sqrt(2). No clean or noisy cube is
+built: `run_trial_method` hands `pipeline.stare` the dwell `clean + sigma *
+unit_noise` as chirp windows of about `spans._BLOCK_ENTRIES` samples (1 MB,
+8 chirps), each window's clean chirps synthesised from the targets
+(`synth_beat_cube` over the window's chirps), as `pipeline.dwell_chunks`
+hands it a scene's dwell. A window synthesises its chirps of the whole
+dwell bit for bit, and every sample is the same two operations whatever
+window holds it, so the windows change no output. The price is one
+synthesis of the dwell per run, that is per SNR and method, not per trial:
+a three-method `compare_methods` takes about 4% longer. The benchmark's
+`grid_fsram` workload peaks at 102.6 MB RSS over 20 s runs and 100.3 MB
+after one round, 8 MB (one trial cube) under holding each trial's clean
+cube beside its noise (medians, 2 cores, numpy 2.4; about 80 MB of that is
+the imports).
 """
 
 from __future__ import annotations
@@ -203,24 +209,27 @@ def _draw_ranges(rng, spec: GridSpec, k: int, delta_ratio: float):
     return None
 
 
-def _unit_noise(rng, clean: DataCube) -> np.ndarray:
-    """The unit-power noise of a trial whose clean cube is `clean`:
-    `add_noise` at 0 dB (sigma 1) on a zero cube of its shape, so a trial
-    draws its noise by the scenes' rule (`synth`)."""
-    return add_noise(DataCube(np.zeros(clean.data.shape, complex), clean.config), 0.0, rng).data
+def _unit_noise(rng, cfg: RadarConfig, n_slow: int) -> np.ndarray:
+    """The unit-power noise of a trial of `n_slow` chirps of radar `cfg`:
+    `add_noise` at 0 dB (sigma 1) drawn into a zero cube of the trial's
+    shape, so a trial draws its noise by the scenes' rule (`synth`)."""
+    zeros = np.zeros((cfg.n_fast, n_slow, cfg.n_elements), complex)
+    return add_noise(DataCube(zeros, cfg), 0.0, rng).data
 
 
 @dataclass
 class _TrialData:
     """One trial's draws, all that the trial holds while its methods and
-    SNRs run: 8 MB per array at the grid's 512 x 64 x 16 trial cube. The
-    unit noise is `add_noise` at 0 dB on zeros (`_unit_noise`). The noisy
-    dwell `clean + sigma * unit_noise` is never built whole; the stare
-    reads it a chirp window at a time (`_trial_windows`)."""
+    SNRs run: its targets and their unit-power noise, one 8 MB array at the
+    grid's 512 x 64 x 16 trial cube. The noise is `add_noise` at 0 dB on
+    zeros (`_unit_noise`). Neither the clean dwell nor the noisy one is
+    ever built whole; the stare reads `clean + sigma * unit_noise` a chirp
+    window at a time, synthesising each window's clean chirps from
+    `truths` (`_trial_windows`)."""
 
     truth_ranges: np.ndarray
-    clean: np.ndarray          # element cube, full dwell
-    unit_noise: np.ndarray     # its unit-power noise, same shape
+    truths: tuple[UavTruth, ...]
+    unit_noise: np.ndarray     # element cube, full dwell
 
 
 def _prepare_trial(spec: GridSpec, k: int, delta_ratio: float, trial: int):
@@ -245,23 +254,25 @@ def _prepare_trial(spec: GridSpec, k: int, delta_ratio: float, trial: int):
         )
         for r, ph in zip(ranges, phases)
     )
-    clean = synth_beat_cube(cfg, truths, spec.n_slow)
     noise_rng = np.random.default_rng(np.random.SeedSequence(entropy + (999,)))
-    unit = _unit_noise(noise_rng, clean)
-    return _TrialData(truth_ranges=ranges, clean=clean.data, unit_noise=unit)
+    unit = _unit_noise(noise_rng, cfg, spec.n_slow)
+    return _TrialData(truth_ranges=ranges, truths=truths, unit_noise=unit)
 
 
 def _trial_windows(data: _TrialData, sigma: float, cfg: RadarConfig):
     """The noisy dwell as `(m0, window)` pairs, each window the chirps from
-    `m0` on, about `spans._BLOCK_ENTRIES` samples, formed as `clean + sigma *
-    unit_noise` over its chirps: every sample is the same two operations
-    whatever window holds it, so the windows equal the whole cube's chirps
-    bit for bit."""
-    n_fast, n_slow, n_elements = data.clean.shape
+    `m0` on, about `spans._BLOCK_ENTRIES` samples: the window's clean chirps
+    synthesised from the trial's truths, plus `sigma * unit_noise` over
+    them. A synthesised window equals the same chirps of the whole clean
+    dwell, and every sample is the same two operations whatever window holds
+    it, so the windows equal the whole cube `clean + sigma * unit_noise`
+    chirp for chirp, bit for bit."""
+    n_fast, n_slow, n_elements = data.unit_noise.shape
     width = max(1, spans._BLOCK_ENTRIES // (n_fast * n_elements))
     for m0 in range(0, n_slow, width):
-        window = sigma * data.unit_noise[:, m0:m0 + width]
-        window += data.clean[:, m0:m0 + width]
+        m1 = min(m0 + width, n_slow)
+        window = synth_beat_cube(cfg, data.truths, n_slow, m0, m1).data
+        window += sigma * data.unit_noise[:, m0:m1]
         yield m0, DataCube(data=window, config=cfg)
         del window   # only the stare may hold this window while the next is formed
 
@@ -271,9 +282,10 @@ def run_trial_method(spec: GridSpec, data: _TrialData, snr_db: float, method: st
     the strongest group has no answer (`SuperResError`).
 
     `pipeline.stare` reads the noisy dwell in chirp windows
-    (`_trial_windows`, 8 chirps of the grid's trial cube), so beside the
-    trial's clean cube and unit noise the trial holds one 1 MB window, the
-    one-beam cube and the kept extraction rows, never a noisy cube."""
+    (`_trial_windows`, 8 chirps of the grid's trial cube), each synthesised
+    for it, so beside the trial's unit noise the run holds one 1 MB window,
+    the one-beam cube and the kept extraction rows, never a clean or noisy
+    cube. Each call synthesises the trial's dwell once."""
     cfg = table_radar_config(spec.sample_rate_hz)
     sigma = noise_sigma(snr_db)
     k = data.truth_ranges.shape[0]
@@ -307,11 +319,12 @@ def compare_methods(
     """Every method's grid from one pass over the trials: each trial is drawn
     once, then run at each SNR by each method.
 
-    One trial's data is alive at a time: its clean cube and unit noise go
-    before the next trial is drawn, so the pass holds two 8 MB arrays at the
-    grid's trial cube, and a 1 MB window of them while the stare runs
-    (`run_trial_method`), whatever the trial count. The methods and the
-    dwell's CFAR map extent are checked before any trial is drawn."""
+    One trial's data is alive at a time: its targets and unit noise go
+    before the next trial is drawn, so the pass holds one 8 MB array at the
+    grid's trial cube, and a 1 MB window synthesised beside it while the
+    stare runs (`run_trial_method`), whatever the trial count. Every run
+    synthesises its trial's dwell, once per SNR and method. The methods and
+    the dwell's CFAR map extent are checked before any trial is drawn."""
     if not methods:
         raise ConfigError(f"no method given; choose from {','.join(METHODS)}")
     for m in methods:

@@ -24,13 +24,19 @@ class ConfigError(ValueError):
     """Raised when a configuration value violates its contract."""
 
 
+def _require_positive_finite(name: str, value) -> None:
+    # NaN fails both comparisons
+    if not 0 < value < np.inf:
+        raise ConfigError(f"{name} must be positive and finite, got {value!r}")
+
+
 @dataclass(frozen=True)
 class RadarConfig:
     """LFMCW waveform and uniform-linear-array geometry.
 
-    Construction validates the parameters (all positive, at least 8
-    fast-time samples per chirp) and sets a missing element spacing to half
-    the carrier wavelength. Derived quantities are properties.
+    Construction validates the parameters (all positive and finite, at
+    least 8 fast-time samples per chirp) and sets a missing element spacing
+    to half the carrier wavelength. Derived quantities are properties.
     """
 
     carrier_hz: float                        # f_c
@@ -42,14 +48,13 @@ class RadarConfig:
 
     def __post_init__(self) -> None:
         for name in ("carrier_hz", "bandwidth_hz", "chirp_s", "sample_rate_hz", "n_elements"):
-            value = getattr(self, name)
-            if not value > 0:
-                raise ConfigError(f"{name} must be positive, got {value!r}")
+            _require_positive_finite(name, getattr(self, name))
         object.__setattr__(self, "n_elements", int(self.n_elements))
         if self.element_spacing_m is None:
             object.__setattr__(self, "element_spacing_m", self.wavelength_m / 2.0)
-        if not self.element_spacing_m > 0:
-            raise ConfigError(f"element_spacing_m must be positive, got {self.element_spacing_m!r}")
+        _require_positive_finite("element_spacing_m", self.element_spacing_m)
+        # two finite factors can overflow, and n_fast cannot round inf
+        _require_positive_finite("chirp_s * sample_rate_hz", self.chirp_s * self.sample_rate_hz)
         if self.n_fast < 8:
             raise ConfigError(f"chirp_s * sample_rate_hz gives n_fast={self.n_fast}, need >= 8")
 

@@ -313,9 +313,9 @@ def stare(
 
     The windows come from one of two sources: `dwell_chunks`, which
     synthesises a scene's dwell window by window with its noise, and a grid
-    trial (`bench.run_trial_method`), which forms each window from the
-    trial's clean cube and unit noise. Neither builds the whole noisy cube,
-    and each window may go once it is copied or beamformed.
+    trial (`bench.run_trial_method`), which synthesises each window and adds
+    its chirps of the trial's unit noise. Neither builds the whole clean or
+    noisy cube, and each window may go once it is copied or beamformed.
     """
     channels = kept = pick = None
     for m0, chunk in chunks:

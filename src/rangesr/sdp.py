@@ -81,9 +81,9 @@ block matrix has 1-5 positive eigenvalues in all but 7 of 4,308
 projections, and the 31x31 band matrix 0-2 in 3,999, so a projection
 costs half of a full eigendecomposition. The u update is a banded real
 least-squares problem whose normal matrix depends only on (N, band). One
-real matrix, built from its Cholesky factor once per solve, maps the
-diagonal sums of the T block of Q - Lambda and of P - Gamma to u, and the
-objective's gradient term is solved once per pass.
+real matrix, built from its Cholesky factor once per (N, band) and cached
+read-only, maps the diagonal sums of the T block of Q - Lambda and of
+P - Gamma to u, and the objective's gradient term is solved once per pass.
 
 The structure maps of the inner loop (the diagonal sums that feed the u
 update, and the Toeplitz layouts of T(u) and Tb(u)) are gathers through
@@ -296,9 +296,10 @@ class _UUpdate:
     so x = C^-1 Phi^T tau - C^-1 g / rho with C = Phi^T Phi. Phi depends only
     on (N, band), and tau is linear in the lower-diagonal sums of A and B
     (each sum weighed by its kappa or mu over the diagonal's length). So one
-    real matrix, `gain`, built once per solve, maps those sums (as real
-    pairs) straight to the first term, and `gradient_step` gives the second
-    once per pass. Both yield u as real pairs, with Im u0 = 0.
+    real matrix, `gain`, built once per (N, band) (`_u_update`), maps those
+    sums (as real pairs) straight to the first term, and `gradient_step`
+    gives the second once per pass. Both yield u as real pairs, with Im
+    u0 = 0.
     """
 
     def __init__(self, n: int, band: tuple[complex, float] | None):
@@ -320,12 +321,20 @@ class _UUpdate:
 
         dim = 2 * n - 1
         phi = np.stack([apply(col) for col in np.eye(dim)], axis=1)
-        self.cho = cho_factor(phi.T @ phi + 1e-12 * np.eye(dim))
-        self.gain = _real_pairs(cho_solve(self.cho, phi.T @ block_diag(*from_sums)))
+        factor, lower = cho_factor(phi.T @ phi + 1e-12 * np.eye(dim))
+        self.cho = (_frozen(factor), lower)
+        self.gain = _frozen(_real_pairs(cho_solve(self.cho, phi.T @ block_diag(*from_sums))))
 
     def gradient_step(self, g: np.ndarray) -> np.ndarray:
         """C^-1 g as real pairs of u."""
         return _real_pairs(cho_solve(self.cho, g))
+
+
+@lru_cache(maxsize=64)
+def _u_update(n: int, band: tuple[complex, float] | None) -> _UUpdate:
+    """The u update of every solve of N samples in `band`, built once: its
+    arrays are read-only, so the solves share them."""
+    return _UUpdate(n, band)
 
 
 def _objective_gradient(w: np.ndarray) -> np.ndarray:
@@ -589,7 +598,7 @@ def solve_weighted_toeplitz_sdp(
             f"{diag.data_misfit:.3e} vs eta {diag.eta:.3e}",
             diag,
         )
-    upd = _UUpdate(n, hcoefs)
+    upd = _u_update(n, hcoefs)
     root = np.sqrt(n)
 
     def constraints(z, y, u):

@@ -10,6 +10,7 @@ suite.
 import itertools
 import json
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -61,6 +62,10 @@ def test_grid_spec_rejects_bad_fields():
             GridSpec(n_ex=n_ex)
     with pytest.raises(ConfigError, match="^n_slow must be >= 1, got 0$"):
         GridSpec(n_slow=0)
+    # an infinite sample rate is refused by the radar it sets, not by an
+    # OverflowError from its fast-time sample count
+    with pytest.raises(ConfigError, match="^sample_rate_hz must be positive and finite"):
+        GridSpec(sample_rate_hz=math.inf)
     # so is an SNR that sets no noise level
     for snr_db in (math.nan, -math.inf):
         with pytest.raises(ConfigError, match="^snr_db must be a number above -inf"):
@@ -427,7 +432,8 @@ def trial_cube():
     spec = GridSpec(k_values=(2,), delta_ratios=(0.5,), snr_values_db=(10.0,),
                     trials=1, n_slow=64)
     data = _prepare_trial(spec, 2, 0.5, 0)
-    noisy = data.clean + noise_sigma(10.0) * data.unit_noise
+    clean = synth_beat_cube(table_radar_config(), data.truths, spec.n_slow).data
+    noisy = clean + noise_sigma(10.0) * data.unit_noise
     return DataCube(data=noisy, config=table_radar_config())
 
 
@@ -444,10 +450,11 @@ def test_stare_on_one_beam_is_cfar_and_grouping_of_the_integrated_beam(trial_cub
 
 @pytest.mark.parametrize("method", METHODS)
 def test_trial_windows_move_no_sample(monkeypatch, admm_budget, method):
-    """The stare reads a trial's noisy dwell in chirp windows. The windows
-    tile the cube `clean + sigma * unit_noise` bit for bit, and the trial
-    gives the same RMS and the same solves as with one window of the whole
-    dwell."""
+    """The stare reads a trial's noisy dwell in chirp windows, each window's
+    clean chirps synthesised from the trial's truths. The windows tile the
+    cube `clean + sigma * unit_noise` bit for bit, with `clean` the whole
+    dwell synthesised at once, and the trial gives the same RMS and the same
+    solves as with one window of the whole dwell."""
     spec = GridSpec(k_values=(2,), delta_ratios=(0.5,), snr_values_db=(10.0,),
                     trials=1, n_slow=64)
     data = _prepare_trial(spec, 2, 0.5, 0)
@@ -456,8 +463,9 @@ def test_trial_windows_move_no_sample(monkeypatch, admm_budget, method):
     windows = list(bench._trial_windows(data, sigma, cfg))
     assert [(m0, w.n_slow) for m0, w in windows] == [(m, 8) for m in range(0, 64, 8)]
     noisy = np.concatenate([w.data for _, w in windows], axis=1)
-    assert noisy.tobytes() == (data.clean + sigma * data.unit_noise).tobytes()
-    del windows, noisy
+    clean = synth_beat_cube(cfg, data.truths, spec.n_slow).data
+    assert noisy.tobytes() == (clean + sigma * data.unit_noise).tobytes()
+    del windows, noisy, clean
 
     admm_budget(**LIGHT)
     solves = []
@@ -468,7 +476,7 @@ def test_trial_windows_move_no_sample(monkeypatch, admm_budget, method):
 
     monkeypatch.setattr(bench, "solve_by_name", recording_solve)
     windowed = run_trial_method(spec, data, 10.0, method)
-    monkeypatch.setattr(spans, "_BLOCK_ENTRIES", data.clean.size)
+    monkeypatch.setattr(spans, "_BLOCK_ENTRIES", data.unit_noise.size)
     assert len(list(bench._trial_windows(data, sigma, cfg))) == 1
     whole = run_trial_method(spec, data, 10.0, method)
     assert windowed == whole and math.isfinite(whole)
@@ -481,13 +489,42 @@ def test_trial_windows_move_no_sample(monkeypatch, admm_budget, method):
         assert a.diagnostics.inner_iters == b.diagnostics.inner_iters
 
 
+def test_a_trial_holds_one_cube(admm_budget):
+    """A trial holds its unit noise and no clean cube: drawing it peaks near
+    one trial cube (the noise, and add_noise's row-block buffer), and a run
+    adds only a window's worth of synthesis and the stare's one-beam work
+    to it. Holding the clean cube too would read two and a half cubes."""
+    spec = GridSpec(k_values=(2,), delta_ratios=(0.5,), snr_values_db=(10.0,),
+                    trials=1, n_slow=64)
+    cfg = table_radar_config()
+    cube_bytes = cfg.n_fast * spec.n_slow * cfg.n_elements * 16
+    admm_budget(**LIGHT)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        data = _prepare_trial(spec, 2, 0.5, 0)
+        prepare_peak = tracemalloc.get_traced_memory()[1] - base
+        tracemalloc.reset_peak()
+        rms = run_trial_method(spec, data, 10.0, "fsram")
+        run_peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert math.isfinite(rms)
+    assert prepare_peak <= 1.25 * cube_bytes, prepare_peak / cube_bytes
+    assert run_peak <= 1.75 * cube_bytes, run_peak / cube_bytes
+
+
 @pytest.mark.parametrize("shape", [(512, 64, 16), (100, 64, 16)])
 def test_unit_noise_is_the_one_shot_draw(shape):
     """Drawn a block of rows at a time, the noise is the one-shot draw bit
     for bit: the real parts, then the imaginary parts, each scaled by
     1/sqrt(2). The second shape's 100 rows leave a 36-row last block."""
-    zeros = DataCube(np.zeros(shape, complex), table_radar_config())
-    got = bench._unit_noise(np.random.default_rng(11), zeros)
+    n_fast, n_slow, _ = shape
+    # the sample rate that gives the table radar n_fast rows per chirp
+    cfg = table_radar_config(n_fast / table_radar_config().chirp_s)
+    got = bench._unit_noise(np.random.default_rng(11), cfg, n_slow)
+    assert got.shape == shape
     rng = np.random.default_rng(11)
     scale = 1.0 / np.sqrt(2.0)
     assert got.real.tobytes() == (rng.standard_normal(shape) * scale).tobytes()
@@ -500,9 +537,8 @@ def test_unit_noise_is_add_noise_at_0_db(n_slow):
     cube, bit for bit. Past 256 chirps both draw in 256-chirp blocks, not
     the whole cube at once."""
     cfg = table_radar_config()
-    clean = synth_beat_cube(cfg, [UavTruth(range0_m=166.0, velocity_mps=44.07)], n_slow)
-    got = bench._unit_noise(np.random.default_rng(5), clean)
-    zeros = DataCube(np.zeros(clean.data.shape, complex), cfg)
+    got = bench._unit_noise(np.random.default_rng(5), cfg, n_slow)
+    zeros = DataCube(np.zeros((cfg.n_fast, n_slow, cfg.n_elements), complex), cfg)
     want = add_noise(zeros, 0.0, rng_seed=np.random.default_rng(5)).data
     assert got.dtype == np.complex128 and got.tobytes() == want.tobytes()
 

@@ -1,6 +1,7 @@
 """Waveform configuration: derived fields, validation, serialization."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -131,6 +132,22 @@ def test_direct_construction_derives_and_validates():
     assert cfg.element_spacing_m == cfg.wavelength_m / 2.0
     with pytest.raises(ConfigError, match="bandwidth_hz must be positive"):
         RadarConfig(10e9, 0.0, 1e-4, 5.12e6, 16)
+
+
+@pytest.mark.parametrize("name", ["carrier_hz", "bandwidth_hz", "chirp_s", "sample_rate_hz"])
+def test_direct_construction_refuses_an_infinite_value(name):
+    """An infinite bandwidth would give a 0 m range cell, and an infinite
+    carrier a zero element spacing; each is refused by its own name."""
+    values = {"carrier_hz": 10e9, "bandwidth_hz": 50e6, "chirp_s": 1e-4,
+              "sample_rate_hz": 5.12e6, "n_elements": 16}
+    values[name] = math.inf
+    with pytest.raises(ConfigError, match=rf"^{name} must be positive and finite, got inf$"):
+        RadarConfig(**values)
+
+
+def test_direct_construction_refuses_a_sample_count_that_overflows():
+    with pytest.raises(ConfigError, match=r"^chirp_s \* sample_rate_hz must be positive and finite"):
+        RadarConfig(10e9, 50e6, 1e300, 1e300, 16)
 
 
 def test_table_radar_json_form_is_pinned():

@@ -16,7 +16,7 @@ from rangesr.config import C_LIGHT
 from rangesr.cube import DataCube
 from rangesr.pipeline import group_mmv, table_radar_config
 from rangesr.superres import ExtractionRows, FreqBand, MmvMatrix
-from rangesr.synth import noise_sigma
+from rangesr.synth import noise_sigma, synth_beat_cube
 
 from spectral_oracles import range_crb
 
@@ -67,7 +67,7 @@ def test_fsram_successes_on_the_grid_sit_near_the_bound(monkeypatch):
                 if not rms < 0.1 * cfg.range_res_m:
                     continue
                 (group, mmv), = solved
-                clean = extract(data.clean, group)
+                clean = extract(synth_beat_cube(cfg, data.truths, spec.n_slow).data, group)
                 noise = extract(noise_sigma(snr) * data.unit_noise, group)
                 freqs = (cfg.beat_freq(data.truth_ranges) - mmv.f_shift) * mmv.step
                 atoms = np.exp(2j * np.pi * np.outer(np.arange(mmv.n_samples), freqs))

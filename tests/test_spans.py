@@ -263,5 +263,5 @@ def test_a_grid_sized_trial_never_starts_a_thread(monkeypatch):
     spec = bench.GridSpec(k_values=(2,), delta_ratios=(0.5,), trials=1, n_slow=64)
     data = bench._prepare_trial(spec, 2, 0.5, 0)
     # 2^19 entries, half the inline gate
-    assert data.clean.shape == (512, 64, 16)
+    assert data.unit_noise.shape == (512, 64, 16)
     bench.run_trial_method(spec, data, 10.0, "music")
